@@ -186,7 +186,8 @@ def _build_parser():
     sub.add_argument("--hide", type=int, default=None, metavar="K",
                      help="1-based index of the variable to hide (default: automatic)")
     sub.add_argument("--no-rotate", action="store_true",
-                     help="skip the random orthogonal change of variables")
+                     help="never rotate (default: rotate only when the plain solve "
+                          "keeps fewer roots than its pencil has finite eigenvalues)")
     sub.add_argument("--seed", type=int, default=None,
                      help="rotation seed (default: MULTIPOLYEIG_SEED or 0)")
     _add_common_tolerances(sub)

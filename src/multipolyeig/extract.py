@@ -189,21 +189,26 @@ def residual(p, x):
 
 
 def filter_solutions(cands, cfg):
-    """Keep residual <= residual_tol, deduplicate, sort by residual."""
+    """Keep residual <= residual_tol, deduplicate, sort by residual.
+
+    A candidate duplicates a kept point y when
+    max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf); candidates are visited in
+    residual order, so the best-residual copy of each point survives.
+    """
     kept = [s for s in cands if s.residual <= cfg.residual_tol]
     kept.sort(key=lambda s: s.residual)
     unique = []
+    points = np.empty((len(kept), kept[0].x.size if kept else 0), dtype=complex)
+    norms = np.empty(len(kept))
     for sol in kept:
-        matched = False
-        for other in unique:
-            denom = max(
-                1.0,
-                float(np.max(np.abs(sol.x))),
-                float(np.max(np.abs(other.x))),
-            )
-            if np.max(np.abs(sol.x - other.x)) <= 1e-8 * denom:
-                matched = True
-                break
-        if not matched:
-            unique.append(sol)
+        k = len(unique)
+        norm = float(np.max(np.abs(sol.x)))
+        if k:
+            dist = np.max(np.abs(points[:k] - sol.x), axis=1)
+            denom = np.maximum(max(1.0, norm), norms[:k])
+            if np.any(dist <= 1e-8 * denom):
+                continue
+        points[k] = sol.x
+        norms[k] = norm
+        unique.append(sol)
     return SolutionSet(unique)

@@ -60,6 +60,7 @@ class MatrixPoly:
         self.coeffs = arr
         self.basis = _as_basis(basis)
         self.d = d
+        self._max_coeff_norm = None
 
     @property
     def n(self):
@@ -147,11 +148,16 @@ class MatrixPoly:
         return MatrixPoly(new, self.basis, d=self.d)
 
     def max_coeff_norm(self):
-        """Largest spectral norm among the coefficient matrices."""
-        flat = self.coeffs.reshape(-1, self.n, self.n)
-        if flat.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(flat, ord=2, axis=(1, 2))))
+        """Largest spectral norm among the coefficient matrices (cached: the
+        coefficients are read-only)."""
+        if self._max_coeff_norm is None:
+            flat = self.coeffs.reshape(-1, self.n, self.n)
+            self._max_coeff_norm = (
+                float(np.max(np.linalg.norm(flat, ord=2, axis=(1, 2))))
+                if flat.shape[0]
+                else 0.0
+            )
+        return self._max_coeff_norm
 
     def scale(self, c):
         return MatrixPoly(self.coeffs * c, self.basis, d=self.d)

@@ -3,9 +3,12 @@
 Pipeline for d >= 2 (single univariate matrix polynomials pass straight to
 the linearization machinery):
 
-1. optional Haar-random orthogonal change of coordinates (on by default; it
-   separates repeated hidden-coordinate values, which otherwise corrupt the
-   eigenvector extraction),
+1. solve in the given coordinates first; only when that plain solve keeps
+   fewer distinct roots than its pencil had finite eigenvalues, repeat steps
+   2-8 after a Haar-random orthogonal change of coordinates (on by default;
+   it separates repeated hidden-coordinate values, which otherwise corrupt
+   the eigenvector extraction, but pads every degree to sum(tau)) and keep
+   the union of both candidate sets,
 2. choose the hidden variable and permute it last,
 3. build the hidden-variable Dixon resultant R(x_d),
 4. probe the normal rank; compress singular R by a two-sided projection,
@@ -51,7 +54,12 @@ __all__ = ["SolverConfig", "choose_hidden_variable", "random_orthogonal", "solve
 
 @dataclass
 class SolverConfig:
-    """Knobs for the full pipeline; defaults follow the library conventions."""
+    """Knobs for the full pipeline; defaults follow the library conventions.
+
+    ``rotate`` allows the rotated fallback pass, seeded by ``seed``, when the
+    plain solve comes up short; ``rotate=False`` never rotates.  An explicit
+    ``hide_variable`` also disables the rotation.
+    """
 
     basis: Basis | None = None
     rotate: bool = True
@@ -231,58 +239,18 @@ def _lost_coordinate_candidates(work, front, lam, lost, cfg, depth):
     return out
 
 
-def solve(p, cfg=None, _depth=0):
-    """Globally solve a polynomial multiparameter eigenvalue problem."""
-    cfg = cfg or SolverConfig()
-    if not isinstance(p, Pmep):
-        raise ValueError("expected a Pmep")
-    if cfg.basis is not None and cfg.basis != p.basis:
-        p = p.convert_basis(cfg.basis)
+def _attempt(p, cfg, q, depth):
+    """One pass of the pipeline in coordinates rotated by q (None: as given).
+
+    Returns the unfiltered candidates, the number of finite eigenvalues of
+    the pencil, and the diagnostics of the pass.
+    """
     d = p.d
-    if cfg.hide_variable is not None and cfg.hide_variable > d:
-        raise ValueError("hide_variable exceeds the number of variables")
-    if d == 1:
-        return _pep_solutions(p, cfg)
-    if any(t < 1 for t in p.tau):
-        raise ValueError(
-            "every variable must appear in the system (tau_k >= 1); a missing "
-            "variable leaves the point underdetermined"
-        )
-
-    if cfg.reduce_linear and all(t == 1 for t in p.tau):
-        mep = _as_linear_mep(p)
-        if mep is not None:
-            try:
-                out = solve_linear_mep(mep)
-                kept = [s for s in out if s.residual <= cfg.extraction.residual_tol]
-                diag = dict(out.diagnostics)
-                result = filter_solutions(kept, cfg.extraction)
-                result.diagnostics = diag
-                return result
-            except SingularMepError:
-                pass
-
-    rotated = False
-    q = None
-    if cfg.hide_variable is not None:
-        if cfg.rotate:
-            warnings.warn(
-                "rotation skipped because hide_variable is explicit; repeated "
-                "hidden-coordinate values across solutions may corrupt extraction",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        work = p
-        hide = cfg.hide_variable
-    elif cfg.rotate:
-        q = random_orthogonal(d, cfg.seed)
-        work = p.change_of_variables(q)
-        rotated = True
+    rotated = q is not None
+    work = p.change_of_variables(q) if rotated else p
+    hide = cfg.hide_variable
+    if hide is None:
         hide = choose_hidden_variable(work)
-    else:
-        work = p
-        hide = choose_hidden_variable(work)
-
     perm = _hiding_permutation(d, hide)
     work = work.permute_variables(perm)
 
@@ -367,7 +335,7 @@ def solve(p, cfg=None, _depth=0):
             # arbitrarily degenerate; give up on the eigenpair, not the solve
             try:
                 completions = _lost_coordinate_candidates(
-                    work, front, lam, lost, cfg, _depth
+                    work, front, lam, lost, cfg, depth
                 )
                 reduced = True
             except (ValueError, MultiPolyEigError):
@@ -388,12 +356,62 @@ def solve(p, cfg=None, _depth=0):
                 )
             )
 
-    out = filter_solutions(cands, cfg.extraction)
-    out.diagnostics = {
+    diagnostics = {
         "resultant_size": R.size,
         "normal_rank": rp.normal_rank,
         "projected": projected,
         "dropped_eigenpairs": dropped,
         "rotation_seed": cfg.seed if rotated else None,
     }
+    return cands, len(eigpairs), diagnostics
+
+
+def solve(p, cfg=None, _depth=0):
+    """Globally solve a polynomial multiparameter eigenvalue problem."""
+    cfg = cfg or SolverConfig()
+    if not isinstance(p, Pmep):
+        raise ValueError("expected a Pmep")
+    if cfg.basis is not None and cfg.basis != p.basis:
+        p = p.convert_basis(cfg.basis)
+    d = p.d
+    if cfg.hide_variable is not None and cfg.hide_variable > d:
+        raise ValueError("hide_variable exceeds the number of variables")
+    if d == 1:
+        return _pep_solutions(p, cfg)
+    if any(t < 1 for t in p.tau):
+        raise ValueError(
+            "every variable must appear in the system (tau_k >= 1); a missing "
+            "variable leaves the point underdetermined"
+        )
+
+    if cfg.reduce_linear and all(t == 1 for t in p.tau):
+        mep = _as_linear_mep(p)
+        if mep is not None:
+            try:
+                out = solve_linear_mep(mep)
+            except SingularMepError:
+                out = SolutionSet([])
+            # a regular linear MEP has exactly N eigenvalues; fewer validated
+            # solutions mean repeated coordinates spoiled the Rayleigh quotients
+            result = filter_solutions(out, cfg.extraction)
+            if len(result) >= p.N:
+                result.diagnostics = dict(out.diagnostics)
+                return result
+
+    if cfg.hide_variable is not None and cfg.rotate:
+        warnings.warn(
+            "rotation skipped because hide_variable is explicit; repeated "
+            "hidden-coordinate values across solutions may corrupt extraction",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    cands, finite, diagnostics = _attempt(p, cfg, None, _depth)
+    out = filter_solutions(cands, cfg.extraction)
+    # every finite eigenvalue that yields no root hints at a repeated hidden
+    # coordinate, which is what the rotation is there to separate
+    if cfg.rotate and cfg.hide_variable is None and len(out) < finite:
+        q = random_orthogonal(d, cfg.seed)
+        rotated, _, diagnostics = _attempt(p, cfg, q, _depth)
+        out = filter_solutions(cands + rotated, cfg.extraction)
+    out.diagnostics = diagnostics
     return out

@@ -52,6 +52,27 @@ def quadratic_pair_solutions():
     return [np.array([x, u / x]) for x in xs for u in roots_u]
 
 
+def decoupled_pair_system(rng, n, degree):
+    """x1^degree I - A, x2^degree I - B with random A, B: (degree * n)^2 roots.
+
+    Every root shares its x2 with degree * n - 1 others, which is what the
+    rotation exists to separate.  Returns the system and its closed-form roots.
+    """
+    a = random_matrix(rng, n)
+    b = random_matrix(rng, n)
+    c1 = np.zeros((degree + 1, degree + 1, n, n), dtype=complex)
+    c1[0, 0] = -a
+    c1[degree, 0] = np.eye(n)
+    c2 = np.zeros((degree + 1, degree + 1, n, n), dtype=complex)
+    c2[0, 0] = -b
+    c2[0, degree] = np.eye(n)
+    unity = np.exp(2j * np.pi * np.arange(degree) / degree)
+    xs = [r * z for r in np.linalg.eigvals(a) ** (1 / degree) for z in unity]
+    ys = [r * z for r in np.linalg.eigvals(b) ** (1 / degree) for z in unity]
+    roots = [np.array([x, y]) for x in xs for y in ys]
+    return Pmep([MatrixPoly(c1), MatrixPoly(c2)]), roots
+
+
 # frozen degree-1 resultant of the quadratic pair, R(y) = M0 + y*M1
 QUAD_PAIR_M1 = np.array(
     [

@@ -16,13 +16,26 @@ from multipolyeig.io import (
 )
 from multipolyeig.solver import SolverConfig, solve
 
-from systems import quadratic_pair_system, quadratic_pair_solutions
+from systems import (
+    decoupled_pair_system,
+    quadratic_pair_solutions,
+    quadratic_pair_system,
+)
 
 
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(serialize_pmep(quadratic_pair_system()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def fallback_file(tmp_path):
+    """A system whose plain solve comes up short, so the rotated pass runs."""
+    p, _ = decoupled_pair_system(np.random.default_rng(5), 2, 2)
+    path = tmp_path / "fallback.json"
+    path.write_text(serialize_pmep(p), encoding="utf-8")
     return str(path)
 
 
@@ -48,14 +61,14 @@ class TestSolveCommand:
         cap = capsys.readouterr()
         doc = json.loads(cap.out)
         assert len(doc["solutions"]) == 8
-        # rotation mixes the degrees, so the working system has tau' = (4, 4)
-        assert doc["diagnostics"]["resultant_size"] == 16
+        # the plain solve keeps all 8 roots, so the degrees stay tau = (2, 2)
+        assert doc["diagnostics"]["resultant_size"] == 8
         assert "solve: 8 solutions" in cap.err
-        assert "resultant size 16" in cap.err
+        assert "resultant size 8" in cap.err
 
-    def test_output_file_keeps_stdout_clean(self, problem_file, tmp_path, capsys):
+    def test_output_file_keeps_stdout_clean(self, fallback_file, tmp_path, capsys):
         out = tmp_path / "solutions.json"
-        assert run_cli(["solve", problem_file, "-o", str(out)]) == 0
+        assert run_cli(["solve", fallback_file, "-o", str(out)]) == 0
         cap = capsys.readouterr()
         assert cap.out == ""
         assert json.loads(out.read_text())["diagnostics"]["rotation_seed"] == 0
@@ -71,17 +84,17 @@ class TestSolveCommand:
         run_cli(["solve", problem_file, "--seed", "5"])
         assert capsys.readouterr().out == first
 
-    def test_env_seed_fallback(self, problem_file, capsys, monkeypatch):
-        run_cli(["solve", problem_file, "--seed", "7"])
+    def test_env_seed_fallback(self, fallback_file, capsys, monkeypatch):
+        run_cli(["solve", fallback_file, "--seed", "7"])
         explicit = capsys.readouterr().out
         monkeypatch.setenv("MULTIPOLYEIG_SEED", "7")
-        run_cli(["solve", problem_file])
+        run_cli(["solve", fallback_file])
         assert capsys.readouterr().out == explicit
         assert json.loads(explicit)["diagnostics"]["rotation_seed"] == 7
 
-    def test_flag_overrides_env_seed(self, problem_file, capsys, monkeypatch):
+    def test_flag_overrides_env_seed(self, fallback_file, capsys, monkeypatch):
         monkeypatch.setenv("MULTIPOLYEIG_SEED", "7")
-        run_cli(["solve", problem_file, "--seed", "2"])
+        run_cli(["solve", fallback_file, "--seed", "2"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["diagnostics"]["rotation_seed"] == 2
 

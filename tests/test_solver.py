@@ -129,9 +129,10 @@ class TestQuadraticPair:
         real_pair = np.array([2.0**0.25, (-1 - np.sqrt(5)) / 2 / 2.0**0.25])
         assert_contains_points(out.points(), [real_pair], 1e-8)
         assert set(out.diagnostics) == DIAG_KEYS
-        assert out.diagnostics["projected"]
-        assert out.diagnostics["rotation_seed"] == 0
-        assert all(s.flags["rotated"] and not s.flags["reduced"] for s in out)
+        # the plain solve keeps all 8 roots, so no rotation runs
+        assert not out.diagnostics["projected"]
+        assert out.diagnostics["rotation_seed"] is None
+        assert all(not s.flags["rotated"] and not s.flags["reduced"] for s in out)
 
     def test_without_rotation(self):
         p = systems.quadratic_pair_system()
@@ -242,15 +243,46 @@ class TestLinearPath:
         # degree-one systems have no positive power of the first variable in
         # the eigenvector structure, so it is recovered from the equations
         assert all(s.flags["reduced"] for s in generic)
-        assert generic.diagnostics["rotation_seed"] == 0
+        assert generic.diagnostics["rotation_seed"] is None
 
     def test_cross_terms_take_generic_path(self):
         p = cross_term_system(5, (2, 2), (1, 1))
         out = solve(p)
-        assert out.diagnostics["rotation_seed"] == 0  # fast path reports None
+        # fast-path solutions never carry the reduced flag
+        assert all(s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
         plain = solve(p, SolverConfig(rotate=False))
         assert_same_points(out.points(), plain.points(), 1e-5)
+
+
+class TestRotationFallback:
+    def test_decoupled_quadratic_takes_fallback(self):
+        # x2 takes each of its 6 values at 6 roots; the plain solve cannot
+        # separate them, so the rotated pass has to run
+        p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 2)
+        assert len(solve(p, SolverConfig(rotate=False))) < 36
+        for seed in (0, 3):
+            out = solve(p, SolverConfig(seed=seed))
+            assert len(out) == 36
+            assert_same_points(out.points(), roots, 1e-6)
+            assert out.diagnostics["rotation_seed"] == seed
+
+    def test_decoupled_linear_falls_through_fast_path(self):
+        # repeated coordinates spoil the operator-determinant Rayleigh
+        # quotients; the shortfall sends the system to the generic path
+        p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 1)
+        out = solve(p)
+        assert len(out) == 9
+        assert_same_points(out.points(), roots, 1e-6)
+        assert all(s.flags["reduced"] for s in out)
+
+    def test_generic_dense_stays_unrotated(self):
+        p = cross_term_system(301, (2, 2), (2, 2))
+        out = solve(p)
+        assert len(out) == 32
+        assert out.diagnostics["rotation_seed"] is None
+        assert out.diagnostics["resultant_size"] == 8
+        assert all(not s.flags["rotated"] for s in out)
 
 
 class TestUnivariatePassthrough:
@@ -292,14 +324,13 @@ class TestSolutionCount:
             assert not out.diagnostics["projected"]
 
     def test_default_pipeline_finds_subset(self):
-        # the rotated detour computes far-out roots less accurately, so a few
-        # of the 32 may exceed the residual filter; what survives must be a
-        # subset of the rotation-free set
+        # the default solves in the given coordinates first, so it finds the
+        # whole rotation-free set
         rng = np.random.default_rng(300)
         p = systems.random_pmep(rng, (2, 2), (2, 2))
         full = solve(p, SolverConfig(rotate=False))
         out = solve(p)
-        assert len(out) >= 24
+        assert len(out) == 32
         assert_contains_points(full.points(), out.points(), 1e-5)
 
 
