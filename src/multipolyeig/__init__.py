@@ -22,7 +22,6 @@ from .extract import (
     Solution,
     SolutionSet,
     filter_solutions,
-    generic_nullspace_mask,
     residual,
     vandermonde_ratios,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SolutionSet",
     "ExtractionConfig",
     "vandermonde_ratios",
-    "generic_nullspace_mask",
     "residual",
     "filter_solutions",
     "SolverConfig",

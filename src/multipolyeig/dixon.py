@@ -26,7 +26,6 @@ block (i_1..i_{d-1}) holds prod_k x_k^{i_k} * (v_1 kron ... kron v_d).
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .mpoly import Basis, MatrixPoly, Pmep
 __all__ = [
     "DixonShape",
     "ResultantPoly",
+    "kron_det",
     "dixon_numerator_eval",
     "divide_out",
     "unfold",
@@ -151,31 +151,7 @@ def dixon_numerator_eval(p, s, t, xd):
     evals = [
         [poly.eval(_hybrid_point(s, t, xd, col)) for col in range(d)] for poly in p.polys
     ]
-    total = np.zeros((p.N, p.N), dtype=complex)
-    for perm in itertools.permutations(range(d)):
-        sign = _perm_sign(perm)
-        term = evals[0][perm[0]]
-        for i in range(1, d):
-            term = np.kron(term, evals[i][perm[i]])
-        total += sign * term
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return kron_det(evals)
 
 
 def _kron_batched(a, b):
@@ -184,6 +160,27 @@ def _kron_batched(a, b):
     r, s = b.shape[-2], b.shape[-1]
     out = np.einsum("...ab,...cd->...acbd", a, b)
     return out.reshape(out.shape[:-4] + (p * r, q * s))
+
+
+def kron_det(table):
+    """Block Kronecker determinant of a d-by-d table of matrix stacks.
+
+    Returns the sum over permutations sigma of
+    sgn(sigma) * table[0][sigma_0] kron ... kron table[d-1][sigma_{d-1}]:
+    the Leibniz expansion with ordinary products replaced by Kronecker
+    products taken in row order.  The entries of row i share one matrix
+    shape; leading batch axes broadcast across all entries.
+    """
+    d = len(table)
+    total = None
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        sign = -1 if inversions % 2 else 1
+        term = table[0][perm[0]]
+        for i in range(1, d):
+            term = _kron_batched(term, table[i][perm[i]])
+        total = sign * term if total is None else total + sign * term
+    return total
 
 
 def _split_interleaved(k_s, k_t):
@@ -202,7 +199,7 @@ def _split_interleaved(k_s, k_t):
 def _numerator_on_grid(p, shape, s_grids, t_grids, xd):
     """Numerator values on the tensor grid; axes (s_1.., t_1.., N, N)."""
     d = p.d
-    hidden = [poly.hide_last(xd) if d > 1 else poly for poly in p.polys]
+    hidden = [poly.hide_last(xd) for poly in p.polys]
     s_rows = [bo.basis_rows(p.basis.tag, s_grids[k], shape.tau[k]) for k in range(d - 1)]
     t_rows = [bo.basis_rows(p.basis.tag, t_grids[k], shape.tau[k]) for k in range(d - 1)]
     grid_axes = 2 * (d - 1)
@@ -222,15 +219,7 @@ def _numerator_on_grid(p, shape, s_grids, t_grids, xd):
                     order[k], order[d - 1 + k] = order[d - 1 + k], order[k]
             per_col.append(np.transpose(full, order) if col else full)
         evals.append(per_col)
-    first = True
-    for perm in itertools.permutations(range(d)):
-        sign = _perm_sign(perm)
-        term = evals[0][perm[0]]
-        for i in range(1, d):
-            term = _kron_batched(term, evals[i][perm[i]])
-        total = sign * term if first else total + sign * term
-        first = False
-    return total
+    return kron_det(evals)
 
 
 def _axis_pair(shape, k):
@@ -468,7 +457,7 @@ def _dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol):
     return out
 
 
-def build_resultant(p, trim_tol=1e-10, check_tol=1e-8, workers=1):
+def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     """Construct the hidden variable tensor Dixon resultant R(x_d) of a Pmep.
 
     Evaluates the Dixon function at d*tau_d + 1 nodes in x_d (unit-circle
@@ -488,15 +477,10 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8, workers=1):
     else:
         xd_nodes = bo.cheb1_nodes(deg + 1)
 
-    def node_matrix(xd):
-        tens = _dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol)
-        return unfold(tens, shape)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mats = list(pool.map(node_matrix, xd_nodes))
-    else:
-        mats = [node_matrix(xd) for xd in xd_nodes]
+    mats = [
+        unfold(_dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol), shape)
+        for xd in xd_nodes
+    ]
     stack = np.stack(mats, axis=0)
     if p.basis == Basis.MONOMIAL:
         to_coeff = bo.interp_matrix(bo.MONOMIAL, xd_nodes, deg)

@@ -19,7 +19,6 @@ __all__ = [
     "ExtractionConfig",
     "block_indices",
     "vandermonde_ratios",
-    "generic_nullspace_mask",
     "residual",
     "filter_solutions",
 ]
@@ -143,22 +142,6 @@ def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
         pick = order[:keep]
         out[k] = np.mean(num[pick] / den[pick])
     return out
-
-
-def generic_nullspace_mask(R, cfg, rank_tol=1e-10, rng=None):
-    """Boolean usable-entry mask screening out the generic null space of R.
-
-    Evaluates R at a random point, takes the right singular vectors with
-    relative singular value below ``rank_tol`` as a generic null-space basis,
-    and marks entry j unusable when that basis has row norm above
-    ``cfg.nullspace_tol`` at j (the entry is visibly corrupted by the null
-    space).  A nonsingular R yields an all-usable mask.
-    """
-    basis = generic_nullspace_basis(R, rank_tol, rng)
-    mask = np.ones(R.size, dtype=bool)
-    if basis.shape[1]:
-        mask = np.linalg.norm(basis, axis=1) <= cfg.nullspace_tol
-    return mask
 
 
 def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):

@@ -250,28 +250,3 @@ class Pmep:
                 vals = bo.apply_matrix_axis(vals, to_coeff, axis)
             out.append(MatrixPoly(vals, self.basis, d=self.d))
         return Pmep(out)
-
-
-def eval_poly(p, x):
-    """Functional form of MatrixPoly.eval."""
-    return p.eval(x)
-
-
-def hide_last(p, xd):
-    """Functional form of MatrixPoly.hide_last."""
-    return p.hide_last(xd)
-
-
-def convert_basis(p, target):
-    """Functional form of MatrixPoly/Pmep.convert_basis."""
-    return p.convert_basis(target)
-
-
-def permute_variables(p, perm):
-    """Functional form of Pmep.permute_variables."""
-    return p.permute_variables(perm)
-
-
-def change_of_variables(p, q):
-    """Functional form of Pmep.change_of_variables."""
-    return p.change_of_variables(q)

@@ -7,11 +7,10 @@ Delta_k turn it into d generalized eigenvalue problems
 z = v_1 kron ... kron v_d.
 """
 
-import itertools
-
 import numpy as np
 import scipy.linalg
 
+from .dixon import kron_det
 from .errors import SingularMepError
 from .extract import Solution, SolutionSet, residual
 from .mpoly import Basis, MatrixPoly, Pmep
@@ -71,30 +70,7 @@ def delta(mep, k):
             return mep.v0[i]
         return mep.vmats[i][j]
 
-    out = np.zeros((mep.N, mep.N), dtype=complex)
-    for sigma in itertools.permutations(range(mep.d)):
-        term = column(0, sigma[0])
-        for i in range(1, mep.d):
-            term = np.kron(term, column(i, sigma[i]))
-        out += _perm_sign(sigma) * term
-    return out
-
-
-def _perm_sign(sigma):
-    sign = 1
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return kron_det([[column(i, j) for j in range(mep.d)] for i in range(mep.d)])
 
 
 def kron_factor(z, sizes):

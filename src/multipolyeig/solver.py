@@ -13,11 +13,12 @@ the linearization machinery):
 3. build the hidden-variable Dixon resultant R(x_d),
 4. probe the normal rank; compress singular R by a two-sided projection,
 5. linearize (companion/colleague) and solve with QZ,
-6. per eigenpair, recover the front coordinates from the block Vandermonde
-   structure of the eigenvector, masking entries corrupted by the generic
+6. per eigenpair (for projected pencils, rebuilt from the null space of
+   R(lambda)), read the front coordinates off the block Vandermonde structure
+   of the eigenvector in one pass, masking entries corrupted by the generic
    null space,
-7. coordinates without a usable eigenvector block are re-solved from the
-   equations themselves (one level of reduction only),
+7. the one fallback: coordinates without a usable eigenvector block are
+   re-solved from the equations themselves (one level of reduction only),
 8. undo the permutation and rotation, and keep the candidates whose residual
    on the original system passes the filter.
 """
@@ -67,15 +68,11 @@ class SolverConfig:
     hide_variable: int | None = None
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     rank_tol: float = 1e-10
-    probes: int = 3
-    trim_tol: float = 1e-10
     reduce_linear: bool = True
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.trim_tol <= 0:
+        if self.rank_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.probes < 1:
-            raise ValueError("need at least one probe")
         if self.hide_variable is not None and self.hide_variable < 1:
             raise ValueError("hide_variable is a 1-based variable index")
 
@@ -177,9 +174,9 @@ def _lost_coordinates(shape, mask):
 def _pep_solutions(p, cfg):
     """d = 1 passthrough: eigenvalues of the single matrix polynomial."""
     poly = p.polys[0]
-    r = ResultantPoly(poly.coeffs, poly.basis).trim(cfg.trim_tol)
+    r = ResultantPoly(poly.coeffs, poly.basis).trim()
     rng = np.random.default_rng([cfg.seed, 3])
-    rp = normal_rank(r, cfg.probes, cfg.rank_tol, rng)
+    rp = normal_rank(r, rank_tol=cfg.rank_tol, rng=rng)
     projected = rp.normal_rank < r.size
     work = r
     if projected:
@@ -210,7 +207,7 @@ def _lost_coordinate_candidates(work, front, lam, lost, cfg, depth):
         values = []
         for poly in work.polys:
             sub = poly.partial_eval(known)
-            r = ResultantPoly(sub.coeffs, sub.basis).trim(cfg.trim_tol)
+            r = ResultantPoly(sub.coeffs, sub.basis).trim()
             if r.m < 1 or r.max_coeff_norm() == 0.0:
                 continue
             values.extend(lam_k for lam_k, _ in solve_pep(r))
@@ -254,30 +251,22 @@ def _attempt(p, cfg, q, depth):
     perm = _hiding_permutation(d, hide)
     work = work.permute_variables(perm)
 
-    R = build_resultant(work, trim_tol=cfg.trim_tol)
+    R = build_resultant(work)
     shape = DixonShape.from_pmep(work)
     rng = np.random.default_rng([cfg.seed, 1])
-    rp = normal_rank(R, cfg.probes, cfg.rank_tol, rng)
+    rp = normal_rank(R, rank_tol=cfg.rank_tol, rng=rng)
     projected = rp.normal_rank < R.size
     solver_R = R
     if projected:
         solver_R, _, _ = project_singular(R, rp, rng)
 
     eigpairs = solve_pep(solver_R) if solver_R.m >= 1 else []
-    mask = None
-    generic_basis = None
+    mask = np.ones(R.size, dtype=bool)
     if projected:
         generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
         mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
-        if generic_basis.shape[1] == 0:
-            mask = np.ones(R.size, dtype=bool)
-    lost = _lost_coordinates(shape, mask if mask is not None else np.ones(R.size, bool))
+    lost = _lost_coordinates(shape, mask)
     recover = [k for k in range(d - 1) if k not in lost]
-    structural = [k for k in lost if shape.alpha[k] == 0]
-    # coordinates whose blocks exist but are fully masked: the cleaned null
-    # vector may still carry them, so try unmasked ratios before falling back
-    # to re-solving the equations
-    speculative = [k for k in lost if k not in structural] if not structural else []
 
     def to_original(y):
         x = np.empty(d, dtype=complex)
@@ -288,71 +277,38 @@ def _attempt(p, cfg, q, depth):
     dropped = 0
     cands = []
     kf = cfg.extraction.keep_fraction
-    tol = cfg.extraction.residual_tol
     for lam, vec in eigpairs:
         if projected:
             null = _null_basis(R.eval(lam), cfg.rank_tol)
             vec = _least_generic_combination(null, generic_basis)
         front = np.full(d - 1, np.nan, dtype=complex)
-        try:
-            if recover:
-                got = vandermonde_ratios(
+        if recover:
+            try:
+                front = vandermonde_ratios(
                     vec, shape, mask=mask, keep_fraction=kf, coords=recover
                 )
-                for k in recover:
-                    front[k] = got[k]
-        except ExtractionFailureError:
-            dropped += 1
-            continue
-        speculated = True
-        if speculative:
-            try:
-                got = vandermonde_ratios(
-                    vec, shape, mask=None, keep_fraction=kf, coords=speculative
-                )
-                for k in speculative:
-                    front[k] = got[k]
             except ExtractionFailureError:
-                speculated = False
-        completions = None
-        reduced = False
-        if not structural and speculated:
-            y = np.concatenate([front, [lam]])
-            if mask is None or residual(p, to_original(y)) <= tol:
-                completions = [y]
-        if completions is None and mask is not None and not structural:
-            # the masked average can be misled when the pencil's kernel varies
-            # with the eigenvalue; retry on all entries, residual deciding
-            try:
-                got = vandermonde_ratios(vec, shape, mask=None, keep_fraction=kf)
-                y = np.concatenate([got, [lam]])
-                if residual(p, to_original(y)) <= tol:
-                    completions = [y]
-            except ExtractionFailureError:
-                pass
-        if completions is None and lost:
+                dropped += 1
+                continue
+        if not lost:
+            completions = [np.concatenate([front, [lam]])]
+        else:
             # a spurious eigenvalue can make the substituted equations
             # arbitrarily degenerate; give up on the eigenpair, not the solve
             try:
                 completions = _lost_coordinate_candidates(
                     work, front, lam, lost, cfg, depth
                 )
-                reduced = True
             except (ValueError, MultiPolyEigError):
                 dropped += 1
                 continue
-        if completions is None:
-            if np.any(np.isnan(front)):
-                dropped += 1
-                continue
-            completions = [np.concatenate([front, [lam]])]
         for y in completions:
             x = to_original(y)
             cands.append(
                 Solution(
                     x,
                     residual(p, x),
-                    {"rotated": rotated, "projected": projected, "reduced": reduced},
+                    {"rotated": rotated, "projected": projected, "reduced": bool(lost)},
                 )
             )
 

@@ -11,6 +11,7 @@ from multipolyeig.dixon import (
     build_resultant,
     dixon_numerator_eval,
     divide_out,
+    kron_det,
     refold,
     unfold,
 )
@@ -58,6 +59,40 @@ class TestShape:
         sh = DixonShape(2, (1, 0), (2, 2))
         assert sh.xd_degree_bound == 0
         assert sh.resultant_size == 4
+
+
+def random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestKronDet:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scalar_blocks_give_determinant(self, d):
+        rng = np.random.default_rng(40 + d)
+        m = random_stack(rng, (d, d))
+        got = kron_det([[m[i, j].reshape(1, 1) for j in range(d)] for i in range(d)])
+        want = np.linalg.det(m)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_broadcast_stack_matches_slices(self):
+        rng = np.random.default_rng(44)
+        sizes = (2, 3, 2)
+        batches = [(4, 1), (1, 5), (4, 5)]
+        table = [
+            [random_stack(rng, batches[(i + j) % 3] + (n, n)) for j in range(3)]
+            for i, n in enumerate(sizes)
+        ]
+        got = kron_det(table)
+        assert got.shape == (4, 5, 12, 12)
+        for a in range(4):
+            for b in range(5):
+                sliced = [
+                    [np.broadcast_to(e, (4, 5) + e.shape[-2:])[a, b] for e in row]
+                    for row in table
+                ]
+                want = kron_det(sliced)
+                assert np.max(np.abs(got[a, b] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestNumerator:
@@ -232,13 +267,6 @@ class TestBuildResultant:
                 got = eval_tensor(refold(r.eval(xd), sh), sh, p.basis, s, t)
                 want = systems.shifted_power_closed_form(mats, sizes, tau, s, t, xd)
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
-
-    def test_workers_match_serial(self):
-        rng = np.random.default_rng(38)
-        p = systems.random_pmep(rng, (2, 2), (2, 2))
-        r1 = build_resultant(p, workers=1)
-        r2 = build_resultant(p, workers=3)
-        assert np.array_equal(r1.coeffs, r2.coeffs)
 
 
 class TestResultantPoly:

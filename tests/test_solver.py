@@ -97,10 +97,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(rank_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(trim_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(probes=0)
-        with pytest.raises(ValueError):
             SolverConfig(hide_variable=0)
 
     def test_solve_rejects_non_system(self):
