@@ -37,7 +37,7 @@ from .mpoly import Basis, MatrixPoly, Pmep
 from .opdet import LinearMep, delta, solve_linear_mep
 from .oracle import newton_oracle
 from .pep import normal_rank, project_singular, solve_pep
-from .solver import SolverConfig, choose_hidden_variable, random_orthogonal, solve
+from .solver import SolverConfig, choose_hidden_variable, solve
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "SolverConfig",
     "solve",
     "choose_hidden_variable",
-    "random_orthogonal",
     "newton_oracle",
     "parse_pmep",
     "serialize_pmep",

@@ -3,7 +3,7 @@
 Subcommands::
 
     multipolyeig solve <problem.json> [-o out.json] [--basis B] [--hide K]
-                 [--no-rotate] [--seed S] [--residual-tol T] [--rank-tol T]
+                 [--seed S] [--residual-tol T] [--rank-tol T]
                  [--nullspace-tol T] [--keep-fraction F]
     multipolyeig verify <problem.json> <solutions.json> [--residual-tol T]
     multipolyeig oracle <problem.json> [-o out.json] [--starts N] [--seed S]
@@ -13,8 +13,8 @@ Subcommands::
 Results go to standard output (or the -o file); progress and diagnostics go
 to standard error.  Exit codes: 0 success, 1 solver or input error, 2 usage
 error.  When --seed is omitted the environment variable MULTIPOLYEIG_SEED is
-used, defaulting to 0; identical inputs and seed produce byte-identical
-output documents.
+used, defaulting to 0; the same input, seed and BLAS thread count produce
+byte-identical output documents.
 """
 
 import argparse
@@ -67,7 +67,6 @@ def _cmd_solve(args):
     p = parse_pmep(_read(args.problem))
     cfg = SolverConfig(
         basis=Basis(args.basis) if args.basis else None,
-        rotate=not args.no_rotate,
         seed=_resolve_seed(args.seed),
         hide_variable=args.hide,
         extraction=ExtractionConfig(
@@ -126,7 +125,6 @@ def _cmd_oracle(args):
         "normal_rank": 0,
         "projected": False,
         "dropped_eigenpairs": info["nonconverged"],
-        "rotation_seed": None,
         "starts": info["starts"],
     }
     _emit(serialize_solutions(out), args.output)
@@ -141,9 +139,7 @@ def _cmd_oracle(args):
 def _cmd_bench(args):
     mats = load_flutter_data(_read(args.datafile))
     p = flutter_pmep(mats)
-    # the doubled model is solved unrotated so the degree-1 variable stays
-    # hidden and the eigenvector structure of the other coordinate survives
-    out = solve(p, SolverConfig(rotate=False))
+    out = solve(p)
     d = out.diagnostics
     print(
         f"bench flutter: resultant size {d['resultant_size']}, normal rank "
@@ -185,11 +181,11 @@ def _build_parser():
                      help="convert to this working basis before solving")
     sub.add_argument("--hide", type=int, default=None, metavar="K",
                      help="1-based index of the variable to hide (default: automatic)")
-    sub.add_argument("--no-rotate", action="store_true",
-                     help="never rotate (default: rotate only when the plain solve "
-                          "keeps fewer roots than its pencil has finite eigenvalues)")
+    # accepted and ignored, so command lines that still pass it keep working
+    sub.add_argument("--no-rotate", action="store_true", help=argparse.SUPPRESS)
     sub.add_argument("--seed", type=int, default=None,
-                     help="rotation seed (default: MULTIPOLYEIG_SEED or 0)")
+                     help="seed of the rank probes and projections "
+                          "(default: MULTIPOLYEIG_SEED or 0)")
     _add_common_tolerances(sub)
     sub.add_argument("--rank-tol", type=float, default=1e-10,
                      help="relative singular value cutoff for rank decisions (default 1e-10)")

@@ -35,7 +35,7 @@ class Solution:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=complex).reshape(-1)
         self.residual = float(self.residual)
-        base = {"rotated": False, "projected": False, "reduced": False}
+        base = {"projected": False, "reduced": False}
         base.update(self.flags)
         self.flags = base
 

@@ -21,8 +21,7 @@ A solution document stores solver output::
     {
       "solutions": [{"x": [[re, im], ...], "residual": r}, ...],
       "diagnostics": {"resultant_size": ..., "normal_rank": ...,
-                      "projected": ..., "dropped_eigenpairs": ...,
-                      "rotation_seed": ...}
+                      "projected": ..., "dropped_eigenpairs": ...}
     }
 
 with solutions sorted by residual ascending.  Serialization is canonical:
@@ -179,7 +178,6 @@ _DIAG_KEYS = (
     "normal_rank",
     "projected",
     "dropped_eigenpairs",
-    "rotation_seed",
 )
 
 

@@ -116,5 +116,4 @@ def solve_linear_mep(mep):
         sols.append(sol)
     sols.sort(key=lambda s: s.residual)
     return SolutionSet(sols, {"resultant_size": mep.N, "normal_rank": mep.N,
-                              "projected": False, "dropped_eigenpairs": 0,
-                              "rotation_seed": None})
+                              "projected": False, "dropped_eigenpairs": 0})

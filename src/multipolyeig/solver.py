@@ -1,30 +1,27 @@
-"""End-to-end solver: rotation, hidden variable, resultant, QZ, extraction.
+"""End-to-end solver: hidden variable, resultant, QZ, extraction.
 
 Pipeline for d >= 2 (single univariate matrix polynomials pass straight to
-the linearization machinery):
+the linearization machinery), run once in the given coordinates:
 
-1. solve in the given coordinates first; only when that plain solve keeps
-   fewer distinct roots than its pencil had finite eigenvalues, repeat steps
-   2-8 after a Haar-random orthogonal change of coordinates (on by default;
-   it separates repeated hidden-coordinate values, which otherwise corrupt
-   the eigenvector extraction, but pads every degree to sum(tau)) and keep
-   the union of both candidate sets,
-2. choose the hidden variable and permute it last,
-3. build the hidden-variable Dixon resultant R(x_d),
-4. probe the normal rank; compress singular R by a two-sided projection,
-5. linearize (companion/colleague) and solve with QZ,
-6. per eigenpair (for projected pencils, rebuilt from the null space of
+1. choose the hidden variable and permute it last,
+2. build the hidden-variable Dixon resultant R(x_d),
+3. probe the normal rank; compress singular R by a two-sided projection,
+4. linearize (companion/colleague) and solve with QZ,
+5. per eigenpair (for projected pencils, rebuilt from the null space of
    R(lambda)), read the front coordinates off the block Vandermonde structure
    of the eigenvector in one pass, masking entries corrupted by the generic
-   null space,
-7. the one fallback: coordinates without a usable eigenvector block are
-   re-solved from the equations themselves (one level of reduction only),
-8. undo the permutation and rotation, and keep the candidates whose residual
-   on the original system passes the filter.
+   null space; coordinates without a usable eigenvector block are re-solved
+   from the equations with x_d = lambda substituted,
+6. the one fallback: when the read fails or none of the eigenpair's
+   candidates passes the residual filter, every front coordinate is re-solved
+   from the equations with x_d = lambda substituted (one level of reduction
+   only).  A hidden coordinate shared by several roots mixes their
+   eigenvectors; the substituted equations still have each of them as a root,
+7. undo the permutation, and keep the candidates whose residual on the
+   original system passes the filter.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,20 +47,18 @@ from .mpoly import Basis, Pmep
 from .opdet import LinearMep, solve_linear_mep
 from .pep import normal_rank, project_singular, solve_pep
 
-__all__ = ["SolverConfig", "choose_hidden_variable", "random_orthogonal", "solve"]
+__all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
 
 
 @dataclass
 class SolverConfig:
     """Knobs for the full pipeline; defaults follow the library conventions.
 
-    ``rotate`` allows the rotated fallback pass, seeded by ``seed``, when the
-    plain solve comes up short; ``rotate=False`` never rotates.  An explicit
-    ``hide_variable`` also disables the rotation.
+    ``seed`` drives the random rank probes and projections of singular
+    resultants; ``hide_variable`` (1-based) overrides the automatic choice.
     """
 
     basis: Basis | None = None
-    rotate: bool = True
     seed: int = 0
     hide_variable: int | None = None
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
@@ -75,18 +70,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.hide_variable is not None and self.hide_variable < 1:
             raise ValueError("hide_variable is a 1-based variable index")
-
-
-def random_orthogonal(d, seed):
-    """Haar-distributed real orthogonal d x d matrix, deterministic in seed."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
 
 
 def choose_hidden_variable(p):
@@ -192,7 +175,6 @@ def _pep_solutions(p, cfg):
         "normal_rank": rp.normal_rank,
         "projected": projected,
         "dropped_eigenpairs": 0,
-        "rotation_seed": None,
     }
     return out
 
@@ -236,90 +218,6 @@ def _lost_coordinate_candidates(work, front, lam, lost, cfg, depth):
     return out
 
 
-def _attempt(p, cfg, q, depth):
-    """One pass of the pipeline in coordinates rotated by q (None: as given).
-
-    Returns the unfiltered candidates, the number of finite eigenvalues of
-    the pencil, and the diagnostics of the pass.
-    """
-    d = p.d
-    rotated = q is not None
-    work = p.change_of_variables(q) if rotated else p
-    hide = cfg.hide_variable
-    if hide is None:
-        hide = choose_hidden_variable(work)
-    perm = _hiding_permutation(d, hide)
-    work = work.permute_variables(perm)
-
-    R = build_resultant(work)
-    shape = DixonShape.from_pmep(work)
-    rng = np.random.default_rng([cfg.seed, 1])
-    rp = normal_rank(R, rank_tol=cfg.rank_tol, rng=rng)
-    projected = rp.normal_rank < R.size
-    solver_R = R
-    if projected:
-        solver_R, _, _ = project_singular(R, rp, rng)
-
-    eigpairs = solve_pep(solver_R) if solver_R.m >= 1 else []
-    mask = np.ones(R.size, dtype=bool)
-    if projected:
-        generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
-        mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
-    lost = _lost_coordinates(shape, mask)
-    recover = [k for k in range(d - 1) if k not in lost]
-
-    def to_original(y):
-        x = np.empty(d, dtype=complex)
-        for k in range(d):
-            x[perm[k] - 1] = y[k]
-        return q.T @ x if rotated else x
-
-    dropped = 0
-    cands = []
-    kf = cfg.extraction.keep_fraction
-    for lam, vec in eigpairs:
-        if projected:
-            null = _null_basis(R.eval(lam), cfg.rank_tol)
-            vec = _least_generic_combination(null, generic_basis)
-        front = np.full(d - 1, np.nan, dtype=complex)
-        if recover:
-            try:
-                front = vandermonde_ratios(
-                    vec, shape, mask=mask, keep_fraction=kf, coords=recover
-                )
-            except ExtractionFailureError:
-                dropped += 1
-                continue
-        if not lost:
-            completions = [np.concatenate([front, [lam]])]
-        else:
-            # a spurious eigenvalue can make the substituted equations
-            # arbitrarily degenerate; give up on the eigenpair, not the solve
-            try:
-                completions = _lost_coordinate_candidates(
-                    work, front, lam, lost, cfg, depth
-                )
-            except (ValueError, MultiPolyEigError):
-                dropped += 1
-                continue
-        for y in completions:
-            x = to_original(y)
-            cands.append(
-                Solution(
-                    x,
-                    residual(p, x),
-                    {"rotated": rotated, "projected": projected, "reduced": bool(lost)},
-                )
-            )
-
-    diagnostics = {
-        "resultant_size": R.size,
-        "normal_rank": rp.normal_rank,
-        "projected": projected,
-        "dropped_eigenpairs": dropped,
-        "rotation_seed": cfg.seed if rotated else None,
-    }
-    return cands, len(eigpairs), diagnostics
 
 
 def solve(p, cfg=None, _depth=0):
@@ -354,20 +252,80 @@ def solve(p, cfg=None, _depth=0):
                 result.diagnostics = dict(out.diagnostics)
                 return result
 
-    if cfg.hide_variable is not None and cfg.rotate:
-        warnings.warn(
-            "rotation skipped because hide_variable is explicit; repeated "
-            "hidden-coordinate values across solutions may corrupt extraction",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    cands, finite, diagnostics = _attempt(p, cfg, None, _depth)
+    hide = cfg.hide_variable
+    if hide is None:
+        hide = choose_hidden_variable(p)
+    perm = _hiding_permutation(d, hide)
+    work = p.permute_variables(perm)
+
+    R = build_resultant(work)
+    shape = DixonShape.from_pmep(work)
+    rng = np.random.default_rng([cfg.seed, 1])
+    rp = normal_rank(R, rank_tol=cfg.rank_tol, rng=rng)
+    projected = rp.normal_rank < R.size
+    solver_R = R
+    if projected:
+        solver_R, _, _ = project_singular(R, rp, rng)
+
+    eigpairs = solve_pep(solver_R) if solver_R.m >= 1 else []
+    mask = np.ones(R.size, dtype=bool)
+    if projected:
+        generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
+        mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
+    lost = _lost_coordinates(shape, mask)
+    recover = [k for k in range(d - 1) if k not in lost]
+    unknown = np.full(d - 1, np.nan, dtype=complex)
+
+    def candidates(front, lam, missing):
+        """Solutions from a front and lambda, completing the missing coordinates."""
+        if not missing:
+            ys = [np.concatenate([front, [lam]])]
+        else:
+            # a spurious eigenvalue can make the substituted equations
+            # arbitrarily degenerate; give up on the eigenpair, not the solve
+            try:
+                ys = _lost_coordinate_candidates(work, front, lam, missing, cfg, _depth)
+            except (ValueError, MultiPolyEigError):
+                return []
+        out = []
+        for y in ys:
+            x = np.empty(d, dtype=complex)
+            for k in range(d):
+                x[perm[k] - 1] = y[k]
+            flags = {"projected": projected, "reduced": bool(missing)}
+            out.append(Solution(x, residual(p, x), flags))
+        return out
+
+    dropped = 0
+    cands = []
+    kf = cfg.extraction.keep_fraction
+    for lam, vec in eigpairs:
+        if projected:
+            null = _null_basis(R.eval(lam), cfg.rank_tol)
+            vec = _least_generic_combination(null, generic_basis)
+        sols = []
+        try:
+            front = unknown
+            if recover:
+                front = vandermonde_ratios(
+                    vec, shape, mask=mask, keep_fraction=kf, coords=recover
+                )
+            sols = candidates(front, lam, lost)
+        except ExtractionFailureError:
+            pass
+        # a hidden coordinate shared by several roots mixes their eigenvectors;
+        # substituting lambda into the equations still finds every one of them
+        if recover and not any(s.residual <= cfg.extraction.residual_tol for s in sols):
+            sols = candidates(unknown, lam, list(range(d - 1)))
+        if not sols:
+            dropped += 1
+        cands.extend(sols)
+
     out = filter_solutions(cands, cfg.extraction)
-    # every finite eigenvalue that yields no root hints at a repeated hidden
-    # coordinate, which is what the rotation is there to separate
-    if cfg.rotate and cfg.hide_variable is None and len(out) < finite:
-        q = random_orthogonal(d, cfg.seed)
-        rotated, _, diagnostics = _attempt(p, cfg, q, _depth)
-        out = filter_solutions(cands + rotated, cfg.extraction)
-    out.diagnostics = diagnostics
+    out.diagnostics = {
+        "resultant_size": R.size,
+        "normal_rank": rp.normal_rank,
+        "projected": projected,
+        "dropped_eigenpairs": dropped,
+    }
     return out

@@ -55,8 +55,9 @@ def quadratic_pair_solutions():
 def decoupled_pair_system(rng, n, degree):
     """x1^degree I - A, x2^degree I - B with random A, B: (degree * n)^2 roots.
 
-    Every root shares its x2 with degree * n - 1 others, which is what the
-    rotation exists to separate.  Returns the system and its closed-form roots.
+    Every root shares its x2 with degree * n - 1 others, so the eigenvectors
+    of those roots mix and only the per-eigenpair reduction recovers x1.
+    Returns the system and its closed-form roots.
     """
     a = random_matrix(rng, n)
     b = random_matrix(rng, n)

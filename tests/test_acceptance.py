@@ -77,7 +77,7 @@ def test_criterion_04_singular_pair_projected_solve():
     assert np.max(np.abs(r.coeffs[0] - systems.RANK_DEFICIENT_M0)) <= 1e-12
     assert np.max(np.abs(r.coeffs[1] - systems.RANK_DEFICIENT_M1)) <= 1e-12
     assert normal_rank(r, rng=0).normal_rank == 5
-    out = solve(p, SolverConfig(rotate=False))
+    out = solve(p)
     assert len(out) > 0
     assert out.diagnostics["projected"] is True
     oracle = newton_oracle(p, starts=200, seed=0)
@@ -173,7 +173,7 @@ FLUTTER_LAMBDA = [0.0, 0.0, -4.137012225428, 4.137012225428]
 @pytest.mark.skipif(not FLUTTER_DATA.exists(), reason="data/flutter.json not present")
 def test_criterion_09_flutter_benchmark():
     p = flutter_pmep(load_flutter_data(FLUTTER_DATA.read_text(encoding="utf-8")))
-    out = solve(p, SolverConfig(rotate=False))
+    out = solve(p)
     assert len(out) == 4
     match_multisets([s.x[0] for s in out], FLUTTER_TAU, 1e-9)
     match_multisets([s.x[1] for s in out], FLUTTER_LAMBDA, 1e-9)

@@ -17,9 +17,9 @@ from multipolyeig.io import (
 from multipolyeig.solver import SolverConfig, solve
 
 from systems import (
-    decoupled_pair_system,
     quadratic_pair_solutions,
     quadratic_pair_system,
+    rank_deficient_pair_system,
 )
 
 
@@ -31,11 +31,10 @@ def problem_file(tmp_path):
 
 
 @pytest.fixture
-def fallback_file(tmp_path):
-    """A system whose plain solve comes up short, so the rotated pass runs."""
-    p, _ = decoupled_pair_system(np.random.default_rng(5), 2, 2)
-    path = tmp_path / "fallback.json"
-    path.write_text(serialize_pmep(p), encoding="utf-8")
+def seeded_file(tmp_path):
+    """A singular system: its random projection makes the output depend on the seed."""
+    path = tmp_path / "seeded.json"
+    path.write_text(serialize_pmep(rank_deficient_pair_system()), encoding="utf-8")
     return str(path)
 
 
@@ -66,12 +65,12 @@ class TestSolveCommand:
         assert "solve: 8 solutions" in cap.err
         assert "resultant size 8" in cap.err
 
-    def test_output_file_keeps_stdout_clean(self, fallback_file, tmp_path, capsys):
+    def test_output_file_keeps_stdout_clean(self, seeded_file, tmp_path, capsys):
         out = tmp_path / "solutions.json"
-        assert run_cli(["solve", fallback_file, "-o", str(out)]) == 0
+        assert run_cli(["solve", seeded_file, "-o", str(out)]) == 0
         cap = capsys.readouterr()
         assert cap.out == ""
-        assert json.loads(out.read_text())["diagnostics"]["rotation_seed"] == 0
+        assert len(json.loads(out.read_text())["solutions"]) == 2
 
     def test_matches_library_call(self, problem_file, capsys):
         run_cli(["solve", problem_file])
@@ -84,19 +83,24 @@ class TestSolveCommand:
         run_cli(["solve", problem_file, "--seed", "5"])
         assert capsys.readouterr().out == first
 
-    def test_env_seed_fallback(self, fallback_file, capsys, monkeypatch):
-        run_cli(["solve", fallback_file, "--seed", "7"])
+    def test_env_seed_fallback(self, seeded_file, capsys, monkeypatch):
+        run_cli(["solve", seeded_file, "--seed", "7"])
         explicit = capsys.readouterr().out
+        run_cli(["solve", seeded_file, "--seed", "2"])
+        assert capsys.readouterr().out != explicit
         monkeypatch.setenv("MULTIPOLYEIG_SEED", "7")
-        run_cli(["solve", fallback_file])
+        run_cli(["solve", seeded_file])
         assert capsys.readouterr().out == explicit
-        assert json.loads(explicit)["diagnostics"]["rotation_seed"] == 7
 
-    def test_flag_overrides_env_seed(self, fallback_file, capsys, monkeypatch):
+    def test_flag_overrides_env_seed(self, seeded_file, capsys, monkeypatch):
+        run_cli(["solve", seeded_file, "--seed", "7"])
+        seven = capsys.readouterr().out
+        run_cli(["solve", seeded_file, "--seed", "2"])
+        two = capsys.readouterr().out
+        assert two != seven
         monkeypatch.setenv("MULTIPOLYEIG_SEED", "7")
-        run_cli(["solve", fallback_file, "--seed", "2"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["diagnostics"]["rotation_seed"] == 2
+        run_cli(["solve", seeded_file, "--seed", "2"])
+        assert capsys.readouterr().out == two
 
     def test_bad_env_seed_is_an_error(self, problem_file, capsys, monkeypatch):
         monkeypatch.setenv("MULTIPOLYEIG_SEED", "twelve")
@@ -106,9 +110,16 @@ class TestSolveCommand:
     def test_no_rotate_and_hide_flags(self, problem_file, capsys):
         assert run_cli(["solve", problem_file, "--no-rotate", "--hide", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["diagnostics"]["rotation_seed"] is None
         # hiding the quadratic x keeps all 8 solutions reachable
         assert len(doc["solutions"]) == 8
+
+    def test_no_rotate_is_accepted_and_ignored(self, seeded_file, capsys):
+        assert run_cli(["solve", seeded_file]) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(["solve", seeded_file, "--no-rotate"]) == 0
+        assert capsys.readouterr().out == plain
+        assert run_cli(["solve", "--help"]) == 0
+        assert "--no-rotate" not in capsys.readouterr().out
 
     def test_rotation_free_solutions_match_truth(self, problem_file, capsys):
         run_cli(["solve", problem_file, "--no-rotate"])
@@ -175,7 +186,7 @@ class TestOracleCommand:
         assert "oracle:" in cap.err
         diag = doc["diagnostics"]
         assert diag["resultant_size"] == 0 and diag["normal_rank"] == 0
-        assert diag["projected"] is False and diag["rotation_seed"] is None
+        assert diag["projected"] is False and "rotation_seed" not in diag
         assert diag["starts"] == 150
         roots = [np.array([complex(*pair) for pair in entry["x"]])
                  for entry in doc["solutions"]]

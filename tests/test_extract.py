@@ -221,7 +221,7 @@ class TestFilterSolutions:
 class TestSolutionTypes:
     def test_default_flags(self):
         s = Solution(np.array([1.0]), 0.0)
-        assert s.flags == {"rotated": False, "projected": False, "reduced": False}
+        assert s.flags == {"projected": False, "reduced": False}
 
     def test_points_matrix(self):
         ss = SolutionSet([Solution(np.array([1.0, 2.0]), 0.0)], {"resultant_size": 8})

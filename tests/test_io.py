@@ -227,7 +227,6 @@ class TestSolutionDocuments:
             "normal_rank": 8,
             "projected": False,
             "dropped_eigenpairs": 0,
-            "rotation_seed": None,
         }
         return SolutionSet(sols, diag)
 
@@ -244,21 +243,20 @@ class TestSolutionDocuments:
     def test_diagnostics_preserved(self):
         out = parse_solutions(serialize_solutions(self.sample_set()))
         assert out.diagnostics == self.sample_set().diagnostics
-        assert out.diagnostics["rotation_seed"] is None
+        assert out.diagnostics["projected"] is False
 
     def test_unknown_diagnostic_keys_append_sorted(self):
         s = self.sample_set()
         s.diagnostics["zeta"] = 1
         s.diagnostics["abc"] = 2
         keys = list(json.loads(serialize_solutions(s))["diagnostics"])
-        assert keys[:5] == [
+        assert keys[:4] == [
             "resultant_size",
             "normal_rank",
             "projected",
             "dropped_eigenpairs",
-            "rotation_seed",
         ]
-        assert keys[5:] == ["abc", "zeta"]
+        assert keys[4:] == ["abc", "zeta"]
 
     def test_missing_diagnostics_defaults_empty(self):
         out = parse_solutions('{"solutions": []}')

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import systems
+from multipolyeig import solver
 from multipolyeig.dixon import ResultantPoly
 from multipolyeig.errors import ReductionDepthExceededError
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
@@ -14,7 +15,6 @@ from multipolyeig.solver import (
     SolverConfig,
     _lost_coordinate_candidates,
     choose_hidden_variable,
-    random_orthogonal,
     solve,
 )
 
@@ -26,7 +26,6 @@ DIAG_KEYS = {
     "normal_rank",
     "projected",
     "dropped_eigenpairs",
-    "rotation_seed",
 }
 
 
@@ -71,27 +70,6 @@ class TestChooseHiddenVariable:
         assert choose_hidden_variable(p) == want
 
 
-class TestRandomOrthogonal:
-    def test_orthogonal_and_real(self):
-        for d in (1, 2, 3, 4):
-            q = random_orthogonal(d, seed=3)
-            assert q.shape == (d, d)
-            assert np.isrealobj(q)
-            assert np.allclose(q @ q.T, np.eye(d), atol=1e-12)
-
-    def test_deterministic_in_seed(self):
-        assert np.array_equal(random_orthogonal(3, 5), random_orthogonal(3, 5))
-        assert not np.allclose(random_orthogonal(3, 5), random_orthogonal(3, 6))
-
-    def test_scalar_case_is_sign(self):
-        q = random_orthogonal(1, seed=0)
-        assert abs(abs(q[0, 0]) - 1.0) < 1e-14
-
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            random_orthogonal(0, seed=0)
-
-
 class TestConfigValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
@@ -105,8 +83,7 @@ class TestConfigValidation:
 
     def test_hide_variable_out_of_range(self):
         p = systems.quadratic_pair_system()
-        with pytest.raises(ValueError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.raises(ValueError):
             solve(p, SolverConfig(hide_variable=3))
 
     def test_missing_variable_rejected(self):
@@ -125,22 +102,19 @@ class TestQuadraticPair:
         real_pair = np.array([2.0**0.25, (-1 - np.sqrt(5)) / 2 / 2.0**0.25])
         assert_contains_points(out.points(), [real_pair], 1e-8)
         assert set(out.diagnostics) == DIAG_KEYS
-        # the plain solve keeps all 8 roots, so no rotation runs
+        # every root is read off its eigenvector; none needs the fallback
         assert not out.diagnostics["projected"]
-        assert out.diagnostics["rotation_seed"] is None
-        assert all(not s.flags["rotated"] and not s.flags["reduced"] for s in out)
+        assert all(not s.flags["reduced"] for s in out)
 
     def test_without_rotation(self):
         p = systems.quadratic_pair_system()
-        out = solve(p, SolverConfig(rotate=False))
+        out = solve(p)
         assert len(out) == 8
         assert max(s.residual for s in out) <= 1e-12
         assert_same_points(out.points(), systems.quadratic_pair_solutions(), 1e-8)
         assert out.diagnostics["resultant_size"] == 8
         assert out.diagnostics["normal_rank"] == 8
         assert not out.diagnostics["projected"]
-        assert out.diagnostics["rotation_seed"] is None
-        assert all(not s.flags["rotated"] for s in out)
 
     def test_rotation_seed_invariance(self):
         p = systems.quadratic_pair_system()
@@ -148,28 +122,29 @@ class TestQuadraticPair:
         b = solve(p, SolverConfig(seed=7))
         assert_same_points(a.points(), b.points(), 1e-6)
 
-    def test_explicit_hidden_variable_warns(self):
+    def test_explicit_hidden_variable_recovers_all_roots(self):
         # hiding x makes the four x-values double eigenvalues and drops the
-        # resultant's rank; the projected/reduced fallbacks still recover all
-        # eight roots, but the solver must warn that rotation was skipped
+        # resultant's rank; the projection and the reduction still recover
+        # all eight roots
         p = systems.quadratic_pair_system()
         for hide in (1, 2):
-            with pytest.warns(RuntimeWarning):
-                out = solve(p, SolverConfig(hide_variable=hide))
+            out = solve(p, SolverConfig(hide_variable=hide))
             assert_same_points(
                 out.points(), systems.quadratic_pair_solutions(), 1e-6
             )
-        with pytest.warns(RuntimeWarning):
-            out = solve(p, SolverConfig(hide_variable=1))
+        out = solve(p, SolverConfig(hide_variable=1))
         assert out.diagnostics["normal_rank"] == 4
         assert all(s.flags["reduced"] for s in out)
 
     def test_explicit_hide_without_rotation_is_silent(self):
         p = systems.quadratic_pair_system()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = solve(p, SolverConfig(hide_variable=2, rotate=False))
-        assert_same_points(out.points(), systems.quadratic_pair_solutions(), 1e-6)
+        for hide in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = solve(p, SolverConfig(hide_variable=hide))
+            assert_same_points(
+                out.points(), systems.quadratic_pair_solutions(), 1e-6
+            )
 
     def test_chebyshev_input(self):
         p = systems.quadratic_pair_system(Basis.CHEBYSHEV1)
@@ -178,7 +153,7 @@ class TestQuadraticPair:
 
     def test_basis_override(self):
         p = systems.quadratic_pair_system()
-        out = solve(p, SolverConfig(basis=Basis.CHEBYSHEV1, rotate=False))
+        out = solve(p, SolverConfig(basis=Basis.CHEBYSHEV1))
         assert_same_points(out.points(), systems.quadratic_pair_solutions(), 1e-6)
 
     def test_determinism(self):
@@ -195,7 +170,7 @@ class TestQuadraticPair:
 class TestRankDeficientPair:
     def test_projected_pipeline(self):
         p = systems.rank_deficient_pair_system()
-        out = solve(p, SolverConfig(rotate=False))
+        out = solve(p)
         assert len(out) == 2
         assert max(s.residual for s in out) <= 1e-8
         assert_same_points(
@@ -226,7 +201,6 @@ class TestLinearPath:
         assert_same_points(
             out.points(), [s.x for s in direct], 1e-8
         )
-        assert out.diagnostics["rotation_seed"] is None
         assert not out.diagnostics["projected"]
 
     def test_generic_path_agrees_with_fast_path(self):
@@ -239,7 +213,6 @@ class TestLinearPath:
         # degree-one systems have no positive power of the first variable in
         # the eigenvector structure, so it is recovered from the equations
         assert all(s.flags["reduced"] for s in generic)
-        assert generic.diagnostics["rotation_seed"] is None
 
     def test_cross_terms_take_generic_path(self):
         p = cross_term_system(5, (2, 2), (1, 1))
@@ -247,21 +220,20 @@ class TestLinearPath:
         # fast-path solutions never carry the reduced flag
         assert all(s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
-        plain = solve(p, SolverConfig(rotate=False))
-        assert_same_points(out.points(), plain.points(), 1e-5)
+        other = solve(p, SolverConfig(hide_variable=1))
+        assert_same_points(out.points(), other.points(), 1e-5)
 
 
-class TestRotationFallback:
+class TestRepeatedHiddenCoordinate:
     def test_decoupled_quadratic_takes_fallback(self):
-        # x2 takes each of its 6 values at 6 roots; the plain solve cannot
-        # separate them, so the rotated pass has to run
+        # x2 takes each of its 6 values at 6 roots, which mixes their
+        # eigenvectors; the fallback re-solves x1 from the equations
         p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 2)
-        assert len(solve(p, SolverConfig(rotate=False))) < 36
         for seed in (0, 3):
             out = solve(p, SolverConfig(seed=seed))
             assert len(out) == 36
             assert_same_points(out.points(), roots, 1e-6)
-            assert out.diagnostics["rotation_seed"] == seed
+            assert all(s.flags["reduced"] for s in out)
 
     def test_decoupled_linear_falls_through_fast_path(self):
         # repeated coordinates spoil the operator-determinant Rayleigh
@@ -272,13 +244,73 @@ class TestRotationFallback:
         assert_same_points(out.points(), roots, 1e-6)
         assert all(s.flags["reduced"] for s in out)
 
-    def test_generic_dense_stays_unrotated(self):
+    def test_generic_dense_reads_every_eigenvector(self):
         p = cross_term_system(301, (2, 2), (2, 2))
         out = solve(p)
         assert len(out) == 32
-        assert out.diagnostics["rotation_seed"] is None
         assert out.diagnostics["resultant_size"] == 8
-        assert all(not s.flags["rotated"] for s in out)
+        assert all(not s.flags["reduced"] for s in out)
+
+
+@pytest.fixture
+def one_resultant(monkeypatch):
+    """Fail at once when a top-level solve builds a second resultant."""
+    level = [0]
+    builds = [0]
+    build, solve_ = solver.build_resultant, solver.solve
+
+    def counted_build(*args, **kwargs):
+        if level[0] == 1:
+            builds[0] += 1
+            if builds[0] > 1:
+                raise AssertionError("a second resultant was built")
+        return build(*args, **kwargs)
+
+    def nested_solve(*args, **kwargs):
+        level[0] += 1
+        try:
+            return solve_(*args, **kwargs)
+        finally:
+            level[0] -= 1
+
+    monkeypatch.setattr(solver, "build_resultant", counted_build)
+    monkeypatch.setattr(solver, "solve", nested_solve)
+
+    def run(p):
+        builds[0] = 0
+        out = solver.solve(p)
+        assert builds[0] == 1
+        return out
+
+    return run
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_decoupled_cubic_pair(self, one_resultant, seed):
+        p, roots = systems.decoupled_pair_system(np.random.default_rng(seed), 3, 3)
+        out = one_resultant(p)
+        assert len(out) == 81
+        assert_same_points(out.points(), roots, 1e-6)
+
+    def test_dense_cubic_pair(self, one_resultant):
+        p = systems.random_pmep(np.random.default_rng(1), (3, 3), (3, 3))
+        out = one_resultant(p)
+        assert len(out) == 162
+        assert max(s.residual for s in out) <= 1e-8
+
+    def test_trivariate_quadratic(self, one_resultant):
+        p = systems.random_pmep(np.random.default_rng(1), (2, 2, 2), (2, 2, 1))
+        out = one_resultant(p)
+        assert len(out) == 192
+        assert max(s.residual for s in out) <= 1e-8
+
+    def test_rank_deficient_pair(self, one_resultant):
+        out = one_resultant(systems.rank_deficient_pair_system())
+        assert len(out) == 2
+        assert_same_points(
+            out.points(), systems.rank_deficient_pair_solutions(), 1e-8
+        )
 
 
 class TestUnivariatePassthrough:
@@ -294,7 +326,6 @@ class TestUnivariatePassthrough:
         assert out.diagnostics["resultant_size"] == 2
         assert out.diagnostics["normal_rank"] == 2
         assert not out.diagnostics["projected"]
-        assert out.diagnostics["rotation_seed"] is None
         assert set(out.diagnostics) == DIAG_KEYS
 
     def test_scalar_linear(self):
@@ -307,12 +338,12 @@ class TestUnivariatePassthrough:
 class TestSolutionCount:
     def test_dense_quadratic_pairs_have_32_solutions(self):
         # det P_1 and det P_2 are dense bidegree-(4, 4) curves; their mixed
-        # volume is 32, attained by generic coefficients, and the rotation-free
-        # pipeline validates every intersection
+        # volume is 32, attained by generic coefficients, and the pipeline
+        # validates every intersection
         for seed in (300, 301, 302):
             rng = np.random.default_rng(seed)
             p = systems.random_pmep(rng, (2, 2), (2, 2))
-            out = solve(p, SolverConfig(rotate=False))
+            out = solve(p)
             assert len(out) == 32, f"seed {seed}: {len(out)} solutions"
             assert max(s.residual for s in out) <= 1e-8
             assert out.diagnostics["resultant_size"] == 8
@@ -320,11 +351,11 @@ class TestSolutionCount:
             assert not out.diagnostics["projected"]
 
     def test_default_pipeline_finds_subset(self):
-        # the default solves in the given coordinates first, so it finds the
-        # whole rotation-free set
+        # hiding the other variable builds a different resultant; both find
+        # the same 32 roots
         rng = np.random.default_rng(300)
         p = systems.random_pmep(rng, (2, 2), (2, 2))
-        full = solve(p, SolverConfig(rotate=False))
+        full = solve(p, SolverConfig(hide_variable=1))
         out = solve(p)
         assert len(out) == 32
         assert_contains_points(full.points(), out.points(), 1e-5)
@@ -335,11 +366,11 @@ class TestTrivariate:
         # three dense trilinear scalar equations: mixed volume of three unit
         # cubes is 6, so a generic instance has six solutions
         p = cross_term_system(31, (1, 1, 1), (1, 1, 1))
-        out = solve(p, SolverConfig(rotate=False))
+        out = solve(p)
         assert len(out) == 6
         assert max(s.residual for s in out) <= 1e-8
-        rotated = solve(p)
-        assert_same_points(rotated.points(), out.points(), 1e-5)
+        other = solve(p, SolverConfig(hide_variable=1))
+        assert_same_points(other.points(), out.points(), 1e-5)
 
 
 class TestReduction:
