@@ -116,12 +116,16 @@ def colleague_linearize(R):
     return MatrixPencil(A, B)
 
 
-def solve_gep(pencil):
-    """All eigenpairs of A + lambda*B; infinite eigenvalues come out as inf."""
-    alpha_beta, vecs = scipy.linalg.eig(
-        pencil.A, -pencil.B, homogeneous_eigvals=True, right=True
+def solve_gep(pencil, vectors=True):
+    """All eigenpairs of A + lambda*B; infinite eigenvalues come out as inf.
+
+    With ``vectors=False`` QZ skips the eigenvectors and every pair carries
+    None in their place.
+    """
+    res = scipy.linalg.eig(
+        pencil.A, -pencil.B, homogeneous_eigvals=True, right=vectors
     )
-    alphas, betas = alpha_beta
+    (alphas, betas), vecs = res if vectors else (res, None)
     out = []
     for j in range(pencil.dim):
         if betas[j] == 0:
@@ -130,7 +134,7 @@ def solve_gep(pencil):
             lam = complex(alphas[j] / betas[j])
             if not np.isfinite(lam):
                 lam = complex(np.inf)
-        out.append((lam, vecs[:, j]))
+        out.append((lam, None if vecs is None else vecs[:, j]))
     return out
 
 
@@ -141,20 +145,20 @@ def eigenvector_block(vec, size):
     return blocks[int(np.argmax(norms))]
 
 
-def solve_pep(R):
+def solve_pep(R, vectors=True):
     """Finite eigenpairs of a matrix polynomial via its linearization.
 
     Returns (lambda, v) pairs with v recovered from the largest block of the
-    linearization eigenvector.
+    linearization eigenvector, or None for v when ``vectors=False``.
     """
     pencil = (
         colleague_linearize(R) if R.basis == Basis.CHEBYSHEV1 else companion_linearize(R)
     )
     pairs = []
-    for lam, vec in solve_gep(pencil):
+    for lam, vec in solve_gep(pencil, vectors):
         if np.isinf(lam):
             continue
-        pairs.append((lam, eigenvector_block(vec, R.size)))
+        pairs.append((lam, eigenvector_block(vec, R.size) if vectors else None))
     return pairs
 
 

@@ -10,8 +10,12 @@ the linearization machinery), run once in the given coordinates:
 5. per eigenpair (for projected pencils, rebuilt from the null space of
    R(lambda)), read the front coordinates off the block Vandermonde structure
    of the eigenvector in one pass, masking entries corrupted by the generic
-   null space; coordinates without a usable eigenvector block are re-solved
-   from the equations with x_d = lambda substituted,
+   null space.  A degree-one x_1 (alpha_1 = 0) has no block of its own: it
+   is the least-squares quotient of the equations, with the other
+   coordinates substituted, on the Kronecker factors v_1 kron ... kron v_d
+   of block 0.  Coordinates whose blocks the mask removes (and x_1 with
+   them, when its read needs them) are re-solved from the equations with
+   x_d = lambda substituted,
 6. the one fallback: when the read fails or none of the eigenpair's
    candidates passes the residual filter, every front coordinate is re-solved
    from the equations with x_d = lambda substituted (one level of reduction
@@ -44,7 +48,7 @@ from .extract import (
     vandermonde_ratios,
 )
 from .mpoly import Basis, Pmep
-from .opdet import LinearMep, solve_linear_mep
+from .opdet import LinearMep, kron_factor, solve_linear_mep
 from .pep import normal_rank, project_singular, solve_pep
 
 __all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
@@ -75,9 +79,10 @@ class SolverConfig:
 def choose_hidden_variable(p):
     """1-based index of the variable to hide.
 
-    Prefers a variable of degree 1 (its loss from the eigenvector structure
-    is avoided by hiding it); ties go to the smallest resultant size, then to
-    the highest index so an already-last variable needs no reordering.
+    Prefers a variable of degree 1 (left in front as x_1 it would have no
+    block in the eigenvector and need the Kronecker read); ties go to the
+    smallest resultant size, then to the highest index so an already-last
+    variable needs no reordering.
     """
     d = p.d
     tau = p.tau
@@ -140,18 +145,44 @@ def _least_generic_combination(null_basis, generic_basis):
 
 
 def _lost_coordinates(shape, mask):
+    """Front coordinates whose ratio blocks the null-space mask removes."""
     zero_idx = block_indices(shape, (0,) * (shape.d - 1))
     lost = []
     for k in range(shape.d - 1):
         if shape.alpha[k] == 0:
-            lost.append(k)
-            continue
+            continue  # no ratio block; read from the Kronecker factors instead
         unit = [0] * (shape.d - 1)
         unit[k] = 1
         usable = mask[zero_idx] & mask[block_indices(shape, unit)]
         if not np.any(usable):
             lost.append(k)
     return lost
+
+
+def _degree_one_read(work, shape, vec, front, lam):
+    """x_1 from the Kronecker factors of the zero block (alpha_1 = 0).
+
+    Block 0 holds v_1 kron ... kron v_d with v_i in ker P_i(x*); its best
+    rank-one factors u_i estimate the v_i.  With the other coordinates
+    substituted, each equation is C0_i + x_1 C1_i in either basis
+    (T_0 = 1, T_1 = x), so x_1 is the least-squares quotient that makes the
+    stacked C0_i u_i + x_1 C1_i u_i smallest.
+    """
+    d = shape.d
+    factors = kron_factor(vec[block_indices(shape, (0,) * (d - 1))], shape.sizes)
+    known = {k: front[k] for k in range(1, d - 1)}
+    known[d - 1] = lam
+    a, b = [], []
+    for poly, u in zip(work.polys, factors):
+        c = poly.partial_eval(known).coeffs
+        a.append(c[0] @ u)
+        b.append(c[1] @ u)
+    a = np.concatenate(a)
+    b = np.concatenate(b)
+    bb = np.vdot(b, b).real
+    if bb == 0.0:
+        raise ExtractionFailureError("x_1 drops out of every equation at this eigenpair")
+    return -np.vdot(b, a) / bb
 
 
 def _pep_solutions(p, cfg):
@@ -267,13 +298,18 @@ def solve(p, cfg=None, _depth=0):
     if projected:
         solver_R, _, _ = project_singular(R, rp, rng)
 
-    eigpairs = solve_pep(solver_R) if solver_R.m >= 1 else []
+    # projected pencils rebuild each vector from null(R(lambda)) below
+    eigpairs = solve_pep(solver_R, vectors=not projected) if solver_R.m >= 1 else []
     mask = np.ones(R.size, dtype=bool)
     if projected:
         generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
         mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
     lost = _lost_coordinates(shape, mask)
-    recover = [k for k in range(d - 1) if k not in lost]
+    # the Kronecker read of x_1 substitutes every other coordinate
+    read = shape.alpha[0] == 0 and not lost
+    if shape.alpha[0] == 0 and lost:
+        lost = [0] + lost
+    recover = [k for k in range(d - 1) if k not in lost and shape.alpha[k] > 0]
     unknown = np.full(d - 1, np.nan, dtype=complex)
 
     def candidates(front, lam, missing):
@@ -305,17 +341,21 @@ def solve(p, cfg=None, _depth=0):
             vec = _least_generic_combination(null, generic_basis)
         sols = []
         try:
-            front = unknown
+            front = unknown.copy()
             if recover:
                 front = vandermonde_ratios(
                     vec, shape, mask=mask, keep_fraction=kf, coords=recover
                 )
+            if read:
+                front[0] = _degree_one_read(work, shape, vec, front, lam)
             sols = candidates(front, lam, lost)
         except ExtractionFailureError:
             pass
         # a hidden coordinate shared by several roots mixes their eigenvectors;
         # substituting lambda into the equations still finds every one of them
-        if recover and not any(s.residual <= cfg.extraction.residual_tol for s in sols):
+        if len(lost) < d - 1 and not any(
+            s.residual <= cfg.extraction.residual_tol for s in sols
+        ):
             sols = candidates(unknown, lam, list(range(d - 1)))
         if not sols:
             dropped += 1

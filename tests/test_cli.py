@@ -1,12 +1,14 @@
 """Tests for the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import multipolyeig
 from multipolyeig.cli import run_cli
 from multipolyeig.io import (
     FLUTTER_MATRIX_NAMES,
@@ -274,10 +276,14 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_console_script_entry_point(self, problem_file):
+        # the child imports the same package as this process
+        root = os.path.dirname(os.path.dirname(multipolyeig.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "multipolyeig.cli", "solve", problem_file],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)["solutions"]) == 8

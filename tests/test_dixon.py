@@ -269,6 +269,40 @@ class TestBuildResultant:
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
+def system_through(rng, sizes, tau, x_star):
+    """Random system shifted in its constant term so that x_star is a root."""
+    polys = []
+    for n in sizes:
+        c = np.array(systems.random_poly(rng, n, tau).coeffs)
+        u, sv, vh = np.linalg.svd(MatrixPoly(c).eval(x_star))
+        c[(0,) * len(sizes)] -= sv[-1] * np.outer(u[:, -1], vh[-1])
+        polys.append(MatrixPoly(c))
+    return Pmep(polys)
+
+
+class TestKroneckerLayout:
+    @pytest.mark.parametrize(
+        "sizes, tau", [((3, 4), (1, 2)), ((2, 3, 2), (1, 1, 1))]
+    )
+    def test_zero_block_is_rank_one_in_the_kernels(self, sizes, tau):
+        # block 0 of the eigenvector holds v_1 kron ... kron v_d with
+        # v_i in ker P_i(x*): every unfolding has rank one, and its dominant
+        # left singular vector is a kernel vector of its equation
+        rng = np.random.default_rng(60 + len(sizes))
+        d = len(sizes)
+        x_star = 0.6 * np.exp(2j * np.pi * rng.uniform(size=d))
+        p = system_through(rng, sizes, tau, x_star)
+        sh = DixonShape.from_pmep(p)
+        vec = systems.null_vector(build_resultant(p).eval(x_star[-1]))
+        block = vec[: sh.N].reshape(sizes)
+        for i, poly in enumerate(p.polys):
+            unfolding = np.moveaxis(block, i, 0).reshape(sizes[i], -1)
+            u, sv, _ = np.linalg.svd(unfolding)
+            assert sv[1] <= 1e-8 * sv[0]
+            residual = np.linalg.norm(poly.eval(x_star) @ u[:, 0])
+            assert residual <= 1e-8 * poly.max_coeff_norm()
+
+
 class TestResultantPoly:
     def test_trim_keeps_constant(self):
         r = ResultantPoly(np.zeros((3, 2, 2)), Basis.MONOMIAL)

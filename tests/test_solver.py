@@ -211,14 +211,14 @@ class TestLinearPath:
         generic = solve(p, SolverConfig(reduce_linear=False))
         assert_same_points(generic.points(), fast.points(), 1e-6)
         # degree-one systems have no positive power of the first variable in
-        # the eigenvector structure, so it is recovered from the equations
-        assert all(s.flags["reduced"] for s in generic)
+        # the eigenvector structure; it is read from the Kronecker factors
+        assert all(not s.flags["reduced"] for s in generic)
 
     def test_cross_terms_take_generic_path(self):
         p = cross_term_system(5, (2, 2), (1, 1))
+        assert solver._as_linear_mep(p) is None
         out = solve(p)
-        # fast-path solutions never carry the reduced flag
-        assert all(s.flags["reduced"] for s in out)
+        assert all(not s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
         other = solve(p, SolverConfig(hide_variable=1))
         assert_same_points(out.points(), other.points(), 1e-5)
@@ -311,6 +311,40 @@ class TestSinglePass:
         assert_same_points(
             out.points(), systems.rank_deficient_pair_solutions(), 1e-8
         )
+
+
+@pytest.fixture
+def pep_calls(monkeypatch):
+    """Count the polynomial eigenvalue problems a solve hands to QZ."""
+    calls = [0]
+    original = solver.solve_pep
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_pep", counted)
+    return calls
+
+
+class TestDegreeOneRead:
+    # tau_1 = 1 leaves the eigenvector no block for x_1; one QZ on the
+    # resultant must still give every root, with no per-eigenpair reduction
+    @pytest.mark.parametrize(
+        "sizes, tau, basis, count",
+        [
+            ((8, 8), (1, 1), Basis.MONOMIAL, 128),
+            ((2, 2, 2), (1, 1, 1), Basis.MONOMIAL, 48),
+            ((5, 5), (1, 1), Basis.CHEBYSHEV1, 50),
+        ],
+    )
+    def test_one_pep_solve(self, pep_calls, sizes, tau, basis, count):
+        p = systems.random_pmep(np.random.default_rng(1), sizes, tau, basis)
+        out = solve(p)
+        assert len(out) == count
+        assert pep_calls[0] == 1
+        assert all(not s.flags["reduced"] for s in out)
+        assert max(s.residual for s in out) <= 1e-8
 
 
 class TestUnivariatePassthrough:
