@@ -4,7 +4,9 @@ Pipeline per interpolation node in the hidden variable x_d:
 
 1. evaluate the block-determinant numerator of the Dixon function on a tensor
    grid in (s_1..s_{d-1}, t_1..t_{d-1}),
-2. divide out prod_k (s_k - t_k) exactly,
+2. divide by prod_k (s_k - t_k) pointwise (the s and t node sets are
+   disjoint), interpolate the quotient's coefficients and check them by
+   multiplying back,
 3. unfold the coefficient tensor into a square matrix,
 
 then interpolate the matrices across the x_d nodes to get the matrix
@@ -24,6 +26,7 @@ The eigenvectors of R(x_d) then carry ascending block Vandermonde structure:
 block (i_1..i_{d-1}) holds prod_k x_k^{i_k} * (v_1 kron ... kron v_d).
 """
 
+import collections
 import itertools
 import math
 
@@ -196,12 +199,12 @@ def _split_interleaved(k_s, k_t):
     return nodes[take_s], nodes[~take_s]
 
 
-def _numerator_on_grid(p, shape, s_grids, t_grids, xd):
+def _numerator_on_grid(p, shape, grids, xd):
     """Numerator values on the tensor grid; axes (s_1.., t_1.., N, N)."""
     d = p.d
     hidden = [poly.hide_last(xd) for poly in p.polys]
-    s_rows = [bo.basis_rows(p.basis.tag, s_grids[k], shape.tau[k]) for k in range(d - 1)]
-    t_rows = [bo.basis_rows(p.basis.tag, t_grids[k], shape.tau[k]) for k in range(d - 1)]
+    s_rows = [bo.basis_rows(p.basis.tag, grids.s[k], shape.tau[k]) for k in range(d - 1)]
+    t_rows = [bo.basis_rows(p.basis.tag, grids.t[k], shape.tau[k]) for k in range(d - 1)]
     grid_axes = 2 * (d - 1)
     evals = []
     for poly in hidden:
@@ -227,90 +230,55 @@ def _axis_pair(shape, k):
     return k, (shape.d - 1) + k
 
 
-def _divide_pair_monomial(g, ax_s, ax_t, a_max, b_max):
-    """Exact division of monomial coefficients g by (s - t) along an axis pair.
-
-    g has degree a_max+1 in the s axis and b_max+1 in the t axis; the quotient
-    h (degrees a_max, b_max) satisfies g[a, b] = h[a-1, b] - h[a, b-1].
-    """
-    out_shape = list(g.shape)
-    out_shape[ax_s] = a_max + 1
-    out_shape[ax_t] = b_max + 1
-    h = np.zeros(out_shape, dtype=complex)
-
-    def g_at(a, b):
-        idx = [slice(None)] * g.ndim
-        idx[ax_s], idx[ax_t] = a, b
-        return g[tuple(idx)]
-
-    def h_at(a, b):
-        idx = [slice(None)] * h.ndim
-        idx[ax_s], idx[ax_t] = a, b
-        return h[tuple(idx)]
-
-    for b in range(b_max + 1):
-        for a in range(a_max, -1, -1):
-            val = g_at(a + 1, b)
-            if b >= 1 and a + 1 <= a_max:
-                val = val + h_at(a + 1, b - 1)
-            idx = [slice(None)] * h.ndim
-            idx[ax_s], idx[ax_t] = a, b
-            h[tuple(idx)] = val
-    return h
-
-
 def _multiply_pair(h, basis, ax_s, ax_t):
     """(s - t) * h in coefficient space along one axis pair."""
     ms = bo.shift_multiply_matrix(basis.tag, h.shape[ax_s] - 1)
     mt = bo.shift_multiply_matrix(basis.tag, h.shape[ax_t] - 1)
-    sh = bo.apply_matrix_axis(h, ms, ax_s)
-    sh = _pad_axis(sh, ax_t, 1)
-    th = bo.apply_matrix_axis(h, mt, ax_t)
-    th = _pad_axis(th, ax_s, 1)
+    pad_s, pad_t = [(0, 0)] * h.ndim, [(0, 0)] * h.ndim
+    pad_s[ax_s] = pad_t[ax_t] = (0, 1)
+    sh = np.pad(bo.apply_matrix_axis(h, ms, ax_s), pad_t)
+    th = np.pad(bo.apply_matrix_axis(h, mt, ax_t), pad_s)
     return sh - th
 
 
-def _pad_axis(arr, axis, extra):
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (0, extra)
-    return np.pad(arr, pad)
+def divide_out(num_vals, shape, basis, grids, check_tol=1e-8):
+    """Dixon coefficient tensor: the numerator divided by prod_k (s_k - t_k).
 
+    `num_vals` holds the numerator on the tensor grid `grids` (from
+    `_grids(shape, basis)`), axes (s_1.., t_1.., N, N). No s_k node equals a
+    t_k node, so the division is pointwise. Interpolating the quotient gives
+    coefficients of degree alpha_k+1 in s_k and beta_k+1 in t_k; the top
+    ones vanish for an exact numerator and are dropped.
 
-def _truncate_axis(arr, axis, size):
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = slice(0, size)
-    return arr[tuple(idx)]
-
-
-def divide_out(numerator_coeffs, shape, basis, check_tol=1e-8):
-    """Divide numerator coefficients by prod_k (s_k - t_k), pair by pair.
-
-    `numerator_coeffs` has axes (s_1.., t_1.., N, N) with degree alpha_k+1 in
-    the s_k axis and beta_k+1 in the t_k axis. Monomial basis uses the exact
-    coefficient recurrence; Chebyshev input should be divided in value space
-    (see build_resultant), so only monomial is accepted here.
-
-    Every partial quotient is multiplied back and compared with the input;
-    a relative mismatch above check_tol raises DixonConsistencyError.
+    The returned quotient is multiplied back by prod_k (s_k - t_k) and
+    compared with the interpolated numerator; a relative mismatch above
+    check_tol raises DixonConsistencyError.
     """
     basis = basis if isinstance(basis, Basis) else Basis(basis)
-    if basis != Basis.MONOMIAL:
-        raise ValueError("coefficient-space division is monomial-only")
-    g = np.asarray(numerator_coeffs, dtype=complex)
-    scale = float(np.max(np.abs(g))) or 1.0
-    h = g
+    num = np.asarray(num_vals, dtype=complex)
+    quot = num
     for k in range(shape.d - 1):
         ax_s, ax_t = _axis_pair(shape, k)
-        prev = h
-        h = _divide_pair_monomial(prev, ax_s, ax_t, shape.alpha[k], shape.beta[k])
-        back = _multiply_pair(h, basis, ax_s, ax_t)
-        err = float(np.max(np.abs(back - prev)))
-        if err > check_tol * scale:
-            raise DixonConsistencyError(
-                f"divide-out failed the multiply-back check on pair {k + 1}: "
-                f"relative error {err / scale:.3e}"
-            )
-    return h
+        diff = grids.s[k].reshape((-1,) + (1,) * (num.ndim - 1 - ax_s))
+        diff = diff - grids.t[k].reshape((-1,) + (1,) * (num.ndim - 1 - ax_t))
+        quot = quot / diff
+    for k in range(shape.d - 1):
+        ax_s, ax_t = _axis_pair(shape, k)
+        quot = bo.apply_matrix_axis(quot, grids.s_interp[k], ax_s)
+        quot = bo.apply_matrix_axis(quot, grids.t_interp[k], ax_t)
+        num = bo.apply_matrix_axis(num, grids.s_interp[k], ax_s)
+        num = bo.apply_matrix_axis(num, grids.t_interp[k], ax_t)
+    quot = quot[tuple(slice(a + 1) for a in shape.alpha) + tuple(slice(b + 1) for b in shape.beta)]
+    back = quot
+    for k in range(shape.d - 1):
+        back = _multiply_pair(back, basis, *_axis_pair(shape, k))
+    scale = float(np.max(np.abs(num))) or 1.0
+    err = float(np.max(np.abs(back - num)))
+    if err > check_tol * scale:
+        raise DixonConsistencyError(
+            f"divide-out failed the multiply-back check: relative error {err / scale:.3e}"
+        )
+    return quot
 
 
 def unfold(f_coeffs, shape):
@@ -359,25 +327,36 @@ def _unit_roots(m):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _grids(shape, basis):
-    """Interpolation grids for the s_k/t_k axes.
+_Grids = collections.namedtuple("_Grids", "s t s_interp t_interp")
 
-    Monomial coefficients are recovered from uniform unit-circle samples,
-    whose Vandermonde matrix is a scaled DFT and perfectly conditioned; the
-    s/t families may overlap because division happens in coefficient space.
-    The Chebyshev path divides on the grid, so its s and t families must be
-    disjoint: interleave a single Chebyshev family per axis pair.
+
+def _grids(shape, basis):
+    """Interpolation grids for the s_k/t_k axes and their values-to-coefficients maps.
+
+    The numerator is divided by s_k - t_k on the grid, so the s and t node
+    sets must be disjoint. Monomial input samples the unit circle: s_k at the
+    (alpha_k+2)-th roots of unity, t_k at the (beta_k+2)-th roots rotated by
+    pi/L with L = lcm(alpha_k+2, beta_k+2). In units of pi/L the s angles are
+    even and the t angles odd, so the sets never meet, and both Vandermonde
+    matrices stay scaled DFTs (perfectly conditioned). Chebyshev input
+    interleaves a single Chebyshev family per axis pair.
     """
-    if basis == Basis.MONOMIAL:
-        s_grids = [_unit_roots(shape.alpha[k] + 2) for k in range(shape.d - 1)]
-        t_grids = [_unit_roots(shape.beta[k] + 2) for k in range(shape.d - 1)]
-        return s_grids, t_grids
     s_grids, t_grids = [], []
     for k in range(shape.d - 1):
-        s_nodes, t_nodes = _split_interleaved(shape.alpha[k] + 2, shape.beta[k] + 2)
+        k_s, k_t = shape.alpha[k] + 2, shape.beta[k] + 2
+        if basis == Basis.MONOMIAL:
+            s_nodes = _unit_roots(k_s)
+            t_nodes = _unit_roots(k_t) * np.exp(1j * np.pi / math.lcm(k_s, k_t))
+        else:
+            s_nodes, t_nodes = _split_interleaved(k_s, k_t)
         s_grids.append(s_nodes)
         t_grids.append(t_nodes)
-    return s_grids, t_grids
+    return _Grids(
+        s_grids,
+        t_grids,
+        [bo.interp_matrix(basis.tag, nodes, len(nodes) - 1) for nodes in s_grids],
+        [bo.interp_matrix(basis.tag, nodes, len(nodes) - 1) for nodes in t_grids],
+    )
 
 
 def _node_noise_floor(p, xd):
@@ -396,7 +375,7 @@ def _node_noise_floor(p, xd):
     return 64.0 * math.factorial(p.d) * np.finfo(float).eps * term
 
 
-def _dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol):
+def _dixon_tensor_at_node(p, shape, grids, xd, check_tol):
     """Divided Dixon coefficient tensor at one x_d node.
 
     A numerator that vanishes identically at the node (the Dixon function has
@@ -404,8 +383,7 @@ def _dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol):
     cancellation noise; it is snapped to the exact zero tensor instead of
     being fed to the division, which could not tell noise from inconsistency.
     """
-    d = p.d
-    num_vals = _numerator_on_grid(p, shape, s_grids, t_grids, xd)
+    num_vals = _numerator_on_grid(p, shape, grids, xd)
     if float(np.max(np.abs(num_vals))) <= _node_noise_floor(p, xd):
         out_shape = (
             tuple(a + 1 for a in shape.alpha)
@@ -413,78 +391,35 @@ def _dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol):
             + (shape.N, shape.N)
         )
         return np.zeros(out_shape, dtype=complex)
-    s_mats = [bo.interp_matrix(p.basis.tag, s_grids[k], shape.alpha[k] + 1) for k in range(d - 1)]
-    t_mats = [bo.interp_matrix(p.basis.tag, t_grids[k], shape.beta[k] + 1) for k in range(d - 1)]
-    if p.basis == Basis.MONOMIAL:
-        num_coeffs = num_vals
-        for k in range(d - 1):
-            ax_s, ax_t = _axis_pair(shape, k)
-            num_coeffs = bo.apply_matrix_axis(num_coeffs, s_mats[k], ax_s)
-            num_coeffs = bo.apply_matrix_axis(num_coeffs, t_mats[k], ax_t)
-        return divide_out(num_coeffs, shape, p.basis, check_tol)
-    # Chebyshev: divide on the grid, where s_k - t_k never vanishes
-    f_vals = num_vals
-    for k in range(d - 1):
-        ax_s, ax_t = _axis_pair(shape, k)
-        diff = s_grids[k].reshape((-1,) + (1,) * (f_vals.ndim - 1 - ax_s))
-        diff = diff - t_grids[k].reshape((-1,) + (1,) * (f_vals.ndim - 1 - ax_t))
-        f_vals = f_vals / diff
-    f_ext = f_vals
-    num_coeffs = num_vals
-    for k in range(d - 1):
-        ax_s, ax_t = _axis_pair(shape, k)
-        f_ext = bo.apply_matrix_axis(f_ext, s_mats[k], ax_s)
-        f_ext = bo.apply_matrix_axis(f_ext, t_mats[k], ax_t)
-        num_coeffs = bo.apply_matrix_axis(num_coeffs, s_mats[k], ax_s)
-        num_coeffs = bo.apply_matrix_axis(num_coeffs, t_mats[k], ax_t)
-    back = f_ext
-    for k in range(d - 1):
-        ax_s, ax_t = _axis_pair(shape, k)
-        back = _multiply_pair(back, p.basis, ax_s, ax_t)
-        back = _truncate_axis(back, ax_s, shape.alpha[k] + 2)
-        back = _truncate_axis(back, ax_t, shape.beta[k] + 2)
-    scale = float(np.max(np.abs(num_coeffs))) or 1.0
-    err = float(np.max(np.abs(back - num_coeffs)))
-    if err > check_tol * scale:
-        raise DixonConsistencyError(
-            f"grid division failed the multiply-back check: relative error {err / scale:.3e}"
-        )
-    out = f_ext
-    for k in range(d - 1):
-        ax_s, ax_t = _axis_pair(shape, k)
-        out = _truncate_axis(out, ax_s, shape.alpha[k] + 1)
-        out = _truncate_axis(out, ax_t, shape.beta[k] + 1)
-    return out
+    return divide_out(num_vals, shape, p.basis, grids, check_tol)
 
 
 def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     """Construct the hidden variable tensor Dixon resultant R(x_d) of a Pmep.
 
-    Evaluates the Dixon function at d*tau_d + 1 nodes in x_d (unit-circle
-    samples for monomial input, Chebyshev nodes for Chebyshev input), divides
-    and unfolds per node, and interpolates entrywise. Trailing coefficients
-    below trim_tol (relative) are trimmed.
+    Evaluates the Dixon numerator at d*tau_d + 1 nodes in x_d (unit-circle
+    samples for monomial input, Chebyshev nodes for Chebyshev input). At each
+    node it divides on the s/t grids built once here (see `divide_out`) and
+    unfolds; the matrices are then interpolated entrywise. Trailing
+    coefficients below trim_tol (relative) are trimmed.
     """
     if not isinstance(p, Pmep):
         raise ValueError("build_resultant expects a Pmep")
     if p.d < 2:
         raise ValueError("d=1 input is already a polynomial eigenvalue problem")
     shape = DixonShape.from_pmep(p)
-    s_grids, t_grids = _grids(shape, p.basis)
+    grids = _grids(shape, p.basis)
     deg = shape.xd_degree_bound
     if p.basis == Basis.MONOMIAL:
         xd_nodes = _unit_roots(deg + 1)
-    else:
-        xd_nodes = bo.cheb1_nodes(deg + 1)
-
-    mats = [
-        unfold(_dixon_tensor_at_node(p, shape, s_grids, t_grids, xd, check_tol), shape)
-        for xd in xd_nodes
-    ]
-    stack = np.stack(mats, axis=0)
-    if p.basis == Basis.MONOMIAL:
         to_coeff = bo.interp_matrix(bo.MONOMIAL, xd_nodes, deg)
     else:
+        xd_nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
-    coeffs = np.tensordot(to_coeff, stack, axes=(1, 0))
+
+    mats = [
+        unfold(_dixon_tensor_at_node(p, shape, grids, xd, check_tol), shape)
+        for xd in xd_nodes
+    ]
+    coeffs = np.tensordot(to_coeff, np.stack(mats, axis=0), axes=(1, 0))
     return ResultantPoly(coeffs, p.basis).trim(trim_tol)

@@ -138,15 +138,6 @@ class MatrixPoly:
             new = bo.apply_matrix_axis(new, mat, k)
         return MatrixPoly(new, target, d=self.d)
 
-    def pad_degrees(self, tau):
-        """Embed into larger degree bounds (new coefficients are zero)."""
-        tau = tuple(int(t) for t in tau)
-        if len(tau) != self.d or any(t < s for t, s in zip(tau, self.tau)):
-            raise ValueError("target degree bounds must dominate current ones")
-        new = np.zeros(tuple(t + 1 for t in tau) + (self.n, self.n), dtype=complex)
-        new[tuple(slice(0, s + 1) for s in self.tau)] = self.coeffs
-        return MatrixPoly(new, self.basis, d=self.d)
-
     def max_coeff_norm(self):
         """Largest spectral norm among the coefficient matrices (cached: the
         coefficients are read-only)."""
@@ -158,9 +149,6 @@ class MatrixPoly:
                 else 0.0
             )
         return self._max_coeff_norm
-
-    def scale(self, c):
-        return MatrixPoly(self.coeffs * c, self.basis, d=self.d)
 
 
 class Pmep:

@@ -67,7 +67,6 @@ class SolverConfig:
     hide_variable: int | None = None
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     rank_tol: float = 1e-10
-    reduce_linear: bool = True
 
     def __post_init__(self):
         if self.rank_tol <= 0:
@@ -269,19 +268,18 @@ def solve(p, cfg=None, _depth=0):
             "variable leaves the point underdetermined"
         )
 
-    if cfg.reduce_linear and all(t == 1 for t in p.tau):
-        mep = _as_linear_mep(p)
-        if mep is not None:
-            try:
-                out = solve_linear_mep(mep)
-            except SingularMepError:
-                out = SolutionSet([])
-            # a regular linear MEP has exactly N eigenvalues; fewer validated
-            # solutions mean repeated coordinates spoiled the Rayleigh quotients
-            result = filter_solutions(out, cfg.extraction)
-            if len(result) >= p.N:
-                result.diagnostics = dict(out.diagnostics)
-                return result
+    mep = _as_linear_mep(p)
+    if mep is not None:
+        try:
+            out = solve_linear_mep(mep)
+        except SingularMepError:
+            out = SolutionSet([])
+        # a regular linear MEP has exactly N eigenvalues; fewer validated
+        # solutions mean repeated coordinates spoiled the Rayleigh quotients
+        result = filter_solutions(out, cfg.extraction)
+        if len(result) >= p.N:
+            result.diagnostics = dict(out.diagnostics)
+            return result
 
     hide = cfg.hide_variable
     if hide is None:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import systems
+from multipolyeig import solver
 from multipolyeig.dixon import DixonShape, build_resultant, refold
 from multipolyeig.io import (
     flutter_pmep,
@@ -22,7 +23,7 @@ from multipolyeig.io import (
 from multipolyeig.opdet import delta, solve_linear_mep
 from multipolyeig.oracle import newton_oracle
 from multipolyeig.pep import normal_rank, solve_pep
-from multipolyeig.solver import SolverConfig, solve
+from multipolyeig.solver import solve
 
 from test_dixon import eval_tensor
 from test_opdet import random_linear_mep
@@ -85,10 +86,11 @@ def test_criterion_04_singular_pair_projected_solve():
         assert min(np.linalg.norm(s.x - o.x) for o in oracle) <= 1e-6
 
 
-def test_criterion_05_linear_mep_equivalence():
+def test_criterion_05_linear_mep_equivalence(monkeypatch):
     # resultant pencil of a linear problem equals x2*Delta0 - Delta2 (the
     # same singular set as the opposite-sign convention Delta2 - x2*Delta0),
     # and the generic pipeline agrees with the operator-determinant solver
+    monkeypatch.setattr(solver, "_as_linear_mep", lambda p: None)
     rng = np.random.default_rng(800)
     for _ in range(20):
         sizes = tuple(int(rng.integers(1, 4)) for _ in range(2))
@@ -98,7 +100,7 @@ def test_criterion_05_linear_mep_equivalence():
         scale = max(np.max(np.abs(d0)), np.max(np.abs(d2)))
         assert np.max(np.abs(r.coeffs[0] + d2)) <= 1e-12 * scale
         assert np.max(np.abs(r.coeffs[1] - d0)) <= 1e-12 * scale
-        got = solve(mep.to_pmep(), SolverConfig(reduce_linear=False))
+        got = solve(mep.to_pmep())
         want = solve_linear_mep(mep)
         assert len(got) == len(want)
         pool = [y for y in want.points()]

@@ -1,5 +1,7 @@
 """Tests for the tensor Dixon resultant construction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from multipolyeig import _basisops as bo
 from multipolyeig.dixon import (
     DixonShape,
     ResultantPoly,
+    _grids,
     build_resultant,
     dixon_numerator_eval,
     divide_out,
@@ -19,16 +22,19 @@ from multipolyeig.errors import DixonConsistencyError
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 
 
-def multiply_by_pair_differences(h, shape):
-    """Test oracle: multiply a monomial (s,t) tensor by prod_k (s_k - t_k)."""
-    out = h
+def values_times_pair_differences(h, shape, basis, grids):
+    """Test oracle: prod_k (s_k - t_k) * h on the divide-out grids, from the
+    basis values of the coefficient tensor h."""
+    vals = h
     for k in range(shape.d - 1):
         ax_s, ax_t = k, (shape.d - 1) + k
-        padded = np.pad(out, [(0, 1) if ax in (ax_s, ax_t) else (0, 0) for ax in range(out.ndim)])
-        shifted_s = np.roll(padded, 1, axis=ax_s)
-        shifted_t = np.roll(padded, 1, axis=ax_t)
-        out = shifted_s - shifted_t
-    return out
+        s_rows = bo.basis_rows(basis.tag, grids.s[k], shape.alpha[k])
+        t_rows = bo.basis_rows(basis.tag, grids.t[k], shape.beta[k])
+        vals = bo.apply_matrix_axis(bo.apply_matrix_axis(vals, s_rows, ax_s), t_rows, ax_t)
+        diff_shape = [1] * vals.ndim
+        diff_shape[ax_s], diff_shape[ax_t] = len(grids.s[k]), len(grids.t[k])
+        vals = vals * np.subtract.outer(grids.s[k], grids.t[k]).reshape(diff_shape)
+    return vals
 
 
 def eval_tensor(tens, shape, basis, s, t):
@@ -118,30 +124,53 @@ class TestNumerator:
         assert np.max(np.abs(fwd + bwd)) <= 1e-10 * np.max(np.abs(fwd))
 
 
+BASES = (Basis.MONOMIAL, Basis.CHEBYSHEV1)
+
+
 class TestDivideOut:
     def test_constant_quotient(self):
         sh = DixonShape(2, (1, 1), (2, 2))
-        c = np.arange(16.0).reshape(4, 4)
         h = np.zeros((1, 1, 4, 4), dtype=complex)
-        h[0, 0] = c
-        g = multiply_by_pair_differences(h, sh)
-        got = divide_out(g, sh, Basis.MONOMIAL)
-        assert np.max(np.abs(got - h)) == 0.0
+        h[0, 0] = np.arange(16.0).reshape(4, 4)
+        for basis in BASES:
+            grids = _grids(sh, basis)
+            vals = values_times_pair_differences(h, sh, basis, grids)
+            got = divide_out(vals, sh, basis, grids)
+            assert got.shape == h.shape
+            assert np.max(np.abs(got - h)) <= 1e-14 * np.max(np.abs(h))
 
     def test_random_round_trip_three_variables(self):
         rng = np.random.default_rng(32)
         sh = DixonShape(3, (2, 1, 1), (2, 2, 1))
         shape = tuple(a + 1 for a in sh.alpha) + tuple(b + 1 for b in sh.beta) + (sh.N, sh.N)
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        g = multiply_by_pair_differences(h, sh)
-        got = divide_out(g, sh, Basis.MONOMIAL)
-        assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))
+        for basis in BASES:
+            grids = _grids(sh, basis)
+            vals = values_times_pair_differences(h, sh, basis, grids)
+            got = divide_out(vals, sh, basis, grids)
+            assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))
 
     def test_inconsistent_input_raises(self):
         sh = DixonShape(2, (1, 1), (2, 2))
-        g = np.ones((2, 2, 4, 4), dtype=complex)  # not divisible by s - t
-        with pytest.raises(DixonConsistencyError):
-            divide_out(g, sh, Basis.MONOMIAL)
+        g = np.ones((2, 2, 4, 4), dtype=complex)  # a constant is not divisible by s - t
+        for basis in BASES:
+            with pytest.raises(DixonConsistencyError):
+                divide_out(g, sh, basis, _grids(sh, basis))
+
+
+class TestGrids:
+    def test_disjoint_and_well_conditioned(self):
+        # s and t node counts alpha+2 and beta+2 from 2 to 12
+        for basis in BASES:
+            for k_s in range(2, 13):
+                for k_t in range(2, 13):
+                    sh = SimpleNamespace(d=2, alpha=(k_s - 2,), beta=(k_t - 2,))
+                    grids = _grids(sh, basis)
+                    assert len(grids.s[0]) == k_s and len(grids.t[0]) == k_t
+                    assert np.min(np.abs(np.subtract.outer(grids.s[0], grids.t[0]))) >= 1e-3
+                    if basis == Basis.MONOMIAL:
+                        assert np.linalg.cond(grids.s_interp[0]) <= 1 + 1e-12
+                        assert np.linalg.cond(grids.t_interp[0]) <= 1 + 1e-12
 
 
 class TestUnfold:

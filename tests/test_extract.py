@@ -172,7 +172,10 @@ class TestResidual:
         rng = np.random.default_rng(53)
         p = systems.random_pmep(rng, (2, 3), (2, 1))
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        scaled = Pmep([p.polys[0].scale(2.0**6), p.polys[1].scale(2.0**-4)])
+        scaled = Pmep([
+            MatrixPoly(2.0**6 * p.polys[0].coeffs, p.polys[0].basis),
+            MatrixPoly(2.0**-4 * p.polys[1].coeffs, p.polys[1].basis),
+        ])
         assert residual(scaled, x) == residual(p, x)
 
 

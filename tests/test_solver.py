@@ -203,12 +203,13 @@ class TestLinearPath:
         )
         assert not out.diagnostics["projected"]
 
-    def test_generic_path_agrees_with_fast_path(self):
+    def test_generic_path_agrees_with_fast_path(self, monkeypatch):
         rng = np.random.default_rng(12)
         mep = random_linear_mep(rng, (2, 2))
         p = mep.to_pmep()
         fast = solve(p)
-        generic = solve(p, SolverConfig(reduce_linear=False))
+        monkeypatch.setattr(solver, "_as_linear_mep", lambda p: None)
+        generic = solve(p)
         assert_same_points(generic.points(), fast.points(), 1e-6)
         # degree-one systems have no positive power of the first variable in
         # the eigenvector structure; it is read from the Kronecker factors
