@@ -2,9 +2,10 @@
 
 A system of d matrix polynomials in d variables is solved by hiding the last
 variable, building the tensor Dixon resultant R(x_d), solving the resulting
-univariate polynomial eigenvalue problem with QZ, and reading the remaining
-coordinates off the structured eigenvectors.  `solve` runs the whole
-pipeline; the building blocks are exported for direct use.
+univariate polynomial eigenvalue problem by shift and invert with one Newton
+step per eigenpair, and reading the remaining coordinates off the structured
+eigenvectors.  `solve` runs the whole pipeline; the building blocks are
+exported for direct use.
 """
 
 from .dixon import DixonShape, ResultantPoly, build_resultant, dixon_numerator_eval
@@ -16,6 +17,7 @@ from .errors import (
     ProjectionFailureError,
     ReductionDepthExceededError,
     SingularMepError,
+    SingularPencilError,
 )
 from .extract import (
     ExtractionConfig,
@@ -74,6 +76,7 @@ __all__ = [
     "MultiPolyEigError",
     "DixonConsistencyError",
     "SingularMepError",
+    "SingularPencilError",
     "ProjectionFailureError",
     "ExtractionFailureError",
     "ReductionDepthExceededError",

@@ -46,6 +46,15 @@ def val_axis0(basis, x, coeffs):
     raise ValueError(f"unknown basis {basis!r}")
 
 
+def der_axis0(basis, coeffs):
+    """Coefficients of the derivative along the leading (degree) axis of coeffs."""
+    if basis == MONOMIAL:
+        return _poly.polyder(coeffs, axis=0)
+    if basis == CHEBYSHEV1:
+        return _cheb.chebder(coeffs, axis=0)
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def apply_matrix_axis(coeffs, mat, axis):
     """Replace axis `axis` of `coeffs` by mat @ (that axis)."""
     moved = np.tensordot(mat, coeffs, axes=(1, axis))

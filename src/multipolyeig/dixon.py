@@ -199,12 +199,15 @@ def _split_interleaved(k_s, k_t):
     return nodes[take_s], nodes[~take_s]
 
 
-def _numerator_on_grid(p, shape, grids, xd):
-    """Numerator values on the tensor grid; axes (s_1.., t_1.., N, N)."""
-    d = p.d
-    hidden = [poly.hide_last(xd) for poly in p.polys]
-    s_rows = [bo.basis_rows(p.basis.tag, grids.s[k], shape.tau[k]) for k in range(d - 1)]
-    t_rows = [bo.basis_rows(p.basis.tag, grids.t[k], shape.tau[k]) for k in range(d - 1)]
+def _numerator_on_grid(hidden, shape, grids):
+    """Numerator values on the tensor grid; axes (s_1.., t_1.., N, N).
+
+    `hidden` holds the equations with x_d already substituted.
+    """
+    d = shape.d
+    basis = hidden[0].basis.tag
+    s_rows = [bo.basis_rows(basis, grids.s[k], shape.tau[k]) for k in range(d - 1)]
+    t_rows = [bo.basis_rows(basis, grids.t[k], shape.tau[k]) for k in range(d - 1)]
     grid_axes = 2 * (d - 1)
     evals = []
     for poly in hidden:
@@ -230,31 +233,33 @@ def _axis_pair(shape, k):
     return k, (shape.d - 1) + k
 
 
-def _multiply_pair(h, basis, ax_s, ax_t):
-    """(s - t) * h in coefficient space along one axis pair."""
-    ms = bo.shift_multiply_matrix(basis.tag, h.shape[ax_s] - 1)
-    mt = bo.shift_multiply_matrix(basis.tag, h.shape[ax_t] - 1)
-    pad_s, pad_t = [(0, 0)] * h.ndim, [(0, 0)] * h.ndim
-    pad_s[ax_s] = pad_t[ax_t] = (0, 1)
-    sh = np.pad(bo.apply_matrix_axis(h, ms, ax_s), pad_t)
-    th = np.pad(bo.apply_matrix_axis(h, mt, ax_t), pad_s)
-    return sh - th
+def _multiply_pair(h, ms, mt, ax_s, ax_t):
+    """(s - t) * h in coefficient space along one axis pair.
+
+    ms and mt are the multiply-by-the-variable maps of the s and t axes.
+    """
+    sh = bo.apply_matrix_axis(h, ms, ax_s)
+    th = bo.apply_matrix_axis(h, mt, ax_t)
+    out = np.zeros(np.maximum(sh.shape, th.shape), dtype=complex)
+    out[tuple(slice(n) for n in sh.shape)] = sh
+    out[tuple(slice(n) for n in th.shape)] -= th
+    return out
 
 
-def divide_out(num_vals, shape, basis, grids, check_tol=1e-8):
+def divide_out(num_vals, shape, grids, check_tol=1e-8):
     """Dixon coefficient tensor: the numerator divided by prod_k (s_k - t_k).
 
     `num_vals` holds the numerator on the tensor grid `grids` (from
-    `_grids(shape, basis)`), axes (s_1.., t_1.., N, N). No s_k node equals a
-    t_k node, so the division is pointwise. Interpolating the quotient gives
-    coefficients of degree alpha_k+1 in s_k and beta_k+1 in t_k; the top
-    ones vanish for an exact numerator and are dropped.
+    `_grids(shape, basis)`, which fixes the basis), axes (s_1.., t_1.., N, N).
+    No s_k node equals a t_k node, so the division is pointwise.
+    Interpolating the quotient gives coefficients of degree alpha_k+1 in s_k
+    and beta_k+1 in t_k; the top ones vanish for an exact numerator and are
+    dropped.
 
     The returned quotient is multiplied back by prod_k (s_k - t_k) and
     compared with the interpolated numerator; a relative mismatch above
     check_tol raises DixonConsistencyError.
     """
-    basis = basis if isinstance(basis, Basis) else Basis(basis)
     num = np.asarray(num_vals, dtype=complex)
     quot = num
     for k in range(shape.d - 1):
@@ -271,7 +276,7 @@ def divide_out(num_vals, shape, basis, grids, check_tol=1e-8):
     quot = quot[tuple(slice(a + 1) for a in shape.alpha) + tuple(slice(b + 1) for b in shape.beta)]
     back = quot
     for k in range(shape.d - 1):
-        back = _multiply_pair(back, basis, *_axis_pair(shape, k))
+        back = _multiply_pair(back, grids.s_shift[k], grids.t_shift[k], *_axis_pair(shape, k))
     scale = float(np.max(np.abs(num))) or 1.0
     err = float(np.max(np.abs(back - num)))
     if err > check_tol * scale:
@@ -327,7 +332,7 @@ def _unit_roots(m):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-_Grids = collections.namedtuple("_Grids", "s t s_interp t_interp")
+_Grids = collections.namedtuple("_Grids", "s t s_interp t_interp s_shift t_shift")
 
 
 def _grids(shape, basis):
@@ -339,7 +344,9 @@ def _grids(shape, basis):
     pi/L with L = lcm(alpha_k+2, beta_k+2). In units of pi/L the s angles are
     even and the t angles odd, so the sets never meet, and both Vandermonde
     matrices stay scaled DFTs (perfectly conditioned). Chebyshev input
-    interleaves a single Chebyshev family per axis pair.
+    interleaves a single Chebyshev family per axis pair. The s_shift/t_shift
+    maps multiply degree-alpha_k/beta_k coefficient vectors by the variable,
+    for the multiply-back check.
     """
     s_grids, t_grids = [], []
     for k in range(shape.d - 1):
@@ -356,10 +363,12 @@ def _grids(shape, basis):
         t_grids,
         [bo.interp_matrix(basis.tag, nodes, len(nodes) - 1) for nodes in s_grids],
         [bo.interp_matrix(basis.tag, nodes, len(nodes) - 1) for nodes in t_grids],
+        [bo.shift_multiply_matrix(basis.tag, a) for a in shape.alpha],
+        [bo.shift_multiply_matrix(basis.tag, b) for b in shape.beta],
     )
 
 
-def _node_noise_floor(p, xd):
+def _node_noise_floor(hidden):
     """Cancellation floor of the numerator evaluated on the in-[-1,1] grids.
 
     Every Leibniz term is a Kronecker product of equation values at points
@@ -368,11 +377,10 @@ def _node_noise_floor(p, xd):
     such terms and anything at rounding distance of that bound is noise.
     """
     term = 1.0
-    for poly in p.polys:
-        hidden = poly.hide_last(xd)
-        axes = tuple(range(hidden.d))
-        term *= float(np.max(np.sum(np.abs(hidden.coeffs), axis=axes)))
-    return 64.0 * math.factorial(p.d) * np.finfo(float).eps * term
+    for poly in hidden:
+        axes = tuple(range(poly.d))
+        term *= float(np.max(np.sum(np.abs(poly.coeffs), axis=axes)))
+    return 64.0 * math.factorial(len(hidden)) * np.finfo(float).eps * term
 
 
 def _dixon_tensor_at_node(p, shape, grids, xd, check_tol):
@@ -383,15 +391,16 @@ def _dixon_tensor_at_node(p, shape, grids, xd, check_tol):
     cancellation noise; it is snapped to the exact zero tensor instead of
     being fed to the division, which could not tell noise from inconsistency.
     """
-    num_vals = _numerator_on_grid(p, shape, grids, xd)
-    if float(np.max(np.abs(num_vals))) <= _node_noise_floor(p, xd):
+    hidden = [poly.hide_last(xd) for poly in p.polys]
+    num_vals = _numerator_on_grid(hidden, shape, grids)
+    if float(np.max(np.abs(num_vals))) <= _node_noise_floor(hidden):
         out_shape = (
             tuple(a + 1 for a in shape.alpha)
             + tuple(b + 1 for b in shape.beta)
             + (shape.N, shape.N)
         )
         return np.zeros(out_shape, dtype=complex)
-    return divide_out(num_vals, shape, p.basis, grids, check_tol)
+    return divide_out(num_vals, shape, grids, check_tol)
 
 
 def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):

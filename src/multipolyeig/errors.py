@@ -4,6 +4,7 @@ __all__ = [
     "MultiPolyEigError",
     "DixonConsistencyError",
     "SingularMepError",
+    "SingularPencilError",
     "ProjectionFailureError",
     "ExtractionFailureError",
     "ReductionDepthExceededError",
@@ -21,6 +22,10 @@ class DixonConsistencyError(MultiPolyEigError):
 
 class SingularMepError(MultiPolyEigError):
     """Operator-determinant solve requested on a numerically singular MEP."""
+
+
+class SingularPencilError(MultiPolyEigError):
+    """A + sigma*B is exactly singular at every fixed shift: the pencil is singular."""
 
 
 class ProjectionFailureError(MultiPolyEigError):

@@ -1,18 +1,22 @@
-"""Univariate polynomial eigenvalue problems: linearization, QZ, projection.
+"""Univariate polynomial eigenvalue problems: linearization, eigensolve, projection.
 
 A matrix polynomial R(lambda) of degree m is reduced to a pencil A + lambda*B
 of side m*dim (companion form in the monomial basis, colleague form in the
-Chebyshev basis), solved densely, and—when R is a singular polynomial—first
-compressed to its normal rank by a random two-sided orthogonal projection.
+Chebyshev basis), solved densely as the standard eigenvalue problem of
+(A + sigma*B)^-1 B, and each eigenpair is refined by one Newton step on
+R(lambda) v = 0.  When R is a singular polynomial it is first compressed to
+its normal rank by a random two-sided orthogonal projection.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
+from . import _basisops as bo
 from .dixon import ResultantPoly
-from .errors import ProjectionFailureError
+from .errors import ProjectionFailureError, SingularPencilError
 from .mpoly import Basis
 
 __all__ = [
@@ -116,24 +120,50 @@ def colleague_linearize(R):
     return MatrixPencil(A, B)
 
 
+# Fixed shifts on the circle of radius 1.3, off the real axis (where
+# Chebyshev roots cluster) and off the unit circle (where monomial roots do).
+# They never depend on the input, so the same input gives the same bytes.
+_SHIFTS = 1.3 * np.exp(2j * np.pi * (0.1234 + np.arange(3) / 3))
+
+
+def _shifted_lu(pencil):
+    """LU of A + sigma*B at the fixed shift with the best reciprocal condition."""
+    best = None
+    for sigma in _SHIFTS:
+        shifted = pencil.A + sigma * pencil.B
+        lu, piv, info = lapack.zgetrf(shifted)
+        if info > 0:  # exact zero pivot
+            continue
+        rcond, _ = lapack.zgecon(lu, np.linalg.norm(shifted, 1))
+        if best is None or rcond > best[0]:
+            best = (rcond, sigma, lu, piv)
+    if best is None:
+        raise SingularPencilError("A + sigma*B is singular at every shift")
+    return best[1:]
+
+
 def solve_gep(pencil, vectors=True):
     """All eigenpairs of A + lambda*B; infinite eigenvalues come out as inf.
 
-    With ``vectors=False`` QZ skips the eigenvectors and every pair carries
-    None in their place.
+    Shift and invert: C = (A + sigma*B)^-1 B has the pencil's eigenvectors,
+    with lambda = sigma - 1/mu for each eigenvalue mu of C, and mu = 0 for an
+    infinite lambda.  A mu within roundoff of zero, relative to ||C||_1, is
+    classified as infinite.  With ``vectors=False`` the standard eigensolver
+    skips the eigenvectors and every pair carries None in their place.
+    Raises SingularPencilError when A + sigma*B is exactly singular at every
+    shift, which a regular pencil never is.
     """
-    res = scipy.linalg.eig(
-        pencil.A, -pencil.B, homogeneous_eigvals=True, right=vectors
-    )
-    (alphas, betas), vecs = res if vectors else (res, None)
+    n = pencil.dim
+    sigma, lu, piv = _shifted_lu(pencil)
+    c, _ = lapack.zgetrs(lu, piv, pencil.B)
+    if vectors:
+        mus, vecs = scipy.linalg.eig(c, check_finite=False)
+    else:
+        mus, vecs = scipy.linalg.eigvals(c, check_finite=False), None
+    tiny = 10.0 * n * np.finfo(float).eps * np.linalg.norm(c, 1)
     out = []
-    for j in range(pencil.dim):
-        if betas[j] == 0:
-            lam = complex(np.inf)
-        else:
-            lam = complex(alphas[j] / betas[j])
-            if not np.isfinite(lam):
-                lam = complex(np.inf)
+    for j in range(n):
+        lam = complex(np.inf) if abs(mus[j]) <= tiny else complex(sigma - 1.0 / mus[j])
         out.append((lam, None if vecs is None else vecs[:, j]))
     return out
 
@@ -145,21 +175,45 @@ def eigenvector_block(vec, size):
     return blocks[int(np.argmax(norms))]
 
 
+def _newton_step(R, dcoeffs, lam, v):
+    """One Newton step on R(lambda) v = 0 with the normalization c^H v = 1.
+
+    c = v / ||v||^2, so the bordered system
+    [[R(lam), R'(lam) v], [c^H, 0]] [dv; dlam] = -[R(lam) v; 0]
+    gives the correction.
+    """
+    n = R.size
+    r = R.eval(lam)
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = r
+    bordered[:n, n] = bo.val_axis0(R.basis.tag, lam, dcoeffs) @ v
+    bordered[n, :n] = v.conj() / np.vdot(v, v).real
+    try:
+        step = np.linalg.solve(bordered, -np.append(r @ v, 0.0))
+    except np.linalg.LinAlgError:
+        # exactly singular: a multiple eigenvalue computed without any error
+        return lam, v
+    return complex(lam + step[n]), v + step[:n]
+
+
 def solve_pep(R, vectors=True):
     """Finite eigenpairs of a matrix polynomial via its linearization.
 
     Returns (lambda, v) pairs with v recovered from the largest block of the
-    linearization eigenvector, or None for v when ``vectors=False``.
+    linearization eigenvector and refined together with lambda by one Newton
+    step on R(lambda) v = 0, or None for v (and no refinement) when
+    ``vectors=False``.
     """
     pencil = (
         colleague_linearize(R) if R.basis == Basis.CHEBYSHEV1 else companion_linearize(R)
     )
-    pairs = []
-    for lam, vec in solve_gep(pencil, vectors):
-        if np.isinf(lam):
-            continue
-        pairs.append((lam, eigenvector_block(vec, R.size) if vectors else None))
-    return pairs
+    pairs = [(lam, vec) for lam, vec in solve_gep(pencil, vectors) if not np.isinf(lam)]
+    if not vectors:
+        return pairs
+    dcoeffs = bo.der_axis0(R.basis.tag, R.coeffs)
+    return [
+        _newton_step(R, dcoeffs, lam, eigenvector_block(vec, R.size)) for lam, vec in pairs
+    ]
 
 
 def _rank_from_singular_values(sv, rank_tol):

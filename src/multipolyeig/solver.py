@@ -1,4 +1,4 @@
-"""End-to-end solver: hidden variable, resultant, QZ, extraction.
+"""End-to-end solver: hidden variable, resultant, eigensolve, extraction.
 
 Pipeline for d >= 2 (single univariate matrix polynomials pass straight to
 the linearization machinery), run once in the given coordinates:
@@ -6,7 +6,9 @@ the linearization machinery), run once in the given coordinates:
 1. choose the hidden variable and permute it last,
 2. build the hidden-variable Dixon resultant R(x_d),
 3. probe the normal rank; compress singular R by a two-sided projection,
-4. linearize (companion/colleague) and solve with QZ,
+4. linearize (companion/colleague), solve by shift and invert, and refine
+   each eigenpair with one Newton step (eigenvalues only, unrefined, for
+   projected pencils),
 5. per eigenpair (for projected pencils, rebuilt from the null space of
    R(lambda)), read the front coordinates off the block Vandermonde structure
    of the eigenvector in one pass, masking entries corrupted by the generic

@@ -135,7 +135,7 @@ class TestDivideOut:
         for basis in BASES:
             grids = _grids(sh, basis)
             vals = values_times_pair_differences(h, sh, basis, grids)
-            got = divide_out(vals, sh, basis, grids)
+            got = divide_out(vals, sh, grids)
             assert got.shape == h.shape
             assert np.max(np.abs(got - h)) <= 1e-14 * np.max(np.abs(h))
 
@@ -147,7 +147,7 @@ class TestDivideOut:
         for basis in BASES:
             grids = _grids(sh, basis)
             vals = values_times_pair_differences(h, sh, basis, grids)
-            got = divide_out(vals, sh, basis, grids)
+            got = divide_out(vals, sh, grids)
             assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))
 
     def test_inconsistent_input_raises(self):
@@ -155,7 +155,7 @@ class TestDivideOut:
         g = np.ones((2, 2, 4, 4), dtype=complex)  # a constant is not divisible by s - t
         for basis in BASES:
             with pytest.raises(DixonConsistencyError):
-                divide_out(g, sh, basis, _grids(sh, basis))
+                divide_out(g, sh, _grids(sh, basis))
 
 
 class TestGrids:

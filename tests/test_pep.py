@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import systems
 from multipolyeig.dixon import ResultantPoly, build_resultant
-from multipolyeig.errors import ProjectionFailureError
+from multipolyeig.errors import ProjectionFailureError, SingularPencilError
 from multipolyeig.mpoly import Basis
 from multipolyeig.pep import (
     MatrixPencil,
@@ -155,6 +156,36 @@ class TestSolveGep:
         with pytest.raises(ValueError):
             MatrixPencil(np.eye(2), np.eye(3))
 
+    def test_rank_deficient_b_matches_qz(self):
+        # B of rank n-2: exactly two infinite eigenvalues; the finite ones
+        # agree with QZ on the same pencil
+        n = 8
+        for seed in range(89, 94):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            b = (rng.standard_normal((n, n - 2)) + 1j * rng.standard_normal((n, n - 2))) @ (
+                rng.standard_normal((n - 2, n)) + 1j * rng.standard_normal((n - 2, n))
+            )
+            lams = np.array([lam for lam, _ in solve_gep(MatrixPencil(a, b))])
+            assert np.count_nonzero(np.isinf(lams)) == 2
+            qz = scipy.linalg.eigvals(a, -b)
+            qz = qz[np.argsort(np.abs(qz))[: n - 2]]  # QZ's two largest are the infinite ones
+            finite = list(lams[np.isfinite(lams)])
+            for want in qz:
+                dists = np.abs(np.array(finite) - want)
+                j = int(np.argmin(dists))
+                assert dists[j] <= 1e-10 * abs(want)
+                finite.pop(j)
+
+    def test_shared_null_vector_raises(self):
+        # A e_1 = B e_1 = 0, so A + sigma*B is singular at every shift
+        rng = np.random.default_rng(94)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        a[:, 0] = b[:, 0] = 0.0
+        with pytest.raises(SingularPencilError):
+            solve_gep(MatrixPencil(a, b))
+
 
 class TestSolvePep:
     def test_matches_determinant_roots_both_bases(self):
@@ -165,6 +196,16 @@ class TestSolvePep:
         match_sets([lam for lam, _ in solve_pep(r)], want, 1e-6)
         got_cheb = [lam for lam, _ in solve_pep(r.convert_basis(Basis.CHEBYSHEV1))]
         match_sets(got_cheb, want, 1e-6)
+
+    def test_exact_multiple_eigenvalue(self):
+        # lambda = 2 comes out exact and R(2) = 0, so the Newton system is
+        # exactly singular; the pairs stay as computed
+        r = ResultantPoly(np.array([-2.0 * np.eye(3), np.eye(3)]), Basis.MONOMIAL)
+        pairs = solve_pep(r)
+        assert len(pairs) == 3
+        for lam, v in pairs:
+            assert abs(lam - 2.0) <= 1e-14
+            assert v.shape == (3,)
 
 
 class TestNormalRank:
