@@ -2,10 +2,10 @@
 
 A system of d matrix polynomials in d variables is solved by hiding the last
 variable, building the tensor Dixon resultant R(x_d), solving the resulting
-univariate polynomial eigenvalue problem by shift and invert with one Newton
-step per eigenpair, and reading the remaining coordinates off the structured
-eigenvectors.  `solve` runs the whole pipeline; the building blocks are
-exported for direct use.
+univariate polynomial eigenvalue problem by shift and invert, reading the
+remaining coordinates off the structured eigenvectors, and polishing every
+root with one Newton step on the original system.  `solve` runs the whole
+pipeline; the building blocks are exported for direct use.
 """
 
 from .dixon import DixonShape, ResultantPoly, build_resultant, dixon_numerator_eval
@@ -24,6 +24,7 @@ from .extract import (
     Solution,
     SolutionSet,
     filter_solutions,
+    refine,
     residual,
     vandermonde_ratios,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "ExtractionConfig",
     "vandermonde_ratios",
     "residual",
+    "refine",
     "filter_solutions",
     "SolverConfig",
     "solve",

@@ -1,10 +1,14 @@
-"""Solution recovery from resultant eigenvectors, residuals, and filtering.
+"""Solution recovery from resultant eigenvectors, refinement, residuals, filtering.
 
 Eigenvectors of the resultant R(x_d) carry block Vandermonde structure: the
 flat vector is a stack of N-sized blocks indexed colexicographically by the
 s-exponent multi-index (i_1..i_{d-1}), and block i holds
 prod_k x_k^{i_k} * v.  The coordinate x_k is therefore the entrywise ratio of
 the unit-exponent block e_k against the zero-exponent block.
+
+Candidate points are then refined and gated in one batch on the original
+system (`refine`), with the normalized residual that `residual` gives for a
+single point.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +24,7 @@ __all__ = [
     "block_indices",
     "vandermonde_ratios",
     "residual",
+    "refine",
     "filter_solutions",
 ]
 
@@ -158,17 +163,125 @@ def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):
     return vh[rank:].conj().T
 
 
-def residual(p, x):
-    """Normalized residual max_i sigma_min(P_i(x)) / scale_i at a point."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    worst = 0.0
-    for poly in p.polys:
+def _per_slice(fn, lo, hi, width):
+    """fn(slice(lo, hi)) as one stacked LAPACK call, shape (hi - lo, width).
+
+    When LAPACK rejects the stack (an exactly singular slice, an SVD that does
+    not converge), the range is halved until each failing slice stands alone;
+    that slice's row is NaN.
+    """
+    try:
+        return fn(slice(lo, hi))
+    except np.linalg.LinAlgError:
+        if hi - lo == 1:
+            return np.full((1, width), np.nan, dtype=complex)
+        mid = (lo + hi) // 2
+        return np.concatenate(
+            [_per_slice(fn, lo, mid, width), _per_slice(fn, mid, hi, width)]
+        )
+
+
+def _gate(p, mats):
+    """Normalized residuals of k points, and each equation's null vectors.
+
+    ``mats[i]`` stacks P_i at the k points.  The residual of a point is
+    max_i sigma_min(P_i(x)) / scale_i, with scale_i the largest coefficient
+    norm of P_i (a zero polynomial contributes 0); a point where some P_i is
+    not finite, or its SVD fails, gets an infinite residual.  Also returns,
+    per equation, the right singular vectors of sigma_min (NaN where it is
+    infinite).
+    """
+    k = mats[0].shape[0]
+    worst = np.zeros(k)
+    vecs = []
+    for poly, stack in zip(p.polys, mats):
+        finite = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2)))
+
+        def smallest(sl):
+            _, sv, vh = np.linalg.svd(stack[finite[sl]])
+            return np.concatenate([sv[:, -1:], vh[:, -1].conj()], axis=1)
+
+        got = np.full((k, poly.n + 1), np.nan, dtype=complex)
+        if finite.size:
+            got[finite] = _per_slice(smallest, 0, finite.size, poly.n + 1)
+        sigma = got[:, 0].real
+        sigma[np.isnan(sigma)] = np.inf
         scale = poly.max_coeff_norm()
-        if scale == 0.0:
-            continue
-        sv = np.linalg.svd(poly.eval(x), compute_uv=False)
-        worst = max(worst, float(sv[-1]) / scale)
-    return worst
+        if scale > 0.0:
+            worst = np.maximum(worst, sigma / scale)
+        vecs.append(got[:, 1:])
+    return worst, vecs
+
+
+def residual(p, x):
+    """Normalized residual max_i sigma_min(P_i(x)) / scale_i at a point.
+
+    Given a (k, d) array of points instead, returns their k residuals from
+    one batched evaluation.  This is the value `refine` gates on.
+    """
+    x = np.asarray(x, dtype=complex)
+    pts = x.reshape(-1, p.d)
+    res = _gate(p, [poly.eval_many(pts) for poly in p.polys])[0]
+    return res if x.ndim == 2 else float(res[0])
+
+
+def _bordered_steps(jets, vecs):
+    """Newton corrections of x for P_i(x) v_i = 0, v_i^H v_i = 1 at k points.
+
+    ``jets[i]`` stacks P_i and its d partials, ``vecs[i]`` the current v_i.
+    Each point's bordered Jacobian, of side sum(n_i) + d, is
+    [[P_i, (dP_i/dx_j) v_i], [v_i^H, 0]] with equation blocks on the
+    diagonal; all are solved in one stacked call.  A point whose system is
+    singular or not finite gets a NaN step.
+    """
+    k, d = jets[0].shape[0], jets[0].shape[1] - 1
+    side = sum(v.shape[1] for v in vecs)
+    jac = np.zeros((k, side + d, side + d), dtype=complex)
+    rhs = np.zeros((k, side + d, 1), dtype=complex)
+    at = 0
+    for i, (jet, v) in enumerate(zip(jets, vecs)):
+        n = v.shape[1]
+        jac[:, at : at + n, at : at + n] = jet[:, 0]
+        jac[:, at : at + n, side:] = np.einsum("kjab,kb->kaj", jet[:, 1:], v)
+        jac[:, side + i, at : at + n] = v.conj()
+        rhs[:, at : at + n, 0] = -np.einsum("kab,kb->ka", jet[:, 0], v)
+        at += n
+    ok = np.flatnonzero(np.all(np.isfinite(jac), axis=(1, 2)))
+    steps = np.full((k, d), np.nan, dtype=complex)
+    if ok.size:
+
+        def solve(sl):
+            return np.linalg.solve(jac[ok[sl]], rhs[ok[sl]])[:, side:, 0]
+
+        steps[ok] = _per_slice(solve, 0, ok.size, d)
+    return steps
+
+
+def refine(p, X):
+    """One Newton step on the original system at each of k points, gated.
+
+    For every row x of X (shape (k, d)), takes v_i as the right singular
+    vector of sigma_min(P_i(x)), makes one Newton step on P_i(x) v_i = 0,
+    v_i^H v_i = 1 for all i at once, and returns whichever of x and the
+    stepped point has the smaller normalized residual (see `residual`) with
+    that residual: ``(points, residuals)``.  A point whose step is singular
+    or not finite comes back unchanged; nothing here raises.
+    """
+    X = np.asarray(X, dtype=complex).reshape(-1, p.d)
+    if X.shape[0] == 0:
+        return X.copy(), np.zeros(0)
+    # a point far enough out overflows; _gate gives it an infinite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = [poly.eval_many(X, jet=True) for poly in p.polys]
+        before, vecs = _gate(p, [jet[:, 0] for jet in jets])
+        stepped = X + _bordered_steps(jets, vecs)
+        after = np.full(X.shape[0], np.inf)
+        ok = np.flatnonzero(np.all(np.isfinite(stepped), axis=1))
+        if ok.size:
+            after[ok] = _gate(p, [poly.eval_many(stepped[ok]) for poly in p.polys])[0]
+    better = after < before
+    points = np.where(better[:, None], stepped, X)
+    return points, np.where(better, after, before)
 
 
 def filter_solutions(cands, cfg):

@@ -61,6 +61,7 @@ class MatrixPoly:
         self.basis = _as_basis(basis)
         self.d = d
         self._max_coeff_norm = None
+        self._jet = None
 
     @property
     def n(self):
@@ -83,22 +84,40 @@ class MatrixPoly:
             vals = bo.val_axis0(self.basis.tag, x[k], vals)
         return vals
 
-    def eval_many(self, pts):
-        """Evaluate at an (m, d) array of points; returns (m, n, n)."""
+    def eval_many(self, pts, jet=False):
+        """Evaluate at an (m, d) array of points; returns (m, n, n).
+
+        With ``jet=True`` returns (m, d+1, n, n): the value followed by the d
+        partial derivatives.  Either way it is one contraction of the
+        outer-product basis rows of each point with the flattened
+        coefficients (for ``jet``, the cached value-plus-derivative table), so
+        a point's result does not depend on the other points in the batch.
+        """
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError("pts must have shape (m, d)")
-        letters = "abcdefghijklmnopqrstuvw"
-        if self.d > len(letters):
-            raise ValueError("too many variables")
-        rows = [bo.basis_rows(self.basis.tag, pts[:, k], self.tau[k]) for k in range(self.d)]
-        spec = (
-            ",".join("z" + letters[k] for k in range(self.d))
-            + ","
-            + letters[: self.d]
-            + "xy->zxy"
-        )
-        return np.einsum(spec, *rows, self.coeffs)
+        m, n = pts.shape[0], self.n
+        rows = np.ones((m, 1), dtype=complex)
+        for k in range(self.d):
+            vals = bo.basis_rows(self.basis.tag, pts[:, k], self.tau[k])
+            rows = (rows[:, :, None] * vals[:, None, :]).reshape(m, -1)
+        table = self._jet_table() if jet else self.coeffs.reshape(-1, n * n)
+        out = np.einsum("mr,rc->mc", rows, table)
+        return out.reshape((m, self.d + 1, n, n) if jet else (m, n, n))
+
+    def _jet_table(self):
+        """Coefficients of P and of its d partial derivatives, one column
+        block each, rows in the flattened degree order (cached: the
+        coefficients are read-only)."""
+        if self._jet is None:
+            parts = [self.coeffs]
+            for k in range(self.d):
+                der = bo.der_axis0(self.basis.tag, np.moveaxis(self.coeffs, k, 0))
+                pad = [(0, self.tau[k] + 1 - der.shape[0])] + [(0, 0)] * (self.d + 1)
+                parts.append(np.moveaxis(np.pad(der, pad), 0, k))
+            table = np.stack(parts, axis=self.d)
+            self._jet = table.reshape(-1, (self.d + 1) * self.n * self.n)
+        return self._jet
 
     def hide_last(self, xd):
         """Substitute the last variable, returning a (d-1)-variable polynomial."""

@@ -101,18 +101,18 @@ def solve_linear_mep(mep):
         raise SingularMepError("Delta_0 is numerically singular; not a regular MEP")
     deltas = [delta(mep, k) for k in range(1, mep.d + 1)]
     vals, left, right = scipy.linalg.eig(deltas[-1], d0, left=True, right=True)
-    pmep = mep.to_pmep()
-    sols = []
+    points = np.empty((vals.shape[0], mep.d), dtype=complex)
+    points[:, -1] = vals
     for idx in range(vals.shape[0]):
         z = right[:, idx]
         w = left[:, idx]
         denom = w.conj() @ (d0 @ z)
-        x = np.empty(mep.d, dtype=complex)
-        x[-1] = vals[idx]
         for k in range(mep.d - 1):
-            x[k] = (w.conj() @ (deltas[k] @ z)) / denom
-        sol = Solution(x, residual(pmep, x))
-        sol.eigenvectors = kron_factor(z, mep.sizes)
+            points[idx, k] = (w.conj() @ (deltas[k] @ z)) / denom
+    sols = []
+    for idx, res in enumerate(residual(mep.to_pmep(), points)):
+        sol = Solution(points[idx], res)
+        sol.eigenvectors = kron_factor(right[:, idx], mep.sizes)
         sols.append(sol)
     sols.sort(key=lambda s: s.residual)
     return SolutionSet(sols, {"resultant_size": mep.N, "normal_rank": mep.N,

@@ -3,9 +3,10 @@
 A matrix polynomial R(lambda) of degree m is reduced to a pencil A + lambda*B
 of side m*dim (companion form in the monomial basis, colleague form in the
 Chebyshev basis), solved densely as the standard eigenvalue problem of
-(A + sigma*B)^-1 B, and each eigenpair is refined by one Newton step on
-R(lambda) v = 0.  When R is a singular polynomial it is first compressed to
-its normal rank by a random two-sided orthogonal projection.
+(A + sigma*B)^-1 B.  When R is a singular polynomial it is first compressed to
+its normal rank by a random two-sided orthogonal projection.  Eigenpairs come
+back unrefined: the solver polishes the roots they lead to with one Newton
+step on the original system (`extract.refine`).
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from . import _basisops as bo
 from .dixon import ResultantPoly
 from .errors import ProjectionFailureError, SingularPencilError
 from .mpoly import Basis
@@ -175,44 +175,19 @@ def eigenvector_block(vec, size):
     return blocks[int(np.argmax(norms))]
 
 
-def _newton_step(R, dcoeffs, lam, v):
-    """One Newton step on R(lambda) v = 0 with the normalization c^H v = 1.
-
-    c = v / ||v||^2, so the bordered system
-    [[R(lam), R'(lam) v], [c^H, 0]] [dv; dlam] = -[R(lam) v; 0]
-    gives the correction.
-    """
-    n = R.size
-    r = R.eval(lam)
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = r
-    bordered[:n, n] = bo.val_axis0(R.basis.tag, lam, dcoeffs) @ v
-    bordered[n, :n] = v.conj() / np.vdot(v, v).real
-    try:
-        step = np.linalg.solve(bordered, -np.append(r @ v, 0.0))
-    except np.linalg.LinAlgError:
-        # exactly singular: a multiple eigenvalue computed without any error
-        return lam, v
-    return complex(lam + step[n]), v + step[:n]
-
-
 def solve_pep(R, vectors=True):
     """Finite eigenpairs of a matrix polynomial via its linearization.
 
-    Returns (lambda, v) pairs with v recovered from the largest block of the
-    linearization eigenvector and refined together with lambda by one Newton
-    step on R(lambda) v = 0, or None for v (and no refinement) when
-    ``vectors=False``.
+    Returns (lambda, v) pairs, unrefined, with v the largest block of the
+    linearization eigenvector, or None for v when ``vectors=False``.
     """
     pencil = (
         colleague_linearize(R) if R.basis == Basis.CHEBYSHEV1 else companion_linearize(R)
     )
-    pairs = [(lam, vec) for lam, vec in solve_gep(pencil, vectors) if not np.isinf(lam)]
-    if not vectors:
-        return pairs
-    dcoeffs = bo.der_axis0(R.basis.tag, R.coeffs)
     return [
-        _newton_step(R, dcoeffs, lam, eigenvector_block(vec, R.size)) for lam, vec in pairs
+        (lam, None if vec is None else eigenvector_block(vec, R.size))
+        for lam, vec in solve_gep(pencil, vectors)
+        if not np.isinf(lam)
     ]
 
 

@@ -6,9 +6,8 @@ the linearization machinery), run once in the given coordinates:
 1. choose the hidden variable and permute it last,
 2. build the hidden-variable Dixon resultant R(x_d),
 3. probe the normal rank; compress singular R by a two-sided projection,
-4. linearize (companion/colleague), solve by shift and invert, and refine
-   each eigenpair with one Newton step (eigenvalues only, unrefined, for
-   projected pencils),
+4. linearize (companion/colleague) and solve by shift and invert
+   (eigenvalues only for projected pencils); the eigenpairs stay unrefined,
 5. per eigenpair (for projected pencils, rebuilt from the null space of
    R(lambda)), read the front coordinates off the block Vandermonde structure
    of the eigenvector in one pass, masking entries corrupted by the generic
@@ -18,13 +17,16 @@ the linearization machinery), run once in the given coordinates:
    of block 0.  Coordinates whose blocks the mask removes (and x_1 with
    them, when its read needs them) are re-solved from the equations with
    x_d = lambda substituted,
-6. the one fallback: when the read fails or none of the eigenpair's
-   candidates passes the residual filter, every front coordinate is re-solved
-   from the equations with x_d = lambda substituted (one level of reduction
-   only).  A hidden coordinate shared by several roots mixes their
-   eigenvectors; the substituted equations still have each of them as a root,
-7. undo the permutation, and keep the candidates whose residual on the
-   original system passes the filter.
+6. undo the permutation and gate the candidates of every eigenpair in one
+   call (`extract.refine`): each point takes one Newton step on the original
+   system, keeps it only if it lowers the normalized residual, and passes
+   when that residual is within the filter's tolerance,
+7. the one fallback: for each eigenpair whose read failed or none of whose
+   candidates passed, every front coordinate is re-solved from the equations
+   with x_d = lambda substituted (one level of reduction only), and those
+   candidates are gated in a second call.  A hidden coordinate shared by
+   several roots mixes their eigenvectors; the substituted equations still
+   have each of them as a root.  The passing candidates are deduplicated.
 """
 
 import math
@@ -46,7 +48,7 @@ from .extract import (
     block_indices,
     filter_solutions,
     generic_nullspace_basis,
-    residual,
+    refine,
     vandermonde_ratios,
 )
 from .mpoly import Basis, Pmep
@@ -196,11 +198,9 @@ def _pep_solutions(p, cfg):
     work = r
     if projected:
         work, _, _ = project_singular(r, rp, rng)
-    pairs = solve_pep(work) if work.m >= 1 else []
-    cands = [
-        Solution([lam], residual(p, [lam]), {"projected": projected})
-        for lam, _ in pairs
-    ]
+    pairs = solve_pep(work, vectors=False) if work.m >= 1 else []
+    points, res = refine(p, [lam for lam, _ in pairs])
+    cands = [Solution(x, rx, {"projected": projected}) for x, rx in zip(points, res)]
     out = filter_solutions(cands, cfg.extraction)
     out.diagnostics = {
         "resultant_size": r.size,
@@ -224,7 +224,7 @@ def _lost_coordinate_candidates(work, front, lam, lost, cfg, depth):
             r = ResultantPoly(sub.coeffs, sub.basis).trim()
             if r.m < 1 or r.max_coeff_norm() == 0.0:
                 continue
-            values.extend(lam_k for lam_k, _ in solve_pep(r))
+            values.extend(lam_k for lam_k, _ in solve_pep(r, vectors=False))
         out = []
         for val in values:
             y = np.array(front, dtype=complex)
@@ -250,6 +250,16 @@ def _lost_coordinate_candidates(work, front, lam, lost, cfg, depth):
     return out
 
 
+def _refine_groups(p, groups):
+    """Refine and gate every point of every group in one call (none when the
+    groups are empty); returns the (point, residual) pairs in the same
+    grouping."""
+    sizes = [len(g) for g in groups]
+    if not sum(sizes):
+        return [[] for _ in groups]
+    points, res = refine(p, [x for g in groups for x in g])
+    ends = np.cumsum(sizes)
+    return [list(zip(points[e - n : e], res[e - n : e])) for n, e in zip(sizes, ends)]
 
 
 def solve(p, cfg=None, _depth=0):
@@ -311,35 +321,27 @@ def solve(p, cfg=None, _depth=0):
         lost = [0] + lost
     recover = [k for k in range(d - 1) if k not in lost and shape.alpha[k] > 0]
     unknown = np.full(d - 1, np.nan, dtype=complex)
+    unpermute = np.argsort(np.array(perm) - 1)
 
-    def candidates(front, lam, missing):
-        """Solutions from a front and lambda, completing the missing coordinates."""
+    def complete(front, lam, missing):
+        """Points in the original coordinates from a front and lambda,
+        completing the missing coordinates."""
         if not missing:
-            ys = [np.concatenate([front, [lam]])]
-        else:
-            # a spurious eigenvalue can make the substituted equations
-            # arbitrarily degenerate; give up on the eigenpair, not the solve
-            try:
-                ys = _lost_coordinate_candidates(work, front, lam, missing, cfg, _depth)
-            except (ValueError, MultiPolyEigError):
-                return []
-        out = []
-        for y in ys:
-            x = np.empty(d, dtype=complex)
-            for k in range(d):
-                x[perm[k] - 1] = y[k]
-            flags = {"projected": projected, "reduced": bool(missing)}
-            out.append(Solution(x, residual(p, x), flags))
-        return out
+            return [np.append(front, lam)[unpermute]]
+        # a spurious eigenvalue can make the substituted equations
+        # arbitrarily degenerate; give up on the eigenpair, not the solve
+        try:
+            ys = _lost_coordinate_candidates(work, front, lam, missing, cfg, _depth)
+        except (ValueError, MultiPolyEigError):
+            return []
+        return [y[unpermute] for y in ys]
 
-    dropped = 0
-    cands = []
     kf = cfg.extraction.keep_fraction
+    groups = []
     for lam, vec in eigpairs:
         if projected:
             null = _null_basis(R.eval(lam), cfg.rank_tol)
             vec = _least_generic_combination(null, generic_basis)
-        sols = []
         try:
             front = unknown.copy()
             if recover:
@@ -348,19 +350,30 @@ def solve(p, cfg=None, _depth=0):
                 )
             if read:
                 front[0] = _degree_one_read(work, shape, vec, front, lam)
-            sols = candidates(front, lam, lost)
+            groups.append(complete(front, lam, lost))
         except ExtractionFailureError:
-            pass
-        # a hidden coordinate shared by several roots mixes their eigenvectors;
-        # substituting lambda into the equations still finds every one of them
-        if len(lost) < d - 1 and not any(
-            s.residual <= cfg.extraction.residual_tol for s in sols
-        ):
-            sols = candidates(unknown, lam, list(range(d - 1)))
-        if not sols:
-            dropped += 1
-        cands.extend(sols)
+            groups.append([])
+    gated = _refine_groups(p, groups)
+    reduced = [bool(lost)] * len(groups)
 
+    # a hidden coordinate shared by several roots mixes their eigenvectors;
+    # substituting lambda into the equations still finds every one of them
+    tol = cfg.extraction.residual_tol
+    if len(lost) < d - 1:
+        retry = [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)]
+        everything = list(range(d - 1))
+        redone = _refine_groups(
+            p, [complete(unknown, eigpairs[j][0], everything) for j in retry]
+        )
+        for j, g in zip(retry, redone):
+            gated[j], reduced[j] = g, True
+
+    dropped = sum(1 for g in gated if not g)
+    cands = [
+        Solution(x, r, {"projected": projected, "reduced": red})
+        for g, red in zip(gated, reduced)
+        for x, r in g
+    ]
     out = filter_solutions(cands, cfg.extraction)
     out.diagnostics = {
         "resultant_size": R.size,

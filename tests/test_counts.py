@@ -22,10 +22,9 @@ st = hypothesis.strategies
 # largest root count drawn: keeps every pencil small enough for a fast suite
 MAX_ROOTS = 144
 
-# A known loss, pinned below and kept out of the generated draws: one of the
-# 144 roots has |x_3| = 27, where sigma_min(P_1(x)) at the computed root sits
-# near 1e-8 * scale_1 (|P_1(x)| is 2e5 times scale_1), so its one good
-# candidate misses residual_tol by a quarter.  Hiding x_2 finds all 144.
+# One of its 144 roots has |x_3| = 27, where |P_1(x)| is 2e5 times the
+# coefficient scale of P_1: unrefined, that root misses residual_tol by a
+# quarter; one Newton step on the original system brings it in.
 FAR_ROOT_DRAW = (3, (3, 1, 1), (2, 2, 2), Basis.CHEBYSHEV1)
 
 
@@ -75,11 +74,10 @@ def assert_generic_count(seed, sizes, tau, basis):
 
 
 @hypothesis.settings(max_examples=100, derandomize=True, deadline=None)
-@hypothesis.given(dense_systems().filter(lambda case: case != FAR_ROOT_DRAW))
+@hypothesis.given(dense_systems())
 def test_generic_dense_count(case):
     assert_generic_count(*case)
 
 
-@pytest.mark.xfail(reason="a root far outside the unit polydisc fails residual_tol")
 def test_far_root_draw():
     assert_generic_count(*FAR_ROOT_DRAW)

@@ -11,8 +11,10 @@ from multipolyeig.extract import (
     Solution,
     SolutionSet,
     block_indices,
+    _gate,
     filter_solutions,
     generic_nullspace_basis,
+    refine,
     residual,
     vandermonde_ratios,
 )
@@ -177,6 +179,64 @@ class TestResidual:
             MatrixPoly(2.0**-4 * p.polys[1].coeffs, p.polys[1].basis),
         ])
         assert residual(scaled, x) == residual(p, x)
+
+    def test_stack_matches_points(self):
+        rng = np.random.default_rng(54)
+        p = systems.random_pmep(rng, (2, 3), (2, 1))
+        pts = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        assert list(residual(p, pts)) == [residual(p, x) for x in pts]
+
+
+class TestRefine:
+    def test_perturbed_root_comes_back(self):
+        p = systems.quadratic_pair_system()
+        roots = np.array(systems.quadratic_pair_solutions())
+        rng = np.random.default_rng(60)
+        kick = rng.standard_normal(roots.shape) + 1j * rng.standard_normal(roots.shape)
+        start = roots + 1e-6 * kick / np.abs(kick)
+        points, res = refine(p, start)
+        # quadratic convergence: an error of 1e-6 falls to about 1e-12
+        assert np.max(np.abs(points - roots)) <= 1e-10
+        assert np.max(res) <= 1e-10 < min(residual(p, x) for x in start)
+
+    def test_singular_jacobian_leaves_only_that_point(self):
+        # at x = 2, P = diag(0, 0, -3): the null space is two-dimensional, so
+        # the bordered Jacobian is exactly singular; x = 5 is a simple root
+        c = np.zeros((2, 3, 3))
+        c[0] = np.diag([-2.0, -2.0, -5.0])
+        c[1] = np.eye(3)
+        p = Pmep([MatrixPoly(c)])
+        start = np.array([[2.0], [5.0 + 1e-6], [np.inf]])
+        points, res = refine(p, start)
+        assert points[0, 0] == 2.0 and res[0] == 0.0
+        assert abs(points[1, 0] - 5.0) <= 1e-12
+        assert points[2, 0] == np.inf and res[2] == np.inf
+
+    def test_never_worse_than_the_input(self):
+        # points near roots, where the step helps, and random points, where
+        # it mostly does not
+        p = systems.quadratic_pair_system()
+        rng = np.random.default_rng(61)
+        roots = np.array(systems.quadratic_pair_solutions())
+        start = np.concatenate([
+            roots + 1e-3 * rng.standard_normal(roots.shape),
+            rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)),
+        ])
+        points, res = refine(p, start)
+        assert np.all(res <= [residual(p, x) for x in start])
+        assert np.all(res == [residual(p, x) for x in points])
+
+    def test_residual_is_the_pre_step_value(self):
+        rng = np.random.default_rng(62)
+        p = systems.random_pmep(rng, (3, 2, 1), (1, 2, 1), Basis.CHEBYSHEV1)
+        start = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        jets = [poly.eval_many(start, jet=True) for poly in p.polys]
+        before, _ = _gate(p, [jet[:, 0] for jet in jets])
+        assert list(before) == [residual(p, x) for x in start]
+
+    def test_empty_batch(self):
+        points, res = refine(systems.quadratic_pair_system(), np.zeros((0, 2)))
+        assert points.shape == (0, 2) and res.shape == (0,)
 
 
 class TestFilterSolutions:

@@ -84,6 +84,22 @@ class TestEval:
         for i in range(6):
             assert np.allclose(batch[i], p.eval(pts[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+    def test_eval_many_jet_matches_partials(self, basis):
+        # oracle: differentiate the monomial coefficients along each axis
+        rng = np.random.default_rng(10)
+        p = random_poly(rng, 3, 2, (2, 0, 3), basis)
+        mono = p.convert_basis(Basis.MONOMIAL).coeffs
+        pts = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        jet = p.eval_many(pts, jet=True)
+        assert jet.shape == (5, 4, 2, 2)
+        assert np.array_equal(jet[:, 0], p.eval_many(pts))
+        for k in range(3):
+            der = np.polynomial.polynomial.polyder(mono, axis=k)
+            for i in range(5):
+                want = naive_monomial_eval(der, pts[i])
+                assert np.allclose(jet[i, k + 1], want, rtol=1e-12, atol=1e-12)
+
     def test_chebyshev_eval_matches_conversion(self):
         rng = np.random.default_rng(9)
         p = random_poly(rng, 2, 2, (3, 2), Basis.CHEBYSHEV1)

@@ -198,8 +198,8 @@ class TestSolvePep:
         match_sets(got_cheb, want, 1e-6)
 
     def test_exact_multiple_eigenvalue(self):
-        # lambda = 2 comes out exact and R(2) = 0, so the Newton system is
-        # exactly singular; the pairs stay as computed
+        # lambda = 2 comes out exact and R(2) = 0, a triple eigenvalue with a
+        # full eigenspace; solve_pep returns every pair unrefined, as computed
         r = ResultantPoly(np.array([-2.0 * np.eye(3), np.eye(3)]), Basis.MONOMIAL)
         pairs = solve_pep(r)
         assert len(pairs) == 3
