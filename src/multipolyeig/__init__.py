@@ -1,11 +1,11 @@
 """Global solver for polynomial multiparameter eigenvalue problems.
 
 A system of d matrix polynomials in d variables is solved by hiding the last
-variable, building the tensor Dixon resultant R(x_d), solving the resulting
-univariate polynomial eigenvalue problem by shift and invert, reading the
-remaining coordinates off the structured eigenvectors, and polishing every
-root with one Newton step on the original system.  `solve` runs the whole
-pipeline; the building blocks are exported for direct use.
+variable, building a resultant R(x_d) (the tensor Dixon resultant, or the
+operator-determinant pencil of a linear problem), solving it by shift and
+invert, reading the remaining coordinates off the structured eigenvectors,
+and polishing every root with one Newton step on the original system.
+`solve` runs the whole pipeline; the building blocks are exported.
 """
 
 from .dixon import DixonShape, ResultantPoly, build_resultant, dixon_numerator_eval

@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MultiPolyEigError
 from .extract import ExtractionConfig, residual
 from .io import (
@@ -91,14 +93,15 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     p = parse_pmep(_read(args.problem))
     sols = parse_solutions(_read(args.solutions))
-    failures = 0
-    worst = 0.0
     for i, s in enumerate(sols):
         if s.x.size != p.d:
             raise ValueError(
                 f"solutions[{i}].x has {s.x.size} coordinates, problem has d={p.d}"
             )
-        r = residual(p, s.x)
+    res = residual(p, np.array([s.x for s in sols]).reshape(-1, p.d))
+    failures = 0
+    worst = 0.0
+    for i, r in enumerate(res):
         worst = max(worst, r)
         ok = r <= args.residual_tol
         failures += 0 if ok else 1

@@ -1,10 +1,11 @@
-"""Operator-determinant solver for linear multiparameter eigenvalue problems.
+"""Operator determinants of linear multiparameter eigenvalue problems.
 
 A linear MEP consists of d equations W_i(x) v_i = (V_i0 - sum_j x_j V_ij) v_i
 = 0 sharing the point x in C^d.  The block Kronecker determinants Delta_0 and
-Delta_k turn it into d generalized eigenvalue problems
+Delta_k (Atkinson) turn it into d generalized eigenvalue problems
 (Delta_k - x_k Delta_0) z = 0 with the shared eigenvector
-z = v_1 kron ... kron v_d.
+z = v_1 kron ... kron v_d.  `solve` builds the pencil for k = d with `delta`;
+`solve_linear_mep` solves it by QZ, an independent reference.
 """
 
 import numpy as np
@@ -74,16 +75,16 @@ def delta(mep, k):
 
 
 def kron_factor(z, sizes):
-    """Best rank-1 Kronecker factorization of z into per-equation vectors."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    """Best rank-1 Kronecker factorization of z into per-equation vectors; a
+    stack z of shape (..., N) gives factors of shape (..., n_i)."""
+    rest = np.asarray(z, dtype=complex)
     factors = []
-    rest = z
     for n in sizes[:-1]:
-        mat = rest.reshape(n, -1)
+        mat = rest.reshape(rest.shape[:-1] + (n, rest.shape[-1] // n))
         u, sv, vh = np.linalg.svd(mat, full_matrices=False)
-        factors.append(u[:, 0])
-        rest = sv[0] * vh[0]
-    factors.append(rest / np.linalg.norm(rest))
+        factors.append(u[..., 0])
+        rest = sv[..., :1] * vh[..., 0, :]
+    factors.append(rest / np.linalg.norm(rest, axis=-1, keepdims=True))
     return factors
 
 

@@ -76,11 +76,12 @@ def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):
                 ok = True
                 break
         if ok:
-            found.append(Solution(x, residual(p, x)))
+            found.append(x)
         else:
             nonconverged += 1
+    res = residual(p, np.array(found).reshape(-1, d))
     cfg = ExtractionConfig(residual_tol=residual_tol)
-    out = filter_solutions(found, cfg)
+    out = filter_solutions([Solution(x, r) for x, r in zip(found, res)], cfg)
     out.diagnostics = {
         "starts": starts,
         "nonconverged": nonconverged,

@@ -201,13 +201,12 @@ def _rank_from_singular_values(sv, rank_tol):
     return int(np.count_nonzero(sv / sv[0] > rank_tol))
 
 
-def normal_rank(R, probes=3, rank_tol=1e-10, rng=None):
-    """Numerical normal rank of R by sampling on a randomly rotated circle."""
-    if probes < 1:
-        raise ValueError("need at least one probe")
+def normal_rank(R, rank_tol=1e-10, rng=None):
+    """Numerical normal rank of R by sampling at three points on a randomly
+    rotated unit circle."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     phase = np.exp(2j * np.pi * rng.uniform())
-    points = [phase * np.exp(2j * np.pi * j / probes) for j in range(probes)]
+    points = [phase * np.exp(2j * np.pi * j / 3) for j in range(3)]
     best = 0
     all_sv = []
     for z in points:
@@ -240,7 +239,7 @@ def project_singular(R, rp, rng=None):
         v = np.linalg.qr(gv)[0]
         coeffs = np.einsum("rd,kde,es->krs", u, R.coeffs, v)
         projected = ResultantPoly(coeffs, R.basis)
-        if normal_rank(projected, probes=3, rank_tol=rp.rank_tol, rng=rng).normal_rank == r:
+        if normal_rank(projected, rank_tol=rp.rank_tol, rng=rng).normal_rank == r:
             return projected, u, v
     raise ProjectionFailureError(
         f"projection to normal rank {r} not confirmed after 3 draws"

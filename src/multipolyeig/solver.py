@@ -1,22 +1,26 @@
 """End-to-end solver: hidden variable, resultant, eigensolve, extraction.
 
-Pipeline for d >= 2 (single univariate matrix polynomials pass straight to
-the linearization machinery), run once in the given coordinates:
+One pipeline for every input, run once in the given coordinates:
 
 1. choose the hidden variable and permute it last,
-2. build the hidden-variable Dixon resultant R(x_d),
+2. build R(x_d): the hidden-variable Dixon resultant in general, the
+   operator-determinant pencil x_d Delta_0 - Delta_d of side N for a linear
+   MEP, the polynomial itself for d = 1,
 3. probe the normal rank; compress singular R by a two-sided projection,
-4. linearize (companion/colleague) and solve by shift and invert
-   (eigenvalues only for projected pencils); the eigenpairs stay unrefined,
+4. linearize (companion/colleague) and solve by shift and invert; the
+   eigenpairs stay unrefined, and carry no vectors when the pencil is
+   projected or nothing is read from them,
 5. per eigenpair (for projected pencils, rebuilt from the null space of
-   R(lambda)), read the front coordinates off the block Vandermonde structure
-   of the eigenvector in one pass, masking entries corrupted by the generic
-   null space.  A degree-one x_1 (alpha_1 = 0) has no block of its own: it
-   is the least-squares quotient of the equations, with the other
-   coordinates substituted, on the Kronecker factors v_1 kron ... kron v_d
-   of block 0.  Coordinates whose blocks the mask removes (and x_1 with
-   them, when its read needs them) are re-solved from the equations with
-   x_d = lambda substituted,
+   R(lambda)), read each x_k with a ratio block (alpha_k > 0) off the block
+   Vandermonde structure of the eigenvector, masking entries corrupted by
+   the generic null space.  Every x_k without one (alpha_k = 0: a degree-one
+   x_1 of the Dixon resultant, every front coordinate of the other two) is
+   read for all eigenpairs in one batch: it solves the equations, with the
+   other coordinates substituted, in the least-squares sense on the
+   Kronecker factors v_1 kron ... kron v_d of block 0.  Coordinates whose
+   blocks the mask removes (and the alpha_k = 0 ones with them, as their
+   read needs them) are re-solved from the equations with x_d = lambda
+   substituted,
 6. undo the permutation and gate the candidates of every eigenpair in one
    call (`extract.refine`): each point takes one Newton step on the original
    system, keeps it only if it lowers the normalized residual, and passes
@@ -29,7 +33,9 @@ the linearization machinery), run once in the given coordinates:
    have each of them as a root.  The passing candidates are deduplicated.
 """
 
+import contextlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,12 +45,10 @@ from .errors import (
     ExtractionFailureError,
     MultiPolyEigError,
     ReductionDepthExceededError,
-    SingularMepError,
 )
 from .extract import (
     ExtractionConfig,
     Solution,
-    SolutionSet,
     block_indices,
     filter_solutions,
     generic_nullspace_basis,
@@ -52,10 +56,13 @@ from .extract import (
     vandermonde_ratios,
 )
 from .mpoly import Basis, Pmep
-from .opdet import LinearMep, kron_factor, solve_linear_mep
+from .opdet import LinearMep, delta, kron_factor
 from .pep import normal_rank, project_singular, solve_pep
 
 __all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
+
+# eigenvector layout of a pencil whose eigenvector is v_1 kron ... kron v_d
+_OneBlock = namedtuple("_OneBlock", "d sizes N alpha")
 
 
 @dataclass
@@ -162,52 +169,54 @@ def _lost_coordinates(shape, mask):
     return lost
 
 
-def _degree_one_read(work, shape, vec, front, lam):
-    """x_1 from the Kronecker factors of the zero block (alpha_1 = 0).
+def _resultant(work):
+    """R(x_d) of the permuted system and the layout of its eigenvectors.
 
-    Block 0 holds v_1 kron ... kron v_d with v_i in ker P_i(x*); its best
-    rank-one factors u_i estimate the v_i.  With the other coordinates
-    substituted, each equation is C0_i + x_1 C1_i in either basis
-    (T_0 = 1, T_1 = x), so x_1 is the least-squares quotient that makes the
-    stacked C0_i u_i + x_1 C1_i u_i smallest.
+    The Dixon resultant in general; for a linear MEP the operator-determinant
+    pencil x_d Delta_0 - Delta_d of side N, and for d = 1 the polynomial
+    itself.  The eigenvector of the last two is the single block
+    v_1 kron ... kron v_d, so no front coordinate has a ratio block.
+    """
+    d = work.d
+    if d == 1:
+        R = ResultantPoly(work.polys[0].coeffs, work.basis)
+    elif (mep := _as_linear_mep(work)) is not None:
+        R = ResultantPoly(np.stack([-delta(mep, d), delta(mep, 0)]))
+    else:
+        return build_resultant(work), DixonShape.from_pmep(work)
+    return R.trim(), _OneBlock(d, work.sizes, work.N, (0,) * (d - 1))
+
+
+def _kronecker_read(work, shape, vecs, pts, coords):
+    """Front coordinates without a ratio block (alpha_k = 0), for k eigenpairs.
+
+    Block 0 of each eigenvector holds v_1 kron ... kron v_d with v_i in
+    ker P_i(x*); its best rank-one factors u_i estimate the v_i.  With the
+    other coordinates of ``pts`` (shape (k, d)) substituted, equation i is
+    C0_i + sum_j x_j Cj_i in the read coordinates ``coords`` (degree one, no
+    cross terms; T_0 = 1, T_1 = x), so they are the least-squares solution
+    that makes the stacked C0_i u_i + sum_j x_j Cj_i u_i smallest.  C0_i and
+    Cj_i are the value and partials of P_i with the read coordinates at 0:
+    one jet evaluation per equation for all eigenpairs.  Rows whose
+    substituted equations are not finite come back NaN.
     """
     d = shape.d
-    factors = kron_factor(vec[block_indices(shape, (0,) * (d - 1))], shape.sizes)
-    known = {k: front[k] for k in range(1, d - 1)}
-    known[d - 1] = lam
+    block = vecs[:, block_indices(shape, (0,) * (d - 1))]
+    at = np.array(pts, dtype=complex)
+    at[:, coords] = 0.0
+    slices = [0] + [1 + j for j in coords]
     a, b = [], []
-    for poly, u in zip(work.polys, factors):
-        c = poly.partial_eval(known).coeffs
-        a.append(c[0] @ u)
-        b.append(c[1] @ u)
-    a = np.concatenate(a)
-    b = np.concatenate(b)
-    bb = np.vdot(b, b).real
-    if bb == 0.0:
-        raise ExtractionFailureError("x_1 drops out of every equation at this eigenpair")
-    return -np.vdot(b, a) / bb
-
-
-def _pep_solutions(p, cfg):
-    """d = 1 passthrough: eigenvalues of the single matrix polynomial."""
-    poly = p.polys[0]
-    r = ResultantPoly(poly.coeffs, poly.basis).trim()
-    rng = np.random.default_rng([cfg.seed, 3])
-    rp = normal_rank(r, rank_tol=cfg.rank_tol, rng=rng)
-    projected = rp.normal_rank < r.size
-    work = r
-    if projected:
-        work, _, _ = project_singular(r, rp, rng)
-    pairs = solve_pep(work, vectors=False) if work.m >= 1 else []
-    points, res = refine(p, [lam for lam, _ in pairs])
-    cands = [Solution(x, rx, {"projected": projected}) for x, rx in zip(points, res)]
-    out = filter_solutions(cands, cfg.extraction)
-    out.diagnostics = {
-        "resultant_size": r.size,
-        "normal_rank": rp.normal_rank,
-        "projected": projected,
-        "dropped_eigenpairs": 0,
-    }
+    for poly, u in zip(work.polys, kron_factor(block, shape.sizes)):
+        cu = np.einsum("kjab,kb->kja", poly.eval_many(at, jet=True)[:, slices], u)
+        a.append(cu[:, 0])
+        b.append(cu[:, 1:])
+    a = np.concatenate(a, axis=1)
+    b = np.concatenate(b, axis=2)
+    ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=(1, 2))
+    out = np.full((len(pts), len(coords)), np.nan, dtype=complex)
+    if np.any(ok):
+        lsq = np.linalg.pinv(np.swapaxes(b[ok], 1, 2))
+        out[ok] = -np.einsum("kjm,km->kj", lsq, a[ok])
     return out
 
 
@@ -272,55 +281,54 @@ def solve(p, cfg=None, _depth=0):
     d = p.d
     if cfg.hide_variable is not None and cfg.hide_variable > d:
         raise ValueError("hide_variable exceeds the number of variables")
-    if d == 1:
-        return _pep_solutions(p, cfg)
-    if any(t < 1 for t in p.tau):
+    if d > 1 and any(t < 1 for t in p.tau):
         raise ValueError(
             "every variable must appear in the system (tau_k >= 1); a missing "
             "variable leaves the point underdetermined"
         )
 
-    mep = _as_linear_mep(p)
-    if mep is not None:
-        try:
-            out = solve_linear_mep(mep)
-        except SingularMepError:
-            out = SolutionSet([])
-        # a regular linear MEP has exactly N eigenvalues; fewer validated
-        # solutions mean repeated coordinates spoiled the Rayleigh quotients
-        result = filter_solutions(out, cfg.extraction)
-        if len(result) >= p.N:
-            result.diagnostics = dict(out.diagnostics)
-            return result
-
-    hide = cfg.hide_variable
-    if hide is None:
-        hide = choose_hidden_variable(p)
+    hide = choose_hidden_variable(p) if cfg.hide_variable is None else cfg.hide_variable
     perm = _hiding_permutation(d, hide)
     work = p.permute_variables(perm)
 
-    R = build_resultant(work)
-    shape = DixonShape.from_pmep(work)
+    R, shape = _resultant(work)
     rng = np.random.default_rng([cfg.seed, 1])
     rp = normal_rank(R, rank_tol=cfg.rank_tol, rng=rng)
     projected = rp.normal_rank < R.size
-    solver_R = R
-    if projected:
-        solver_R, _, _ = project_singular(R, rp, rng)
+    solver_R = project_singular(R, rp, rng)[0] if projected else R
 
-    # projected pencils rebuild each vector from null(R(lambda)) below
-    eigpairs = solve_pep(solver_R, vectors=not projected) if solver_R.m >= 1 else []
     mask = np.ones(R.size, dtype=bool)
-    if projected:
+    if projected and d > 1:
         generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
         mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
     lost = _lost_coordinates(shape, mask)
-    # the Kronecker read of x_1 substitutes every other coordinate
-    read = shape.alpha[0] == 0 and not lost
-    if shape.alpha[0] == 0 and lost:
-        lost = [0] + lost
+    # the Kronecker read substitutes every coordinate it does not read
+    read = [k for k in range(d - 1) if shape.alpha[k] == 0]
+    if lost:
+        lost, read = read + lost, []
     recover = [k for k in range(d - 1) if k not in lost and shape.alpha[k] > 0]
-    unknown = np.full(d - 1, np.nan, dtype=complex)
+    # vectors only where something is read from them; projected pencils
+    # rebuild each one from null(R(lambda)) instead
+    vectors = bool(recover or read)
+    eigpairs = solve_pep(solver_R, vectors=vectors and not projected) if solver_R.m >= 1 else []
+    lams = np.array([lam for lam, _ in eigpairs], dtype=complex)
+    fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
+    if vectors and eigpairs:
+        if projected:
+            vecs = np.array([
+                _least_generic_combination(_null_basis(R.eval(lam), cfg.rank_tol), generic_basis)
+                for lam in lams
+            ])
+        else:
+            vecs = np.array([vec for _, vec in eigpairs])
+        for j, vec in enumerate(vecs if recover else []):
+            with contextlib.suppress(ExtractionFailureError):
+                fronts[j] = vandermonde_ratios(
+                    vec, shape, mask, cfg.extraction.keep_fraction, coords=recover
+                )
+        if read:  # rows whose ratio read failed stay NaN
+            pts = np.column_stack([fronts, lams])
+            fronts[:, read] = _kronecker_read(work, shape, vecs, pts, read)
     unpermute = np.argsort(np.array(perm) - 1)
 
     def complete(front, lam, missing):
@@ -336,23 +344,11 @@ def solve(p, cfg=None, _depth=0):
             return []
         return [y[unpermute] for y in ys]
 
-    kf = cfg.extraction.keep_fraction
-    groups = []
-    for lam, vec in eigpairs:
-        if projected:
-            null = _null_basis(R.eval(lam), cfg.rank_tol)
-            vec = _least_generic_combination(null, generic_basis)
-        try:
-            front = unknown.copy()
-            if recover:
-                front = vandermonde_ratios(
-                    vec, shape, mask=mask, keep_fraction=kf, coords=recover
-                )
-            if read:
-                front[0] = _degree_one_read(work, shape, vec, front, lam)
-            groups.append(complete(front, lam, lost))
-        except ExtractionFailureError:
-            groups.append([])
+    known = recover + read
+    groups = [
+        complete(front, lam, lost) if np.all(np.isfinite(front[known])) else []
+        for front, lam in zip(fronts, lams)
+    ]
     gated = _refine_groups(p, groups)
     reduced = [bool(lost)] * len(groups)
 
@@ -362,9 +358,8 @@ def solve(p, cfg=None, _depth=0):
     if len(lost) < d - 1:
         retry = [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)]
         everything = list(range(d - 1))
-        redone = _refine_groups(
-            p, [complete(unknown, eigpairs[j][0], everything) for j in retry]
-        )
+        unknown = np.full(d - 1, np.nan, dtype=complex)
+        redone = _refine_groups(p, [complete(unknown, lams[j], everything) for j in retry])
         for j, g in zip(retry, redone):
             gated[j], reduced[j] = g, True
 

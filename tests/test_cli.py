@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import multipolyeig
+from multipolyeig import cli
 from multipolyeig.cli import run_cli
 from multipolyeig.io import (
     FLUTTER_MATRIX_NAMES,
@@ -176,6 +177,20 @@ class TestVerifyCommand:
             s.x = s.x + 1e-9
         out.write_text(serialize_solutions(sols), encoding="utf-8")
         assert run_cli(["verify", problem_file, str(out), "--residual-tol", "1e-4"]) == 0
+        capsys.readouterr()
+
+    def test_one_residual_call(self, problem_file, tmp_path, capsys, monkeypatch):
+        out = self.solved_file(problem_file, tmp_path)
+        calls = []
+        original = cli.residual
+
+        def counted(p, x):
+            calls.append(np.shape(x))
+            return original(p, x)
+
+        monkeypatch.setattr(cli, "residual", counted)
+        assert run_cli(["verify", problem_file, str(out)]) == 0
+        assert calls == [(8, 2)]
         capsys.readouterr()
 
     def test_dimension_mismatch(self, problem_file, tmp_path, capsys):

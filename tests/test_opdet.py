@@ -75,6 +75,13 @@ class TestKronFactor:
             v = v / np.linalg.norm(v)
             phase = g @ v.conj() / abs(g @ v.conj())
             assert np.max(np.abs(g - phase * v)) <= 1e-12
+        # a stack of vectors factorizes each one as a lone call would
+        stack = np.stack([z, rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)])
+        stacked = kron_factor(stack, sizes)
+        for k, vec in enumerate(stack):
+            for s, g in zip(stacked, kron_factor(vec, sizes)):
+                assert s.shape == (2, g.size)
+                assert np.allclose(s[k], g, rtol=0, atol=1e-14)
 
 
 class TestSolveLinearMep:

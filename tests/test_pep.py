@@ -211,7 +211,7 @@ class TestSolvePep:
 class TestNormalRank:
     def test_identity_pencil(self):
         r = ResultantPoly(np.stack([np.eye(4), np.zeros((4, 4))]), Basis.MONOMIAL)
-        rp = normal_rank(r, probes=3, rng=0)
+        rp = normal_rank(r, rng=0)
         assert rp.normal_rank == 4
         assert len(rp.sample_points) == 3
         assert all(sv.shape == (4,) for sv in rp.singular_values)
@@ -223,11 +223,6 @@ class TestNormalRank:
     def test_quadratic_pair_full_rank(self):
         r = build_resultant(systems.quadratic_pair_system())
         assert normal_rank(r, rng=0).normal_rank == 8
-
-    def test_probe_validation(self):
-        r = ResultantPoly(np.eye(2)[None], Basis.MONOMIAL)
-        with pytest.raises(ValueError):
-            normal_rank(r, probes=0)
 
 
 class TestProjectSingular:

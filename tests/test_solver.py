@@ -211,17 +211,20 @@ class TestLinearPath:
         )
         assert not out.diagnostics["projected"]
 
-    def test_generic_path_agrees_with_fast_path(self, monkeypatch):
+    def test_dixon_resultant_agrees_with_operator_determinants(self, monkeypatch):
+        # for d = 2 both pencils are x_2 Delta_0 - Delta_2, and both
+        # eigenvectors are the single block v_1 kron v_2: x_1 is read from its
+        # Kronecker factors either way
         rng = np.random.default_rng(12)
         mep = random_linear_mep(rng, (2, 2))
         p = mep.to_pmep()
-        fast = solve(p)
+        opdet = solve(p)
         monkeypatch.setattr(solver, "_as_linear_mep", lambda p: None)
-        generic = solve(p)
-        assert_same_points(generic.points(), fast.points(), 1e-6)
-        # degree-one systems have no positive power of the first variable in
-        # the eigenvector structure; it is read from the Kronecker factors
-        assert all(not s.flags["reduced"] for s in generic)
+        dixon = solve(p)
+        assert len(dixon) == len(opdet) == 4
+        assert_same_points(dixon.points(), opdet.points(), 1e-6)
+        assert all(not s.flags["reduced"] for s in opdet)
+        assert all(not s.flags["reduced"] for s in dixon)
 
     def test_cross_terms_take_generic_path(self):
         p = cross_term_system(5, (2, 2), (1, 1))
@@ -244,10 +247,17 @@ class TestRepeatedHiddenCoordinate:
             assert_same_points(out.points(), roots, 1e-6)
             assert all(s.flags["reduced"] for s in out)
 
-    def test_decoupled_linear_falls_through_fast_path(self):
-        # repeated coordinates spoil the operator-determinant Rayleigh
-        # quotients; the shortfall sends the system to the generic path
+    def test_decoupled_linear_takes_fallback(self, monkeypatch):
+        # x2 takes each of its 3 values at 3 roots, which mixes their
+        # eigenvectors of the operator-determinant pencil; the fallback
+        # re-solves x1 from the equations, with no second resultant
         p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 1)
+        assert solver._as_linear_mep(p) is not None
+
+        def no_dixon(*args, **kwargs):
+            raise AssertionError("a linear MEP built the Dixon resultant")
+
+        monkeypatch.setattr(solver, "build_resultant", no_dixon)
         out = solve(p)
         assert len(out) == 9
         assert_same_points(out.points(), roots, 1e-6)
@@ -337,23 +347,38 @@ def pep_calls(monkeypatch):
 
 
 class TestDegreeOneRead:
-    # tau_1 = 1 leaves the eigenvector no block for x_1; one eigensolve on the
-    # resultant must still give every root, with no per-eigenpair reduction
+    # tau_1 = 1 leaves the eigenvector no block for x_1, and the
+    # operator-determinant pencil of a linear MEP leaves none for any front
+    # coordinate; one eigensolve must still give every root, with no
+    # per-eigenpair reduction
     @pytest.mark.parametrize(
         "sizes, tau, basis, count",
         [
             ((8, 8), (1, 1), Basis.MONOMIAL, 128),
             ((2, 2, 2), (1, 1, 1), Basis.MONOMIAL, 48),
             ((5, 5), (1, 1), Basis.CHEBYSHEV1, 50),
+            # tau None: a linear MEP, degree one with no cross terms
+            pytest.param((3, 3, 3), None, Basis.MONOMIAL, 27, id="linear_mep_n333"),
         ],
     )
     def test_one_pep_solve(self, pep_calls, sizes, tau, basis, count):
-        p = systems.random_pmep(np.random.default_rng(1), sizes, tau, basis)
+        rng = np.random.default_rng(1)
+        mep = random_linear_mep(rng, sizes) if tau is None else None
+        p = mep.to_pmep() if tau is None else systems.random_pmep(rng, sizes, tau, basis)
         out = solve(p)
         assert len(out) == count
         assert pep_calls[0] == 1
         assert all(not s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
+        if mep is None:
+            return
+        assert_same_points(out.points(), solve_linear_mep(mep).points(), 1e-8)
+        for cfg in (SolverConfig(hide_variable=1), SolverConfig(basis=Basis.CHEBYSHEV1)):
+            pep_calls[0] = 0
+            other = solve(p, cfg)
+            assert pep_calls[0] == 1
+            assert all(not s.flags["reduced"] for s in other)
+            assert_same_points(other.points(), out.points(), 1e-8)
 
 
 class TestBatchedGate:
