@@ -1,13 +1,15 @@
 """Hidden-variable tensor Dixon resultant construction.
 
-Pipeline per interpolation node in the hidden variable x_d:
+Pipeline, run on stacks of interpolation nodes in the hidden variable x_d
+(every node of a stack in one array call per step):
 
-1. evaluate the block-determinant numerator of the Dixon function on a tensor
-   grid in (s_1..s_{d-1}, t_1..t_{d-1}),
+1. substitute the nodes into the equations and evaluate the block-determinant
+   numerator of the Dixon function on a tensor grid in
+   (s_1..s_{d-1}, t_1..t_{d-1}),
 2. divide by prod_k (s_k - t_k) pointwise (the s and t node sets are
    disjoint), interpolate the quotient's coefficients and check them by
-   multiplying back,
-3. unfold the coefficient tensor into a square matrix,
+   multiplying back, node by node,
+3. unfold each node's coefficient tensor into a square matrix,
 
 then interpolate the matrices across the x_d nodes to get the matrix
 polynomial R(x_d).
@@ -199,38 +201,45 @@ def _split_interleaved(k_s, k_t):
     return nodes[take_s], nodes[~take_s]
 
 
-def _numerator_on_grid(hidden, shape, grids):
-    """Numerator values on the tensor grid; axes (s_1.., t_1.., N, N).
+def _hide_nodes(p, xd_nodes):
+    """Every equation with x_d substituted at every node, in one contraction
+    each: axes (node, x_1.., x_{d-1}, n, n)."""
+    rows = bo.basis_rows(p.basis.tag, xd_nodes, p.tau[-1])
+    return [np.tensordot(rows, poly.coeffs, axes=(1, p.d - 1)) for poly in p.polys]
 
-    `hidden` holds the equations with x_d already substituted.
+
+def _numerator_on_grid(hidden, shape, grids, basis):
+    """Numerator values on the tensor grid at a stack of x_d nodes; axes
+    (node, s_1.., t_1.., N, N).
+
+    `hidden` holds the equations with x_d already substituted (`_hide_nodes`).
     """
     d = shape.d
-    basis = hidden[0].basis.tag
     s_rows = [bo.basis_rows(basis, grids.s[k], shape.tau[k]) for k in range(d - 1)]
     t_rows = [bo.basis_rows(basis, grids.t[k], shape.tau[k]) for k in range(d - 1)]
-    grid_axes = 2 * (d - 1)
     evals = []
-    for poly in hidden:
+    for coeffs in hidden:
         per_col = []
         for col in range(d):
-            vals = poly.coeffs
+            vals = coeffs
             for k in range(d - 1):
                 rows = t_rows[k] if k < col else s_rows[k]
-                vals = bo.apply_matrix_axis(vals, rows, k)
-            # expand to the common axis order (s_1.., t_1.., n, n)
-            full = np.expand_dims(vals, axis=tuple(range(d - 1, 2 * (d - 1))))
-            order = list(range(grid_axes + 2))
-            for k in range(d - 1):
-                if k < col:  # axis k currently holds the t_k grid
-                    order[k], order[d - 1 + k] = order[d - 1 + k], order[k]
+                vals = bo.apply_matrix_axis(vals, rows, 1 + k)
+            # expand to the common axis order (node, s_1.., t_1.., n, n)
+            full = np.expand_dims(vals, axis=tuple(range(d, 2 * d - 1)))
+            order = list(range(full.ndim))
+            for k in range(col):  # axis 1 + k currently holds the t_k grid
+                order[1 + k], order[d + k] = order[d + k], order[1 + k]
             per_col.append(np.transpose(full, order) if col else full)
         evals.append(per_col)
     return kron_det(evals)
 
 
 def _axis_pair(shape, k):
-    """Tensor axes of the s_k and t_k degrees in a Dixon coefficient tensor."""
-    return k, (shape.d - 1) + k
+    """Tensor axes of the s_k and t_k degrees in a Dixon coefficient tensor,
+    counted from the end so that leading (node) axes pass through."""
+    s_axis = k - 2 * shape.d
+    return s_axis, s_axis + (shape.d - 1)
 
 
 def _multiply_pair(h, ms, mt, ax_s, ax_t):
@@ -246,26 +255,36 @@ def _multiply_pair(h, ms, mt, ax_s, ax_t):
     return out
 
 
+def _coeff_shape(shape):
+    """Shape of one Dixon coefficient tensor."""
+    return (
+        tuple(a + 1 for a in shape.alpha)
+        + tuple(b + 1 for b in shape.beta)
+        + (shape.N, shape.N)
+    )
+
+
 def divide_out(num_vals, shape, grids, check_tol=1e-8):
     """Dixon coefficient tensor: the numerator divided by prod_k (s_k - t_k).
 
     `num_vals` holds the numerator on the tensor grid `grids` (from
-    `_grids(shape, basis)`, which fixes the basis), axes (s_1.., t_1.., N, N).
+    `_grids(shape, basis)`, which fixes the basis), axes (s_1.., t_1.., N, N),
+    after any leading axes (one per x_d node of a stack), which pass through.
     No s_k node equals a t_k node, so the division is pointwise.
     Interpolating the quotient gives coefficients of degree alpha_k+1 in s_k
     and beta_k+1 in t_k; the top ones vanish for an exact numerator and are
     dropped.
 
-    The returned quotient is multiplied back by prod_k (s_k - t_k) and
-    compared with the interpolated numerator; a relative mismatch above
-    check_tol raises DixonConsistencyError.
+    Each returned quotient is multiplied back by prod_k (s_k - t_k) and
+    compared with its interpolated numerator; a relative mismatch above
+    check_tol at any node raises DixonConsistencyError.
     """
     num = np.asarray(num_vals, dtype=complex)
     quot = num
     for k in range(shape.d - 1):
         ax_s, ax_t = _axis_pair(shape, k)
-        diff = grids.s[k].reshape((-1,) + (1,) * (num.ndim - 1 - ax_s))
-        diff = diff - grids.t[k].reshape((-1,) + (1,) * (num.ndim - 1 - ax_t))
+        diff = grids.s[k].reshape((-1,) + (1,) * (-1 - ax_s))
+        diff = diff - grids.t[k].reshape((-1,) + (1,) * (-1 - ax_t))
         quot = quot / diff
     for k in range(shape.d - 1):
         ax_s, ax_t = _axis_pair(shape, k)
@@ -273,15 +292,18 @@ def divide_out(num_vals, shape, grids, check_tol=1e-8):
         quot = bo.apply_matrix_axis(quot, grids.t_interp[k], ax_t)
         num = bo.apply_matrix_axis(num, grids.s_interp[k], ax_s)
         num = bo.apply_matrix_axis(num, grids.t_interp[k], ax_t)
-    quot = quot[tuple(slice(a + 1) for a in shape.alpha) + tuple(slice(b + 1) for b in shape.beta)]
+    quot = quot[(Ellipsis,) + tuple(slice(n) for n in _coeff_shape(shape))]
     back = quot
     for k in range(shape.d - 1):
         back = _multiply_pair(back, grids.s_shift[k], grids.t_shift[k], *_axis_pair(shape, k))
-    scale = float(np.max(np.abs(num))) or 1.0
-    err = float(np.max(np.abs(back - num)))
-    if err > check_tol * scale:
+    per_node = tuple(range(num.ndim - 2 * shape.d, num.ndim))
+    scale = np.max(np.abs(num), axis=per_node)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    err = np.max(np.abs(back - num), axis=per_node)
+    if np.any(err > check_tol * scale):
         raise DixonConsistencyError(
-            f"divide-out failed the multiply-back check: relative error {err / scale:.3e}"
+            "divide-out failed the multiply-back check: relative error "
+            f"{float(np.max(err / scale)):.3e}"
         )
     return quot
 
@@ -291,25 +313,22 @@ def unfold(f_coeffs, shape):
 
     Block columns are indexed by the s multi-index, block rows by the t
     multi-index, both colexicographically with index 1 fastest; N-sized
-    blocks are contiguous.
+    blocks are contiguous.  Leading axes (one per x_d node of a stack) pass
+    through.
     """
-    d = shape.d
-    expected = (
-        tuple(a + 1 for a in shape.alpha)
-        + tuple(b + 1 for b in shape.beta)
-        + (shape.N, shape.N)
-    )
+    expected = _coeff_shape(shape)
     f_coeffs = np.asarray(f_coeffs)
-    if f_coeffs.shape != expected:
+    lead = f_coeffs.ndim - len(expected)
+    if lead < 0 or f_coeffs.shape[lead:] != expected:
         raise ValueError(f"tensor shape {f_coeffs.shape} does not match {expected}")
-    n_i = d - 1
-    i_axes = list(range(n_i))
-    j_axes = list(range(n_i, 2 * n_i))
-    r_axis, c_axis = 2 * n_i, 2 * n_i + 1
-    order = j_axes[::-1] + [r_axis] + i_axes[::-1] + [c_axis]
+    n_i = shape.d - 1
+    i_axes = list(range(lead, lead + n_i))
+    j_axes = list(range(lead + n_i, lead + 2 * n_i))
+    r_axis, c_axis = lead + 2 * n_i, lead + 2 * n_i + 1
+    order = list(range(lead)) + j_axes[::-1] + [r_axis] + i_axes[::-1] + [c_axis]
     rows = shape.N * int(np.prod([b + 1 for b in shape.beta]))
     cols = shape.resultant_size
-    return np.transpose(f_coeffs, order).reshape(rows, cols)
+    return np.transpose(f_coeffs, order).reshape(f_coeffs.shape[:lead] + (rows, cols))
 
 
 def refold(mat, shape):
@@ -369,7 +388,8 @@ def _grids(shape, basis):
 
 
 def _node_noise_floor(hidden):
-    """Cancellation floor of the numerator evaluated on the in-[-1,1] grids.
+    """Cancellation floor, per x_d node, of the numerator evaluated on the
+    in-[-1,1] grids.
 
     Every Leibniz term is a Kronecker product of equation values at points
     inside the unit box, so its entries are bounded by the product of the
@@ -377,40 +397,47 @@ def _node_noise_floor(hidden):
     such terms and anything at rounding distance of that bound is noise.
     """
     term = 1.0
-    for poly in hidden:
-        axes = tuple(range(poly.d))
-        term *= float(np.max(np.sum(np.abs(poly.coeffs), axis=axes)))
+    for coeffs in hidden:
+        degree_axes = tuple(range(1, coeffs.ndim - 2))
+        term = term * np.max(np.sum(np.abs(coeffs), axis=degree_axes), axis=(-2, -1))
     return 64.0 * math.factorial(len(hidden)) * np.finfo(float).eps * term
 
 
-def _dixon_tensor_at_node(p, shape, grids, xd, check_tol):
-    """Divided Dixon coefficient tensor at one x_d node.
+def _divide_nodes(num, hidden, shape, grids, check_tol):
+    """Divided Dixon coefficient tensors at a stack of x_d nodes.
 
-    A numerator that vanishes identically at the node (the Dixon function has
+    A numerator that vanishes identically at a node (the Dixon function has
     the hidden variable's value as a content root) evaluates to pure
     cancellation noise; it is snapped to the exact zero tensor instead of
     being fed to the division, which could not tell noise from inconsistency.
     """
-    hidden = [poly.hide_last(xd) for poly in p.polys]
-    num_vals = _numerator_on_grid(hidden, shape, grids)
-    if float(np.max(np.abs(num_vals))) <= _node_noise_floor(hidden):
-        out_shape = (
-            tuple(a + 1 for a in shape.alpha)
-            + tuple(b + 1 for b in shape.beta)
-            + (shape.N, shape.N)
-        )
-        return np.zeros(out_shape, dtype=complex)
-    return divide_out(num_vals, shape, grids, check_tol)
+    live = np.max(np.abs(num), axis=tuple(range(1, num.ndim))) > _node_noise_floor(hidden)
+    if np.all(live):
+        return divide_out(num, shape, grids, check_tol)
+    out = np.zeros((len(num),) + _coeff_shape(shape), dtype=complex)
+    if np.any(live):
+        out[live] = divide_out(num[live], shape, grids, check_tol)
+    return out
+
+
+# Bytes of numerator values stacked per chunk of x_d nodes.  A chunk's
+# transient memory is about six times its numerator, so this budget keeps a
+# stacked chunk below what one large node already needs: small systems take
+# all their nodes in one chunk, and nodes whose numerator exceeds the budget
+# go one at a time.
+_CHUNK_BYTES = 1 << 18
 
 
 def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     """Construct the hidden variable tensor Dixon resultant R(x_d) of a Pmep.
 
     Evaluates the Dixon numerator at d*tau_d + 1 nodes in x_d (unit-circle
-    samples for monomial input, Chebyshev nodes for Chebyshev input). At each
-    node it divides on the s/t grids built once here (see `divide_out`) and
-    unfolds; the matrices are then interpolated entrywise. Trailing
-    coefficients below trim_tol (relative) are trimmed.
+    samples for monomial input, Chebyshev nodes for Chebyshev input), in
+    chunks of nodes stacked along a leading axis; each chunk is substituted,
+    evaluated (one `kron_det` call), divided on the s/t grids built once
+    here (see `divide_out`) and unfolded.  The matrices are then
+    interpolated entrywise. Trailing coefficients below trim_tol (relative)
+    are trimmed.
     """
     if not isinstance(p, Pmep):
         raise ValueError("build_resultant expects a Pmep")
@@ -426,9 +453,13 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
         xd_nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
 
-    mats = [
-        unfold(_dixon_tensor_at_node(p, shape, grids, xd, check_tol), shape)
-        for xd in xd_nodes
-    ]
-    coeffs = np.tensordot(to_coeff, np.stack(mats, axis=0), axes=(1, 0))
+    hidden = _hide_nodes(p, xd_nodes)
+    grid_points = np.prod([len(s) * len(t) for s, t in zip(grids.s, grids.t)])
+    chunk = max(1, _CHUNK_BYTES // int(16 * shape.N**2 * grid_points))
+    mats = []
+    for lo in range(0, len(xd_nodes), chunk):
+        part = [h[lo : lo + chunk] for h in hidden]
+        num = _numerator_on_grid(part, shape, grids, p.basis.tag)
+        mats.append(unfold(_divide_nodes(num, part, shape, grids, check_tol), shape))
+    coeffs = np.tensordot(to_coeff, np.concatenate(mats), axes=(1, 0))
     return ResultantPoly(coeffs, p.basis).trim(trim_tol)

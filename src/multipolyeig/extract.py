@@ -102,7 +102,7 @@ def block_indices(shape, exponents):
 
 
 def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
-    """Recover x_1..x_{d-1} from one resultant eigenvector.
+    """Recover x_1..x_{d-1} from one resultant eigenvector, or from a stack.
 
     For each coordinate k, averages the ratios of unmasked entries of the
     e_k block against the zero block, using only the pairs whose divisor
@@ -111,42 +111,56 @@ def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
     recovery to the given 0-based coordinates (default: all); the entries of
     skipped coordinates come back as NaN.
 
-    Raises ExtractionFailureError when a requested coordinate has no usable
-    entry pair (either alpha_k = 0, so the block does not exist, or
-    masking/zero divisors remove everything).
+    One vector raises ExtractionFailureError when a requested coordinate has
+    no usable entry pair (either alpha_k = 0, so the block does not exist, or
+    masking/zero divisors remove everything).  A (k, size) stack is read in
+    one set of array calls and gives (k, d-1); a row whose vector alone
+    would raise comes back all NaN instead.
     """
-    V = np.asarray(V, dtype=complex).reshape(-1)
-    if V.shape[0] != shape.resultant_size:
+    V = np.asarray(V, dtype=complex)
+    single = V.ndim != 2
+    stack = V.reshape(1, -1) if single else V
+    if stack.shape[1] != shape.resultant_size:
         raise ValueError("eigenvector length does not match the resultant size")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool).reshape(-1)
-        if mask.shape[0] != V.shape[0]:
+        if mask.shape[0] != stack.shape[1]:
             raise ValueError("mask length does not match the eigenvector")
     wanted = range(shape.d - 1) if coords is None else coords
     zero_idx = block_indices(shape, (0,) * (shape.d - 1))
-    out = np.full(shape.d - 1, np.nan, dtype=complex)
+    den = stack[:, zero_idx]
+    mag = np.abs(den)
+    out = np.full((stack.shape[0], shape.d - 1), np.nan, dtype=complex)
+    failed = np.zeros(stack.shape[0], dtype=bool)
     for k in wanted:
         if shape.alpha[k] == 0:
-            raise ExtractionFailureError(
-                f"coordinate {k + 1} has no degree-1 block in the eigenvector"
-            )
+            if single:
+                raise ExtractionFailureError(
+                    f"coordinate {k + 1} has no degree-1 block in the eigenvector"
+                )
+            failed[:] = True
+            continue
         unit = [0] * (shape.d - 1)
         unit[k] = 1
         num_idx = block_indices(shape, unit)
-        usable = np.ones(shape.N, dtype=bool)
+        usable = mag > 0
         if mask is not None:
             usable &= mask[zero_idx] & mask[num_idx]
-        den = V[zero_idx]
-        usable &= np.abs(den) > 0
-        if not np.any(usable):
+        count = np.count_nonzero(usable, axis=1)
+        if single and not count[0]:
             raise ExtractionFailureError(f"no usable entry pairs for coordinate {k + 1}")
-        num = V[num_idx][usable]
-        den = den[usable]
-        order = np.argsort(-np.abs(den))
-        keep = max(1, int(np.ceil(keep_fraction * den.shape[0])))
-        pick = order[:keep]
-        out[k] = np.mean(num[pick] / den[pick])
-    return out
+        failed |= count == 0
+        # the top `keep` usable divisors of every row, largest first
+        keep = np.maximum(1, np.ceil(keep_fraction * count).astype(int))
+        order = np.argsort(-np.where(usable, mag, -1.0), axis=1)
+        pick = np.arange(shape.N) < keep[:, None]
+        pick &= np.take_along_axis(usable, order, axis=1)
+        num = np.take_along_axis(stack[:, num_idx], order, axis=1)
+        div = np.take_along_axis(den, order, axis=1)
+        ratios = np.divide(num, div, out=np.zeros_like(num), where=pick)
+        out[:, k] = np.sum(ratios, axis=1) / keep
+    out[failed] = np.nan
+    return out[0] if single else out
 
 
 def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):
@@ -246,14 +260,16 @@ def _bordered_steps(jets, vecs):
         jac[:, side + i, at : at + n] = v.conj()
         rhs[:, at : at + n, 0] = -np.einsum("kab,kb->ka", jet[:, 0], v)
         at += n
-    ok = np.flatnonzero(np.all(np.isfinite(jac), axis=(1, 2)))
+    ok = np.all(np.isfinite(jac), axis=(1, 2))
+    if not np.all(ok):  # copy only when some system is dropped
+        jac, rhs = jac[ok], rhs[ok]
     steps = np.full((k, d), np.nan, dtype=complex)
-    if ok.size:
+    if len(jac):
 
         def solve(sl):
-            return np.linalg.solve(jac[ok[sl]], rhs[ok[sl]])[:, side:, 0]
+            return np.linalg.solve(jac[sl], rhs[sl])[:, side:, 0]
 
-        steps[ok] = _per_slice(solve, 0, ok.size, d)
+        steps[ok] = _per_slice(solve, 0, len(jac), d)
     return steps
 
 
@@ -284,6 +300,37 @@ def refine(p, X):
     return points, np.where(better, after, before)
 
 
+# Entries of one row block of the pairwise distance tensor in `_first_copy`.
+_DEDUP_BLOCK_ENTRIES = 1 << 16
+
+
+def _first_copy(points):
+    """For each row of ``points`` (shape (k, d)), the first earlier kept row it
+    duplicates, or the row itself when it is kept.
+
+    Rows are visited in order; a row duplicates a kept row y when
+    max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf), and is kept when it
+    duplicates none.  Duplicate pairs come from row blocks of the distance
+    matrix, in O(block * k) memory; only rows with an earlier duplicate are
+    then walked one by one.
+    """
+    k, d = points.shape
+    norms = np.max(np.abs(points), axis=1)
+    first = np.arange(k)
+    rows = max(1, _DEDUP_BLOCK_ENTRIES // max(1, k * d))
+    for lo in range(0, k, rows):
+        hi = min(k, lo + rows)
+        dist = np.max(np.abs(points[lo:hi, None] - points[None, :hi]), axis=2)
+        denom = np.maximum(np.maximum(1.0, norms[lo:hi, None]), norms[None, :hi])
+        close = (dist <= 1e-8 * denom) & (np.arange(hi) < np.arange(lo, hi)[:, None])
+        for row in np.flatnonzero(np.any(close, axis=1)):
+            earlier = np.flatnonzero(close[row])
+            kept = earlier[first[earlier] == earlier]
+            if kept.size:
+                first[lo + row] = kept[0]
+    return first
+
+
 def filter_solutions(cands, cfg):
     """Keep residual <= residual_tol, deduplicate, sort by residual.
 
@@ -293,18 +340,7 @@ def filter_solutions(cands, cfg):
     """
     kept = [s for s in cands if s.residual <= cfg.residual_tol]
     kept.sort(key=lambda s: s.residual)
-    unique = []
-    points = np.empty((len(kept), kept[0].x.size if kept else 0), dtype=complex)
-    norms = np.empty(len(kept))
-    for sol in kept:
-        k = len(unique)
-        norm = float(np.max(np.abs(sol.x)))
-        if k:
-            dist = np.max(np.abs(points[:k] - sol.x), axis=1)
-            denom = np.maximum(max(1.0, norm), norms[:k])
-            if np.any(dist <= 1e-8 * denom):
-                continue
-        points[k] = sol.x
-        norms[k] = norm
-        unique.append(sol)
-    return SolutionSet(unique)
+    if not kept:
+        return SolutionSet([])
+    first = _first_copy(np.array([s.x for s in kept]))
+    return SolutionSet([s for i, s in enumerate(kept) if first[i] == i])

@@ -30,7 +30,9 @@ shortest round-trip form, so parse-serialize round trips are byte-identical
 and identical runs produce identical files.
 """
 
+import itertools
 import json
+import math
 
 import numpy as np
 
@@ -84,6 +86,30 @@ def _as_complex(value, path):
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         _fail(path, "entries must be finite")
     return z
+
+
+def _complex_array(values, path):
+    """Decode a list of [re, im] pairs into a complex array.
+
+    Whole-array checks first: every entry a list of two ints or floats, and
+    every number finite.  Only when one fails is the list walked entry by
+    entry, to name the first bad entry.
+    """
+    if (
+        set(map(type, values)) <= {list}
+        and set(map(len, values)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(values))) <= {int, float}
+    ):
+        try:
+            parts = np.array(values, dtype=float).reshape(-1, 2)
+        except OverflowError:  # an integer beyond float range; the walk names it
+            parts = None
+        if parts is not None and np.all(np.isfinite(parts)):
+            return parts.view(complex).reshape(-1)
+    return np.array(
+        [_as_complex(entry, f"{path}[{j}]") for j, entry in enumerate(values)],
+        dtype=complex,
+    )
 
 
 def _pair(z):
@@ -145,10 +171,7 @@ def parse_pmep(text):
         if len(coeffs) != count:
             _fail(f"{path}.coeffs",
                   f"expected {count} entries (n^2 * prod(tau_k + 1)), got {len(coeffs)}")
-        flat = np.array(
-            [_as_complex(entry, f"{path}.coeffs[{j}]") for j, entry in enumerate(coeffs)],
-            dtype=complex,
-        )
+        flat = _complex_array(coeffs, f"{path}.coeffs")
         shape = tuple(t + 1 for t in tau) + (n, n)
         polys.append(MatrixPoly(flat.reshape(shape, order="F"), basis, d=d))
     try:
@@ -209,15 +232,33 @@ def parse_solutions(text):
     return SolutionSet(solutions, diagnostics)
 
 
+def _float(v):
+    """A float as ``json.dumps`` writes it."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _solution_entry(x, res):
+    """One solution object at the indent of the document's solution list."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    pairs = ",\n".join(
+        f"        [\n          {_float(re)},\n          {_float(im)}\n        ]"
+        for re, im in zip(x.real.tolist(), x.imag.tolist())
+    )
+    coords = f"[\n{pairs}\n      ]" if pairs else "[]"
+    return f'    {{\n      "x": {coords},\n      "residual": {_float(float(res))}\n    }}'
+
+
 def serialize_solutions(sols):
     """Serialize a SolutionSet to its canonical solution document.
 
     Solutions are emitted sorted by residual ascending; diagnostics keep the
-    standard key order with unknown keys appended alphabetically.
+    standard key order with unknown keys appended alphabetically.  The text
+    is written directly, byte for byte what ``json.dumps(doc, indent=2)``
+    gives for the same document, plus a trailing newline.
     """
-    entries = []
-    for s in sorted(sols, key=lambda s: s.residual):
-        entries.append({"x": [_pair(z) for z in s.x], "residual": float(s.residual)})
+    entries = ",\n".join(
+        _solution_entry(s.x, s.residual) for s in sorted(sols, key=lambda s: s.residual)
+    )
     diag_in = dict(sols.diagnostics) if isinstance(sols, SolutionSet) else {}
     diagnostics = {}
     for key in _DIAG_KEYS:
@@ -225,8 +266,9 @@ def serialize_solutions(sols):
             diagnostics[key] = diag_in.pop(key)
     for key in sorted(diag_in):
         diagnostics[key] = diag_in[key]
-    doc = {"solutions": entries, "diagnostics": diagnostics}
-    return json.dumps(doc, indent=2) + "\n"
+    solutions = f"[\n{entries}\n  ]" if entries else "[]"
+    diag = json.dumps(diagnostics, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "solutions": {solutions},\n  "diagnostics": {diag}\n}}\n'
 
 
 FLUTTER_MATRIX_NAMES = ("M0", "G0", "G1", "G2", "K0")

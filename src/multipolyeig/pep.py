@@ -142,6 +142,22 @@ def _shifted_lu(pencil):
     return best[1:]
 
 
+def _shift_invert(pencil, vectors):
+    """Eigenvalues of A + lambda*B (inf where infinite) and, unless
+    ``vectors`` is false, its eigenvectors as columns (else None)."""
+    n = pencil.dim
+    sigma, lu, piv = _shifted_lu(pencil)
+    c, _ = lapack.zgetrs(lu, piv, pencil.B)
+    if vectors:
+        mus, vecs = scipy.linalg.eig(c, check_finite=False)
+    else:
+        mus, vecs = scipy.linalg.eigvals(c, check_finite=False), None
+    tiny = 10.0 * n * np.finfo(float).eps * np.linalg.norm(c, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lams = np.where(np.abs(mus) <= tiny, np.inf, sigma - 1.0 / mus)
+    return lams, vecs
+
+
 def solve_gep(pencil, vectors=True):
     """All eigenpairs of A + lambda*B; infinite eigenvalues come out as inf.
 
@@ -153,26 +169,17 @@ def solve_gep(pencil, vectors=True):
     Raises SingularPencilError when A + sigma*B is exactly singular at every
     shift, which a regular pencil never is.
     """
-    n = pencil.dim
-    sigma, lu, piv = _shifted_lu(pencil)
-    c, _ = lapack.zgetrs(lu, piv, pencil.B)
-    if vectors:
-        mus, vecs = scipy.linalg.eig(c, check_finite=False)
-    else:
-        mus, vecs = scipy.linalg.eigvals(c, check_finite=False), None
-    tiny = 10.0 * n * np.finfo(float).eps * np.linalg.norm(c, 1)
-    out = []
-    for j in range(n):
-        lam = complex(np.inf) if abs(mus[j]) <= tiny else complex(sigma - 1.0 / mus[j])
-        out.append((lam, None if vecs is None else vecs[:, j]))
-    return out
+    lams, vecs = _shift_invert(pencil, vectors)
+    return list(zip(lams.tolist(), [None] * len(lams) if vecs is None else vecs.T))
 
 
 def eigenvector_block(vec, size):
-    """Best-conditioned size-length block of a linearization eigenvector."""
-    blocks = np.asarray(vec, dtype=complex).reshape(-1, size)
-    norms = np.linalg.norm(blocks, axis=1)
-    return blocks[int(np.argmax(norms))]
+    """Best-conditioned size-length block of a linearization eigenvector, or
+    of every row of a stack of them."""
+    vec = np.asarray(vec, dtype=complex)
+    blocks = vec.reshape(vec.shape[:-1] + (-1, size))
+    best = np.argmax(np.linalg.norm(blocks, axis=-1), axis=-1)
+    return np.take_along_axis(blocks, best[..., None, None], axis=-2)[..., 0, :]
 
 
 def solve_pep(R, vectors=True):
@@ -184,11 +191,11 @@ def solve_pep(R, vectors=True):
     pencil = (
         colleague_linearize(R) if R.basis == Basis.CHEBYSHEV1 else companion_linearize(R)
     )
-    return [
-        (lam, None if vec is None else eigenvector_block(vec, R.size))
-        for lam, vec in solve_gep(pencil, vectors)
-        if not np.isinf(lam)
-    ]
+    lams, vecs = _shift_invert(pencil, vectors)
+    finite = np.flatnonzero(~np.isinf(lams))
+    if vecs is None:
+        return [(lam, None) for lam in lams[finite].tolist()]
+    return list(zip(lams[finite].tolist(), eigenvector_block(vecs[:, finite].T, R.size)))
 
 
 def _rank_from_singular_values(sv, rank_tol):

@@ -10,14 +10,17 @@ One pipeline for every input, run once in the given coordinates:
 4. linearize (companion/colleague) and solve by shift and invert; the
    eigenpairs stay unrefined, and carry no vectors when the pencil is
    projected or nothing is read from them,
-5. per eigenpair (for projected pencils, rebuilt from the null space of
-   R(lambda)), read each x_k with a ratio block (alpha_k > 0) off the block
-   Vandermonde structure of the eigenvector, masking entries corrupted by
-   the generic null space.  Every x_k without one (alpha_k = 0: a degree-one
-   x_1 of the Dixon resultant, every front coordinate of the other two) is
-   read for all eigenpairs in one batch: it solves the equations, with the
-   other coordinates substituted, in the least-squares sense on the
-   Kronecker factors v_1 kron ... kron v_d of block 0.  Coordinates whose
+5. for all eigenpairs in one stacked call (for projected pencils, each
+   eigenvector rebuilt from the null space of R(lambda), all of them from
+   one stacked SVD), read each x_k with a ratio block (alpha_k > 0) off the
+   block Vandermonde structure of the eigenvector, masking entries
+   corrupted by the generic null space.  Every x_k without one
+   (alpha_k = 0: a degree-one x_1 of the Dixon resultant, every front
+   coordinate of the other two) is read for all eigenpairs in one batch: it
+   solves the equations, with the other coordinates substituted, in the
+   least-squares sense on the Kronecker factors v_1 kron ... kron v_d of
+   block 0.  An eigenpair whose read fails, or whose R(lambda) is not
+   finite, reads NaN.  Coordinates whose
    blocks the mask removes (and the alpha_k = 0 ones with them, as their
    read needs them) are re-solved from the equations with x_d = lambda
    substituted,
@@ -30,10 +33,10 @@ One pipeline for every input, run once in the given coordinates:
    with x_d = lambda substituted (one level of reduction only), and those
    candidates are gated in a second call.  A hidden coordinate shared by
    several roots mixes their eigenvectors; the substituted equations still
-   have each of them as a root.  The passing candidates are deduplicated.
+   have each of them as a root, so the copies of a repeated eigenvalue are
+   solved once.  The passing candidates are deduplicated.
 """
 
-import contextlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -41,14 +44,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dixon import DixonShape, ResultantPoly, build_resultant
-from .errors import (
-    ExtractionFailureError,
-    MultiPolyEigError,
-    ReductionDepthExceededError,
-)
+from .errors import MultiPolyEigError, ReductionDepthExceededError
 from .extract import (
     ExtractionConfig,
     Solution,
+    _first_copy,
+    _per_slice,
     block_indices,
     filter_solutions,
     generic_nullspace_basis,
@@ -135,13 +136,13 @@ def _hiding_permutation(d, hide):
     return perm
 
 
-def _null_basis(mat, rel_tol):
-    _, sv, vh = np.linalg.svd(mat)
+def _null_basis(sv, vh, rel_tol):
+    """Null space basis (columns) from the SVD of a matrix."""
     if sv.size == 0 or sv[0] == 0.0:
-        return np.eye(mat.shape[1], dtype=complex)
+        return np.eye(vh.shape[1], dtype=complex)
     rank = int(np.count_nonzero(sv / sv[0] > rel_tol))
-    if rank == mat.shape[1]:
-        rank = mat.shape[1] - 1  # keep at least the smallest direction
+    if rank == vh.shape[1]:
+        rank = vh.shape[1] - 1  # keep at least the smallest direction
     return vh[rank:].conj().T
 
 
@@ -152,6 +153,30 @@ def _least_generic_combination(null_basis, generic_basis):
     overlap = generic_basis.conj().T @ null_basis
     _, _, vh = np.linalg.svd(overlap)
     return null_basis @ vh[-1].conj()
+
+
+def _projected_vectors(R, lams, generic_basis, rel_tol):
+    """Eigenvectors of a projected pencil's eigenvalues, rebuilt from the null
+    space of R(lambda): one stacked SVD over the finite R(lambda).  A row
+    where R(lambda) is not finite (lambda overflows it), or whose SVD fails,
+    comes back NaN."""
+    size = R.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = np.array([R.eval(lam) for lam in lams]).reshape(-1, size, size)
+    finite = np.flatnonzero(np.all(np.isfinite(mats), axis=(1, 2)))
+
+    def factor(sl):
+        _, sv, vh = np.linalg.svd(mats[finite[sl]])
+        return np.concatenate([sv, vh.reshape(len(sv), -1)], axis=1)
+
+    vecs = np.full((len(lams), size), np.nan, dtype=complex)
+    if finite.size:
+        svd = _per_slice(factor, 0, finite.size, size + size * size)
+        for j, row in zip(finite, svd):
+            if np.all(np.isfinite(row)):
+                null = _null_basis(row[:size].real, row[size:].reshape(size, size), rel_tol)
+                vecs[j] = _least_generic_combination(null, generic_basis)
+    return vecs
 
 
 def _lost_coordinates(shape, mask):
@@ -315,17 +340,13 @@ def solve(p, cfg=None, _depth=0):
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
     if vectors and eigpairs:
         if projected:
-            vecs = np.array([
-                _least_generic_combination(_null_basis(R.eval(lam), cfg.rank_tol), generic_basis)
-                for lam in lams
-            ])
+            vecs = _projected_vectors(R, lams, generic_basis, cfg.rank_tol)
         else:
             vecs = np.array([vec for _, vec in eigpairs])
-        for j, vec in enumerate(vecs if recover else []):
-            with contextlib.suppress(ExtractionFailureError):
-                fronts[j] = vandermonde_ratios(
-                    vec, shape, mask, cfg.extraction.keep_fraction, coords=recover
-                )
+        if recover:  # rows whose read fails come back NaN
+            fronts = vandermonde_ratios(
+                vecs, shape, mask, cfg.extraction.keep_fraction, coords=recover
+            )
         if read:  # rows whose ratio read failed stay NaN
             pts = np.column_stack([fronts, lams])
             fronts[:, read] = _kronecker_read(work, shape, vecs, pts, read)
@@ -334,36 +355,49 @@ def solve(p, cfg=None, _depth=0):
     def complete(front, lam, missing):
         """Points in the original coordinates from a front and lambda,
         completing the missing coordinates."""
-        if not missing:
-            return [np.append(front, lam)[unpermute]]
         # a spurious eigenvalue can make the substituted equations
-        # arbitrarily degenerate; give up on the eigenpair, not the solve
+        # arbitrarily degenerate, or overflow them; give up on the eigenpair,
+        # not the solve
         try:
-            ys = _lost_coordinate_candidates(work, front, lam, missing, cfg, _depth)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ys = _lost_coordinate_candidates(work, front, lam, missing, cfg, _depth)
         except (ValueError, MultiPolyEigError):
             return []
         return [y[unpermute] for y in ys]
 
-    known = recover + read
-    groups = [
-        complete(front, lam, lost) if np.all(np.isfinite(front[known])) else []
-        for front, lam in zip(fronts, lams)
-    ]
+    readable = np.all(np.isfinite(fronts[:, recover + read]), axis=1)
+    if lost:
+        groups = [
+            complete(front, lam, lost) if ok else []
+            for front, lam, ok in zip(fronts, lams, readable)
+        ]
+    else:
+        points = np.column_stack([fronts, lams])[:, unpermute]
+        groups = [[x] if ok else [] for x, ok in zip(points, readable)]
     gated = _refine_groups(p, groups)
     reduced = [bool(lost)] * len(groups)
 
     # a hidden coordinate shared by several roots mixes their eigenvectors;
-    # substituting lambda into the equations still finds every one of them
+    # substituting lambda into the equations still finds every one of them,
+    # so each repeated eigenvalue is solved once, for all of its copies
     tol = cfg.extraction.residual_tol
+    covered = np.zeros(len(gated), dtype=bool)
     if len(lost) < d - 1:
-        retry = [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)]
+        retry = np.array(
+            [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)], dtype=int
+        )
+        first = retry[_first_copy(lams[retry, None])]
+        leaders = retry[first == retry]
         everything = list(range(d - 1))
         unknown = np.full(d - 1, np.nan, dtype=complex)
-        redone = _refine_groups(p, [complete(unknown, lams[j], everything) for j in retry])
-        for j, g in zip(retry, redone):
-            gated[j], reduced[j] = g, True
+        redone = _refine_groups(p, [complete(unknown, lams[j], everything) for j in leaders])
+        for j in retry:
+            gated[j], reduced[j] = [], True
+        for j, g in zip(leaders, redone):
+            gated[j] = g
+            covered[retry[first == j]] = bool(g)
 
-    dropped = sum(1 for g in gated if not g)
+    dropped = sum(1 for g, c in zip(gated, covered) if not (g or c))
     cands = [
         Solution(x, r, {"projected": projected, "reduced": red})
         for g, red in zip(gated, reduced)

@@ -7,6 +7,7 @@ import pytest
 
 import systems
 from multipolyeig import _basisops as bo
+from multipolyeig import dixon
 from multipolyeig.dixon import (
     DixonShape,
     ResultantPoly,
@@ -149,6 +150,20 @@ class TestDivideOut:
             vals = values_times_pair_differences(h, sh, basis, grids)
             got = divide_out(vals, sh, grids)
             assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))
+
+    def test_stacked_nodes_divide_and_check_one_by_one(self):
+        rng = np.random.default_rng(36)
+        sh = DixonShape(2, (1, 1), (2, 2))
+        for basis in BASES:
+            grids = _grids(sh, basis)
+            hs = [random_stack(rng, (1, 1, 4, 4)) for _ in range(2)]
+            vals = np.stack([values_times_pair_differences(h, sh, basis, grids) for h in hs])
+            got = divide_out(vals, sh, grids)
+            for h, g in zip(hs, got):
+                assert np.max(np.abs(g - h)) <= 1e-14 * np.max(np.abs(h))
+            vals[1] = 1.0  # a constant is not divisible by s - t
+            with pytest.raises(DixonConsistencyError):
+                divide_out(vals, sh, grids)
 
     def test_inconsistent_input_raises(self):
         sh = DixonShape(2, (1, 1), (2, 2))
@@ -296,6 +311,91 @@ class TestBuildResultant:
                 got = eval_tensor(refold(r.eval(xd), sh), sh, p.basis, s, t)
                 want = systems.shifted_power_closed_form(mats, sizes, tau, s, t, xd)
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+
+def per_node_resultant(p):
+    """Coefficients of R(x_d) one node at a time: the numerator at every grid
+    point from `dixon_numerator_eval`, then `divide_out`, `unfold` and the
+    interpolation across the x_d nodes."""
+    sh = DixonShape.from_pmep(p)
+    grids = _grids(sh, p.basis)
+    deg = sh.xd_degree_bound
+    if p.basis == Basis.MONOMIAL:
+        nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
+        to_coeff = bo.interp_matrix(bo.MONOMIAL, nodes, deg)
+    else:
+        nodes = bo.cheb1_nodes(deg + 1)
+        to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
+    grid_shape = tuple(len(g) for g in grids.s) + tuple(len(g) for g in grids.t)
+    mats = []
+    for xd in nodes:
+        num = np.empty(grid_shape + (sh.N, sh.N), dtype=complex)
+        for idx in np.ndindex(*grid_shape):
+            s = [grids.s[k][idx[k]] for k in range(sh.d - 1)]
+            t = [grids.t[k][idx[sh.d - 1 + k]] for k in range(sh.d - 1)]
+            num[idx] = dixon_numerator_eval(p, s, t, xd)
+        mats.append(unfold(divide_out(num, sh, grids), sh))
+    return np.tensordot(to_coeff, np.array(mats), axes=(1, 0))
+
+
+class TestStackedNodes:
+    # build_resultant takes its x_d nodes in stacked chunks
+
+    @pytest.mark.parametrize(
+        "sizes, tau, basis",
+        [
+            ((2, 3), (2, 2), Basis.MONOMIAL),
+            ((2, 2), (3, 1), Basis.CHEBYSHEV1),
+            ((1, 2, 1), (1, 2, 2), Basis.MONOMIAL),
+        ],
+    )
+    def test_matches_one_node_at_a_time(self, sizes, tau, basis):
+        p = systems.random_pmep(np.random.default_rng(70), sizes, tau, basis)
+        want = per_node_resultant(p)
+        got = build_resultant(p, trim_tol=0.0).coeffs
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_kron_det_call_per_chunk(self, monkeypatch):
+        p = systems.random_pmep(np.random.default_rng(71), (2, 2), (2, 2))
+        sh = DixonShape.from_pmep(p)
+        nodes = sh.xd_degree_bound + 1
+        grids = _grids(sh, p.basis)
+        node_bytes = 16 * sh.N**2 * np.prod([len(s) * len(t) for s, t in zip(grids.s, grids.t)])
+        calls = [0]
+        kron_det_ = dixon.kron_det
+
+        def counted(table):
+            calls[0] += 1
+            return kron_det_(table)
+
+        monkeypatch.setattr(dixon, "kron_det", counted)
+        whole = build_resultant(p)
+        assert calls[0] == 1
+        for per_chunk, chunks in ((1, nodes), (2, -(-nodes // 2))):
+            monkeypatch.setattr(dixon, "_CHUNK_BYTES", per_chunk * node_bytes)
+            calls[0] = 0
+            got = build_resultant(p)
+            assert calls[0] == chunks
+            assert np.max(np.abs(got.coeffs - whole.coeffs)) <= 1e-13 * whole.max_coeff_norm()
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    def test_content_root_at_a_node(self, monkeypatch, chunk_bytes):
+        # scalar P_2 = c P_1 + (x_2 - 1) Q: at the node x_2 = 1 the Dixon
+        # function vanishes identically, and its computed values are
+        # cancellation noise that no polynomial divides; that node is snapped
+        # to zero, within a stacked chunk or on its own
+        if chunk_bytes is not None:
+            monkeypatch.setattr(dixon, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(0)
+        c1 = np.array(systems.random_poly(rng, 1, (1, 1)).coeffs)
+        q = np.array(systems.random_poly(rng, 1, (1, 0)).coeffs)
+        c2 = (0.7 - 0.4j) * c1
+        c2[:, 1:] += q
+        c2[:, :1] -= q
+        r = build_resultant(Pmep([MatrixPoly(c1), MatrixPoly(c2)]))
+        assert r.m == 2
+        assert np.max(np.abs(r.eval(1.0))) <= 1e-14 * r.max_coeff_norm()
 
 
 def system_through(rng, sizes, tau, x_star):

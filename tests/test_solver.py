@@ -7,7 +7,7 @@ import pytest
 
 import systems
 from multipolyeig import extract, solver
-from multipolyeig.dixon import ResultantPoly
+from multipolyeig.dixon import ResultantPoly, build_resultant
 from multipolyeig.errors import ReductionDepthExceededError
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
@@ -189,6 +189,29 @@ class TestRankDeficientPair:
             out.points(), systems.rank_deficient_pair_solutions(), 1e-6
         )
 
+    def test_overflowing_eigenvalue_is_dropped(self, monkeypatch):
+        # an eigenvalue where R(lambda) overflows must not reach an SVD: with
+        # vectors, LAPACK's SVD of a complex matrix holding inf never returns
+        lam = complex(1e308, 1e308)
+        solve_pep = solver.solve_pep
+        monkeypatch.setattr(solver, "solve_pep", lambda *a, **k: solve_pep(*a, **k) + [(lam, None)])
+        svd = np.linalg.svd
+
+        def finite_svd(a, *args, **kwargs):
+            if not np.all(np.isfinite(a)):
+                raise AssertionError("SVD of a matrix that is not finite")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", finite_svd)
+        p = systems.rank_deficient_pair_system()
+        R = build_resultant(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(R.eval(lam)))
+        out = solve(p)
+        assert out.diagnostics["projected"]
+        assert_same_points(out.points(), systems.rank_deficient_pair_solutions(), 1e-8)
+        assert out.diagnostics["dropped_eigenpairs"] == 1
+
     def test_projected_roots_are_refined(self):
         # the projected pencil's eigenvalues come back unrefined; the Newton
         # step on the original system takes the median from about 2e-15
@@ -262,6 +285,17 @@ class TestRepeatedHiddenCoordinate:
         assert len(out) == 9
         assert_same_points(out.points(), roots, 1e-6)
         assert all(s.flags["reduced"] for s in out)
+
+    def test_repeated_eigenvalue_solved_once(self, pep_calls):
+        # each of the 3 values of x2 is a triple eigenvalue of the pencil;
+        # the fallback solves each value once, and no copy counts as dropped
+        p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 1)
+        out = solve(p)
+        assert pep_calls[0] == 1 + 3
+        assert len(out) == 9
+        assert_same_points(out.points(), roots, 1e-6)
+        assert all(s.flags["reduced"] for s in out)
+        assert out.diagnostics["dropped_eigenpairs"] == 0
 
     def test_generic_dense_reads_every_eigenvector(self):
         p = cross_term_system(301, (2, 2), (2, 2))
