@@ -4,7 +4,7 @@ A system of d matrix polynomials in d variables is solved by hiding the last
 variable, building a resultant R(x_d) (the tensor Dixon resultant, or the
 operator-determinant pencil of a linear problem), solving it by shift and
 invert, reading the remaining coordinates off the structured eigenvectors,
-and polishing every root with one Newton step on the original system.
+and polishing every root with Newton steps on the original system.
 `solve` runs the whole pipeline; the building blocks are exported.
 """
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MultiPolyEigError
-from .extract import ExtractionConfig, residual
+from .extract import ExtractionConfig, check_tolerances, residual
 from .io import (
     flutter_pmep,
     load_flutter_data,
@@ -91,6 +91,7 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
+    check_tolerances(residual_tol=args.residual_tol)
     p = parse_pmep(_read(args.problem))
     sols = parse_solutions(_read(args.solutions))
     for i, s in enumerate(sols):

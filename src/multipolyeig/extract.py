@@ -11,6 +11,7 @@ system (`refine`), with the normalized residual that `residual` gives for a
 single point.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,13 @@ class SolutionSet:
         return np.array([s.x for s in self.solutions])
 
 
+def check_tolerances(**tolerances):
+    """Raise ValueError unless every named tolerance is finite and positive."""
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass
 class ExtractionConfig:
     """Tolerances for eigenvector-based coordinate extraction."""
@@ -80,8 +88,7 @@ class ExtractionConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.nullspace_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        check_tolerances(nullspace_tol=self.nullspace_tol, residual_tol=self.residual_tol)
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must lie in (0, 1]")
 
@@ -273,19 +280,14 @@ def _bordered_steps(jets, vecs):
     return steps
 
 
-def refine(p, X):
-    """One Newton step on the original system at each of k points, gated.
+def _newton_step(p, X):
+    """One Newton step at each row of X (shape (k, d)).
 
-    For every row x of X (shape (k, d)), takes v_i as the right singular
-    vector of sigma_min(P_i(x)), makes one Newton step on P_i(x) v_i = 0,
-    v_i^H v_i = 1 for all i at once, and returns whichever of x and the
-    stepped point has the smaller normalized residual (see `residual`) with
-    that residual: ``(points, residuals)``.  A point whose step is singular
-    or not finite comes back unchanged; nothing here raises.
+    Takes v_i as the right singular vector of sigma_min(P_i(x)) and steps on
+    P_i(x) v_i = 0, v_i^H v_i = 1 for all i at once.  Returns the stepped
+    points, their normalized residuals and those of X; a step that is
+    singular or not finite gets an infinite residual.
     """
-    X = np.asarray(X, dtype=complex).reshape(-1, p.d)
-    if X.shape[0] == 0:
-        return X.copy(), np.zeros(0)
     # a point far enough out overflows; _gate gives it an infinite residual
     with np.errstate(over="ignore", invalid="ignore"):
         jets = [poly.eval_many(X, jet=True) for poly in p.polys]
@@ -295,9 +297,39 @@ def refine(p, X):
         ok = np.flatnonzero(np.all(np.isfinite(stepped), axis=1))
         if ok.size:
             after[ok] = _gate(p, [poly.eval_many(stepped[ok]) for poly in p.polys])[0]
-    better = after < before
-    points = np.where(better[:, None], stepped, X)
-    return points, np.where(better, after, before)
+    return stepped, after, before
+
+
+# Newton steps a point may take in `refine`, and the factor by which each
+# step must cut its residual for it to take another (quadratic convergence).
+_MAX_NEWTON_STEPS = 3
+_CONVERGING = 1e-2
+
+
+def refine(p, X, tol=np.inf):
+    """Gated Newton steps on the original system at each of k points.
+
+    Every row x of X (shape (k, d)) takes one step (`_newton_step`) and keeps
+    whichever of x and the stepped point has the smaller normalized residual
+    (see `residual`).  A row still above ``tol`` steps again only while Newton
+    converges on it: its last step cut the residual at least 100-fold, up to
+    ``_MAX_NEWTON_STEPS`` steps in all.  Rows that pass after one step, and
+    rows far from any root, pay nothing more.  Returns the best point of each
+    row with its residual: ``(points, residuals)``.  A point whose step is
+    singular or not finite comes back unchanged; nothing here raises.
+    """
+    X = np.asarray(X, dtype=complex).reshape(-1, p.d)
+    points, res = X.copy(), np.zeros(X.shape[0])
+    todo = np.arange(X.shape[0])
+    for _ in range(_MAX_NEWTON_STEPS):
+        if not todo.size:
+            break
+        stepped, after, before = _newton_step(p, points[todo])
+        better = after < before
+        points[todo[better]] = stepped[better]
+        res[todo] = np.where(better, after, before)
+        todo = todo[(after < _CONVERGING * before) & (after > tol)]
+    return points, res
 
 
 # Entries of one row block of the pairwise distance tensor in `_first_copy`.

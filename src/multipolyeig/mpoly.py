@@ -119,14 +119,6 @@ class MatrixPoly:
             self._jet = table.reshape(-1, (self.d + 1) * self.n * self.n)
         return self._jet
 
-    def hide_last(self, xd):
-        """Substitute the last variable, returning a (d-1)-variable polynomial."""
-        if self.d < 2:
-            raise ValueError("hide_last needs at least two variables")
-        row = bo.basis_rows(self.basis.tag, complex(xd), self.tau[-1])
-        new = bo.contract_axis(self.coeffs, row, self.d - 1)
-        return MatrixPoly(new, self.basis, d=self.d - 1)
-
     def partial_eval(self, assignments):
         """Substitute values for a subset of variables (0-based axis -> value).
 

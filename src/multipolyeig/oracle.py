@@ -51,6 +51,8 @@ def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):
     """
     if starts < 1:
         raise ValueError("need at least one start")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     derivs = _derivatives(p)
     d = p.d

@@ -5,8 +5,8 @@ of side m*dim (companion form in the monomial basis, colleague form in the
 Chebyshev basis), solved densely as the standard eigenvalue problem of
 (A + sigma*B)^-1 B.  When R is a singular polynomial it is first compressed to
 its normal rank by a random two-sided orthogonal projection.  Eigenpairs come
-back unrefined: the solver polishes the roots they lead to with one Newton
-step on the original system (`extract.refine`).
+back unrefined: the solver polishes the roots they lead to with Newton
+steps on the original system (`extract.refine`).
 """
 
 from dataclasses import dataclass, field
@@ -229,7 +229,9 @@ def project_singular(R, rp, rng=None):
     Draws U (r x dim, orthonormal rows) and V (dim x r, orthonormal columns)
     from Gaussian matrices and forms R'(lambda) = U R(lambda) V, re-probing
     to confirm the compressed polynomial has full normal rank r; redraws up
-    to three times before giving up.
+    to three times before giving up.  Returns (R', U, V).  V maps
+    eigenvectors back: at an eigenvalue of R, R'(lambda) w = 0 gives, for
+    generic U and V, the null vector V w of R(lambda).
     """
     r = rp.normal_rank
     dim = R.size

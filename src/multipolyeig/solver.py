@@ -8,29 +8,28 @@ One pipeline for every input, run once in the given coordinates:
    MEP, the polynomial itself for d = 1,
 3. probe the normal rank; compress singular R by a two-sided projection,
 4. linearize (companion/colleague) and solve by shift and invert; the
-   eigenpairs stay unrefined, and carry no vectors when the pencil is
-   projected or nothing is read from them,
-5. for all eigenpairs in one stacked call (for projected pencils, each
-   eigenvector rebuilt from the null space of R(lambda), all of them from
-   one stacked SVD), read each x_k with a ratio block (alpha_k > 0) off the
-   block Vandermonde structure of the eigenvector, masking entries
-   corrupted by the generic null space.  Every x_k without one
+   eigenpairs stay unrefined, and carry no vectors when nothing is read
+   from them,
+5. for all eigenpairs in one stacked call, read each x_k with a ratio block
+   (alpha_k > 0) off the block Vandermonde structure of the eigenvector,
+   masking entries corrupted by the generic null space.  A projected
+   pencil's eigenvector w gives the null vector V w of R(lambda), with V
+   the right factor of the projection.  Every x_k without a ratio block
    (alpha_k = 0: a degree-one x_1 of the Dixon resultant, every front
    coordinate of the other two) is read for all eigenpairs in one batch: it
    solves the equations, with the other coordinates substituted, in the
    least-squares sense on the Kronecker factors v_1 kron ... kron v_d of
-   block 0.  An eigenpair whose read fails, or whose R(lambda) is not
-   finite, reads NaN.  Coordinates whose
-   blocks the mask removes (and the alpha_k = 0 ones with them, as their
-   read needs them) are re-solved from the equations with x_d = lambda
-   substituted,
+   block 0.  An eigenpair whose read fails reads NaN.  When the mask
+   removes a whole ratio block, nothing is read and every eigenpair takes
+   the fallback,
 6. undo the permutation and gate the candidates of every eigenpair in one
    call (`extract.refine`): each point takes one Newton step on the original
-   system, keeps it only if it lowers the normalized residual, and passes
-   when that residual is within the filter's tolerance,
+   system, keeps it only if it lowers the normalized residual, steps again
+   while it fails the filter's tolerance and Newton converges on it (up to
+   3 steps), and passes when that residual is within the tolerance,
 7. the one fallback: for each eigenpair whose read failed or none of whose
    candidates passed, every front coordinate is re-solved from the equations
-   with x_d = lambda substituted (one level of reduction only), and those
+   with x_d = lambda substituted (one level of nested solve only), and those
    candidates are gated in a second call.  A hidden coordinate shared by
    several roots mixes their eigenvectors; the substituted equations still
    have each of them as a root, so the copies of a repeated eigenvalue are
@@ -49,8 +48,8 @@ from .extract import (
     ExtractionConfig,
     Solution,
     _first_copy,
-    _per_slice,
     block_indices,
+    check_tolerances,
     filter_solutions,
     generic_nullspace_basis,
     refine,
@@ -81,8 +80,9 @@ class SolverConfig:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rank_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        check_tolerances(rank_tol=self.rank_tol)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.hide_variable is not None and self.hide_variable < 1:
             raise ValueError("hide_variable is a 1-based variable index")
 
@@ -131,67 +131,17 @@ def _as_linear_mep(p):
     return LinearMep(v0, vmats)
 
 
-def _hiding_permutation(d, hide):
-    perm = [i for i in range(1, d + 1) if i != hide] + [hide]
-    return perm
-
-
-def _null_basis(sv, vh, rel_tol):
-    """Null space basis (columns) from the SVD of a matrix."""
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.eye(vh.shape[1], dtype=complex)
-    rank = int(np.count_nonzero(sv / sv[0] > rel_tol))
-    if rank == vh.shape[1]:
-        rank = vh.shape[1] - 1  # keep at least the smallest direction
-    return vh[rank:].conj().T
-
-
-def _least_generic_combination(null_basis, generic_basis):
-    """Vector in span(null_basis) least representable in the generic null space."""
-    if generic_basis.shape[1] == 0 or null_basis.shape[1] == 1:
-        return null_basis[:, -1]
-    overlap = generic_basis.conj().T @ null_basis
-    _, _, vh = np.linalg.svd(overlap)
-    return null_basis @ vh[-1].conj()
-
-
-def _projected_vectors(R, lams, generic_basis, rel_tol):
-    """Eigenvectors of a projected pencil's eigenvalues, rebuilt from the null
-    space of R(lambda): one stacked SVD over the finite R(lambda).  A row
-    where R(lambda) is not finite (lambda overflows it), or whose SVD fails,
-    comes back NaN."""
-    size = R.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats = np.array([R.eval(lam) for lam in lams]).reshape(-1, size, size)
-    finite = np.flatnonzero(np.all(np.isfinite(mats), axis=(1, 2)))
-
-    def factor(sl):
-        _, sv, vh = np.linalg.svd(mats[finite[sl]])
-        return np.concatenate([sv, vh.reshape(len(sv), -1)], axis=1)
-
-    vecs = np.full((len(lams), size), np.nan, dtype=complex)
-    if finite.size:
-        svd = _per_slice(factor, 0, finite.size, size + size * size)
-        for j, row in zip(finite, svd):
-            if np.all(np.isfinite(row)):
-                null = _null_basis(row[:size].real, row[size:].reshape(size, size), rel_tol)
-                vecs[j] = _least_generic_combination(null, generic_basis)
-    return vecs
-
-
-def _lost_coordinates(shape, mask):
-    """Front coordinates whose ratio blocks the null-space mask removes."""
+def _masked_out(shape, mask):
+    """Whether the null-space mask removes every entry pair of a ratio block."""
     zero_idx = block_indices(shape, (0,) * (shape.d - 1))
-    lost = []
     for k in range(shape.d - 1):
         if shape.alpha[k] == 0:
             continue  # no ratio block; read from the Kronecker factors instead
         unit = [0] * (shape.d - 1)
         unit[k] = 1
-        usable = mask[zero_idx] & mask[block_indices(shape, unit)]
-        if not np.any(usable):
-            lost.append(k)
-    return lost
+        if not np.any(mask[zero_idx] & mask[block_indices(shape, unit)]):
+            return True
+    return False
 
 
 def _resultant(work):
@@ -245,53 +195,34 @@ def _kronecker_read(work, shape, vecs, pts, coords):
     return out
 
 
-def _lost_coordinate_candidates(work, front, lam, lost, cfg, depth):
-    """Candidate completions for coordinates missing from the eigenvector."""
+def _substituted_candidates(work, lam, cfg, depth):
+    """Candidate points with x_d = lam substituted and every front coordinate
+    re-solved from the substituted equations."""
     d = work.d
-    known = {j: front[j] for j in range(d - 1) if j not in lost}
-    known[d - 1] = lam
-    if len(lost) == 1:
-        k = lost[0]
+    if d == 2:
         values = []
         for poly in work.polys:
-            sub = poly.partial_eval(known)
+            sub = poly.partial_eval({1: lam})
             r = ResultantPoly(sub.coeffs, sub.basis).trim()
             if r.m < 1 or r.max_coeff_norm() == 0.0:
                 continue
             values.extend(lam_k for lam_k, _ in solve_pep(r, vectors=False))
-        out = []
-        for val in values:
-            y = np.array(front, dtype=complex)
-            y[k] = val
-            out.append(np.concatenate([y, [lam]]))
-        return out
+        return [np.array([val, lam], dtype=complex) for val in values]
     if depth >= 1:
         raise ReductionDepthExceededError(
-            "reduced problem still misses coordinates; refusing to recurse deeper"
+            "substituted system needs a second nested solve; refusing to recurse deeper"
         )
-    reduced_polys = []
-    for poly in work.polys[: len(lost)]:
-        sub = poly.partial_eval(known)
-        reduced_polys.append(sub)
+    reduced_polys = [poly.partial_eval({d - 1: lam}) for poly in work.polys[: d - 1]]
     sub_cfg = replace(cfg, hide_variable=None, basis=None)
     sub = solve(Pmep(reduced_polys), sub_cfg, _depth=depth + 1)
-    out = []
-    for s in sub:
-        y = np.array(front, dtype=complex)
-        for pos, k in enumerate(sorted(lost)):
-            y[k] = s.x[pos]
-        out.append(np.concatenate([y, [lam]]))
-    return out
+    return [np.append(s.x, lam) for s in sub]
 
 
-def _refine_groups(p, groups):
-    """Refine and gate every point of every group in one call (none when the
-    groups are empty); returns the (point, residual) pairs in the same
-    grouping."""
+def _refine_groups(p, groups, tol):
+    """Refine and gate every point of every group in one call; returns the
+    (point, residual) pairs in the same grouping."""
     sizes = [len(g) for g in groups]
-    if not sum(sizes):
-        return [[] for _ in groups]
-    points, res = refine(p, [x for g in groups for x in g])
+    points, res = refine(p, [x for g in groups for x in g], tol)
     ends = np.cumsum(sizes)
     return [list(zip(points[e - n : e], res[e - n : e])) for n, e in zip(sizes, ends)]
 
@@ -313,84 +244,71 @@ def solve(p, cfg=None, _depth=0):
         )
 
     hide = choose_hidden_variable(p) if cfg.hide_variable is None else cfg.hide_variable
-    perm = _hiding_permutation(d, hide)
+    perm = [i for i in range(1, d + 1) if i != hide] + [hide]
     work = p.permute_variables(perm)
 
     R, shape = _resultant(work)
     rng = np.random.default_rng([cfg.seed, 1])
     rp = normal_rank(R, rank_tol=cfg.rank_tol, rng=rng)
     projected = rp.normal_rank < R.size
-    solver_R = project_singular(R, rp, rng)[0] if projected else R
-
-    mask = np.ones(R.size, dtype=bool)
-    if projected and d > 1:
-        generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
-        mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
-    lost = _lost_coordinates(shape, mask)
-    # the Kronecker read substitutes every coordinate it does not read
+    solver_R, mask = R, np.ones(R.size, dtype=bool)
+    if projected:
+        solver_R, _, V = project_singular(R, rp, rng)
+        if d > 1:
+            generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
+            mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
+    # a ratio block the mask removes leaves nothing to read: every eigenpair
+    # then takes the fallback; the Kronecker read substitutes every
+    # coordinate it does not read
+    ratio = [k for k in range(d - 1) if shape.alpha[k] > 0]
     read = [k for k in range(d - 1) if shape.alpha[k] == 0]
-    if lost:
-        lost, read = read + lost, []
-    recover = [k for k in range(d - 1) if k not in lost and shape.alpha[k] > 0]
-    # vectors only where something is read from them; projected pencils
-    # rebuild each one from null(R(lambda)) instead
-    vectors = bool(recover or read)
-    eigpairs = solve_pep(solver_R, vectors=vectors and not projected) if solver_R.m >= 1 else []
+    if _masked_out(shape, mask):
+        ratio, read = [], []
+    vectors = bool(ratio or read)
+    eigpairs = solve_pep(solver_R, vectors=vectors) if solver_R.m >= 1 else []
     lams = np.array([lam for lam, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
     if vectors and eigpairs:
-        if projected:
-            vecs = _projected_vectors(R, lams, generic_basis, cfg.rank_tol)
-        else:
-            vecs = np.array([vec for _, vec in eigpairs])
-        if recover:  # rows whose read fails come back NaN
+        vecs = np.array([vec for _, vec in eigpairs])
+        if projected:  # w of U R V w = 0 gives the null vector V w of R
+            vecs = vecs @ V.T
+        if ratio:  # rows whose read fails come back NaN
             fronts = vandermonde_ratios(
-                vecs, shape, mask, cfg.extraction.keep_fraction, coords=recover
+                vecs, shape, mask, cfg.extraction.keep_fraction, coords=ratio
             )
         if read:  # rows whose ratio read failed stay NaN
             pts = np.column_stack([fronts, lams])
             fronts[:, read] = _kronecker_read(work, shape, vecs, pts, read)
     unpermute = np.argsort(np.array(perm) - 1)
+    points = np.column_stack([fronts, lams])[:, unpermute]
+    readable = np.all(np.isfinite(points), axis=1)
+    tol = cfg.extraction.residual_tol
+    gated = _refine_groups(p, [[x] if ok else [] for x, ok in zip(points, readable)], tol)
+    reduced = [False] * len(gated)
 
-    def complete(front, lam, missing):
-        """Points in the original coordinates from a front and lambda,
-        completing the missing coordinates."""
+    def complete(lam):
+        """Points in the original coordinates with x_d = lam substituted."""
         # a spurious eigenvalue can make the substituted equations
         # arbitrarily degenerate, or overflow them; give up on the eigenpair,
         # not the solve
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ys = _lost_coordinate_candidates(work, front, lam, missing, cfg, _depth)
+                ys = _substituted_candidates(work, lam, cfg, _depth)
         except (ValueError, MultiPolyEigError):
             return []
         return [y[unpermute] for y in ys]
 
-    readable = np.all(np.isfinite(fronts[:, recover + read]), axis=1)
-    if lost:
-        groups = [
-            complete(front, lam, lost) if ok else []
-            for front, lam, ok in zip(fronts, lams, readable)
-        ]
-    else:
-        points = np.column_stack([fronts, lams])[:, unpermute]
-        groups = [[x] if ok else [] for x, ok in zip(points, readable)]
-    gated = _refine_groups(p, groups)
-    reduced = [bool(lost)] * len(groups)
-
     # a hidden coordinate shared by several roots mixes their eigenvectors;
     # substituting lambda into the equations still finds every one of them,
     # so each repeated eigenvalue is solved once, for all of its copies
-    tol = cfg.extraction.residual_tol
     covered = np.zeros(len(gated), dtype=bool)
-    if len(lost) < d - 1:
+    if d > 1:
         retry = np.array(
             [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)], dtype=int
         )
         first = retry[_first_copy(lams[retry, None])]
         leaders = retry[first == retry]
-        everything = list(range(d - 1))
-        unknown = np.full(d - 1, np.nan, dtype=complex)
-        redone = _refine_groups(p, [complete(unknown, lams[j], everything) for j in leaders])
+        redone = _refine_groups(p, [complete(lams[j]) for j in leaders], tol)
         for j in retry:
             gated[j], reduced[j] = [], True
         for j, g in zip(leaders, redone):

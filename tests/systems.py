@@ -204,6 +204,45 @@ def shifted_power_closed_form(mats, sizes, tau, s, t, xd):
     return c * scalar
 
 
+def waveguide_system(n, even=False):
+    """Acoustic layer on [0, 1] between two fluid half-spaces, on n grid points.
+
+    Variables (k, kappa_1, kappa_2), sizes (n, 1, 1), tau = (2, 2, 2) and
+    8(n - 1) roots.  With omega = 3, c = (1, 1.5, 0.8), rho = (1, 1.2, 0.9)
+    and h = 1/(n - 1), P_1(k, kappa_1, kappa_2) u = 0 has the interior rows
+    (u_{j-1} - 2u_j + u_{j+1})/h^2 + (omega^2/c_0^2 - k^2) u_j, row 0
+    (u_1 - u_0)/h + i kappa_2 (rho_0/rho_2) u_0 and row n-1
+    (u_{n-1} - u_{n-2})/h - i kappa_1 (rho_0/rho_1) u_{n-1}; the leading
+    coefficient is singular, as no k^2 term appears in the boundary rows.
+    P_2 = k^2 + kappa_1^2 - omega^2/c_1^2 and P_3 = k^2 + kappa_2^2 -
+    omega^2/c_2^2.  With ``even`` the first variable is u = k^2 instead:
+    tau = (1, 2, 2) and 4(n - 1) roots.
+    """
+    omega, c, rho = 3.0, (1.0, 1.5, 0.8), (1.0, 1.2, 0.9)
+    h = 1.0 / (n - 1)
+    k2 = 1 if even else 2  # exponent of the first variable that carries k^2
+    shape = (k2 + 1, 3, 3)
+    a = np.zeros(shape + (n, n), dtype=complex)
+    for j in range(1, n - 1):
+        a[0, 0, 0, j, j - 1 : j + 2] = [1 / h**2, -2 / h**2, 1 / h**2]
+        a[0, 0, 0, j, j] += (omega / c[0]) ** 2
+        a[k2, 0, 0, j, j] = -1.0
+    a[0, 0, 0, 0, :2] = [-1 / h, 1 / h]
+    a[0, 0, 1, 0, 0] = 1j * rho[0] / rho[2]
+    a[0, 0, 0, n - 1, n - 2 :] = [-1 / h, 1 / h]
+    a[0, 1, 0, n - 1, n - 1] = -1j * rho[0] / rho[1]
+    polys = [MatrixPoly(a)]
+    for axis in (1, 2):
+        b = np.zeros(shape + (1, 1), dtype=complex)
+        b[k2, 0, 0] = 1.0
+        idx = [0, 0, 0]
+        idx[axis] = 2
+        b[tuple(idx)] = 1.0
+        b[0, 0, 0] = -((omega / c[axis]) ** 2)
+        polys.append(MatrixPoly(b))
+    return Pmep(polys)
+
+
 def vandermonde_vector(shape, x_front, v):
     """Exact eigenvector model: block (i_1..i_{d-1}) holds prod x_k^{i_k} * v."""
     blocks = []

@@ -265,6 +265,27 @@ class TestExitCodes:
         assert run_cli(["solve", problem_file, "--seed", "abc"]) == 2
         capsys.readouterr()
 
+    def test_non_finite_tolerance_or_negative_seed_is_solver_error(
+        self, problem_file, tmp_path, capsys
+    ):
+        # NaN used to pass every "<= 0" check: a NaN residual tolerance gave
+        # 0 solutions with exit 0, a NaN rank tolerance reached LAPACK
+        out = tmp_path / "solutions.json"
+        assert run_cli(["solve", problem_file, "-o", str(out)]) == 0
+        capsys.readouterr()
+        for argv, name in [
+            (["solve", problem_file, "--residual-tol", "nan"], "residual_tol"),
+            (["solve", problem_file, "--rank-tol", "nan"], "rank_tol"),
+            (["solve", problem_file, "--nullspace-tol", "inf"], "nullspace_tol"),
+            (["solve", problem_file, "--seed", "-1"], "seed"),
+            (["oracle", problem_file, "--seed", "-1"], "seed"),
+            (["verify", problem_file, str(out), "--residual-tol", "nan"], "residual_tol"),
+        ]:
+            assert run_cli(argv) == 1, argv
+            cap = capsys.readouterr()
+            assert cap.out == ""
+            assert name in cap.err, argv
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "solve" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import systems
+from multipolyeig import extract
 from multipolyeig.dixon import DixonShape, ResultantPoly, build_resultant
 from multipolyeig.errors import ExtractionFailureError
 from multipolyeig.extract import (
@@ -233,6 +234,34 @@ class TestRefine:
         jets = [poly.eval_many(start, jet=True) for poly in p.polys]
         before, _ = _gate(p, [jet[:, 0] for jet in jets])
         assert list(before) == [residual(p, x) for x in start]
+
+    def test_failing_rows_step_again_while_converging(self, monkeypatch):
+        # roots kicked by 1e-6 pass after one step; kicked by 5e-3 they are
+        # still above the tolerance after one step but converging, so only
+        # they step again; random points far from any root do not
+        p = systems.quadratic_pair_system()
+        roots = np.array(systems.quadratic_pair_solutions())
+        rng = np.random.default_rng(63)
+        kick = rng.standard_normal(roots.shape) + 1j * rng.standard_normal(roots.shape)
+        kick /= np.abs(kick)
+        far = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        start = np.concatenate([roots + 1e-6 * kick, roots + 5e-3 * kick, far])
+        one_step, one_res = refine(p, start)
+        rows = []
+        step = extract._newton_step
+
+        def recorded(p, X):
+            rows.append(len(X))
+            return step(p, X)
+
+        monkeypatch.setattr(extract, "_newton_step", recorded)
+        points, res = refine(p, start, tol=1e-8)
+        n = len(roots)
+        assert rows == [len(start), n]
+        assert np.min(one_res[n : 2 * n]) > 1e-8 >= np.max(res[: 2 * n])
+        assert np.array_equal(points[:n], one_step[:n])
+        assert np.array_equal(points[2 * n :], one_step[2 * n :])
+        assert np.all(res == [residual(p, x) for x in points])
 
     def test_empty_batch(self):
         points, res = refine(systems.quadratic_pair_system(), np.zeros((0, 2)))

@@ -113,25 +113,6 @@ class TestEval:
             P1_QUADRATIC_PAIR.eval([1.0])
 
 
-class TestHideLast:
-    def test_known_substitution(self):
-        got = P2_QUADRATIC_PAIR.hide_last(0.0)
-        assert got.d == 1
-        assert np.allclose(got.eval([0.7]), [[-1, 0], [-1, 1]])
-
-    def test_composition_identity(self):
-        rng = np.random.default_rng(11)
-        p = random_poly(rng, 3, 2, (2, 2, 1))
-        for _ in range(10):
-            x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert np.allclose(p.hide_last(x[2]).eval(x[:2]), p.eval(x), atol=1e-12)
-
-    def test_d1_rejected(self):
-        p = MatrixPoly(np.zeros((2, 1, 1)), Basis.MONOMIAL)
-        with pytest.raises(ValueError):
-            p.hide_last(0.0)
-
-
 class TestPartialEval:
     def test_matches_full_eval(self):
         rng = np.random.default_rng(12)
@@ -140,6 +121,12 @@ class TestPartialEval:
         q = p.partial_eval({0: x[0], 2: x[2]})
         assert q.d == 1
         assert np.allclose(q.eval([x[1]]), p.eval(x), atol=1e-12)
+        # the last axis alone, as the fallback substitutes x_d = lambda
+        for _ in range(10):
+            x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            q = p.partial_eval({2: x[2]})
+            assert q.d == 2
+            assert np.allclose(q.eval(x[:2]), p.eval(x), atol=1e-12)
 
 
 class TestPermute:

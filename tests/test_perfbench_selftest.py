@@ -1,17 +1,43 @@
-"""The benchmark harness's own self-test passes against this checkout.
+"""The benchmark harness's own self-test passes against this checkout, and so
+does the benchmark's correctness gate.
 
 `perfbench/tracer.py` binds package functions by name; a package change that
 breaks one of those bindings fails here instead of only at benchmark time.
+The benchmark also rejects a run whose solution documents miss roots or hold
+a root that fails its independent recheck (`perfbench/check.py`); the same
+check runs here on seed 0 of the `dense` and `structured` workloads.
 """
 
 import importlib.util
 from pathlib import Path
 
-SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+from multipolyeig.cli import run_cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_harness_selftest_passes():
-    spec = importlib.util.spec_from_file_location("perfbench_selftest", SELFTEST)
-    selftest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(selftest)
+    selftest = _load("selftest")
     assert selftest.run_all(0) == []
+
+
+def test_workloads_pass_correctness_gate(tmp_path, capsys):
+    problems, check = _load("problems"), _load("check")
+    for workload in ("dense", "structured"):
+        for k, problem in enumerate(problems.workload(workload, 0)):
+            name = f"{workload}/{problem['name']}"
+            path = tmp_path / f"{workload}_{k:02d}.json"
+            out = tmp_path / f"{workload}_{k:02d}.out.json"
+            path.write_text(problems.problem_document(problem), encoding="utf-8")
+            argv = ["solve", str(path), "-o", str(out)] + problem["args"]
+            assert run_cli(argv) == 0, name
+            found, bad = check.validate(problem, out.read_text(encoding="utf-8"))
+            assert (found, bad) == (problem["expected"], 0), name
+    capsys.readouterr()

@@ -13,7 +13,7 @@ from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
 from multipolyeig.solver import (
     SolverConfig,
-    _lost_coordinate_candidates,
+    _substituted_candidates,
     choose_hidden_variable,
     solve,
 )
@@ -72,8 +72,17 @@ class TestChooseHiddenVariable:
 
 class TestConfigValidation:
     def test_bad_tolerances(self):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="rank_tol"):
+                SolverConfig(rank_tol=bad)
+            with pytest.raises(ValueError, match="nullspace_tol"):
+                extract.ExtractionConfig(nullspace_tol=bad)
+            with pytest.raises(ValueError, match="residual_tol"):
+                extract.ExtractionConfig(residual_tol=bad)
         with pytest.raises(ValueError):
-            SolverConfig(rank_tol=0.0)
+            extract.ExtractionConfig(keep_fraction=np.nan)
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=-1)
         with pytest.raises(ValueError):
             SolverConfig(hide_variable=0)
 
@@ -194,7 +203,12 @@ class TestRankDeficientPair:
         # vectors, LAPACK's SVD of a complex matrix holding inf never returns
         lam = complex(1e308, 1e308)
         solve_pep = solver.solve_pep
-        monkeypatch.setattr(solver, "solve_pep", lambda *a, **k: solve_pep(*a, **k) + [(lam, None)])
+
+        def with_overflow(R, vectors=True):
+            vec = np.ones(R.size, dtype=complex) if vectors else None
+            return solve_pep(R, vectors=vectors) + [(lam, vec)]
+
+        monkeypatch.setattr(solver, "solve_pep", with_overflow)
         svd = np.linalg.svd
 
         def finite_svd(a, *args, **kwargs):
@@ -212,6 +226,31 @@ class TestRankDeficientPair:
         assert_same_points(out.points(), systems.rank_deficient_pair_solutions(), 1e-8)
         assert out.diagnostics["dropped_eigenpairs"] == 1
 
+    def test_resultant_evaluated_only_at_probe_points(self, monkeypatch):
+        # the projected pencil's eigenvectors w give the null vectors V w of
+        # R: R is evaluated at the rank and null-space probes, never at an
+        # eigenvalue
+        points, lams = [], []
+        evaluate, solve_pep = ResultantPoly.eval, solver.solve_pep
+
+        def recorded(self, xd):
+            points.append(xd)
+            return evaluate(self, xd)
+
+        def recorded_pep(*args, **kwargs):
+            pairs = solve_pep(*args, **kwargs)
+            lams.extend(lam for lam, _ in pairs)
+            return pairs
+
+        monkeypatch.setattr(ResultantPoly, "eval", recorded)
+        monkeypatch.setattr(solver, "solve_pep", recorded_pep)
+        out = solve(systems.rank_deficient_pair_system())
+        assert out.diagnostics["projected"]
+        assert len(out) == 2
+        assert points and lams
+        gaps = np.abs(np.subtract.outer(np.array(points), np.array(lams)))
+        assert np.min(gaps) > 1e-6
+
     def test_projected_roots_are_refined(self):
         # the projected pencil's eigenvalues come back unrefined; the Newton
         # step on the original system takes the median from about 2e-15
@@ -220,6 +259,45 @@ class TestRankDeficientPair:
         assert len(out) == 2
         assert np.median([s.residual for s in out]) <= 5e-16
 
+
+class TestWaveguide:
+    # an acoustic layer between two fluid half-spaces: its resultant is
+    # singular, so every solve is projected
+    def test_projected_kronecker_read_does_not_raise(self):
+        # u = k^2 model with x_3 hidden leaves u in front with no ratio block,
+        # so it is read from the Kronecker factors of every eigenvector; with
+        # these seeds and mask, an eigenvector taken from an SVD of R(lambda)
+        # that does not converge would be NaN, and the read's SVD of it raises
+        p = systems.waveguide_system(8, even=True)
+        loose = extract.ExtractionConfig(nullspace_tol=1e-10)
+        for seed in (8, 9, 13):
+            out = solve(p, SolverConfig(seed=seed, hide_variable=3, extraction=loose))
+            assert out.diagnostics["projected"]
+            assert len(out) == 28
+            assert max(s.residual for s in out) <= 1e-8
+
+    def test_masked_ratio_block_takes_fallback(self):
+        # k model, kappa_2 hidden: the mask removes one of the two ratio
+        # blocks, so nothing is read and every eigenpair takes the fallback's
+        # nested solve
+        out = solve(systems.waveguide_system(8))
+        assert out.diagnostics["projected"]
+        assert len(out) == 56
+        assert all(s.flags["reduced"] for s in out)
+        assert out.diagnostics["dropped_eigenpairs"] == 0
+        assert max(s.residual for s in out) <= 1e-8
+
+
+    def test_fallback_candidates_take_further_newton_steps(self):
+        # u = k^2 model at n = 16, u hidden: the mask removes a ratio block,
+        # so every root comes from the nested solve at an inexact eigenvalue;
+        # 3 of them are still above the gate after one Newton step and pass
+        # only after a second
+        out = solve(systems.waveguide_system(16, even=True))
+        assert out.diagnostics["projected"]
+        assert len(out) == 60
+        assert out.diagnostics["dropped_eigenpairs"] == 0
+        assert max(s.residual for s in out) <= 1e-8
 
 class TestLinearPath:
     def test_fast_path_matches_direct_solver(self):
@@ -522,9 +600,7 @@ class TestReduction:
         p = systems.quadratic_pair_system()
         x_true = 2.0**0.25
         y_true = (-1 + np.sqrt(5)) / 2 / x_true
-        cands = _lost_coordinate_candidates(
-            p, np.array([np.nan + 0j]), y_true, [0], SolverConfig(), depth=0
-        )
+        cands = _substituted_candidates(p, y_true, SolverConfig(), depth=0)
         xs = np.array([c[0] for c in cands])
         assert np.min(np.abs(xs - x_true)) <= 1e-8
         assert all(c[1] == y_true for c in cands)
@@ -540,10 +616,7 @@ class TestReduction:
         polys.append(systems.random_poly(rng, 2, (2, 2, 1)))
         work = Pmep(polys)
         lam = 0.7
-        cands = _lost_coordinate_candidates(
-            work, np.full(2, np.nan, dtype=complex), lam, [0, 1],
-            SolverConfig(), depth=0,
-        )
+        cands = _substituted_candidates(work, lam, SolverConfig(), depth=0)
         assert len(cands) == 8
         assert_same_points(
             [c[:2] for c in cands], systems.quadratic_pair_solutions(), 1e-6
@@ -561,7 +634,4 @@ class TestReduction:
         polys.append(systems.random_poly(rng, 2, (2, 2, 1)))
         work = Pmep(polys)
         with pytest.raises(ReductionDepthExceededError):
-            _lost_coordinate_candidates(
-                work, np.full(2, np.nan, dtype=complex), 0.7, [0, 1],
-                SolverConfig(), depth=1,
-            )
+            _substituted_candidates(work, 0.7, SolverConfig(), depth=1)
