@@ -4,7 +4,6 @@ Subcommands::
 
     multipolyeig solve <problem.json> [-o out.json] [--basis B] [--hide K]
                  [--seed S] [--residual-tol T] [--rank-tol T]
-                 [--nullspace-tol T] [--keep-fraction F]
     multipolyeig verify <problem.json> <solutions.json> [--residual-tol T]
     multipolyeig oracle <problem.json> [-o out.json] [--starts N] [--seed S]
                  [--residual-tol T]
@@ -71,11 +70,7 @@ def _cmd_solve(args):
         basis=Basis(args.basis) if args.basis else None,
         seed=_resolve_seed(args.seed),
         hide_variable=args.hide,
-        extraction=ExtractionConfig(
-            nullspace_tol=args.nullspace_tol,
-            keep_fraction=args.keep_fraction,
-            residual_tol=args.residual_tol,
-        ),
+        extraction=ExtractionConfig(residual_tol=args.residual_tol),
         rank_tol=args.rank_tol,
     )
     out = solve(p, cfg)
@@ -192,11 +187,7 @@ def _build_parser():
                           "(default: MULTIPOLYEIG_SEED or 0)")
     _add_common_tolerances(sub)
     sub.add_argument("--rank-tol", type=float, default=1e-10,
-                     help="relative singular value cutoff for rank decisions (default 1e-10)")
-    sub.add_argument("--nullspace-tol", type=float, default=1e-13,
-                     help="relative cutoff for eigenvector nullspace membership (default 1e-13)")
-    sub.add_argument("--keep-fraction", type=float, default=0.25,
-                     help="fraction of largest eigenvector entries used for ratios (default 0.25)")
+                     help="relative cutoff for rank decisions (default 1e-10)")
     sub.set_defaults(func=_cmd_solve)
 
     sub = commands.add_parser("verify", help="recompute residuals for stored solutions")

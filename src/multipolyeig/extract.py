@@ -81,16 +81,12 @@ def check_tolerances(**tolerances):
 
 @dataclass
 class ExtractionConfig:
-    """Tolerances for eigenvector-based coordinate extraction."""
+    """The residual gate a candidate point must pass to become a solution."""
 
-    nullspace_tol: float = 1e-13
-    keep_fraction: float = 0.25
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        check_tolerances(nullspace_tol=self.nullspace_tol, residual_tol=self.residual_tol)
-        if not 0 < self.keep_fraction <= 1:
-            raise ValueError("keep_fraction must lie in (0, 1]")
+        check_tolerances(residual_tol=self.residual_tol)
 
 
 def block_indices(shape, exponents):
@@ -171,7 +167,7 @@ def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
 
 
 def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):
-    """Orthonormal basis (columns) of the null space of R at a random point."""
+    """Orthonormal basis (columns) of R's null space at a random point (unused by `solve`)."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     z = 1.3 * np.exp(2j * np.pi * rng.uniform())
     mat = R.eval(z)

@@ -6,22 +6,22 @@ One pipeline for every input, run once in the given coordinates:
 2. build R(x_d): the hidden-variable Dixon resultant in general, the
    operator-determinant pencil x_d Delta_0 - Delta_d of side N for a linear
    MEP, the polynomial itself for d = 1,
-3. probe the normal rank; compress singular R by a two-sided projection,
+3. drop R's structurally zero rows and columns (Kapur, Saxena and Yang),
+   probe the normal rank, and compress a still singular R by a two-sided
+   projection,
 4. linearize (companion/colleague) and solve by shift and invert; the
    eigenpairs stay unrefined, and carry no vectors when nothing is read
    from them,
 5. for all eigenpairs in one stacked call, read each x_k with a ratio block
-   (alpha_k > 0) off the block Vandermonde structure of the eigenvector,
-   masking entries corrupted by the generic null space.  A projected
-   pencil's eigenvector w gives the null vector V w of R(lambda), with V
-   the right factor of the projection.  Every x_k without a ratio block
+   (alpha_k > 0) off the block Vandermonde structure of the eigenvector, on
+   the columns step 3 kept.  Every x_k without a ratio block
    (alpha_k = 0: a degree-one x_1 of the Dixon resultant, every front
    coordinate of the other two) is read for all eigenpairs in one batch: it
    solves the equations, with the other coordinates substituted, in the
    least-squares sense on the Kronecker factors v_1 kron ... kron v_d of
-   block 0.  An eigenpair whose read fails reads NaN.  When the mask
-   removes a whole ratio block, nothing is read and every eigenpair takes
-   the fallback,
+   block 0.  An eigenpair whose read fails reads NaN.  Nothing is read
+   from a projected pencil, or when the kept columns leave a read short:
+   every eigenpair then takes the fallback,
 6. undo the permutation and gate the candidates of every eigenpair in one
    call (`extract.refine`): each point takes one Newton step on the original
    system, keeps it only if it lowers the normalized residual, steps again
@@ -51,7 +51,6 @@ from .extract import (
     block_indices,
     check_tolerances,
     filter_solutions,
-    generic_nullspace_basis,
     refine,
     vandermonde_ratios,
 )
@@ -71,6 +70,7 @@ class SolverConfig:
 
     ``seed`` drives the random rank probes and projections of singular
     resultants; ``hide_variable`` (1-based) overrides the automatic choice.
+    ``rank_tol`` also cuts R's structurally zero rows and columns.
     """
 
     basis: Basis | None = None
@@ -131,15 +131,30 @@ def _as_linear_mep(p):
     return LinearMep(v0, vmats)
 
 
+def _structural_core(R, rank_tol):
+    """R without the rows and columns whose every coefficient entry is at
+    most ``rank_tol`` times R's largest, and the kept columns.  When those
+    rows and columns do not pair up, or R is zero, R comes back whole."""
+    mag = np.abs(R.coeffs)
+    big = mag > rank_tol * np.max(mag)
+    rows, cols = np.any(big, axis=(0, 2)), np.any(big, axis=(0, 1))
+    if not np.any(rows) or np.count_nonzero(rows) != np.count_nonzero(cols):
+        return R, np.ones(R.size, dtype=bool)
+    return ResultantPoly(R.coeffs[(slice(None), *np.ix_(rows, cols))], R.basis), cols
+
+
 def _masked_out(shape, mask):
-    """Whether the null-space mask removes every entry pair of a ratio block."""
-    zero_idx = block_indices(shape, (0,) * (shape.d - 1))
+    """Whether the kept columns leave a read short: a ratio block without an
+    entry pair, or a Kronecker read without all of block 0."""
+    zero = mask[block_indices(shape, (0,) * (shape.d - 1))]
     for k in range(shape.d - 1):
-        if shape.alpha[k] == 0:
-            continue  # no ratio block; read from the Kronecker factors instead
+        if shape.alpha[k] == 0:  # no ratio block: the Kronecker read factors block 0
+            if not np.all(zero):
+                return True
+            continue
         unit = [0] * (shape.d - 1)
         unit[k] = 1
-        if not np.any(mask[zero_idx] & mask[block_indices(shape, unit)]):
+        if not np.any(zero & mask[block_indices(shape, unit)]):
             return True
     return False
 
@@ -249,33 +264,28 @@ def solve(p, cfg=None, _depth=0):
 
     R, shape = _resultant(work)
     rng = np.random.default_rng([cfg.seed, 1])
-    rp = normal_rank(R, rank_tol=cfg.rank_tol, rng=rng)
-    projected = rp.normal_rank < R.size
-    solver_R, mask = R, np.ones(R.size, dtype=bool)
+    core, mask = _structural_core(R, cfg.rank_tol)
+    rp = normal_rank(core, rank_tol=cfg.rank_tol, rng=rng)
+    projected = rp.normal_rank < core.size
     if projected:
-        solver_R, _, V = project_singular(R, rp, rng)
-        if d > 1:
-            generic_basis = generic_nullspace_basis(R, cfg.rank_tol, rng)
-            mask = np.linalg.norm(generic_basis, axis=1) <= cfg.extraction.nullspace_tol
-    # a ratio block the mask removes leaves nothing to read: every eigenpair
-    # then takes the fallback; the Kronecker read substitutes every
-    # coordinate it does not read
+        core = project_singular(core, rp, rng)[0]
+    # a projected pencil's eigenvectors, or a read the kept columns leave
+    # short, give nothing: every eigenpair then takes the fallback; the
+    # Kronecker read substitutes every coordinate it does not read
     ratio = [k for k in range(d - 1) if shape.alpha[k] > 0]
     read = [k for k in range(d - 1) if shape.alpha[k] == 0]
-    if _masked_out(shape, mask):
+    if projected or _masked_out(shape, mask):
         ratio, read = [], []
     vectors = bool(ratio or read)
-    eigpairs = solve_pep(solver_R, vectors=vectors) if solver_R.m >= 1 else []
+    eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lams = np.array([lam for lam, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
     if vectors and eigpairs:
-        vecs = np.array([vec for _, vec in eigpairs])
-        if projected:  # w of U R V w = 0 gives the null vector V w of R
-            vecs = vecs @ V.T
+        # the core's eigenvectors, with zeros on R's dropped columns
+        vecs = np.zeros((len(eigpairs), R.size), dtype=complex)
+        vecs[:, mask] = [vec for _, vec in eigpairs]
         if ratio:  # rows whose read fails come back NaN
-            fronts = vandermonde_ratios(
-                vecs, shape, mask, cfg.extraction.keep_fraction, coords=ratio
-            )
+            fronts = vandermonde_ratios(vecs, shape, mask, coords=ratio)
         if read:  # rows whose ratio read failed stay NaN
             pts = np.column_stack([fronts, lams])
             fronts[:, read] = _kronecker_read(work, shape, vecs, pts, read)

@@ -34,6 +34,44 @@ def random_pmep(rng, sizes, tau, basis=Basis.MONOMIAL, real=False):
     return Pmep([random_poly(rng, n, tau, basis, real) for n in sizes])
 
 
+def sparse_random_pmep(rng):
+    """A random system with d in {2, 3}, n_i <= 2, tau_k <= 2 and only a
+    random 30-80% of its coefficients nonzero; sparse systems often have
+    singular resultants, roots at infinity or curves of roots."""
+    d = int(rng.integers(2, 4))
+    tau = tuple(int(t) for t in rng.integers(1, 3, size=d))
+    density = rng.uniform(0.3, 0.8)
+    polys = []
+    for _ in range(d):
+        n = int(rng.integers(1, 3))
+        shape = tuple(t + 1 for t in tau) + (n, n)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        polys.append(MatrixPoly(c * (rng.uniform(size=shape) < density)))
+    return Pmep(polys)
+
+
+def shared_factor_system():
+    """P1 = x1(1 - 2x3 + x2x3), P2 = x1x3(1 + 3x1x2),
+    P3 = 1 + 2x3 - x2 + x1x2 - 2x1^2 + x1^2x2x3, tau = (2, 1, 1).
+
+    P1 and P2 share the factor x1, so x1 = 0, x2 = 1 + 2x3 is a curve of
+    roots.  With x3 hidden the resultant is 4 x 4 of degree 3, with one row
+    zero at every coefficient and no such column.
+    """
+    equations = [
+        {(1, 0, 0): 1, (1, 0, 1): -2, (1, 1, 1): 1},
+        {(1, 0, 1): 1, (2, 1, 1): 3},
+        {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): -1, (1, 1, 0): 1, (2, 0, 0): -2, (2, 1, 1): 1},
+    ]
+    polys = []
+    for terms in equations:  # exponents (of x1, x2, x3) -> coefficient
+        c = np.zeros((3, 2, 2, 1, 1), dtype=complex)
+        for idx, value in terms.items():
+            c[idx] = value
+        polys.append(MatrixPoly(c))
+    return Pmep(polys)
+
+
 def quadratic_pair_system(basis=Basis.MONOMIAL):
     c1 = np.zeros((3, 3, 2, 2), dtype=complex)
     c1[0, 0] = [[0, 1], [2, 0]]
@@ -112,6 +150,22 @@ def rank_deficient_pair_system():
     c2[0, 0] = [[-1, 0], [-1, 1]]
     c2[1, 1] = [[0, 1], [0, 0]]
     return Pmep([MatrixPoly(c1), MatrixPoly(c2)])
+
+
+def mixed_rank_deficient_pair_system():
+    """The rank-deficient pair with each P_i replaced by A_i P_i B_i.
+
+    A_i and B_i are random constant matrices, so the roots and the normal
+    rank 5 of the size-8 resultant stay, but no row or column of the
+    resultant is zero: its singularity is not structural, and only the
+    projection removes it.
+    """
+    rng = np.random.default_rng(0)
+    polys = []
+    for poly in rank_deficient_pair_system().polys:
+        a, b = random_matrix(rng, 2), random_matrix(rng, 2)
+        polys.append(MatrixPoly(np.einsum("ij,...jk,kl->...il", a, poly.coeffs, b)))
+    return Pmep(polys)
 
 
 def rank_deficient_pair_solutions():

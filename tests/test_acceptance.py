@@ -78,10 +78,19 @@ def test_criterion_04_singular_pair_projected_solve():
     assert np.max(np.abs(r.coeffs[0] - systems.RANK_DEFICIENT_M0)) <= 1e-12
     assert np.max(np.abs(r.coeffs[1] - systems.RANK_DEFICIENT_M1)) <= 1e-12
     assert normal_rank(r, rng=0).normal_rank == 5
+    # its singularity is structural: the core left by dropping R's zero rows
+    # and columns is regular, so the plain pair is not projected
     out = solve(p)
+    assert len(out) == 2
+    assert out.diagnostics["projected"] is False
+    # mixed by constant factors, no row or column is zero and only the
+    # projection removes the singularity
+    mixed = systems.mixed_rank_deficient_pair_system()
+    assert normal_rank(build_resultant(mixed), rng=0).normal_rank == 5
+    out = solve(mixed)
     assert len(out) > 0
     assert out.diagnostics["projected"] is True
-    oracle = newton_oracle(p, starts=200, seed=0)
+    oracle = newton_oracle(mixed, starts=200, seed=0)
     for s in out:
         assert min(np.linalg.norm(s.x - o.x) for o in oracle) <= 1e-6
 

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from multipolyeig.io import (
 from multipolyeig.solver import SolverConfig, solve
 
 from systems import (
+    mixed_rank_deficient_pair_system,
     quadratic_pair_solutions,
     quadratic_pair_system,
-    rank_deficient_pair_system,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -35,9 +39,10 @@ def problem_file(tmp_path):
 
 @pytest.fixture
 def seeded_file(tmp_path):
-    """A singular system: its random projection makes the output depend on the seed."""
+    """A singular system with no zero row or column in its resultant: its
+    random projection makes the output depend on the seed."""
     path = tmp_path / "seeded.json"
-    path.write_text(serialize_pmep(rank_deficient_pair_system()), encoding="utf-8")
+    path.write_text(serialize_pmep(mixed_rank_deficient_pair_system()), encoding="utf-8")
     return str(path)
 
 
@@ -139,7 +144,7 @@ class TestSolveCommand:
     def test_basis_and_tolerance_flags_accepted(self, problem_file, capsys):
         code = run_cli([
             "solve", problem_file, "--basis", "chebyshev1", "--residual-tol", "1e-6",
-            "--rank-tol", "1e-9", "--nullspace-tol", "1e-12", "--keep-fraction", "0.5",
+            "--rank-tol", "1e-9",
         ])
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["solutions"]) == 8
@@ -276,7 +281,6 @@ class TestExitCodes:
         for argv, name in [
             (["solve", problem_file, "--residual-tol", "nan"], "residual_tol"),
             (["solve", problem_file, "--rank-tol", "nan"], "rank_tol"),
-            (["solve", problem_file, "--nullspace-tol", "inf"], "nullspace_tol"),
             (["solve", problem_file, "--seed", "-1"], "seed"),
             (["oracle", problem_file, "--seed", "-1"], "seed"),
             (["verify", problem_file, str(out), "--residual-tol", "nan"], "residual_tol"),
@@ -285,6 +289,11 @@ class TestExitCodes:
             cap = capsys.readouterr()
             assert cap.out == ""
             assert name in cap.err, argv
+
+    def test_retired_read_knobs_are_usage_errors(self, problem_file, capsys):
+        for flag, value in (("--nullspace-tol", "1e-12"), ("--keep-fraction", "0.5")):
+            assert run_cli(["solve", problem_file, flag, value]) == 2
+            assert flag in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -328,3 +337,24 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)["solutions"]) == 8
+
+
+def solve_synopsis_flags(text):
+    """Flags of the ``multipolyeig solve`` synopsis in a usage text."""
+    lines = [line.strip() for line in text.splitlines()]
+    start = next(i for i, line in enumerate(lines) if line.startswith("multipolyeig solve "))
+    block = [lines[start]]
+    for line in lines[start + 1 :]:
+        if not line.startswith("["):
+            break
+        block.append(line)
+    return set(re.findall(r"\[(--?[\w-]+)", " ".join(block)))
+
+
+def test_solve_synopses_match_the_parser(capsys):
+    assert run_cli(["solve", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = set(re.findall(r"\[(--?[\w-]+)", usage)) - {"-h"}
+    assert "--rank-tol" in flags and "--nullspace-tol" not in flags
+    assert solve_synopsis_flags(cli.__doc__) == flags
+    assert solve_synopsis_flags(README.read_text(encoding="utf-8")) == flags

@@ -1,5 +1,7 @@
 """Tests for eigenvector coordinate extraction, residuals, and filtering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,27 +33,21 @@ def pair_shape():
     return DixonShape(2, (2, 2), (2, 2))
 
 
-def nullspace_mask(r, tol=ExtractionConfig().nullspace_tol, rng=None):
-    """Usable-entry mask as the solver forms it from the generic null space."""
+def nullspace_mask(r, tol=1e-13, rng=None):
+    """Usable-entry mask from the generic null space: rows of small norm."""
     return np.linalg.norm(generic_nullspace_basis(r, rng=rng), axis=1) <= tol
 
 
 class TestConfig:
     def test_defaults(self):
+        # the residual gate is the one setting; the read takes no knobs
         cfg = ExtractionConfig()
-        assert cfg.nullspace_tol == 1e-13
-        assert cfg.keep_fraction == 0.25
         assert cfg.residual_tol == 1e-8
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            ExtractionConfig(keep_fraction=0.0)
-        with pytest.raises(ValueError):
-            ExtractionConfig(keep_fraction=1.5)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["residual_tol"]
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            ExtractionConfig(nullspace_tol=-1e-13)
+            ExtractionConfig(residual_tol=-1e-8)
 
 
 class TestVandermondeRatios:

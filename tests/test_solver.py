@@ -7,7 +7,7 @@ import pytest
 
 import systems
 from multipolyeig import extract, solver
-from multipolyeig.dixon import ResultantPoly, build_resultant
+from multipolyeig.dixon import DixonShape, ResultantPoly, build_resultant
 from multipolyeig.errors import ReductionDepthExceededError
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
@@ -75,12 +75,8 @@ class TestConfigValidation:
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="rank_tol"):
                 SolverConfig(rank_tol=bad)
-            with pytest.raises(ValueError, match="nullspace_tol"):
-                extract.ExtractionConfig(nullspace_tol=bad)
             with pytest.raises(ValueError, match="residual_tol"):
                 extract.ExtractionConfig(residual_tol=bad)
-        with pytest.raises(ValueError):
-            extract.ExtractionConfig(keep_fraction=np.nan)
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=-1)
         with pytest.raises(ValueError):
@@ -133,7 +129,7 @@ class TestQuadraticPair:
 
     def test_explicit_hidden_variable_recovers_all_roots(self):
         # hiding x makes the four x-values double eigenvalues and drops the
-        # resultant's rank; the projection and the reduction still recover
+        # resultant's rank; the deflation and the reduction still recover
         # all eight roots
         p = systems.quadratic_pair_system()
         for hide in (1, 2):
@@ -177,8 +173,12 @@ class TestQuadraticPair:
 
 
 class TestRankDeficientPair:
+    # the plain pair's resultant is singular only structurally: dropping its
+    # zero rows and columns leaves a regular core of side 5; the mixed pair
+    # A_i P_i B_i has the same roots and normal rank but no zero row or
+    # column, so only the projection removes its singularity
     def test_projected_pipeline(self):
-        p = systems.rank_deficient_pair_system()
+        p = systems.mixed_rank_deficient_pair_system()
         out = solve(p)
         assert len(out) == 2
         assert max(s.residual for s in out) <= 1e-8
@@ -188,7 +188,8 @@ class TestRankDeficientPair:
         assert out.diagnostics["resultant_size"] == 8
         assert out.diagnostics["normal_rank"] == 5
         assert out.diagnostics["projected"]
-        assert all(s.flags["projected"] for s in out)
+        # a projected pencil's eigenvectors are not read
+        assert all(s.flags["projected"] and s.flags["reduced"] for s in out)
 
     def test_default_pipeline(self):
         p = systems.rank_deficient_pair_system()
@@ -197,6 +198,10 @@ class TestRankDeficientPair:
         assert_same_points(
             out.points(), systems.rank_deficient_pair_solutions(), 1e-6
         )
+        assert out.diagnostics["resultant_size"] == 8
+        assert out.diagnostics["normal_rank"] == 5
+        assert out.diagnostics["projected"] is False
+        assert all(not s.flags["reduced"] for s in out)
 
     def test_overflowing_eigenvalue_is_dropped(self, monkeypatch):
         # an eigenvalue where R(lambda) overflows must not reach an SVD: with
@@ -217,7 +222,7 @@ class TestRankDeficientPair:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", finite_svd)
-        p = systems.rank_deficient_pair_system()
+        p = systems.mixed_rank_deficient_pair_system()
         R = build_resultant(p)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.all(np.isfinite(R.eval(lam)))
@@ -227,9 +232,8 @@ class TestRankDeficientPair:
         assert out.diagnostics["dropped_eigenpairs"] == 1
 
     def test_resultant_evaluated_only_at_probe_points(self, monkeypatch):
-        # the projected pencil's eigenvectors w give the null vectors V w of
-        # R: R is evaluated at the rank and null-space probes, never at an
-        # eigenvalue
+        # the projected pencil's eigenvectors are not read, so R is evaluated
+        # at the rank probes only, never at an eigenvalue
         points, lams = [], []
         evaluate, solve_pep = ResultantPoly.eval, solver.solve_pep
 
@@ -244,7 +248,7 @@ class TestRankDeficientPair:
 
         monkeypatch.setattr(ResultantPoly, "eval", recorded)
         monkeypatch.setattr(solver, "solve_pep", recorded_pep)
-        out = solve(systems.rank_deficient_pair_system())
+        out = solve(systems.mixed_rank_deficient_pair_system())
         assert out.diagnostics["projected"]
         assert len(out) == 2
         assert points and lams
@@ -253,51 +257,107 @@ class TestRankDeficientPair:
 
     def test_projected_roots_are_refined(self):
         # the projected pencil's eigenvalues come back unrefined; the Newton
-        # step on the original system takes the median from about 2e-15
-        # (eigenvalues as computed) to roundoff
-        out = solve(systems.rank_deficient_pair_system())
+        # steps on the original system take the roots to roundoff
+        out = solve(systems.mixed_rank_deficient_pair_system())
+        assert out.diagnostics["projected"]
         assert len(out) == 2
         assert np.median([s.residual for s in out]) <= 5e-16
 
 
 class TestWaveguide:
-    # an acoustic layer between two fluid half-spaces: its resultant is
-    # singular, so every solve is projected
+    # an acoustic layer between two fluid half-spaces: half of the rows and
+    # half of the columns of its resultant are zero at every coefficient, and
+    # the core left when they are dropped is regular, so no solve is projected
     def test_projected_kronecker_read_does_not_raise(self):
         # u = k^2 model with x_3 hidden leaves u in front with no ratio block,
-        # so it is read from the Kronecker factors of every eigenvector; with
-        # these seeds and mask, an eigenvector taken from an SVD of R(lambda)
-        # that does not converge would be NaN, and the read's SVD of it raises
+        # so it is read from the Kronecker factors of every eigenvector; at
+        # the seeds where a projected solve's read once raised, the deflated
+        # core keeps all of block 0 and reads every root
         p = systems.waveguide_system(8, even=True)
-        loose = extract.ExtractionConfig(nullspace_tol=1e-10)
         for seed in (8, 9, 13):
-            out = solve(p, SolverConfig(seed=seed, hide_variable=3, extraction=loose))
-            assert out.diagnostics["projected"]
+            out = solve(p, SolverConfig(seed=seed, hide_variable=3))
+            assert out.diagnostics["projected"] is False
             assert len(out) == 28
+            assert all(not s.flags["reduced"] for s in out)
             assert max(s.residual for s in out) <= 1e-8
 
     def test_masked_ratio_block_takes_fallback(self):
-        # k model, kappa_2 hidden: the mask removes one of the two ratio
-        # blocks, so nothing is read and every eigenpair takes the fallback's
-        # nested solve
+        # k model, kappa_2 hidden: k enters only as k^2, so the roots come in
+        # pairs (+-k, kappa_1, kappa_2) that share kappa_2; every eigenvalue is
+        # double, its eigenvectors mix, and every eigenpair takes the
+        # fallback's nested solve
         out = solve(systems.waveguide_system(8))
-        assert out.diagnostics["projected"]
+        assert out.diagnostics["projected"] is False
         assert len(out) == 56
         assert all(s.flags["reduced"] for s in out)
         assert out.diagnostics["dropped_eigenpairs"] == 0
         assert max(s.residual for s in out) <= 1e-8
 
-
     def test_fallback_candidates_take_further_newton_steps(self):
-        # u = k^2 model at n = 16, u hidden: the mask removes a ratio block,
-        # so every root comes from the nested solve at an inexact eigenvalue;
-        # 3 of them are still above the gate after one Newton step and pass
-        # only after a second
-        out = solve(systems.waveguide_system(16, even=True))
-        assert out.diagnostics["projected"]
-        assert len(out) == 60
+        # u = k^2 model at n = 24, u hidden: every root is read from the
+        # deflated core's eigenvectors; 12 of the read candidates are still
+        # above the gate after one Newton step and pass only after more, which
+        # keeps them out of the fallback
+        out = solve(systems.waveguide_system(24, even=True))
+        assert out.diagnostics["projected"] is False
+        assert out.diagnostics["normal_rank"] < out.diagnostics["resultant_size"]
+        assert len(out) == 92
+        assert all(not s.flags["reduced"] for s in out)
         assert out.diagnostics["dropped_eigenpairs"] == 0
         assert max(s.residual for s in out) <= 1e-8
+
+    def test_k_model_hiding_k_reads_every_root(self):
+        # k model at n = 16, k hidden: the deflated core's eigenvectors give
+        # all 120 roots, with no fallback
+        out = solve(systems.waveguide_system(16), SolverConfig(hide_variable=1))
+        assert out.diagnostics["projected"] is False
+        assert len(out) == 120
+        assert all(not s.flags["reduced"] for s in out)
+        assert max(s.residual for s in out) <= 1e-8
+
+
+class TestDeflation:
+    def test_unequal_zero_counts_are_projected_whole(self):
+        # one zero row and no zero column leave no square core: R is
+        # projected whole, and every root comes from the fallback
+        p = systems.shared_factor_system()
+        R = build_resultant(p)
+        top = np.max(np.abs(R.coeffs))
+        zero = np.abs(R.coeffs) <= 1e-10 * top
+        assert (R.size, R.m) == (4, 3)
+        assert np.count_nonzero(np.all(zero, axis=(0, 2))) == 1
+        assert np.count_nonzero(np.all(zero, axis=(0, 1))) == 0
+        out = solve(p)
+        assert out.diagnostics["projected"] is True
+        assert out.diagnostics["normal_rank"] == 3
+        assert len(out) > 0
+        assert np.all(extract.residual(p, out.points()) <= 1e-8)
+
+    def test_kept_columns_that_leave_a_read_short(self):
+        # a ratio read needs one kept entry pair; a Kronecker read factors
+        # all of block 0, so a dropped entry there would read garbage
+        ratio = DixonShape(2, (2, 2), (2, 2))  # blocks 0 and e_1, side 4 each
+        kron = DixonShape(2, (1, 1), (2, 2))  # block 0 only
+        keep = np.ones(8, dtype=bool)
+        assert not solver._masked_out(ratio, keep)
+        assert not solver._masked_out(kron, keep[:4])
+        keep[[0, 5, 6, 7]] = False  # every entry pair (j, j + 4) loses a side
+        assert solver._masked_out(ratio, keep)
+        assert solver._masked_out(kron, keep[:4])
+        keep[7] = True  # the pair (3, 7) is whole again
+        assert not solver._masked_out(ratio, keep)
+
+    def test_sparse_random_systems(self):
+        # sparse inputs give singular resultants with and without structural
+        # zeros, curves of roots and roots at infinity; none may raise, and
+        # every root returned must pass the gate
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            p = systems.sparse_random_pmep(rng)
+            out = solve(p)
+            if len(out):
+                assert np.all(extract.residual(p, out.points()) <= 1e-8), p
+
 
 class TestLinearPath:
     def test_fast_path_matches_direct_solver(self):
