@@ -5,6 +5,8 @@ first kind) and operates on dense complex coefficient tensors whose leading
 axes are degree axes.
 """
 
+import functools
+
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
@@ -53,6 +55,18 @@ def der_axis0(basis, coeffs):
     if basis == CHEBYSHEV1:
         return _cheb.chebder(coeffs, axis=0)
     raise ValueError(f"unknown basis {basis!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def der_matrix(basis, deg):
+    """(deg+1)-square matrix D whose column j holds the coefficients of the
+    derivative of basis polynomial j, so ``basis_rows(basis, x, deg) @ D``
+    are the derivatives of the basis at x (cached, read-only)."""
+    der = der_axis0(basis, np.eye(deg + 1))
+    mat = np.zeros((deg + 1, deg + 1))
+    mat[: der.shape[0]] = der
+    mat.setflags(write=False)
+    return mat
 
 
 def apply_matrix_axis(coeffs, mat, axis):

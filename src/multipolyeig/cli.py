@@ -17,6 +17,7 @@ byte-identical output documents.
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -166,7 +167,10 @@ def _add_common_tolerances(sub):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on first use and reused by every later
+    call in the process (each parse starts from a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="multipolyeig",
         description="Global solver for polynomial multiparameter eigenvalue problems.",
@@ -216,9 +220,8 @@ def _build_parser():
 
 def run_cli(argv=None):
     """Run one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -61,7 +61,6 @@ class MatrixPoly:
         self.basis = _as_basis(basis)
         self.d = d
         self._max_coeff_norm = None
-        self._jet = None
 
     @property
     def n(self):
@@ -88,36 +87,30 @@ class MatrixPoly:
         """Evaluate at an (m, d) array of points; returns (m, n, n).
 
         With ``jet=True`` returns (m, d+1, n, n): the value followed by the d
-        partial derivatives.  Either way it is one contraction of the
-        outer-product basis rows of each point with the flattened
-        coefficients (for ``jet``, the cached value-plus-derivative table), so
-        a point's result does not depend on the other points in the batch.
+        partial derivatives.  Each is the outer-product basis row of the point
+        contracted with the flattened coefficients; partial k swaps factor k
+        of the row for its derivative row ``basis_rows @ der_matrix``, so no
+        derivative coefficients are formed or cached.  The contraction is one
+        vector-matrix product per row, stacked, so a point's result does not
+        depend, to the bit, on the other points in the batch (one
+        ``rows @ table`` product splits its work by batch size and rounds
+        differently).
         """
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError("pts must have shape (m, d)")
         m, n = pts.shape[0], self.n
-        rows = np.ones((m, 1), dtype=complex)
+        j = self.d + 1 if jet else 1
+        rows = np.ones((m, j, 1), dtype=complex)
         for k in range(self.d):
             vals = bo.basis_rows(self.basis.tag, pts[:, k], self.tau[k])
-            rows = (rows[:, :, None] * vals[:, None, :]).reshape(m, -1)
-        table = self._jet_table() if jet else self.coeffs.reshape(-1, n * n)
-        out = np.einsum("mr,rc->mc", rows, table)
+            factor = np.repeat(vals[:, None, :], j, axis=1)
+            if jet:
+                der = bo.der_matrix(self.basis.tag, self.tau[k])
+                factor[:, k + 1] = (vals[:, None, :] @ der)[:, 0, :]
+            rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, -1)
+        out = (rows[..., None, :] @ self.coeffs.reshape(-1, n * n))[..., 0, :]
         return out.reshape((m, self.d + 1, n, n) if jet else (m, n, n))
-
-    def _jet_table(self):
-        """Coefficients of P and of its d partial derivatives, one column
-        block each, rows in the flattened degree order (cached: the
-        coefficients are read-only)."""
-        if self._jet is None:
-            parts = [self.coeffs]
-            for k in range(self.d):
-                der = bo.der_axis0(self.basis.tag, np.moveaxis(self.coeffs, k, 0))
-                pad = [(0, self.tau[k] + 1 - der.shape[0])] + [(0, 0)] * (self.d + 1)
-                parts.append(np.moveaxis(np.pad(der, pad), 0, k))
-            table = np.stack(parts, axis=self.d)
-            self._jet = table.reshape(-1, (self.d + 1) * self.n * self.n)
-        return self._jet
 
     def partial_eval(self, assignments):
         """Substitute values for a subset of variables (0-based axis -> value).

@@ -209,8 +209,15 @@ def _rank_from_singular_values(sv, rank_tol):
 
 
 def normal_rank(R, rank_tol=1e-10, rng=None):
-    """Numerical normal rank of R by sampling at three points on a randomly
-    rotated unit circle."""
+    """Numerical normal rank of R: the largest rank of R(z) at up to three
+    points on a randomly rotated unit circle.
+
+    The rank is a maximum, so the probe stops at the first point where R(z)
+    has full rank R.size; a singular R is probed at all three.  The profile
+    lists only the points probed.  The rotation is drawn before the first
+    probe, so the generator's later draws do not depend on how many points
+    were probed.
+    """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     phase = np.exp(2j * np.pi * rng.uniform())
     points = [phase * np.exp(2j * np.pi * j / 3) for j in range(3)]
@@ -220,7 +227,9 @@ def normal_rank(R, rank_tol=1e-10, rng=None):
         sv = np.linalg.svd(R.eval(z), compute_uv=False)
         all_sv.append(sv)
         best = max(best, _rank_from_singular_values(sv, rank_tol))
-    return RankProfile(best, points, all_sv, rank_tol)
+        if best == R.size:
+            break
+    return RankProfile(best, points[: len(all_sv)], all_sv, rank_tol)
 
 
 def project_singular(R, rp, rng=None):

@@ -150,6 +150,26 @@ class TestSolveCommand:
         assert len(json.loads(capsys.readouterr().out)["solutions"]) == 8
 
 
+    def test_reused_parser_leaks_nothing(self, seeded_file, capsys, monkeypatch):
+        # later calls in one process reuse the first call's parser; a flag of
+        # one call must not carry over to the next
+        monkeypatch.delenv("MULTIPOLYEIG_SEED", raising=False)
+        flag_sets = [["--seed", "7", "--hide", "1"], [], ["--residual-tol", "1e-6"]]
+
+        def call(flags):
+            rc = run_cli(["solve", seeded_file, *flags])
+            cap = capsys.readouterr()
+            return rc, cap.out, cap.err
+
+        cli._build_parser.cache_clear()
+        reused = [call(flags) for flags in flag_sets]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused[0][1] != reused[1][1]
+        for flags, got in zip(flag_sets, reused):
+            cli._build_parser.cache_clear()
+            assert call(flags) == got
+
+
 class TestVerifyCommand:
     def solved_file(self, problem_file, tmp_path):
         out = tmp_path / "solutions.json"

@@ -213,12 +213,16 @@ class TestNormalRank:
         r = ResultantPoly(np.stack([np.eye(4), np.zeros((4, 4))]), Basis.MONOMIAL)
         rp = normal_rank(r, rng=0)
         assert rp.normal_rank == 4
-        assert len(rp.sample_points) == 3
+        # full rank at the first point ends the probe
+        assert len(rp.sample_points) == 1
         assert all(sv.shape == (4,) for sv in rp.singular_values)
 
     def test_rank_deficient_pencil(self):
         r = build_resultant(systems.rank_deficient_pair_system())
-        assert normal_rank(r, rng=0).normal_rank == 5
+        rp = normal_rank(r, rng=0)
+        assert rp.normal_rank == 5 < r.size
+        # no point shows full rank, so every point is probed
+        assert len(rp.sample_points) == len(rp.singular_values) == 3
 
     def test_quadratic_pair_full_rank(self):
         r = build_resultant(systems.quadratic_pair_system())

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import systems
-from multipolyeig import extract, solver
+from multipolyeig import extract, pep, solver
 from multipolyeig.dixon import DixonShape, ResultantPoly, build_resultant
 from multipolyeig.errors import ReductionDepthExceededError
+from multipolyeig.io import serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
 from multipolyeig.solver import (
@@ -254,6 +255,38 @@ class TestRankDeficientPair:
         assert points and lams
         gaps = np.abs(np.subtract.outer(np.array(points), np.array(lams)))
         assert np.min(gaps) > 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 2, 7])
+    def test_early_stopping_probe_keeps_the_projection(self, seed, monkeypatch):
+        # the projected pencil shows full rank at its first probe point and
+        # stops there; the probe's rotation is drawn before its loop, so the
+        # projection's draws, and the document, are those of a probe that
+        # always takes all three points
+        p = systems.mixed_rank_deficient_pair_system()
+        cfg = SolverConfig(seed=seed)
+        probed, real = [], pep.normal_rank
+
+        def recorded(*args, **kwargs):
+            rp = real(*args, **kwargs)
+            probed.append(len(rp.sample_points))
+            return rp
+
+        def probe_all(R, rank_tol=1e-10, rng=None):
+            rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+            phase = np.exp(2j * np.pi * rng.uniform())
+            points = [phase * np.exp(2j * np.pi * j / 3) for j in range(3)]
+            sv = [np.linalg.svd(R.eval(z), compute_uv=False) for z in points]
+            rank = max(pep._rank_from_singular_values(s, rank_tol) for s in sv)
+            return pep.RankProfile(rank, points, sv, rank_tol)
+
+        def solved_with(probe):
+            monkeypatch.setattr(pep, "normal_rank", probe)
+            monkeypatch.setattr(solver, "normal_rank", probe)
+            return serialize_solutions(solve(p, cfg))
+
+        assert solved_with(recorded) == solved_with(probe_all)
+        # singular R: all three points; the confirmed projection: one
+        assert probed == [3, 1]
 
     def test_projected_roots_are_refined(self):
         # the projected pencil's eigenvalues come back unrefined; the Newton

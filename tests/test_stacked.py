@@ -2,7 +2,9 @@
 
 The eigenvector read, the dedup and the solution document each handle every
 eigenpair or candidate in one array call; these properties pin them to the
-one-vector call, the greedy loop and ``json.dumps`` they replace.
+one-vector call, the greedy loop and ``json.dumps`` they replace.  The
+polynomial evaluation at a batch of points is pinned, to the bit, to its
+one-point call.
 """
 
 import json
@@ -21,6 +23,7 @@ from multipolyeig.extract import (
     vandermonde_ratios,
 )
 from multipolyeig.io import parse_solutions, serialize_solutions
+from multipolyeig.mpoly import Basis, MatrixPoly
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -73,6 +76,25 @@ def test_one_vector_still_raises():
     with pytest.raises(ExtractionFailureError):
         vandermonde_ratios(vec, shape)
     assert np.all(np.isnan(vandermonde_ratios(vec[None], shape)))
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    n=st.integers(1, 3),
+    batch=st.integers(1, 6),
+    basis=st.sampled_from(list(Basis)),
+)
+def test_jet_rows_do_not_depend_on_the_batch(seed, tau, n, batch, basis):
+    rng = np.random.default_rng(seed)
+    shape = tuple(t + 1 for t in tau) + (n, n)
+    p = MatrixPoly(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), basis)
+    pts = rng.standard_normal((batch, len(tau))) + 1j * rng.standard_normal((batch, len(tau)))
+    jet = p.eval_many(pts, jet=True)
+    for i in range(batch):
+        assert np.array_equal(jet[i], p.eval_many(pts[i : i + 1], jet=True)[0])
+    assert np.array_equal(jet[:, 0], p.eval_many(pts))
 
 
 def greedy_filter(cands, cfg):
