@@ -25,7 +25,8 @@ class SingularMepError(MultiPolyEigError):
 
 
 class SingularPencilError(MultiPolyEigError):
-    """A + sigma*B is exactly singular at every fixed shift: the pencil is singular."""
+    """R(sigma), and with it A + sigma*B, is singular at every fixed shift:
+    the pencil is singular."""
 
 
 class ProjectionFailureError(MultiPolyEigError):

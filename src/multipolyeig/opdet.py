@@ -9,7 +9,6 @@ z = v_1 kron ... kron v_d.  `solve` builds the pencil for k = d with `delta`;
 """
 
 import numpy as np
-import scipy.linalg
 
 from .dixon import kron_det
 from .errors import SingularMepError
@@ -76,7 +75,8 @@ def delta(mep, k):
 
 def kron_factor(z, sizes):
     """Best rank-1 Kronecker factorization of z into per-equation vectors; a
-    stack z of shape (..., N) gives factors of shape (..., n_i)."""
+    stack z of shape (..., N) gives factors of shape (..., n_i).  A zero z
+    has a zero last factor."""
     rest = np.asarray(z, dtype=complex)
     factors = []
     for n in sizes[:-1]:
@@ -84,7 +84,8 @@ def kron_factor(z, sizes):
         u, sv, vh = np.linalg.svd(mat, full_matrices=False)
         factors.append(u[..., 0])
         rest = sv[..., :1] * vh[..., 0, :]
-    factors.append(rest / np.linalg.norm(rest, axis=-1, keepdims=True))
+    scale = np.linalg.norm(rest, axis=-1, keepdims=True)
+    factors.append(np.divide(rest, scale, out=np.zeros_like(rest), where=scale > 0))
     return factors
 
 
@@ -95,7 +96,13 @@ def solve_linear_mep(mep):
     come from generalized Rayleigh quotients with the left eigenvectors, which
     ties every coordinate to the same underlying eigenvector and avoids
     combinatorial matching across the d eigenproblems.
+
+    This QZ reference is the one use of scipy in the package, imported here
+    so that the solve path runs on numpy alone; scipy comes with the
+    ``test`` extra.
     """
+    import scipy.linalg
+
     d0 = delta(mep, 0)
     sv = np.linalg.svd(d0, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= 1e-12:

@@ -3,17 +3,18 @@
 A matrix polynomial R(lambda) of degree m is reduced to a pencil A + lambda*B
 of side m*dim (companion form in the monomial basis, colleague form in the
 Chebyshev basis), solved densely as the standard eigenvalue problem of
-(A + sigma*B)^-1 B.  When R is a singular polynomial it is first compressed to
-its normal rank by a random two-sided orthogonal projection.  Eigenpairs come
-back unrefined: the solver polishes the roots they lead to with Newton
-steps on the original system (`extract.refine`).
+(A + sigma*B)^-1 B.  That matrix is formed through R(sigma), of side dim, not
+through the side-m*dim pencil, and the shift sigma is the one of three fixed
+points where R(sigma) is best conditioned.  When R is a singular polynomial it
+is first compressed to its normal rank by a random two-sided orthogonal
+projection.  Eigenpairs come back unrefined: the solver polishes the roots
+they lead to with Newton steps on the original system (`extract.refine`).
+Everything here runs on numpy alone.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .dixon import ResultantPoly
 from .errors import ProjectionFailureError, SingularPencilError
@@ -124,35 +125,95 @@ def colleague_linearize(R):
 # Chebyshev roots cluster) and off the unit circle (where monomial roots do).
 # They never depend on the input, so the same input gives the same bytes.
 _SHIFTS = 1.3 * np.exp(2j * np.pi * (0.1234 + np.arange(3) / 3))
+# phases of the condition probe's two columns: all ones, and unit entries
+# with golden-ratio phases, so that a structured input is unlikely to hide
+# its worst direction from both
+_PROBE_PHASES = 2j * np.pi * np.array([0.0, (np.sqrt(5.0) - 1.0) / 2.0])
+_EPS = np.finfo(float).eps
 
 
-def _shifted_lu(pencil):
-    """LU of A + sigma*B at the fixed shift with the best reciprocal condition."""
-    best = None
-    for sigma in _SHIFTS:
-        shifted = pencil.A + sigma * pencil.B
-        lu, piv, info = lapack.zgetrf(shifted)
-        if info > 0:  # exact zero pivot
-            continue
-        rcond, _ = lapack.zgecon(lu, np.linalg.norm(shifted, 1))
-        if best is None or rcond > best[0]:
-            best = (rcond, sigma, lu, piv)
-    if best is None:
-        raise SingularPencilError("A + sigma*B is singular at every shift")
-    return best[1:]
+def _conditions(mats):
+    """1-norm condition estimates of a stack of side-n matrices M, as a list:
+    ||M||_1 ||M^-1 b||_1 / n at the larger of two fixed probes b with unit
+    entries, inf where M is exactly singular or the estimate is not finite."""
+    n = mats.shape[-1]
+    probe = np.exp(np.arange(n)[:, None] * _PROBE_PHASES)
+    try:
+        x = np.linalg.solve(mats, probe)
+    except np.linalg.LinAlgError:  # an exact zero pivot in one matrix or more
+        if len(mats) == 1:
+            return [np.inf]
+        return [cond for mat in mats for cond in _conditions(mat[None])]
+    conds = np.abs(mats).sum(axis=1).max(axis=1) * np.abs(x).sum(axis=1).max(axis=1) / n
+    return [cond if cond < np.inf else np.inf for cond in conds.tolist()]
 
 
-def _shift_invert(pencil, vectors):
+def _shifted_inverse(pencil, m):
+    """The shift sigma and C = (A + sigma*B)^-1 B of a linearization with m
+    block rows, from one solve with the side-n matrix R(sigma) it linearizes.
+
+    Block rows 1..m-1 of the pencil are a scalar (m-1) x m pencil K kron I
+    (none for m = 1, a plain pencil).  Bordered by the row e_1^T, K(sigma)
+    has an inverse Q whose last column nv holds the basis values at sigma
+    over the leading one, nv_k = phi_{m-1-k}(sigma) / phi_{m-1}(sigma), so
+    with the blocks T_k of the top block row of A + sigma*B,
+    sum_k nv_k T_k = R(sigma) / phi_{m-1}(sigma) =: S.  Then
+    C = nv kron W + P kron I, where P = Q[:, :m-1] K_B solves the lower rows
+    with its first row zero, and S W = B_0 - T (P kron I), B_0 the top block
+    row of B.  Normalizing at the top keeps nv and P of order one; at the
+    bottom (phi_0 = 1) they grow like |T_k(sigma)|, over 4e3 at k = 11 in
+    the Chebyshev basis, and C loses digits to cancellation.  The shift is
+    the one of `_SHIFTS` with the best conditioned R(sigma), by a 1-norm
+    estimate from one stacked evaluation and one stacked solve.  Raises
+    SingularPencilError when R(sigma) is singular at every shift.
+    """
+    n = pencil.dim // m
+    shifts = _SHIFTS[:, None, None]
+    top_a = pencil.A[:n].reshape(n, m, n)
+    top_b = pencil.B[:n].reshape(n, m, n)
+    kb = pencil.B[n::n, ::n]
+    bordered = np.zeros((len(_SHIFTS), m, m), dtype=complex)
+    bordered[:, :-1] = pencil.A[n::n, ::n] + shifts * kb
+    bordered[:, -1, 0] = 1.0
+    qs = np.linalg.inv(bordered)
+    mats = shifts * top_b[:, 0]
+    mats += top_a[:, 0]
+    for k in range(1, m):
+        mats += qs[:, k, -1, None, None] * (top_a[:, k] + shifts * top_b[:, k])
+    conds = _conditions(mats)
+    best = conds.index(min(conds))
+    if conds[best] == np.inf:
+        raise SingularPencilError("R(sigma) is singular at every shift")
+    sigma, nv = _SHIFTS[best], qs[best, :, -1]
+    p = qs[best, 1:, :-1] @ kb  # P's rows 1..m-1; its first row is zero
+    rhs = pencil.B[:n].reshape(n, m, n)
+    for k in range(1, m):
+        rhs = rhs - (top_a[:, k] + sigma * top_b[:, k])[:, None, :] * p[k - 1, None, :, None]
+    w = np.linalg.solve(mats[best], rhs.reshape(n, m * n))
+    c = (nv[:, None, None] * w).reshape(m * n, m * n)
+    diag = np.arange(n)
+    c.reshape(m, n, m, n)[1:, diag, :, diag] += p
+    return sigma, c
+
+
+def _shift_invert(pencil, m, vectors):
     """Eigenvalues of A + lambda*B (inf where infinite) and, unless
-    ``vectors`` is false, its eigenvectors as columns (else None)."""
-    n = pencil.dim
-    sigma, lu, piv = _shifted_lu(pencil)
-    c, _ = lapack.zgetrs(lu, piv, pencil.B)
+    ``vectors`` is false, its eigenvectors as columns (else None); m is the
+    pencil's number of block rows, as in `_shifted_inverse`."""
+    sigma, c = _shifted_inverse(pencil, m)
+    mag = np.abs(c)
+    norm = mag.sum(axis=0).max()
+    # entries at or below eps^2 ||C||_1 are zeros of exact arithmetic with
+    # second-order roundoff; left in, they can make the balanced eigensolver's
+    # eigenvectors wrong.  Zeroing them moves C far less than the roundoff it
+    # already holds, where a cut at eps ||C||_1 would move ill-conditioned
+    # eigenvalues
+    c[mag <= _EPS**2 * norm] = 0.0
     if vectors:
-        mus, vecs = scipy.linalg.eig(c, check_finite=False)
+        mus, vecs = np.linalg.eig(c)
     else:
-        mus, vecs = scipy.linalg.eigvals(c, check_finite=False), None
-    tiny = 10.0 * n * np.finfo(float).eps * np.linalg.norm(c, 1)
+        mus, vecs = np.linalg.eigvals(c), None
+    tiny = 10.0 * pencil.dim * _EPS * norm
     with np.errstate(divide="ignore", invalid="ignore"):
         lams = np.where(np.abs(mus) <= tiny, np.inf, sigma - 1.0 / mus)
     return lams, vecs
@@ -166,10 +227,10 @@ def solve_gep(pencil, vectors=True):
     infinite lambda.  A mu within roundoff of zero, relative to ||C||_1, is
     classified as infinite.  With ``vectors=False`` the standard eigensolver
     skips the eigenvectors and every pair carries None in their place.
-    Raises SingularPencilError when A + sigma*B is exactly singular at every
-    shift, which a regular pencil never is.
+    Raises SingularPencilError when A + sigma*B is singular at every shift,
+    which a regular pencil never is.
     """
-    lams, vecs = _shift_invert(pencil, vectors)
+    lams, vecs = _shift_invert(pencil, 1, vectors)
     return list(zip(lams.tolist(), [None] * len(lams) if vecs is None else vecs.T))
 
 
@@ -191,7 +252,7 @@ def solve_pep(R, vectors=True):
     pencil = (
         colleague_linearize(R) if R.basis == Basis.CHEBYSHEV1 else companion_linearize(R)
     )
-    lams, vecs = _shift_invert(pencil, vectors)
+    lams, vecs = _shift_invert(pencil, R.m, vectors)
     finite = np.flatnonzero(~np.isinf(lams))
     if vecs is None:
         return [(lam, None) for lam in lams[finite].tolist()]

@@ -359,6 +359,29 @@ class TestExitCodes:
         assert len(json.loads(proc.stdout)["solutions"]) == 8
 
 
+def test_solve_runs_without_scipy(problem_file, tmp_path):
+    # scipy is a test dependency only: neither importing the CLI nor a
+    # solve may load it, since its import would dominate a short run
+    root = os.path.dirname(os.path.dirname(multipolyeig.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "solutions.json"
+    script = (
+        "import sys\n"
+        "from multipolyeig.cli import run_cli\n"
+        f"assert run_cli(['solve', {problem_file!r}, '-o', {str(out)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(json.loads(out.read_text())["solutions"]) == 8
+
+
 def solve_synopsis_flags(text):
     """Flags of the ``multipolyeig solve`` synopsis in a usage text."""
     lines = [line.strip() for line in text.splitlines()]

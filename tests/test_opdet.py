@@ -83,6 +83,19 @@ class TestKronFactor:
                 assert s.shape == (2, g.size)
                 assert np.allclose(s[k], g, rtol=0, atol=1e-14)
 
+    def test_zero_vector_has_a_zero_last_factor(self):
+        # an all-zero row of a stack, as an eigenvector block whose entries
+        # are all exact zeros gives, must not divide 0 by 0
+        rng = np.random.default_rng(66)
+        sizes = (2, 3)
+        stack = np.zeros((2, 6), dtype=complex)
+        stack[1] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        with np.errstate(all="raise"):
+            factors = kron_factor(stack, sizes)
+        assert np.all(factors[-1][0] == 0.0)
+        for s, g in zip(factors, kron_factor(stack[1], sizes)):
+            assert np.all(np.isfinite(s)) and np.allclose(s[1], g, rtol=0, atol=1e-14)
+
 
 class TestSolveLinearMep:
     def test_d1_is_gep(self):

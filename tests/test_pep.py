@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import systems
+from multipolyeig import pep, solver
 from multipolyeig.dixon import ResultantPoly, build_resultant
 from multipolyeig.errors import ProjectionFailureError, SingularPencilError
 from multipolyeig.mpoly import Basis
@@ -18,6 +19,9 @@ from multipolyeig.pep import (
     solve_gep,
     solve_pep,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def det_roots(R, extra=3):
@@ -185,6 +189,12 @@ class TestSolveGep:
         a[:, 0] = b[:, 0] = 0.0
         with pytest.raises(SingularPencilError):
             solve_gep(MatrixPencil(a, b))
+        # the same through R(sigma) of a quadratic in either basis
+        coeffs = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        coeffs[:, :, 0] = 0.0
+        for basis in Basis:
+            with pytest.raises(SingularPencilError):
+                solve_pep(ResultantPoly(coeffs, basis))
 
 
 class TestSolvePep:
@@ -206,6 +216,42 @@ class TestSolvePep:
         for lam, v in pairs:
             assert abs(lam - 2.0) <= 1e-14
             assert v.shape == (3,)
+
+    def test_deflated_core_eigenvectors_are_accurate(self):
+        # the regular core of rank_deficient_pair's resultant (side 5, m = 1):
+        # entries of (A + sigma*B)^-1 B that are zero in exact arithmetic
+        # came out as roundoff down to 1e-50, and the standard eigensolver
+        # then returned eigenvectors of lambda = +-i with residuals near 0.3
+        core, _ = solver._structural_core(
+            build_resultant(systems.rank_deficient_pair_system()), 1e-10
+        )
+        assert (core.size, core.m) == (5, 1)
+        pairs = solve_pep(core)
+        assert len(pairs) == 3
+        for lam, v in pairs:
+            scale = sum(abs(lam) ** k * np.linalg.norm(c, 2) for k, c in enumerate(core.coeffs))
+            assert np.linalg.norm(core.eval(lam) @ v) <= 1e-12 * scale * np.linalg.norm(v)
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, deadline=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    n=st.integers(1, 5),
+    basis=st.sampled_from(list(Basis)),
+)
+def test_structured_inverse_matches_dense_solve(seed, m, n, basis):
+    # C = (A + sigma*B)^-1 B from one side-n solve with R(sigma) equals the
+    # dense solve with the side-mn pencil, also at degrees where the
+    # Chebyshev basis values at sigma exceed 4e3
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((m + 1, n, n)) + 1j * rng.standard_normal((m + 1, n, n))
+    r = ResultantPoly(coeffs, basis)
+    pencil = colleague_linearize(r) if basis == Basis.CHEBYSHEV1 else companion_linearize(r)
+    sigma, got = pep._shifted_inverse(pencil, m)
+    assert sigma in pep._SHIFTS
+    want = np.linalg.solve(pencil.A + sigma * pencil.B, pencil.B)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestNormalRank:
