@@ -328,35 +328,41 @@ def refine(p, X, tol=np.inf):
     return points, res
 
 
-# Entries of one row block of the pairwise distance tensor in `_first_copy`.
-_DEDUP_BLOCK_ENTRIES = 1 << 16
-
-
 def _first_copy(points):
     """For each row of ``points`` (shape (k, d)), the first earlier kept row it
     duplicates, or the row itself when it is kept.
 
     Rows are visited in order; a row duplicates a kept row y when
     max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf), and is kept when it
-    duplicates none.  Duplicate pairs come from row blocks of the distance
-    matrix, in O(block * k) memory; only rows with an earlier duplicate are
-    then walked one by one.
+    duplicates none.  A row with a non-finite entry is kept and is no row's
+    duplicate.  Any pair that passes the test has
+    |Re x_1 - Re y_1| <= 2e-8 * max(1, |x|_inf), whichever of the two is x,
+    so after one sort by Re x_1 each row is tested only against the rows
+    that follow it within that window, and only the pairs that pass are
+    walked in row order.  This takes O(k log k) when Re x_1 separates the
+    points, and never forms the k x k distances.
     """
-    k, d = points.shape
-    norms = np.max(np.abs(points), axis=1)
-    first = np.arange(k)
-    rows = max(1, _DEDUP_BLOCK_ENTRIES // max(1, k * d))
-    for lo in range(0, k, rows):
-        hi = min(k, lo + rows)
-        dist = np.max(np.abs(points[lo:hi, None] - points[None, :hi]), axis=2)
-        denom = np.maximum(np.maximum(1.0, norms[lo:hi, None]), norms[None, :hi])
-        close = (dist <= 1e-8 * denom) & (np.arange(hi) < np.arange(lo, hi)[:, None])
-        for row in np.flatnonzero(np.any(close, axis=1)):
-            earlier = np.flatnonzero(close[row])
-            kept = earlier[first[earlier] == earlier]
-            if kept.size:
-                first[lo + row] = kept[0]
-    return first
+    k = points.shape[0]
+    first = list(range(k))
+    rows = np.flatnonzero(np.all(np.isfinite(points), axis=1))
+    key = points[rows, 0].real
+    order = np.argsort(key, kind="stable")
+    rows, key = rows[order], key[order]
+    norms = np.max(np.abs(points[rows]), axis=1)
+    ends = np.searchsorted(key, key + 2e-8 * np.maximum(1.0, norms), side="right")
+    # every pair of sorted positions lo < hi < ends[lo]
+    counts = ends - np.arange(rows.size) - 1
+    lo = np.repeat(np.arange(rows.size), counts)
+    hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    dist = np.max(np.abs(points[rows[lo]] - points[rows[hi]]), axis=1)
+    close = dist <= 1e-8 * np.maximum(np.maximum(1.0, norms[lo]), norms[hi])
+    a, b = rows[lo[close]], rows[hi[close]]
+    later, earlier = np.maximum(a, b), np.minimum(a, b)
+    walk = np.lexsort((earlier, later))
+    for row, prev in zip(later[walk].tolist(), earlier[walk].tolist()):
+        if first[row] == row and first[prev] == prev:
+            first[row] = prev
+    return np.array(first, dtype=int)
 
 
 def filter_solutions(cands, cfg):

@@ -73,19 +73,31 @@ def delta(mep, k):
     return kron_det([[column(i, j) for j in range(mep.d)] for i in range(mep.d)])
 
 
+def _unit(vec, norm):
+    """vec / norm along the last axis, with a zero vector staying zero."""
+    return np.divide(vec, norm[..., None], out=np.zeros_like(vec), where=norm[..., None] != 0)
+
+
 def kron_factor(z, sizes):
-    """Best rank-1 Kronecker factorization of z into per-equation vectors; a
-    stack z of shape (..., N) gives factors of shape (..., n_i).  A zero z
-    has a zero last factor."""
+    """Rank-1 Kronecker factors of z, one unit vector per equation; a stack z
+    of shape (..., N) gives factors of shape (..., n_i).
+
+    Factor i is the column of largest 2-norm of the mode unfolding, of shape
+    (n_i, rest), normalized; the rest of z is then u_i^H times the unfolding.
+    On an exact v_1 kron ... kron v_d every column is a multiple of v_i, so
+    this recovers each v_i up to phase, and a nearly rank-one z gives factors
+    within its distance from rank one.  A zero z has zero factors.
+    """
     rest = np.asarray(z, dtype=complex)
     factors = []
     for n in sizes[:-1]:
         mat = rest.reshape(rest.shape[:-1] + (n, rest.shape[-1] // n))
-        u, sv, vh = np.linalg.svd(mat, full_matrices=False)
-        factors.append(u[..., 0])
-        rest = sv[..., :1] * vh[..., 0, :]
-    scale = np.linalg.norm(rest, axis=-1, keepdims=True)
-    factors.append(np.divide(rest, scale, out=np.zeros_like(rest), where=scale > 0))
+        top = np.argmax(np.sum(mat.real**2 + mat.imag**2, axis=-2), axis=-1)
+        col = np.take_along_axis(mat, top[..., None, None], axis=-1)[..., 0]
+        u = _unit(col, np.linalg.norm(col, axis=-1))
+        factors.append(u)
+        rest = (u.conj()[..., None, :] @ mat)[..., 0, :]
+    factors.append(_unit(rest, np.linalg.norm(rest, axis=-1)))
     return factors
 
 

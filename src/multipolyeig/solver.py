@@ -48,6 +48,7 @@ from .extract import (
     ExtractionConfig,
     Solution,
     _first_copy,
+    _per_slice,
     block_indices,
     check_tolerances,
     filter_solutions,
@@ -187,8 +188,11 @@ def _kronecker_read(work, shape, vecs, pts, coords):
     cross terms; T_0 = 1, T_1 = x), so they are the least-squares solution
     that makes the stacked C0_i u_i + sum_j x_j Cj_i u_i smallest.  C0_i and
     Cj_i are the value and partials of P_i with the read coordinates at 0:
-    one jet evaluation per equation for all eigenpairs.  Rows whose
-    substituted equations are not finite come back NaN.
+    one jet evaluation per equation for all eigenpairs.  The least-squares
+    problems are solved by one stacked reduced QR of the (k, sum n_i, c)
+    coefficient stack and one stacked solve with its triangular factor.
+    Rows whose substituted equations are not finite, or whose triangular
+    factor is exactly singular, come back NaN.
     """
     d = shape.d
     block = vecs[:, block_indices(shape, (0,) * (d - 1))]
@@ -205,8 +209,13 @@ def _kronecker_read(work, shape, vecs, pts, coords):
     ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=(1, 2))
     out = np.full((len(pts), len(coords)), np.nan, dtype=complex)
     if np.any(ok):
-        lsq = np.linalg.pinv(np.swapaxes(b[ok], 1, 2))
-        out[ok] = -np.einsum("kjm,km->kj", lsq, a[ok])
+        q, r = np.linalg.qr(np.swapaxes(b[ok], 1, 2))
+        qa = q.conj().swapaxes(1, 2) @ a[ok][..., None]
+
+        def lsq(sl):
+            return -np.linalg.solve(r[sl], qa[sl])[..., 0]
+
+        out[ok] = _per_slice(lsq, 0, len(r), len(coords))
     return out
 
 

@@ -83,6 +83,44 @@ class TestKronFactor:
                 assert s.shape == (2, g.size)
                 assert np.allclose(s[k], g, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("sizes", [(3, 4), (2, 3, 2), (2, 2, 3, 2)])
+    def test_near_rank_one_recovers_every_factor(self, sizes):
+        rng = np.random.default_rng(67 + len(sizes))
+        for _ in range(20):
+            vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes]
+            vs = [v / np.linalg.norm(v) for v in vs]
+            z = systems.kron_list(vs)
+            noise = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
+            got = kron_factor(z + 1e-10 * noise / np.linalg.norm(noise), sizes)
+            for v, g in zip(vs, got):
+                phase = g @ v.conj() / abs(g @ v.conj())
+                assert np.max(np.abs(g - phase * v)) <= 1e-9
+
+    def test_rank_two_input_gives_finite_unit_factors(self):
+        rng = np.random.default_rng(71)
+        sizes = (3, 2, 2)
+        pair = [
+            systems.kron_list([rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in sizes])
+            for _ in range(2)
+        ]
+        with np.errstate(all="raise"):
+            factors = kron_factor(pair[0] + pair[1], sizes)
+        for g, n in zip(factors, sizes):
+            assert g.shape == (n,) and np.all(np.isfinite(g))
+            assert abs(np.linalg.norm(g) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 2), (1, 4, 1, 3)])
+    def test_stacked_rows_equal_one_vector_calls_bit_for_bit(self, sizes):
+        rng = np.random.default_rng(72)
+        N = int(np.prod(sizes))
+        for rows in (1, 2, 7, 64):
+            stack = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
+            stack[rows // 2] = 0.0
+            stacked = kron_factor(stack, sizes)
+            for k, vec in enumerate(stack):
+                for s, g in zip(stacked, kron_factor(vec, sizes)):
+                    assert np.array_equal(s[k], g)
+
     def test_zero_vector_has_a_zero_last_factor(self):
         # an all-zero row of a stack, as an eigenvector block whose entries
         # are all exact zeros gives, must not divide 0 by 0

@@ -1,18 +1,19 @@
 """Stacked calls agree with their one-item forms.
 
-The eigenvector read, the dedup and the solution document each handle every
+The eigenvector reads, the dedup and the solution document each handle every
 eigenpair or candidate in one array call; these properties pin them to the
-one-vector call, the greedy loop and ``json.dumps`` they replace.  The
-polynomial evaluation at a batch of points is pinned, to the bit, to its
-one-point call.
+one-vector call, a per-row ``np.linalg.pinv``, the greedy and quadratic
+loops and ``json.dumps`` they replace.  The polynomial evaluation at a batch
+of points is pinned, to the bit, to its one-point call.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from multipolyeig import extract
+from multipolyeig import extract, solver
 from multipolyeig.dixon import DixonShape
 from multipolyeig.errors import ExtractionFailureError
 from multipolyeig.extract import (
@@ -24,6 +25,8 @@ from multipolyeig.extract import (
 )
 from multipolyeig.io import parse_solutions, serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly
+from multipolyeig.opdet import kron_factor
+from test_opdet import random_linear_mep
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,6 +100,56 @@ def test_jet_rows_do_not_depend_on_the_batch(seed, tau, n, batch, basis):
     assert np.array_equal(jet[:, 0], p.eval_many(pts))
 
 
+def kronecker_read_reference(work, shape, vecs, pts, coords):
+    """`solver._kronecker_read` one row at a time, through ``np.linalg.pinv``."""
+    slices = [0] + [1 + j for j in coords]
+    out = np.empty((len(pts), len(coords)), dtype=complex)
+    for row, (vec, x) in enumerate(zip(vecs, pts)):
+        at = x.copy()
+        at[coords] = 0.0
+        a, b = [], []
+        for poly, u in zip(work.polys, kron_factor(vec[: shape.N], shape.sizes)):
+            cu = poly.eval_many(at[None], jet=True)[0, slices] @ u
+            a.append(cu[0])
+            b.append(cu[1:].T)
+        out[row] = -np.linalg.pinv(np.concatenate(b)) @ np.concatenate(a)
+    return out
+
+
+@pytest.mark.parametrize("sizes, rows", [((10, 10), 100), ((4, 4, 4), 64), ((2, 3, 1, 2), 9)])
+def test_kronecker_read_matches_pinv(sizes, rows):
+    rng = np.random.default_rng(len(sizes))
+    d = len(sizes)
+    work = random_linear_mep(rng, sizes).to_pmep()
+    N = int(np.prod(sizes))
+    shape = solver._OneBlock(d, sizes, N, (0,) * (d - 1))
+    vecs = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
+    pts = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    coords = list(range(d - 1))
+    got = solver._kronecker_read(work, shape, vecs, pts, coords)
+    want = kronecker_read_reference(work, shape, vecs, pts, coords)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_kronecker_read_of_a_zero_row_is_nan():
+    # block 0 all zero gives zero factors, so an all-zero coefficient stack:
+    # its triangular factor is exactly singular
+    rng = np.random.default_rng(3)
+    sizes = (3, 2, 2)
+    work = random_linear_mep(rng, sizes).to_pmep()
+    shape = solver._OneBlock(3, sizes, 12, (0, 0))
+    vecs = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    vecs[2] = 0.0
+    pts = rng.standard_normal((5, 3)) + 0j
+    with np.errstate(all="raise"):
+        got = solver._kronecker_read(work, shape, vecs, pts, [0, 1])
+    assert np.all(np.isnan(got[2]))
+    keep = [0, 1, 3, 4]
+    want = kronecker_read_reference(work, shape, vecs[keep], pts[keep], [0, 1])
+    assert np.allclose(got[keep], want, rtol=1e-12, atol=0.0)
+
+
 def greedy_filter(cands, cfg):
     """The one-candidate-at-a-time dedup loop that `filter_solutions` batches."""
     kept = [s for s in cands if s.residual <= cfg.residual_tol]
@@ -113,16 +166,18 @@ def greedy_filter(cands, cfg):
     return unique
 
 
-@pytest.mark.parametrize("block_entries", [1, 7, 1 << 16])
 @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
 @hypothesis.given(
     seed=st.integers(0, 2**32 - 1),
-    count=st.integers(0, 40),
+    count=st.integers(0, 300),
     d=st.integers(1, 3),
 )
-def test_dedup_matches_greedy_loop(block_entries, seed, count, d):
+def test_dedup_matches_greedy_loop(seed, count, d):
     rng = np.random.default_rng(seed)
-    centers = rng.standard_normal((4, d)) * 10.0 ** rng.integers(-2, 4, size=(4, 1))
+    unit = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+    centers = unit / np.max(np.abs(unit), axis=1, keepdims=True)
+    centers *= 10.0 ** rng.uniform(-3, 6, size=(4, 1))
+    centers[1, 0] = centers[0, 0]  # two centers that share x_1
     cands = []
     for _ in range(count):
         # copies at, just inside and just outside the tolerance of a center,
@@ -134,10 +189,63 @@ def test_dedup_matches_greedy_loop(block_entries, seed, count, d):
         cands.append(Solution(x, rng.choice([1e-15, 1e-12, 1e-12, 1e-9, 1.0])))
     cfg = ExtractionConfig()
     want = greedy_filter(cands, cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extract, "_DEDUP_BLOCK_ENTRIES", block_entries)
-        got = filter_solutions(cands, cfg)
+    got = filter_solutions(cands, cfg)
     assert [id(s) for s in got] == [id(s) for s in want]
+
+
+def first_copy_reference(points):
+    """`extract._first_copy` by the O(k^2) loop over every earlier row."""
+    norms = np.max(np.abs(points), axis=1)
+    first = list(range(len(points)))
+    for i in range(len(points)):
+        for j in range(i):
+            dist = np.max(np.abs(points[i] - points[j]))
+            if first[j] == j and dist <= 1e-8 * max(1.0, norms[i], norms[j]):
+                first[i] = j
+                break
+    return first
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, deadline=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    chains=st.integers(1, 4),
+    length=st.integers(1, 8),
+    d=st.integers(1, 3),
+    nan_rows=st.integers(0, 3),
+)
+def test_first_copy_matches_the_quadratic_loop(seed, chains, length, d, nan_rows):
+    # chains of points 0.4-0.9 tolerances apart: a ~ b and b ~ c, yet often
+    # not a ~ c, so the answer depends on the order the rows are walked in
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(chains):
+        start = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 6)
+        scale = max(1.0, np.max(np.abs(start)))
+        direction = np.exp(2j * np.pi * rng.uniform(size=d))
+        steps = rng.choice([0.4e-8, 0.6e-8, 0.9e-8], size=length) * scale
+        rows.extend(start + np.cumsum(steps)[:, None] * direction)
+    for _ in range(nan_rows):
+        nan = rows[rng.integers(len(rows))].copy()
+        nan[rng.integers(d)] = np.nan
+        rows.append(nan)
+    points = np.array(rows)[rng.permutation(len(rows))]
+    got = extract._first_copy(points)
+    assert got.tolist() == first_copy_reference(points)
+
+
+def test_first_copy_builds_no_pairwise_array():
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
+    points[1::2] = points[::2] * (1 + 1e-12)
+    tracemalloc.start()
+    try:
+        first = extract._first_copy(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first[1::2], np.arange(0, 20000, 2))
+    assert peak < 20 * points.nbytes  # one k x k array of bools alone is 400 MB
 
 
 def json_reference(sols):
