@@ -166,18 +166,22 @@ def greedy_filter(cands, cfg):
     return unique
 
 
+@pytest.mark.parametrize("n_centers", [1, 7, 2**16])
 @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
 @hypothesis.given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(0, 300),
     d=st.integers(1, 3),
 )
-def test_dedup_matches_greedy_loop(seed, count, d):
+def test_dedup_matches_greedy_loop(n_centers, seed, count, d):
+    # one center puts every candidate in one window of the sort; 2^16 centers
+    # leave nearly every candidate alone in its window
     rng = np.random.default_rng(seed)
-    unit = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+    unit = rng.standard_normal((n_centers, d)) + 1j * rng.standard_normal((n_centers, d))
     centers = unit / np.max(np.abs(unit), axis=1, keepdims=True)
-    centers *= 10.0 ** rng.uniform(-3, 6, size=(4, 1))
-    centers[1, 0] = centers[0, 0]  # two centers that share x_1
+    centers *= 10.0 ** rng.uniform(-3, 6, size=(n_centers, 1))
+    if n_centers > 1:
+        centers[1, 0] = centers[0, 0]  # two centers that share x_1
     cands = []
     for _ in range(count):
         # copies at, just inside and just outside the tolerance of a center,
