@@ -104,12 +104,16 @@ def block_indices(shape, exponents):
     return np.arange(shape.N) + shape.N * flat
 
 
-def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
+# share of the usable divisors, largest first, whose ratios are averaged
+_KEEP_FRACTION = 0.25
+
+
+def vandermonde_ratios(V, shape, mask=None, coords=None):
     """Recover x_1..x_{d-1} from one resultant eigenvector, or from a stack.
 
     For each coordinate k, averages the ratios of unmasked entries of the
     e_k block against the zero block, using only the pairs whose divisor
-    magnitude lies in the top ``keep_fraction``.  ``mask`` (boolean, True =
+    magnitude lies in the top `_KEEP_FRACTION`.  ``mask`` (boolean, True =
     usable) has one entry per eigenvector component.  ``coords`` restricts
     recovery to the given 0-based coordinates (default: all); the entries of
     skipped coordinates come back as NaN.
@@ -154,7 +158,7 @@ def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
             raise ExtractionFailureError(f"no usable entry pairs for coordinate {k + 1}")
         failed |= count == 0
         # the top `keep` usable divisors of every row, largest first
-        keep = np.maximum(1, np.ceil(keep_fraction * count).astype(int))
+        keep = np.maximum(1, np.ceil(_KEEP_FRACTION * count).astype(int))
         order = np.argsort(-np.where(usable, mag, -1.0), axis=1)
         pick = np.arange(shape.N) < keep[:, None]
         pick &= np.take_along_axis(usable, order, axis=1)
@@ -168,7 +172,7 @@ def vandermonde_ratios(V, shape, mask=None, keep_fraction=0.25, coords=None):
 
 def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):
     """Orthonormal basis (columns) of R's null space at a random point (unused by `solve`)."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     z = 1.3 * np.exp(2j * np.pi * rng.uniform())
     mat = R.eval(z)
     _, sv, vh = np.linalg.svd(mat)

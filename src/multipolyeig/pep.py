@@ -1,12 +1,13 @@
-"""Univariate polynomial eigenvalue problems: linearization, eigensolve, projection.
+"""Univariate polynomial eigenvalue problems: shift-and-invert eigensolve, projection.
 
-A matrix polynomial R(lambda) of degree m is reduced to a pencil A + lambda*B
-of side m*dim (companion form in the monomial basis, colleague form in the
-Chebyshev basis), solved densely as the standard eigenvalue problem of
-(A + sigma*B)^-1 B.  That matrix is formed through R(sigma), of side dim, not
-through the side-m*dim pencil, and the shift sigma is the one of three fixed
-points where R(sigma) is best conditioned.  When R is a singular polynomial it
-is first compressed to its normal rank by a random two-sided orthogonal
+A matrix polynomial R(lambda) of degree m and side n has the eigenvalues of
+its linearization A + lambda*B of side m*n: the companion pencil in the
+monomial basis, the colleague pencil in the Chebyshev basis.  That pencil is
+never formed: its standard eigenvalue problem C = (A + sigma*B)^-1 B is
+built straight from R's coefficients with one solve with R(sigma), of side
+n, and the shift sigma is the one of three fixed points where R(sigma) is
+best conditioned.  When R is a singular polynomial
+it is first compressed to its normal rank by a random two-sided orthogonal
 projection.  Eigenpairs come back unrefined: the solver polishes the roots
 they lead to with Newton steps on the original system (`extract.refine`).
 Everything here runs on numpy alone.
@@ -21,38 +22,11 @@ from .errors import ProjectionFailureError, SingularPencilError
 from .mpoly import Basis
 
 __all__ = [
-    "MatrixPencil",
     "RankProfile",
-    "companion_linearize",
-    "colleague_linearize",
-    "solve_gep",
     "solve_pep",
     "normal_rank",
     "project_singular",
 ]
-
-
-@dataclass
-class MatrixPencil:
-    """Linear matrix polynomial A + lambda*B."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=complex)
-        self.B = np.asarray(self.B, dtype=complex)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise ValueError("A must be square")
-        if self.B.shape != self.A.shape:
-            raise ValueError("A and B must have the same shape")
-
-    @property
-    def dim(self):
-        return self.A.shape[0]
-
-    def eval(self, lam):
-        return self.A + lam * self.B
 
 
 @dataclass
@@ -63,62 +37,6 @@ class RankProfile:
     sample_points: list
     singular_values: list = field(repr=False)
     rank_tol: float = 1e-10
-
-
-def _blocks(R):
-    if R.m < 1:
-        raise ValueError("constant matrix polynomial has no eigenvalues to linearize")
-    return R.m, R.size
-
-
-def companion_linearize(R):
-    """Companion pencil of a monomial-basis matrix polynomial.
-
-    The pencil's right eigenvectors stack the blocks
-    [lambda^(m-1) v; ...; lambda v; v].
-    """
-    if R.basis != Basis.MONOMIAL:
-        raise ValueError("companion form requires the monomial basis")
-    m, n = _blocks(R)
-    dim = m * n
-    eye = np.eye(n)
-    A = np.zeros((dim, dim), dtype=complex)
-    B = np.zeros((dim, dim), dtype=complex)
-    B[:n, :n] = R.coeffs[m]
-    for j in range(1, m):
-        B[j * n : (j + 1) * n, j * n : (j + 1) * n] = eye
-    for k in range(m):
-        A[:n, k * n : (k + 1) * n] = R.coeffs[m - 1 - k]
-    for j in range(1, m):
-        A[j * n : (j + 1) * n, (j - 1) * n : j * n] = -eye
-    return MatrixPencil(A, B)
-
-
-def colleague_linearize(R):
-    """Colleague pencil of a Chebyshev-basis matrix polynomial.
-
-    Right eigenvectors stack [T_{m-1}(lambda) v; ...; T_1(lambda) v; v].
-    """
-    if R.basis != Basis.CHEBYSHEV1:
-        raise ValueError("colleague form requires the Chebyshev basis")
-    m, n = _blocks(R)
-    if m == 1:
-        return MatrixPencil(R.coeffs[0], R.coeffs[1])
-    dim = m * n
-    eye = np.eye(n)
-    A = np.zeros((dim, dim), dtype=complex)
-    B = np.zeros((dim, dim), dtype=complex)
-    B[:n, :n] = 2.0 * R.coeffs[m]
-    for j in range(1, m):
-        B[j * n : (j + 1) * n, j * n : (j + 1) * n] = eye
-    for k in range(m):
-        A[:n, k * n : (k + 1) * n] = R.coeffs[m - 1 - k]
-    A[:n, n : 2 * n] -= R.coeffs[m]
-    for j in range(1, m - 1):
-        A[j * n : (j + 1) * n, (j - 1) * n : j * n] = -eye / 2.0
-        A[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = -eye / 2.0
-    A[(m - 1) * n : m * n, (m - 2) * n : (m - 1) * n] = -eye
-    return MatrixPencil(A, B)
 
 
 # Fixed shifts on the circle of radius 1.3, off the real axis (where
@@ -148,47 +66,65 @@ def _conditions(mats):
     return [cond if cond < np.inf else np.inf for cond in conds.tolist()]
 
 
-def _shifted_inverse(pencil, m):
-    """The shift sigma and C = (A + sigma*B)^-1 B of a linearization with m
-    block rows, from one solve with the side-n matrix R(sigma) it linearizes.
+def _shifted_inverse(R):
+    """The shift sigma and C = (A + sigma*B)^-1 B of the linearization
+    A + lambda*B of R (companion in the monomial basis, colleague in the
+    Chebyshev basis), from R's coefficients and one solve with R(sigma).
 
-    Block rows 1..m-1 of the pencil are a scalar (m-1) x m pencil K kron I
-    (none for m = 1, a plain pencil).  Bordered by the row e_1^T, K(sigma)
-    has an inverse Q whose last column nv holds the basis values at sigma
-    over the leading one, nv_k = phi_{m-1-k}(sigma) / phi_{m-1}(sigma), so
-    with the blocks T_k of the top block row of A + sigma*B,
-    sum_k nv_k T_k = R(sigma) / phi_{m-1}(sigma) =: S.  Then
-    C = nv kron W + P kron I, where P = Q[:, :m-1] K_B solves the lower rows
-    with its first row zero, and S W = B_0 - T (P kron I), B_0 the top block
-    row of B.  Normalizing at the top keeps nv and P of order one; at the
-    bottom (phi_0 = 1) they grow like |T_k(sigma)|, over 4e3 at k = 11 in
-    the Chebyshev basis, and C loses digits to cancellation.  The shift is
-    the one of `_SHIFTS` with the best conditioned R(sigma), by a 1-norm
-    estimate from one stacked evaluation and one stacked solve.  Raises
+    With m = deg R, the pencil has m block rows of side n = size(R).  Its top
+    block row has blocks T_k = A_k + lambda*B_k: A_k = R_{m-1-k}, less R_m on
+    block 1 in the Chebyshev basis, B_0 = R_m, doubled in the Chebyshev
+    basis when m > 1, and B_k = 0 for k >= 1.  Block rows 1..m-1 are a
+    scalar (m-1) x m pencil K kron I (none for m = 1, a plain pencil).
+    Bordered by the row e_1^T, K(sigma) has an inverse Q whose last column nv
+    holds the basis values at sigma over the leading one, nv_k =
+    phi_{m-1-k}(sigma) / phi_{m-1}(sigma), so sum_k nv_k T_k(sigma) =
+    R(sigma) / phi_{m-1}(sigma) =: S.  Then C = nv kron W + P kron I, where
+    P = Q[:, :m-1] K_B solves the lower rows with its first row zero, and
+    S W = [B_0, 0, ..., 0] - sum_{k>=1} A_k (P_k kron I), with P_k row k of
+    P.  Normalizing at the top keeps nv and P of order one; at the bottom
+    (phi_0 = 1) they grow like |T_k(sigma)|, over 4e3 at k = 11 in the
+    Chebyshev basis, and C loses digits to cancellation.  The shift is the
+    one of `_SHIFTS` with the best conditioned R(sigma), by a 1-norm
+    estimate from one stacked evaluation and one stacked solve.  Neither A
+    nor B is formed.  Raises ValueError for a constant R, and
     SingularPencilError when R(sigma) is singular at every shift.
     """
-    n = pencil.dim // m
+    m, n = R.m, R.size
+    if m < 1:
+        raise ValueError("a constant matrix polynomial has no eigenvalues")
+    top = [R.coeffs[m - 1 - k] for k in range(m)]
+    lead = R.coeffs[m]
+    ka = np.zeros((m - 1, m), dtype=complex)
+    kb = np.eye(m - 1, m, 1, dtype=complex)
+    if R.basis == Basis.CHEBYSHEV1 and m > 1:
+        # T_{k+1} = 2 lambda T_k - T_{k-1}, and lambda T_0 = T_1
+        top[1] = top[1] - R.coeffs[m]
+        lead = 2.0 * lead
+        np.fill_diagonal(ka, -0.5)
+        np.fill_diagonal(ka[:, 2:], -0.5)
+        ka[-1, -2] = -1.0
+    else:
+        np.fill_diagonal(ka, -1.0)
     shifts = _SHIFTS[:, None, None]
-    top_a = pencil.A[:n].reshape(n, m, n)
-    top_b = pencil.B[:n].reshape(n, m, n)
-    kb = pencil.B[n::n, ::n]
     bordered = np.zeros((len(_SHIFTS), m, m), dtype=complex)
-    bordered[:, :-1] = pencil.A[n::n, ::n] + shifts * kb
+    bordered[:, :-1] = ka + shifts * kb
     bordered[:, -1, 0] = 1.0
     qs = np.linalg.inv(bordered)
-    mats = shifts * top_b[:, 0]
-    mats += top_a[:, 0]
+    mats = shifts * lead
+    mats += top[0]
     for k in range(1, m):
-        mats += qs[:, k, -1, None, None] * (top_a[:, k] + shifts * top_b[:, k])
+        mats += qs[:, k, -1, None, None] * top[k]
     conds = _conditions(mats)
     best = conds.index(min(conds))
     if conds[best] == np.inf:
         raise SingularPencilError("R(sigma) is singular at every shift")
     sigma, nv = _SHIFTS[best], qs[best, :, -1]
     p = qs[best, 1:, :-1] @ kb  # P's rows 1..m-1; its first row is zero
-    rhs = pencil.B[:n].reshape(n, m, n)
+    rhs = np.zeros((n, m, n), dtype=complex)
+    rhs[:, 0] = lead
     for k in range(1, m):
-        rhs = rhs - (top_a[:, k] + sigma * top_b[:, k])[:, None, :] * p[k - 1, None, :, None]
+        rhs -= top[k][:, None, :] * p[k - 1, None, :, None]
     w = np.linalg.solve(mats[best], rhs.reshape(n, m * n))
     c = (nv[:, None, None] * w).reshape(m * n, m * n)
     diag = np.arange(n)
@@ -196,11 +132,20 @@ def _shifted_inverse(pencil, m):
     return sigma, c
 
 
-def _shift_invert(pencil, m, vectors):
-    """Eigenvalues of A + lambda*B (inf where infinite) and, unless
-    ``vectors`` is false, its eigenvectors as columns (else None); m is the
-    pencil's number of block rows, as in `_shifted_inverse`."""
-    sigma, c = _shifted_inverse(pencil, m)
+def solve_pep(R, vectors=True):
+    """Finite eigenpairs of a matrix polynomial R, unrefined.
+
+    Shift and invert: C = (A + sigma*B)^-1 B of R's linearization (see
+    `_shifted_inverse`) has the pencil's eigenvectors, with
+    lambda = sigma - 1/mu for each eigenvalue mu of C, and mu = 0 for an
+    infinite lambda.  A mu within roundoff of zero, relative to ||C||_1, is
+    classified as infinite and left out.  Returns (lambda, v) pairs with v
+    the largest of the m blocks of the pencil eigenvector, or None for v
+    when ``vectors=False``, where the eigensolver skips the eigenvectors.
+    Raises SingularPencilError when R(sigma) is singular at every shift,
+    which a regular R never is.
+    """
+    sigma, c = _shifted_inverse(R)
     mag = np.abs(c)
     norm = mag.sum(axis=0).max()
     # entries at or below eps^2 ||C||_1 are zeros of exact arithmetic with
@@ -209,54 +154,20 @@ def _shift_invert(pencil, m, vectors):
     # already holds, where a cut at eps ||C||_1 would move ill-conditioned
     # eigenvalues
     c[mag <= _EPS**2 * norm] = 0.0
+    del mag  # the eigensolve holds two more arrays of C's side; free this one
     if vectors:
         mus, vecs = np.linalg.eig(c)
     else:
         mus, vecs = np.linalg.eigvals(c), None
-    tiny = 10.0 * pencil.dim * _EPS * norm
+    tiny = 10.0 * len(c) * _EPS * norm
     with np.errstate(divide="ignore", invalid="ignore"):
         lams = np.where(np.abs(mus) <= tiny, np.inf, sigma - 1.0 / mus)
-    return lams, vecs
-
-
-def solve_gep(pencil, vectors=True):
-    """All eigenpairs of A + lambda*B; infinite eigenvalues come out as inf.
-
-    Shift and invert: C = (A + sigma*B)^-1 B has the pencil's eigenvectors,
-    with lambda = sigma - 1/mu for each eigenvalue mu of C, and mu = 0 for an
-    infinite lambda.  A mu within roundoff of zero, relative to ||C||_1, is
-    classified as infinite.  With ``vectors=False`` the standard eigensolver
-    skips the eigenvectors and every pair carries None in their place.
-    Raises SingularPencilError when A + sigma*B is singular at every shift,
-    which a regular pencil never is.
-    """
-    lams, vecs = _shift_invert(pencil, 1, vectors)
-    return list(zip(lams.tolist(), [None] * len(lams) if vecs is None else vecs.T))
-
-
-def eigenvector_block(vec, size):
-    """Best-conditioned size-length block of a linearization eigenvector, or
-    of every row of a stack of them."""
-    vec = np.asarray(vec, dtype=complex)
-    blocks = vec.reshape(vec.shape[:-1] + (-1, size))
-    best = np.argmax(np.linalg.norm(blocks, axis=-1), axis=-1)
-    return np.take_along_axis(blocks, best[..., None, None], axis=-2)[..., 0, :]
-
-
-def solve_pep(R, vectors=True):
-    """Finite eigenpairs of a matrix polynomial via its linearization.
-
-    Returns (lambda, v) pairs, unrefined, with v the largest block of the
-    linearization eigenvector, or None for v when ``vectors=False``.
-    """
-    pencil = (
-        colleague_linearize(R) if R.basis == Basis.CHEBYSHEV1 else companion_linearize(R)
-    )
-    lams, vecs = _shift_invert(pencil, R.m, vectors)
     finite = np.flatnonzero(~np.isinf(lams))
     if vecs is None:
         return [(lam, None) for lam in lams[finite].tolist()]
-    return list(zip(lams[finite].tolist(), eigenvector_block(vecs[:, finite].T, R.size)))
+    blocks = vecs[:, finite].T.reshape(len(finite), R.m, R.size)
+    best = np.argmax(np.linalg.norm(blocks, axis=-1), axis=-1)
+    return list(zip(lams[finite].tolist(), blocks[np.arange(len(finite)), best]))
 
 
 def _rank_from_singular_values(sv, rank_tol):
@@ -279,7 +190,7 @@ def normal_rank(R, rank_tol=1e-10, rng=None):
     probe, so the generator's later draws do not depend on how many points
     were probed.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     phase = np.exp(2j * np.pi * rng.uniform())
     points = [phase * np.exp(2j * np.pi * j / 3) for j in range(3)]
     best = 0
@@ -310,14 +221,13 @@ def project_singular(R, rp, rng=None):
     if r == dim:
         eye = np.eye(dim, dtype=complex)
         return R, eye, eye
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     for _ in range(3):
         gu = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
         gv = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
         u = np.linalg.qr(gu)[0].conj().T
         v = np.linalg.qr(gv)[0]
-        coeffs = np.einsum("rd,kde,es->krs", u, R.coeffs, v)
-        projected = ResultantPoly(coeffs, R.basis)
+        projected = ResultantPoly(u @ R.coeffs @ v, R.basis)
         if normal_rank(projected, rank_tol=rp.rank_tol, rng=rng).normal_rank == r:
             return projected, u, v
     raise ProjectionFailureError(

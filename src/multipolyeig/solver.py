@@ -9,9 +9,9 @@ One pipeline for every input, run once in the given coordinates:
 3. drop R's structurally zero rows and columns (Kapur, Saxena and Yang),
    probe the normal rank, and compress a still singular R by a two-sided
    projection,
-4. linearize (companion/colleague) and solve by shift and invert; the
-   eigenpairs stay unrefined, and carry no vectors when nothing is read
-   from them,
+4. solve by shift and invert, with C of the companion/colleague pencil
+   built from R's coefficients and R(sigma); the eigenpairs stay unrefined,
+   and carry no vectors when nothing is read from them,
 5. for all eigenpairs in one stacked call, read each x_k with a ratio block
    (alpha_k > 0) off the block Vandermonde structure of the eigenvector, on
    the columns step 3 kept.  Every x_k without a ratio block

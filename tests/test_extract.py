@@ -61,10 +61,8 @@ class TestVandermondeRatios:
             sh = DixonShape(d, tau, sizes)
             x = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
             v = rng.standard_normal(sh.N) + 1j * rng.standard_normal(sh.N)
-            vec = systems.vandermonde_vector(sh, x, v)
-            for kf in (0.25, 0.6, 1.0):
-                got = vandermonde_ratios(vec, sh, keep_fraction=kf)
-                assert np.max(np.abs(got - x)) <= 1e-14 * max(1.0, np.max(np.abs(x)))
+            got = vandermonde_ratios(systems.vandermonde_vector(sh, x, v), sh)
+            assert np.max(np.abs(got - x)) <= 1e-14 * max(1.0, np.max(np.abs(x)))
 
     def test_block_indices_match_vandermonde_layout(self):
         sh = DixonShape(3, (2, 2, 1), (2, 2, 1))
@@ -84,9 +82,9 @@ class TestVandermondeRatios:
         vec[2] += 5.0  # corrupt one divisor entry; it becomes the largest
         mask = np.ones(8, dtype=bool)
         mask[2] = False
-        got = vandermonde_ratios(vec, sh, mask=mask, keep_fraction=1.0)
+        got = vandermonde_ratios(vec, sh, mask=mask)
         assert abs(got[0] - x[0]) <= 1e-12
-        bad = vandermonde_ratios(vec, sh, keep_fraction=0.25)
+        bad = vandermonde_ratios(vec, sh)
         assert abs(bad[0] - x[0]) > 1e-3
 
     def test_missing_block_raises(self):
@@ -135,7 +133,7 @@ class TestGenericNullspaceMask:
         x = np.array([0.7 + 0.2j])
         vec = systems.vandermonde_vector(sh, x, np.array([1.0, 2, 3, 4]))
         vec[2] += 5.0
-        good = vandermonde_ratios(vec, sh, mask=mask, keep_fraction=1.0)
+        good = vandermonde_ratios(vec, sh, mask=mask)
         assert abs(good[0] - x[0]) <= 1e-8
 
     def test_mask_monotone_in_tolerance(self):

@@ -1,4 +1,6 @@
-"""Tests for linearization, the dense generalized eigensolver, and projection."""
+"""Tests for the shift-and-invert eigensolve of matrix polynomials and for projection."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +11,7 @@ from multipolyeig import pep, solver
 from multipolyeig.dixon import ResultantPoly, build_resultant
 from multipolyeig.errors import ProjectionFailureError, SingularPencilError
 from multipolyeig.mpoly import Basis
-from multipolyeig.pep import (
-    MatrixPencil,
-    colleague_linearize,
-    companion_linearize,
-    eigenvector_block,
-    normal_rank,
-    project_singular,
-    solve_gep,
-    solve_pep,
-)
+from multipolyeig.pep import normal_rank, project_singular, solve_pep
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,63 +40,74 @@ def match_sets(a, b, tol):
         b.pop(j)
 
 
-class TestCompanion:
-    def test_degree_one_is_direct(self):
-        rng = np.random.default_rng(80)
-        c = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        pencil = companion_linearize(ResultantPoly(c, Basis.MONOMIAL))
-        assert np.array_equal(pencil.A, c[0])
-        assert np.array_equal(pencil.B, c[1])
+def linearize(R):
+    """Companion (monomial) or colleague (Chebyshev) pencil (A, B) of R of
+    degree m >= 1, built from the textbook definitions: right eigenvectors
+    stack [phi_{m-1}(lambda) v; ...; phi_1(lambda) v; v]."""
+    m, n = R.m, R.size
+    eye = np.eye(n)
+    A = np.zeros((m * n, m * n), dtype=complex)
+    B = np.zeros((m * n, m * n), dtype=complex)
+    cheb = R.basis == Basis.CHEBYSHEV1 and m > 1
+    B[:n, :n] = (2.0 if cheb else 1.0) * R.coeffs[m]
+    for k in range(m):
+        A[:n, k * n : (k + 1) * n] = R.coeffs[m - 1 - k]
+    for j in range(1, m):
+        B[j * n : (j + 1) * n, j * n : (j + 1) * n] = eye
+    if not cheb:
+        for j in range(1, m):
+            A[j * n : (j + 1) * n, (j - 1) * n : j * n] = -eye
+        return A, B
+    A[:n, n : 2 * n] -= R.coeffs[m]
+    for j in range(1, m - 1):
+        A[j * n : (j + 1) * n, (j - 1) * n : j * n] = -eye / 2.0
+        A[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = -eye / 2.0
+    A[(m - 1) * n :, (m - 2) * n : (m - 1) * n] = -eye
+    return A, B
 
+
+def assert_null_blocks(r, pairs, tol):
+    """Each block v that `solve_pep` returns satisfies R(lambda) v ~ 0."""
+    assert pairs
+    for lam, v in pairs:
+        res = np.linalg.norm(r.eval(lam) @ v) / np.linalg.norm(v)
+        assert res <= tol * (1 + abs(lam) ** r.m) * r.max_coeff_norm()
+
+
+def pencil_poly(a, b):
+    """The degree-one polynomial A + lambda*B."""
+    return ResultantPoly(np.array([a, b]), Basis.MONOMIAL)
+
+
+class TestCompanion:
     def test_scalar_quadratic(self):
         c = np.array([[[-1.0]], [[0.0]], [[1.0]]])
-        pencil = companion_linearize(ResultantPoly(c, Basis.MONOMIAL))
-        lams = sorted(lam.real for lam, _ in solve_gep(pencil))
+        lams = sorted(lam.real for lam, _ in solve_pep(ResultantPoly(c, Basis.MONOMIAL)))
         assert np.allclose(lams, [-1.0, 1.0], atol=1e-12)
 
     def test_random_cubic_matches_determinant_roots(self):
         rng = np.random.default_rng(81)
         c = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
         r = ResultantPoly(c, Basis.MONOMIAL)
-        lams = [lam for lam, _ in solve_gep(companion_linearize(r)) if np.isfinite(lam)]
-        match_sets(lams, det_roots(r), 1e-6)
+        match_sets([lam for lam, _ in solve_pep(r)], det_roots(r), 1e-6)
 
     def test_eigenvector_structure(self):
         rng = np.random.default_rng(82)
         c = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         r = ResultantPoly(c, Basis.MONOMIAL)
-        for lam, vec in solve_gep(companion_linearize(r)):
-            if not np.isfinite(lam):
-                continue
-            top, bottom = vec[:2], vec[2:]
-            assert np.linalg.norm(top - lam * bottom) <= 1e-8 * np.linalg.norm(vec)
-            v = eigenvector_block(vec, 2)
-            assert np.linalg.norm(r.eval(lam) @ v) <= 1e-8 * np.linalg.norm(v) * (
-                1 + abs(lam) ** r.m
-            ) * r.max_coeff_norm()
+        pairs = solve_pep(r)
+        assert len(pairs) == 4
+        assert_null_blocks(r, pairs, 1e-8)
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            companion_linearize(ResultantPoly(np.eye(2)[None], Basis.MONOMIAL))
-
-    def test_wrong_basis_rejected(self):
-        c = np.zeros((2, 2, 2))
-        with pytest.raises(ValueError):
-            companion_linearize(ResultantPoly(c, Basis.CHEBYSHEV1))
+            solve_pep(ResultantPoly(np.eye(2)[None], Basis.MONOMIAL))
 
 
 class TestColleague:
-    def test_degree_one_is_direct(self):
-        rng = np.random.default_rng(83)
-        c = rng.standard_normal((2, 2, 2))
-        pencil = colleague_linearize(ResultantPoly(c, Basis.CHEBYSHEV1))
-        assert np.array_equal(pencil.A, c[0])
-        assert np.array_equal(pencil.B, c[1])
-
     def test_scalar_chebyshev_t2(self):
         c = np.array([[[0.0]], [[0.0]], [[1.0]]])
-        pencil = colleague_linearize(ResultantPoly(c, Basis.CHEBYSHEV1))
-        lams = sorted(lam.real for lam, _ in solve_gep(pencil))
+        lams = sorted(lam.real for lam, _ in solve_pep(ResultantPoly(c, Basis.CHEBYSHEV1)))
         assert np.allclose(lams, [-np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12)
 
     def test_cross_linearization_agreement(self):
@@ -111,36 +115,32 @@ class TestColleague:
         c = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         r_mono = ResultantPoly(c, Basis.MONOMIAL)
         r_cheb = r_mono.convert_basis(Basis.CHEBYSHEV1)
-        lam_c = [l for l, _ in solve_gep(companion_linearize(r_mono)) if np.isfinite(l)]
-        lam_t = [l for l, _ in solve_gep(colleague_linearize(r_cheb)) if np.isfinite(l)]
+        lam_c = [l for l, _ in solve_pep(r_mono)]
+        lam_t = [l for l, _ in solve_pep(r_cheb)]
         match_sets(lam_c, lam_t, 1e-8)
 
     def test_colleague_eigenvector_blocks(self):
         rng = np.random.default_rng(85)
         c = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
         r = ResultantPoly(c, Basis.CHEBYSHEV1)
-        for lam, vec in solve_gep(colleague_linearize(r)):
-            if not np.isfinite(lam):
-                continue
-            v = eigenvector_block(vec, 2)
-            res = np.linalg.norm(r.eval(lam) @ v) / np.linalg.norm(v)
-            assert res <= 1e-7 * (1 + abs(lam) ** r.m) * r.max_coeff_norm()
+        pairs = solve_pep(r)
+        assert len(pairs) == 6
+        assert_null_blocks(r, pairs, 1e-7)
 
 
 class TestSolveGep:
+    """`solve_pep` on degree-one polynomials A + lambda*B, plain pencils."""
+
     def test_diagonal(self):
-        pencil = MatrixPencil(-np.diag([1.0, 2.0]), np.eye(2))
-        lams = sorted(lam.real for lam, _ in solve_gep(pencil))
-        assert np.allclose(lams, [1.0, 2.0])
+        pairs = solve_pep(pencil_poly(-np.diag([1.0, 2.0]), np.eye(2)))
+        assert np.allclose(sorted(lam.real for lam, _ in pairs), [1.0, 2.0])
 
     def test_all_infinite(self):
-        pencil = MatrixPencil(np.eye(3), np.zeros((3, 3)))
-        assert all(np.isinf(lam) for lam, _ in solve_gep(pencil))
+        assert solve_pep(pencil_poly(np.eye(3), np.zeros((3, 3)))) == []
 
     def test_quadratic_pair_resultant_pencil(self):
         r = build_resultant(systems.quadratic_pair_system())
-        pairs = solve_gep(MatrixPencil(r.coeffs[0], r.coeffs[1]))
-        finite = [lam for lam, _ in pairs if np.isfinite(lam)]
+        finite = [lam for lam, _ in solve_pep(pencil_poly(r.coeffs[0], r.coeffs[1]))]
         assert len(finite) == 8
         assert min(abs(lam - (-1.3606)) for lam in finite) <= 1e-3
 
@@ -148,21 +148,16 @@ class TestSolveGep:
         rng = np.random.default_rng(86)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        pencil = MatrixPencil(a, b)
         na, nb = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
-        for lam, v in solve_gep(pencil):
-            if not np.isfinite(lam):
-                continue
-            res = np.linalg.norm(pencil.eval(lam) @ v)
+        pairs = solve_pep(pencil_poly(a, b))
+        assert len(pairs) == 6
+        for lam, v in pairs:
+            res = np.linalg.norm((a + lam * b) @ v)
             assert res / ((na + abs(lam) * nb) * np.linalg.norm(v)) <= 1e-10
 
-    def test_mismatched_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixPencil(np.eye(2), np.eye(3))
-
     def test_rank_deficient_b_matches_qz(self):
-        # B of rank n-2: exactly two infinite eigenvalues; the finite ones
-        # agree with QZ on the same pencil
+        # B of rank n-2: exactly two infinite eigenvalues, left out; the n-2
+        # finite ones agree with QZ on the same pencil
         n = 8
         for seed in range(89, 94):
             rng = np.random.default_rng(seed)
@@ -170,11 +165,10 @@ class TestSolveGep:
             b = (rng.standard_normal((n, n - 2)) + 1j * rng.standard_normal((n, n - 2))) @ (
                 rng.standard_normal((n - 2, n)) + 1j * rng.standard_normal((n - 2, n))
             )
-            lams = np.array([lam for lam, _ in solve_gep(MatrixPencil(a, b))])
-            assert np.count_nonzero(np.isinf(lams)) == 2
+            finite = [lam for lam, _ in solve_pep(pencil_poly(a, b))]
+            assert len(finite) == n - 2
             qz = scipy.linalg.eigvals(a, -b)
             qz = qz[np.argsort(np.abs(qz))[: n - 2]]  # QZ's two largest are the infinite ones
-            finite = list(lams[np.isfinite(lams)])
             for want in qz:
                 dists = np.abs(np.array(finite) - want)
                 j = int(np.argmin(dists))
@@ -188,7 +182,7 @@ class TestSolveGep:
         b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         a[:, 0] = b[:, 0] = 0.0
         with pytest.raises(SingularPencilError):
-            solve_gep(MatrixPencil(a, b))
+            solve_pep(pencil_poly(a, b))
         # the same through R(sigma) of a quadratic in either basis
         coeffs = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         coeffs[:, :, 0] = 0.0
@@ -232,6 +226,23 @@ class TestSolvePep:
             scale = sum(abs(lam) ** k * np.linalg.norm(c, 2) for k, c in enumerate(core.coeffs))
             assert np.linalg.norm(core.eval(lam) @ v) <= 1e-12 * scale * np.linalg.norm(v)
 
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_no_pencil_is_formed(self, basis):
+        # C is the one array of the pencil's side: A and B (two more) are
+        # never built, and the solve with R(sigma) and the eigenvalue cut
+        # add less than C again
+        m, n = 4, 40
+        rng = np.random.default_rng(95)
+        coeffs = rng.standard_normal((m + 1, n, n)) + 1j * rng.standard_normal((m + 1, n, n))
+        r = ResultantPoly(coeffs, basis)
+        tracemalloc.start()
+        try:
+            assert len(solve_pep(r, vectors=False)) == m * n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * np.dtype(complex).itemsize * (m * n) ** 2
+
 
 @hypothesis.settings(max_examples=100, derandomize=True, deadline=None)
 @hypothesis.given(
@@ -241,16 +252,16 @@ class TestSolvePep:
     basis=st.sampled_from(list(Basis)),
 )
 def test_structured_inverse_matches_dense_solve(seed, m, n, basis):
-    # C = (A + sigma*B)^-1 B from one side-n solve with R(sigma) equals the
-    # dense solve with the side-mn pencil, also at degrees where the
+    # C = (A + sigma*B)^-1 B from R's coefficients and one side-n solve with
+    # R(sigma) equals the dense solve with the textbook side-mn pencil, also at degrees where the
     # Chebyshev basis values at sigma exceed 4e3
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((m + 1, n, n)) + 1j * rng.standard_normal((m + 1, n, n))
     r = ResultantPoly(coeffs, basis)
-    pencil = colleague_linearize(r) if basis == Basis.CHEBYSHEV1 else companion_linearize(r)
-    sigma, got = pep._shifted_inverse(pencil, m)
+    a, b = linearize(r)
+    sigma, got = pep._shifted_inverse(r)
     assert sigma in pep._SHIFTS
-    want = np.linalg.solve(pencil.A + sigma * pencil.B, pencil.B)
+    want = np.linalg.solve(a + sigma * b, b)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 

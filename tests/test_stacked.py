@@ -45,12 +45,9 @@ SHAPES = (
     rows=st.integers(1, 6),
     zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
     masked=st.booleans(),
-    keep_fraction=st.sampled_from([0.25, 0.5, 1.0]),
     coords=st.sampled_from([None, (0,), (1,)]),
 )
-def test_stacked_ratios_match_one_vector_calls(
-    seed, which, rows, zero_fraction, masked, keep_fraction, coords
-):
+def test_stacked_ratios_match_one_vector_calls(seed, which, rows, zero_fraction, masked, coords):
     shape = SHAPES[which]
     if coords is not None and coords[0] >= shape.d - 1:
         coords = None
@@ -59,11 +56,11 @@ def test_stacked_ratios_match_one_vector_calls(
     vecs = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
     vecs[rng.uniform(size=(rows, size)) < zero_fraction] = 0.0
     mask = rng.uniform(size=size) < 0.7 if masked else None
-    got = vandermonde_ratios(vecs, shape, mask, keep_fraction, coords)
+    got = vandermonde_ratios(vecs, shape, mask, coords)
     assert got.shape == (rows, shape.d - 1)
     for vec, row in zip(vecs, got):
         try:
-            want = vandermonde_ratios(vec, shape, mask, keep_fraction, coords)
+            want = vandermonde_ratios(vec, shape, mask, coords)
         except ExtractionFailureError:
             assert np.all(np.isnan(row))
             continue
