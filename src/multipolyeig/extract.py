@@ -202,47 +202,51 @@ def _per_slice(fn, lo, hi, width):
         )
 
 
+def _finite_rows(fn, stack, width):
+    """fn of a stack's finite matrices through `_per_slice`, shape
+    (len(stack), width); the rows of the other matrices are NaN."""
+    k = stack.shape[0]
+    out = np.full((k, width), np.nan, dtype=complex)
+    finite = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2)))
+    good = stack if finite.size == k else stack[finite]
+    if finite.size:
+        out[finite] = _per_slice(lambda sl: fn(good[sl]), 0, finite.size, width)
+    return out
+
+
 def _gate(p, mats):
-    """Normalized residuals of k points, and each equation's null vectors.
+    """Normalized residuals of k points: max_i sigma_min(P_i(x)) / scale_i.
 
-    ``mats[i]`` stacks P_i at the k points.  The residual of a point is
-    max_i sigma_min(P_i(x)) / scale_i, with scale_i the largest coefficient
-    norm of P_i (a zero polynomial contributes 0); a point where some P_i is
-    not finite, or its SVD fails, gets an infinite residual.  Also returns,
-    per equation, the right singular vectors of sigma_min (NaN where it is
-    infinite).
+    ``mats[i]`` stacks P_i at the k points; sigma_min comes from one
+    values-only stacked SVD per equation, and scale_i is the largest
+    coefficient norm of P_i (a zero polynomial contributes 0).  A point
+    where some P_i is not finite, or its SVD fails, gets an infinite
+    residual.  A point's value does not depend, to the bit, on the other
+    points of the stack.
     """
-    k = mats[0].shape[0]
-    worst = np.zeros(k)
-    vecs = []
+    worst = np.zeros(mats[0].shape[0])
     for poly, stack in zip(p.polys, mats):
-        finite = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2)))
-
-        def smallest(sl):
-            _, sv, vh = np.linalg.svd(stack[finite[sl]])
-            return np.concatenate([sv[:, -1:], vh[:, -1].conj()], axis=1)
-
-        got = np.full((k, poly.n + 1), np.nan, dtype=complex)
-        if finite.size:
-            got[finite] = _per_slice(smallest, 0, finite.size, poly.n + 1)
-        sigma = got[:, 0].real
-        sigma[np.isnan(sigma)] = np.inf
         scale = poly.max_coeff_norm()
-        if scale > 0.0:
-            worst = np.maximum(worst, sigma / scale)
-        vecs.append(got[:, 1:])
-    return worst, vecs
+        if scale == 0.0:
+            continue
+        sigma = _finite_rows(
+            lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], stack, 1
+        )[:, 0].real
+        sigma[np.isnan(sigma)] = np.inf
+        worst = np.maximum(worst, sigma / scale)
+    return worst
 
 
 def residual(p, x):
     """Normalized residual max_i sigma_min(P_i(x)) / scale_i at a point.
 
     Given a (k, d) array of points instead, returns their k residuals from
-    one batched evaluation.  This is the value `refine` gates on.
+    one batched evaluation.  This is the value `refine` gates on: both
+    take it from `_gate`, from singular values alone.
     """
     x = np.asarray(x, dtype=complex)
     pts = x.reshape(-1, p.d)
-    res = _gate(p, [poly.eval_many(pts) for poly in p.polys])[0]
+    res = _gate(p, [poly.eval_many(pts) for poly in p.polys])
     return res if x.ndim == 2 else float(res[0])
 
 
@@ -280,24 +284,39 @@ def _bordered_steps(jets, vecs):
     return steps
 
 
-def _newton_step(p, X):
+def _newton_step(p, X, vecs=None):
     """One Newton step at each row of X (shape (k, d)).
 
-    Takes v_i as the right singular vector of sigma_min(P_i(x)) and steps on
-    P_i(x) v_i = 0, v_i^H v_i = 1 for all i at once.  Returns the stepped
-    points, their normalized residuals and those of X; a step that is
+    Steps on P_i(x) v_i = 0, v_i^H v_i = 1 for all i at once, with v_i the
+    row of ``vecs[i]`` (shape (k, n_i)).  A row whose v_i is not finite, and
+    every row when ``vecs`` is None, takes the right singular vector of
+    sigma_min(P_i(x)) instead.  Returns the stepped points, their normalized
+    residuals and those of X, both gated in one stacked call; a step that is
     singular or not finite gets an infinite residual.
     """
+    k = X.shape[0]
     # a point far enough out overflows; _gate gives it an infinite residual
     with np.errstate(over="ignore", invalid="ignore"):
         jets = [poly.eval_many(X, jet=True) for poly in p.polys]
-        before, vecs = _gate(p, [jet[:, 0] for jet in jets])
-        stepped = X + _bordered_steps(jets, vecs)
-        after = np.full(X.shape[0], np.inf)
+        null = []
+        for i, jet in enumerate(jets):
+            n = jet.shape[-1]
+            v = np.full((k, n), np.nan, complex) if vecs is None else np.array(vecs[i], complex)
+            lost = np.flatnonzero(~np.all(np.isfinite(v), axis=1))
+            if lost.size:  # the right singular vectors of sigma_min
+                v[lost] = _finite_rows(
+                    lambda m: np.linalg.svd(m)[2][:, -1].conj(), jet[lost, 0], n
+                )
+            null.append(v)
+        stepped = X + _bordered_steps(jets, null)
         ok = np.flatnonzero(np.all(np.isfinite(stepped), axis=1))
-        if ok.size:
-            after[ok] = _gate(p, [poly.eval_many(stepped[ok]) for poly in p.polys])[0]
-    return stepped, after, before
+        gated = _gate(p, [
+            np.concatenate([jet[:, 0], poly.eval_many(stepped[ok])])
+            for poly, jet in zip(p.polys, jets)
+        ])
+    after = np.full(k, np.inf)
+    after[ok] = gated[k:]
+    return stepped, after, gated[:k]
 
 
 # Newton steps a point may take in `refine`, and the factor by which each
@@ -306,17 +325,20 @@ _MAX_NEWTON_STEPS = 3
 _CONVERGING = 1e-2
 
 
-def refine(p, X, tol=np.inf):
+def refine(p, X, tol=np.inf, vecs=None):
     """Gated Newton steps on the original system at each of k points.
 
     Every row x of X (shape (k, d)) takes one step (`_newton_step`) and keeps
     whichever of x and the stepped point has the smaller normalized residual
-    (see `residual`).  A row still above ``tol`` steps again only while Newton
-    converges on it: its last step cut the residual at least 100-fold, up to
-    ``_MAX_NEWTON_STEPS`` steps in all.  Rows that pass after one step, and
-    rows far from any root, pay nothing more.  Returns the best point of each
-    row with its residual: ``(points, residuals)``.  A point whose step is
-    singular or not finite comes back unchanged; nothing here raises.
+    (see `residual`).  The first step takes equation i's null vector of row
+    j from ``vecs[i][j]`` when that is finite (the resultant's eigenvector
+    already holds it), else from a with-vector SVD of P_i(x); every further
+    step takes the SVD's.  A row still above ``tol`` steps again only while
+    Newton converges on it: its last step cut the residual at least 100-fold,
+    up to ``_MAX_NEWTON_STEPS`` steps in all.  Rows that pass after one step,
+    and rows far from any root, pay nothing more.  Returns the best point of
+    each row with its residual: ``(points, residuals)``.  A point whose step
+    is singular or not finite comes back unchanged; nothing here raises.
     """
     X = np.asarray(X, dtype=complex).reshape(-1, p.d)
     points, res = X.copy(), np.zeros(X.shape[0])
@@ -324,7 +346,8 @@ def refine(p, X, tol=np.inf):
     for _ in range(_MAX_NEWTON_STEPS):
         if not todo.size:
             break
-        stepped, after, before = _newton_step(p, points[todo])
+        stepped, after, before = _newton_step(p, points[todo], vecs)
+        vecs = None
         better = after < before
         points[todo[better]] = stepped[better]
         res[todo] = np.where(better, after, before)

@@ -24,7 +24,10 @@ A solution document stores solver output::
                       "projected": ..., "dropped_eigenpairs": ...}
     }
 
-with solutions sorted by residual ascending.  Serialization is canonical:
+with solutions sorted by residual ascending.  ``projected`` is true when the
+top-level resultant or that of any nested fallback solve was projected
+(documents written before the nested solves counted cover the top-level
+resultant alone).  Serialization is canonical:
 fixed key order, two-space indent, trailing newline, floats in Python's
 shortest round-trip form, so parse-serialize round trips are byte-identical
 and identical runs produce identical files.

@@ -108,7 +108,8 @@ class MatrixPoly:
             if jet:
                 der = bo.der_matrix(self.basis.tag, self.tau[k])
                 factor[:, k + 1] = (vals[:, None, :] @ der)[:, 0, :]
-            rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, -1)
+            width = rows.shape[-1] * factor.shape[-1]  # explicit: m may be 0
+            rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, width)
         out = (rows[..., None, :] @ self.coeffs.reshape(-1, n * n))[..., 0, :]
         return out.reshape((m, self.d + 1, n, n) if jet else (m, n, n))
 

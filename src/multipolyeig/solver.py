@@ -19,21 +19,29 @@ One pipeline for every input, run once in the given coordinates:
    coordinate of the other two) is read for all eigenpairs in one batch: it
    solves the equations, with the other coordinates substituted, in the
    least-squares sense on the Kronecker factors v_1 kron ... kron v_d of
-   block 0.  An eigenpair whose read fails reads NaN.  Nothing is read
-   from a projected pencil, or when the kept columns leave a read short:
-   every eigenpair then takes the fallback,
+   block 0.  Those factors are taken once, whenever eigenvectors exist and
+   the kept columns hold all of block 0, and serve step 6 as well.  An
+   eigenpair whose read fails reads NaN.  Nothing is read from a projected
+   pencil, or when the kept columns leave a read short: every eigenpair
+   then takes the fallback,
 6. undo the permutation and gate the candidates of every eigenpair in one
    call (`extract.refine`): each point takes one Newton step on the original
    system, keeps it only if it lowers the normalized residual, steps again
    while it fails the filter's tolerance and Newton converges on it (up to
-   3 steps), and passes when that residual is within the tolerance,
+   3 steps), and passes when that residual is within the tolerance.  The
+   first step's null vectors v_i are the Kronecker factors of step 5 when
+   there are any; a further step takes them from an SVD of P_i(x).  Every
+   residual comes from singular values alone,
 7. the one fallback: for each eigenpair whose read failed or none of whose
    candidates passed, every front coordinate is re-solved from the equations
    with x_d = lambda substituted (one level of nested solve only), and those
-   candidates are gated in a second call.  A hidden coordinate shared by
-   several roots mixes their eigenvectors; the substituted equations still
-   have each of them as a root, so the copies of a repeated eigenvalue are
-   solved once.  The passing candidates are deduplicated.
+   candidates are gated in a second call, with the SVD's null vectors at
+   every step.  A hidden coordinate shared by several roots mixes their
+   eigenvectors; the substituted equations still have each of them as a
+   root, so the copies of a repeated eigenvalue are solved once.  The
+   passing candidates are deduplicated.  The diagnostic ``projected`` is
+   true when the top-level pencil or the pencil of any nested solve was
+   projected.
 """
 
 import math
@@ -178,11 +186,12 @@ def _resultant(work):
     return R.trim(), _OneBlock(d, work.sizes, work.N, (0,) * (d - 1))
 
 
-def _kronecker_read(work, shape, vecs, pts, coords):
+def _kronecker_read(work, factors, pts, coords):
     """Front coordinates without a ratio block (alpha_k = 0), for k eigenpairs.
 
     Block 0 of each eigenvector holds v_1 kron ... kron v_d with v_i in
-    ker P_i(x*); its best rank-one factors u_i estimate the v_i.  With the
+    ker P_i(x*); ``factors[i]`` (shape (k, n_i)) are its rank-one factors
+    from `opdet.kron_factor`, which estimate the v_i.  With the
     other coordinates of ``pts`` (shape (k, d)) substituted, equation i is
     C0_i + sum_j x_j Cj_i in the read coordinates ``coords`` (degree one, no
     cross terms; T_0 = 1, T_1 = x), so they are the least-squares solution
@@ -194,13 +203,11 @@ def _kronecker_read(work, shape, vecs, pts, coords):
     Rows whose substituted equations are not finite, or whose triangular
     factor is exactly singular, come back NaN.
     """
-    d = shape.d
-    block = vecs[:, block_indices(shape, (0,) * (d - 1))]
     at = np.array(pts, dtype=complex)
     at[:, coords] = 0.0
     slices = [0] + [1 + j for j in coords]
     a, b = [], []
-    for poly, u in zip(work.polys, kron_factor(block, shape.sizes)):
+    for poly, u in zip(work.polys, factors):
         cu = np.einsum("kjab,kb->kja", poly.eval_many(at, jet=True)[:, slices], u)
         a.append(cu[:, 0])
         b.append(cu[:, 1:])
@@ -221,7 +228,8 @@ def _kronecker_read(work, shape, vecs, pts, coords):
 
 def _substituted_candidates(work, lam, cfg, depth):
     """Candidate points with x_d = lam substituted and every front coordinate
-    re-solved from the substituted equations."""
+    re-solved from the substituted equations, and whether a nested solve
+    projected its pencil: ``(points, projected)``."""
     d = work.d
     if d == 2:
         values = []
@@ -231,7 +239,7 @@ def _substituted_candidates(work, lam, cfg, depth):
             if r.m < 1 or r.max_coeff_norm() == 0.0:
                 continue
             values.extend(lam_k for lam_k, _ in solve_pep(r, vectors=False))
-        return [np.array([val, lam], dtype=complex) for val in values]
+        return [np.array([val, lam], dtype=complex) for val in values], False
     if depth >= 1:
         raise ReductionDepthExceededError(
             "substituted system needs a second nested solve; refusing to recurse deeper"
@@ -239,14 +247,16 @@ def _substituted_candidates(work, lam, cfg, depth):
     reduced_polys = [poly.partial_eval({d - 1: lam}) for poly in work.polys[: d - 1]]
     sub_cfg = replace(cfg, hide_variable=None, basis=None)
     sub = solve(Pmep(reduced_polys), sub_cfg, _depth=depth + 1)
-    return [np.append(s.x, lam) for s in sub]
+    return [np.append(s.x, lam) for s in sub], sub.diagnostics["projected"]
 
 
-def _refine_groups(p, groups, tol):
+def _refine_groups(p, groups, tol, vecs=None):
     """Refine and gate every point of every group in one call; returns the
-    (point, residual) pairs in the same grouping."""
+    (point, residual) pairs in the same grouping.  ``vecs``, when given,
+    holds each equation's null vectors of the points in order (see
+    `extract.refine`)."""
     sizes = [len(g) for g in groups]
-    points, res = refine(p, [x for g in groups for x in g], tol)
+    points, res = refine(p, [x for g in groups for x in g], tol, vecs)
     ends = np.cumsum(sizes)
     return [list(zip(points[e - n : e], res[e - n : e])) for n, e in zip(sizes, ends)]
 
@@ -289,32 +299,44 @@ def solve(p, cfg=None, _depth=0):
     eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lams = np.array([lam for lam, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
+    factors = None
     if vectors and eigpairs:
         # the core's eigenvectors, with zeros on R's dropped columns
         vecs = np.zeros((len(eigpairs), R.size), dtype=complex)
         vecs[:, mask] = [vec for _, vec in eigpairs]
+        zero = block_indices(shape, (0,) * (d - 1))
+        if np.all(mask[zero]):  # block 0 is v_1 kron ... kron v_d
+            factors = kron_factor(vecs[:, zero], shape.sizes)
         if ratio:  # rows whose read fails come back NaN
             fronts = vandermonde_ratios(vecs, shape, mask, coords=ratio)
         if read:  # rows whose ratio read failed stay NaN
             pts = np.column_stack([fronts, lams])
-            fronts[:, read] = _kronecker_read(work, shape, vecs, pts, read)
+            fronts[:, read] = _kronecker_read(work, factors, pts, read)
     unpermute = np.argsort(np.array(perm) - 1)
     points = np.column_stack([fronts, lams])[:, unpermute]
     readable = np.all(np.isfinite(points), axis=1)
+    if factors is not None:  # the first Newton step's v_i
+        factors = [u[readable] for u in factors]
     tol = cfg.extraction.residual_tol
-    gated = _refine_groups(p, [[x] if ok else [] for x, ok in zip(points, readable)], tol)
+    gated = _refine_groups(
+        p, [[x] if ok else [] for x, ok in zip(points, readable)], tol, factors
+    )
     reduced = [False] * len(gated)
+
+    nested_projected = False
 
     def complete(lam):
         """Points in the original coordinates with x_d = lam substituted."""
+        nonlocal nested_projected
         # a spurious eigenvalue can make the substituted equations
         # arbitrarily degenerate, or overflow them; give up on the eigenpair,
         # not the solve
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ys = _substituted_candidates(work, lam, cfg, _depth)
+                ys, sub_projected = _substituted_candidates(work, lam, cfg, _depth)
         except (ValueError, MultiPolyEigError):
             return []
+        nested_projected |= sub_projected
         return [y[unpermute] for y in ys]
 
     # a hidden coordinate shared by several roots mixes their eigenvectors;
@@ -344,7 +366,8 @@ def solve(p, cfg=None, _depth=0):
     out.diagnostics = {
         "resultant_size": R.size,
         "normal_rank": rp.normal_rank,
-        "projected": projected,
+        # the top-level pencil or any nested one
+        "projected": projected or nested_projected,
         "dropped_eigenpairs": dropped,
     }
     return out

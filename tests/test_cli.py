@@ -204,6 +204,14 @@ class TestVerifyCommand:
         assert run_cli(["verify", problem_file, str(out), "--residual-tol", "1e-4"]) == 0
         capsys.readouterr()
 
+    def test_empty_document(self, problem_file, tmp_path, capsys):
+        out = tmp_path / "solutions.json"
+        out.write_text('{"solutions": []}\n', encoding="utf-8")
+        assert run_cli(["verify", problem_file, str(out)]) == 0
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert "verify: 0 points, 0 over tolerance" in cap.err
+
     def test_one_residual_call(self, problem_file, tmp_path, capsys, monkeypatch):
         out = self.solved_file(problem_file, tmp_path)
         calls = []

@@ -221,12 +221,39 @@ class TestRefine:
         assert np.all(res <= [residual(p, x) for x in start])
         assert np.all(res == [residual(p, x) for x in points])
 
+    def test_supplied_null_vectors_take_the_first_step(self, monkeypatch):
+        # each equation's null vectors at the true roots, and the roots kicked
+        # by 1e-6: one step with them brings every point back, and only the
+        # row whose vector is not finite makes a with-vector SVD
+        p = systems.quadratic_pair_system()
+        roots = np.array(systems.quadratic_pair_solutions())
+        vecs = [
+            np.array([systems.null_vector(poly.eval(x)) for x in roots]) for poly in p.polys
+        ]
+        vecs[0][3] = np.nan
+        rng = np.random.default_rng(64)
+        kick = rng.standard_normal(roots.shape) + 1j * rng.standard_normal(roots.shape)
+        start = roots + 1e-6 * kick / np.abs(kick)
+        with_vectors = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                with_vectors.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        points, res = refine(p, start, vecs=vecs)
+        assert with_vectors == [(1, 2, 2)]
+        assert np.max(res) <= 1e-12
+        assert np.max(np.abs(points - roots)) <= 1e-10
+
     def test_residual_is_the_pre_step_value(self):
         rng = np.random.default_rng(62)
         p = systems.random_pmep(rng, (3, 2, 1), (1, 2, 1), Basis.CHEBYSHEV1)
         start = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         jets = [poly.eval_many(start, jet=True) for poly in p.polys]
-        before, _ = _gate(p, [jet[:, 0] for jet in jets])
+        before = _gate(p, [jet[:, 0] for jet in jets])
         assert list(before) == [residual(p, x) for x in start]
 
     def test_failing_rows_step_again_while_converging(self, monkeypatch):
@@ -244,9 +271,9 @@ class TestRefine:
         rows = []
         step = extract._newton_step
 
-        def recorded(p, X):
+        def recorded(p, X, vecs=None):
             rows.append(len(X))
-            return step(p, X)
+            return step(p, X, vecs)
 
         monkeypatch.setattr(extract, "_newton_step", recorded)
         points, res = refine(p, start, tol=1e-8)

@@ -101,6 +101,12 @@ class TestEval:
                 want = naive_monomial_eval(der, pts[i])
                 assert np.allclose(jet[i, k + 1], want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("jet", [False, True])
+    def test_eval_many_of_no_points(self, jet):
+        p = random_poly(np.random.default_rng(11), 3, 2, (2, 1, 2))
+        out = p.eval_many(np.zeros((0, 3)), jet=jet)
+        assert out.shape == ((0, 4, 2, 2) if jet else (0, 2, 2))
+
     def test_chebyshev_eval_matches_conversion(self):
         rng = np.random.default_rng(9)
         p = random_poly(rng, 2, 2, (3, 2), Basis.CHEBYSHEV1)

@@ -326,6 +326,25 @@ class TestWaveguide:
         assert out.diagnostics["dropped_eigenpairs"] == 0
         assert max(s.residual for s in out) <= 1e-8
 
+    def test_nested_projection_is_reported(self, monkeypatch):
+        # u = k^2 model at n = 40, u hidden: two roots share u, their
+        # eigenvectors mix, and the fallback's nested (P_1, P_2) resultant at
+        # that u is singular, so the nested solve projects its pencil while
+        # the top-level one is not projected
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0].size)
+            return project_singular(*args, **kwargs)
+
+        project_singular = solver.project_singular
+        monkeypatch.setattr(solver, "project_singular", recorded)
+        out = solve(systems.waveguide_system(40, even=True))
+        assert calls == [80]
+        assert out.diagnostics["normal_rank"] == 160
+        assert out.diagnostics["projected"] is True
+        assert any(s.flags["reduced"] for s in out)
+
     def test_fallback_candidates_take_further_newton_steps(self):
         # u = k^2 model at n = 24, u hidden: every root is read from the
         # deflated core's eigenvectors; 12 of the read candidates are still
@@ -341,9 +360,12 @@ class TestWaveguide:
 
     def test_k_model_hiding_k_reads_every_root(self):
         # k model at n = 16, k hidden: the deflated core's eigenvectors give
-        # all 120 roots, with no fallback
+        # all 120 roots, with no fallback, so the core is not projected (a
+        # projected pencil reads nothing).  The fallback's nested solves at
+        # the eigenvalues that belong to no root do project their pencils,
+        # and `projected` reports nested pencils too
         out = solve(systems.waveguide_system(16), SolverConfig(hide_variable=1))
-        assert out.diagnostics["projected"] is False
+        assert out.diagnostics["projected"] is True
         assert len(out) == 120
         assert all(not s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
@@ -612,6 +634,27 @@ class TestBatchedGate:
         assert calls["residual"] == 0
 
 
+    def test_eigenvector_reads_make_no_with_vector_svd(self, monkeypatch):
+        # block 0 of each eigenvector gives the first Newton step its null
+        # vectors, and every residual comes from singular values alone; the
+        # ratio read (dense) and the Kronecker read (linear MEP) both pass
+        # every root after one step, so no row needs the SVD's vectors
+        with_vectors = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                with_vectors.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        dense = solve(systems.random_pmep(np.random.default_rng(1), (3, 3), (3, 3)))
+        linear = solve(random_linear_mep(np.random.default_rng(11), (3, 4)).to_pmep())
+        assert len(dense) == 162 and len(linear) == 12
+        assert all(not s.flags["reduced"] for s in (*dense, *linear))
+        assert with_vectors == []
+
+
 class TestUnivariatePassthrough:
     def test_matches_determinant_roots(self):
         rng = np.random.default_rng(21)
@@ -693,7 +736,8 @@ class TestReduction:
         p = systems.quadratic_pair_system()
         x_true = 2.0**0.25
         y_true = (-1 + np.sqrt(5)) / 2 / x_true
-        cands = _substituted_candidates(p, y_true, SolverConfig(), depth=0)
+        cands, projected = _substituted_candidates(p, y_true, SolverConfig(), depth=0)
+        assert not projected
         xs = np.array([c[0] for c in cands])
         assert np.min(np.abs(xs - x_true)) <= 1e-8
         assert all(c[1] == y_true for c in cands)
@@ -709,7 +753,8 @@ class TestReduction:
         polys.append(systems.random_poly(rng, 2, (2, 2, 1)))
         work = Pmep(polys)
         lam = 0.7
-        cands = _substituted_candidates(work, lam, SolverConfig(), depth=0)
+        cands, projected = _substituted_candidates(work, lam, SolverConfig(), depth=0)
+        assert not projected
         assert len(cands) == 8
         assert_same_points(
             [c[:2] for c in cands], systems.quadratic_pair_solutions(), 1e-6

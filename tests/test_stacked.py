@@ -123,7 +123,7 @@ def test_kronecker_read_matches_pinv(sizes, rows):
     vecs = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
     pts = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
     coords = list(range(d - 1))
-    got = solver._kronecker_read(work, shape, vecs, pts, coords)
+    got = solver._kronecker_read(work, kron_factor(vecs, sizes), pts, coords)
     want = kronecker_read_reference(work, shape, vecs, pts, coords)
     scale = np.max(np.abs(want), axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -140,7 +140,7 @@ def test_kronecker_read_of_a_zero_row_is_nan():
     vecs[2] = 0.0
     pts = rng.standard_normal((5, 3)) + 0j
     with np.errstate(all="raise"):
-        got = solver._kronecker_read(work, shape, vecs, pts, [0, 1])
+        got = solver._kronecker_read(work, kron_factor(vecs, sizes), pts, [0, 1])
     assert np.all(np.isnan(got[2]))
     keep = [0, 1, 3, 4]
     want = kronecker_read_reference(work, shape, vecs[keep], pts[keep], [0, 1])
