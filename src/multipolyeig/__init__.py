@@ -11,7 +11,6 @@ and polishing every root with Newton steps on the original system.
 from .dixon import DixonShape, ResultantPoly, build_resultant, dixon_numerator_eval
 from .errors import (
     DixonConsistencyError,
-    ExtractionFailureError,
     MultiPolyEigError,
     ParseError,
     ProjectionFailureError,
@@ -28,14 +27,7 @@ from .extract import (
     residual,
     vandermonde_ratios,
 )
-from .io import (
-    flutter_pmep,
-    load_flutter_data,
-    parse_pmep,
-    parse_solutions,
-    serialize_pmep,
-    serialize_solutions,
-)
+from .io import parse_pmep, parse_solutions, serialize_pmep, serialize_solutions
 from .mpoly import Basis, MatrixPoly, Pmep
 from .opdet import LinearMep, delta, solve_linear_mep
 from .oracle import newton_oracle
@@ -73,14 +65,11 @@ __all__ = [
     "serialize_pmep",
     "parse_solutions",
     "serialize_solutions",
-    "load_flutter_data",
-    "flutter_pmep",
     "MultiPolyEigError",
     "DixonConsistencyError",
     "SingularMepError",
     "SingularPencilError",
     "ProjectionFailureError",
-    "ExtractionFailureError",
     "ReductionDepthExceededError",
     "ParseError",
     "__version__",

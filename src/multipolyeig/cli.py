@@ -7,7 +7,6 @@ Subcommands::
     multipolyeig verify <problem.json> <solutions.json> [--residual-tol T]
     multipolyeig oracle <problem.json> [-o out.json] [--starts N] [--seed S]
                  [--residual-tol T]
-    multipolyeig bench flutter <datafile.json>
 
 Results go to standard output (or the -o file); progress and diagnostics go
 to standard error.  Exit codes: 0 success, 1 solver or input error, 2 usage
@@ -26,13 +25,7 @@ import numpy as np
 
 from .errors import MultiPolyEigError
 from .extract import ExtractionConfig, check_tolerances, residual
-from .io import (
-    flutter_pmep,
-    load_flutter_data,
-    parse_pmep,
-    parse_solutions,
-    serialize_solutions,
-)
+from .io import parse_pmep, parse_solutions, serialize_solutions
 from .mpoly import Basis
 from .oracle import newton_oracle
 from .solver import SolverConfig, solve
@@ -59,10 +52,6 @@ def _resolve_seed(value):
         return int(raw)
     except ValueError:
         raise ValueError(f"MULTIPOLYEIG_SEED must be an integer, got {raw!r}") from None
-
-
-def _fmt_complex(z):
-    return f"{z.real:+.15f} {'-' if z.imag < 0 else '+'} {abs(z.imag):.15f}i"
 
 
 def _cmd_solve(args):
@@ -136,28 +125,6 @@ def _cmd_oracle(args):
     return 0
 
 
-def _cmd_bench(args):
-    mats = load_flutter_data(_read(args.datafile))
-    p = flutter_pmep(mats)
-    out = solve(p)
-    d = out.diagnostics
-    print(
-        f"bench flutter: resultant size {d['resultant_size']}, normal rank "
-        f"{d['normal_rank']}, projected {d['projected']}",
-        file=sys.stderr,
-    )
-    print(f"flutter benchmark: {len(out)} solutions")
-    header = f"{'tau':^42} {'Lambda':^42} {'residual':>10}"
-    print(header)
-    print("-" * len(header))
-    for s in sorted(out, key=lambda s: (s.x[0].real, s.x[0].imag)):
-        print(
-            f"{_fmt_complex(s.x[0]):>42} {_fmt_complex(s.x[1]):>42} "
-            f"{s.residual:>10.2e}"
-        )
-    return 0
-
-
 def _add_common_tolerances(sub):
     sub.add_argument(
         "--residual-tol",
@@ -208,12 +175,6 @@ def _build_parser():
                      help="start-point seed (default: MULTIPOLYEIG_SEED or 0)")
     _add_common_tolerances(sub)
     sub.set_defaults(func=_cmd_oracle)
-
-    sub = commands.add_parser("bench", help="run a named benchmark")
-    bench = sub.add_subparsers(dest="benchmark", required=True)
-    flutter = bench.add_parser("flutter", help="aeroelastic flutter model")
-    flutter.add_argument("datafile", help="flutter matrices JSON file")
-    flutter.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -6,7 +6,6 @@ __all__ = [
     "SingularMepError",
     "SingularPencilError",
     "ProjectionFailureError",
-    "ExtractionFailureError",
     "ReductionDepthExceededError",
     "ParseError",
 ]
@@ -31,10 +30,6 @@ class SingularPencilError(MultiPolyEigError):
 
 class ProjectionFailureError(MultiPolyEigError):
     """Projection did not reach the normal rank after the allowed redraws."""
-
-
-class ExtractionFailureError(MultiPolyEigError):
-    """No usable eigenvector entries remain to recover some coordinate."""
 
 
 class ReductionDepthExceededError(MultiPolyEigError):

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtractionFailureError
-
 __all__ = [
     "Solution",
     "SolutionSet",
@@ -109,7 +107,7 @@ _KEEP_FRACTION = 0.25
 
 
 def vandermonde_ratios(V, shape, mask=None, coords=None):
-    """Recover x_1..x_{d-1} from one resultant eigenvector, or from a stack.
+    """Recover x_1..x_{d-1} from a (k, size) stack of resultant eigenvectors.
 
     For each coordinate k, averages the ratios of unmasked entries of the
     e_k block against the zero block, using only the pairs whose divisor
@@ -118,17 +116,14 @@ def vandermonde_ratios(V, shape, mask=None, coords=None):
     recovery to the given 0-based coordinates (default: all); the entries of
     skipped coordinates come back as NaN.
 
-    One vector raises ExtractionFailureError when a requested coordinate has
-    no usable entry pair (either alpha_k = 0, so the block does not exist, or
-    masking/zero divisors remove everything).  A (k, size) stack is read in
-    one set of array calls and gives (k, d-1); a row whose vector alone
-    would raise comes back all NaN instead.
+    The stack is read in one set of array calls and gives (k, d-1).  A row
+    with no usable entry pair for some requested coordinate (either
+    alpha_k = 0, so the block does not exist, or masking/zero divisors remove
+    everything) comes back all NaN.
     """
-    V = np.asarray(V, dtype=complex)
-    single = V.ndim != 2
-    stack = V.reshape(1, -1) if single else V
-    if stack.shape[1] != shape.resultant_size:
-        raise ValueError("eigenvector length does not match the resultant size")
+    stack = np.asarray(V, dtype=complex)
+    if stack.ndim != 2 or stack.shape[1] != shape.resultant_size:
+        raise ValueError("need a (k, resultant size) stack of eigenvectors")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.shape[0] != stack.shape[1]:
@@ -141,10 +136,6 @@ def vandermonde_ratios(V, shape, mask=None, coords=None):
     failed = np.zeros(stack.shape[0], dtype=bool)
     for k in wanted:
         if shape.alpha[k] == 0:
-            if single:
-                raise ExtractionFailureError(
-                    f"coordinate {k + 1} has no degree-1 block in the eigenvector"
-                )
             failed[:] = True
             continue
         unit = [0] * (shape.d - 1)
@@ -154,8 +145,6 @@ def vandermonde_ratios(V, shape, mask=None, coords=None):
         if mask is not None:
             usable &= mask[zero_idx] & mask[num_idx]
         count = np.count_nonzero(usable, axis=1)
-        if single and not count[0]:
-            raise ExtractionFailureError(f"no usable entry pairs for coordinate {k + 1}")
         failed |= count == 0
         # the top `keep` usable divisors of every row, largest first
         keep = np.maximum(1, np.ceil(_KEEP_FRACTION * count).astype(int))
@@ -167,7 +156,7 @@ def vandermonde_ratios(V, shape, mask=None, coords=None):
         ratios = np.divide(num, div, out=np.zeros_like(num), where=pick)
         out[:, k] = np.sum(ratios, axis=1) / keep
     out[failed] = np.nan
-    return out[0] if single else out
+    return out
 
 
 def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):

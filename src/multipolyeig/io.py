@@ -1,4 +1,4 @@
-"""JSON file formats for problems, solutions, and benchmark data.
+"""JSON file formats for problems and solutions.
 
 A problem document stores a PMEP as dense coefficient lists::
 
@@ -48,9 +48,6 @@ __all__ = [
     "serialize_pmep",
     "parse_solutions",
     "serialize_solutions",
-    "load_flutter_data",
-    "flutter_pmep",
-    "FLUTTER_MATRIX_NAMES",
 ]
 
 MAX_ENTRIES_PER_EQUATION = 2**24
@@ -176,7 +173,7 @@ def parse_pmep(text):
                   f"expected {count} entries (n^2 * prod(tau_k + 1)), got {len(coeffs)}")
         flat = _complex_array(coeffs, f"{path}.coeffs")
         shape = tuple(t + 1 for t in tau) + (n, n)
-        polys.append(MatrixPoly(flat.reshape(shape, order="F"), basis, d=d))
+        polys.append(MatrixPoly(flat.reshape(shape, order="F"), basis))
     try:
         return Pmep(polys)
     except ValueError as exc:
@@ -272,67 +269,3 @@ def serialize_solutions(sols):
     solutions = f"[\n{entries}\n  ]" if entries else "[]"
     diag = json.dumps(diagnostics, indent=2).replace("\n", "\n  ")
     return f'{{\n  "solutions": {solutions},\n  "diagnostics": {diag}\n}}\n'
-
-
-FLUTTER_MATRIX_NAMES = ("M0", "G0", "G1", "G2", "K0")
-
-
-def load_flutter_data(text):
-    """Parse a flutter benchmark data file into named square matrices.
-
-    The file lists the model matrices entrywise in the complex-pair
-    encoding::
-
-        {"format_version": 1, "n": 2,
-         "matrices": {"M0": [[[re, im], ...], ...], "G0": ..., "G1": ...,
-                      "G2": ..., "K0": ...}}
-
-    Returns a dict mapping each name in FLUTTER_MATRIX_NAMES to an (n, n)
-    complex array, rows outermost.
-    """
-    doc = _loads(text)
-    if not isinstance(doc, dict):
-        _fail("document", "expected a JSON object")
-    version = _as_int(_require(doc, "format_version", "document"), "format_version")
-    if version != 1:
-        _fail("format_version", f"unsupported version {version}")
-    n = _as_int(_require(doc, "n", "document"), "n", minimum=1)
-    table = _require(doc, "matrices", "document")
-    out = {}
-    for name in FLUTTER_MATRIX_NAMES:
-        rows = _require(table, name, "matrices")
-        path = f"matrices.{name}"
-        if not isinstance(rows, list) or len(rows) != n:
-            _fail(path, f"expected {n} rows")
-        mat = np.zeros((n, n), dtype=complex)
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                _fail(f"{path}[{r}]", f"expected {n} entries")
-            for c, pair in enumerate(row):
-                mat[r, c] = _as_complex(pair, f"{path}[{r}][{c}]")
-        out[name] = mat
-    return out
-
-
-def flutter_pmep(mats):
-    """Assemble the doubled flutter system from its model matrices.
-
-    The model is ((M0 + G0) + G1*t + G2*t^2 - K0*L) x = 0 in the variables
-    (t, L); real solutions are certified by pairing it with its entrywise
-    conjugate, whose eigenvector is the conjugate of x.  Returns the
-    two-equation Pmep with tau = (2, 1) in the monomial basis.
-    """
-    mats = {name: np.asarray(mats[name], dtype=complex) for name in FLUTTER_MATRIX_NAMES}
-    n = mats["M0"].shape[0]
-    for name in FLUTTER_MATRIX_NAMES:
-        if mats[name].shape != (n, n):
-            raise ValueError(f"matrix {name} is not {n}x{n}")
-    coeffs = np.zeros((3, 2, n, n), dtype=complex)
-    coeffs[0, 0] = mats["M0"] + mats["G0"]
-    coeffs[1, 0] = mats["G1"]
-    coeffs[2, 0] = mats["G2"]
-    coeffs[0, 1] = -mats["K0"]
-    return Pmep([
-        MatrixPoly(coeffs, Basis.MONOMIAL, d=2),
-        MatrixPoly(coeffs.conj(), Basis.MONOMIAL, d=2),
-    ])

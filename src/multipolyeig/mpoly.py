@@ -40,17 +40,14 @@ class MatrixPoly:
         Complex array of shape (tau_1+1, ..., tau_d+1, n, n).
     basis : Basis or str
         Basis the coefficients refer to.
-    d : int, optional
-        Number of variables. Needed only to disambiguate shapes; by default
-        inferred as coeffs.ndim - 2.
+
+    The number of variables is d = coeffs.ndim - 2.
     """
 
-    def __init__(self, coeffs, basis=Basis.MONOMIAL, d=None):
+    def __init__(self, coeffs, basis=Basis.MONOMIAL):
         arr = np.asarray(coeffs, dtype=complex)
-        if d is None:
-            d = arr.ndim - 2
-        if d < 1 or arr.ndim != d + 2:
-            raise ValueError(f"coefficient tensor of ndim {arr.ndim} does not match d={d}")
+        if arr.ndim < 3:
+            raise ValueError(f"coefficient tensor of ndim {arr.ndim} has no variable axis")
         if arr.shape[-1] != arr.shape[-2]:
             raise ValueError("coefficient matrices must be square")
         if not np.all(np.isfinite(arr)):
@@ -59,7 +56,7 @@ class MatrixPoly:
         arr.setflags(write=False)
         self.coeffs = arr
         self.basis = _as_basis(basis)
-        self.d = d
+        self.d = arr.ndim - 2
         self._max_coeff_norm = None
 
     @property
@@ -130,7 +127,7 @@ class MatrixPoly:
         for a in reversed(axes):
             row = bo.basis_rows(self.basis.tag, complex(assignments[a]), self.tau[a])
             new = bo.contract_axis(new, row, a)
-        return MatrixPoly(new, self.basis, d=self.d - len(axes))
+        return MatrixPoly(new, self.basis)
 
     def convert_basis(self, target):
         """Return the same polynomial expressed in `target` basis."""
@@ -141,7 +138,7 @@ class MatrixPoly:
         for k in range(self.d):
             mat = bo.conversion_matrix(self.basis.tag, target.tag, self.tau[k])
             new = bo.apply_matrix_axis(new, mat, k)
-        return MatrixPoly(new, target, d=self.d)
+        return MatrixPoly(new, target)
 
     def max_coeff_norm(self):
         """Largest spectral norm among the coefficient matrices (cached: the
@@ -210,7 +207,7 @@ class Pmep:
         out = []
         for p in self.polys:
             new = np.transpose(p.coeffs, axes + (self.d, self.d + 1))
-            out.append(MatrixPoly(new, p.basis, d=self.d))
+            out.append(MatrixPoly(new, p.basis))
         return Pmep(out)
 
     def change_of_variables(self, q):
@@ -241,5 +238,5 @@ class Pmep:
             vals = vals.reshape((k,) * self.d + (p.n, p.n))
             for axis in range(self.d):
                 vals = bo.apply_matrix_axis(vals, to_coeff, axis)
-            out.append(MatrixPoly(vals, self.basis, d=self.d))
+            out.append(MatrixPoly(vals, self.basis))
         return Pmep(out)

@@ -37,14 +37,6 @@ class LinearMep:
         self.sizes = tuple(self.sizes)
         self.N = int(np.prod(self.sizes))
 
-    def eval_equation(self, i, x):
-        """W_i(x) = V_i0 - sum_j x_j V_ij."""
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        out = self.v0[i].copy()
-        for j in range(self.d):
-            out -= x[j] * self.vmats[i][j]
-        return out
-
     def to_pmep(self):
         """Encode as a dense degree-(1,...,1) polynomial system."""
         polys = []

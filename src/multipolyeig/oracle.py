@@ -38,7 +38,7 @@ def _derivatives(p):
     for poly in p.polys:
         row = []
         for j in range(p.d):
-            row.append(MatrixPoly(der(poly.coeffs, axis=j), p.basis, d=p.d))
+            row.append(MatrixPoly(der(poly.coeffs, axis=j), p.basis))
         out.append(row)
     return out
 

@@ -236,7 +236,7 @@ def _substituted_candidates(work, lam, cfg, depth):
         for poly in work.polys:
             sub = poly.partial_eval({1: lam})
             r = ResultantPoly(sub.coeffs, sub.basis).trim()
-            if r.m < 1 or r.max_coeff_norm() == 0.0:
+            if r.m < 1:
                 continue
             values.extend(lam_k for lam_k, _ in solve_pep(r, vectors=False))
         return [np.array([val, lam], dtype=complex) for val in values], False

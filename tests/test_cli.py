@@ -13,12 +13,7 @@ import pytest
 import multipolyeig
 from multipolyeig import cli
 from multipolyeig.cli import run_cli
-from multipolyeig.io import (
-    FLUTTER_MATRIX_NAMES,
-    parse_solutions,
-    serialize_pmep,
-    serialize_solutions,
-)
+from multipolyeig.io import parse_solutions, serialize_pmep, serialize_solutions
 from multipolyeig.solver import SolverConfig, solve
 
 from systems import (
@@ -43,22 +38,6 @@ def seeded_file(tmp_path):
     random projection makes the output depend on the seed."""
     path = tmp_path / "seeded.json"
     path.write_text(serialize_pmep(mixed_rank_deficient_pair_system()), encoding="utf-8")
-    return str(path)
-
-
-def flutter_file(tmp_path, seed=3):
-    rng = np.random.default_rng(seed)
-    doc = {
-        "format_version": 1,
-        "n": 2,
-        "matrices": {
-            name: [[[rng.standard_normal(), rng.standard_normal()] for _ in range(2)]
-                   for _ in range(2)]
-            for name in FLUTTER_MATRIX_NAMES
-        },
-    }
-    path = tmp_path / "flutter.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -255,34 +234,6 @@ class TestOracleCommand:
         first = capsys.readouterr().out
         run_cli(["oracle", problem_file, "--starts", "40", "--seed", "1"])
         assert capsys.readouterr().out == first
-
-
-class TestBenchCommand:
-    def test_flutter_report(self, tmp_path, capsys):
-        data = flutter_file(tmp_path)
-        assert run_cli(["bench", "flutter", data]) == 0
-        cap = capsys.readouterr()
-        assert "resultant size 8" in cap.err
-        lines = cap.out.splitlines()
-        assert lines[0] == "flutter benchmark: 8 solutions"
-        assert lines[1].split() == ["tau", "Lambda", "residual"]
-        rows = lines[3:]
-        assert len(rows) == 8
-        taus = [float(row.split()[0]) for row in rows]
-        assert taus == sorted(taus)
-
-    def test_report_determinism(self, tmp_path, capsys):
-        data = flutter_file(tmp_path)
-        run_cli(["bench", "flutter", data])
-        first = capsys.readouterr().out
-        run_cli(["bench", "flutter", data])
-        assert capsys.readouterr().out == first
-
-    def test_missing_matrix_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text('{"format_version": 1, "n": 2, "matrices": {}}')
-        assert run_cli(["bench", "flutter", str(path)]) == 1
-        assert "matrices.M0" in capsys.readouterr().err
 
 
 class TestExitCodes:

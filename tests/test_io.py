@@ -1,4 +1,4 @@
-"""Tests for the JSON problem/solution formats and benchmark data loader."""
+"""Tests for the JSON problem and solution formats."""
 
 import json
 
@@ -7,15 +7,7 @@ import pytest
 
 from multipolyeig.errors import ParseError
 from multipolyeig.extract import Solution, SolutionSet, residual
-from multipolyeig.io import (
-    FLUTTER_MATRIX_NAMES,
-    flutter_pmep,
-    load_flutter_data,
-    parse_pmep,
-    parse_solutions,
-    serialize_pmep,
-    serialize_solutions,
-)
+from multipolyeig.io import parse_pmep, parse_solutions, serialize_pmep, serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.solver import solve
 
@@ -210,8 +202,8 @@ class TestPmepRoundTrip:
                     assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_negative_zero_survives(self):
-        p = Pmep([MatrixPoly(np.array([[[[-0.0 + 0j]]], [[[1.0]]]]), d=2),
-                  MatrixPoly(np.ones((2, 1, 1, 1), dtype=complex), d=2)])
+        p = Pmep([MatrixPoly(np.array([[[[-0.0 + 0j]]], [[[1.0]]]])),
+                  MatrixPoly(np.ones((2, 1, 1, 1), dtype=complex))])
         text = serialize_pmep(p)
         assert serialize_pmep(parse_pmep(text)) == text
 
@@ -290,56 +282,3 @@ class TestSolutionDocuments:
     def test_determinism_byte_for_byte(self):
         p = quadratic_pair_system()
         assert serialize_solutions(solve(p)) == serialize_solutions(solve(p))
-
-
-class TestFlutterData:
-    def sample_matrices(self):
-        rng = np.random.default_rng(3)
-        return {name: rng.standard_normal((2, 2)) for name in FLUTTER_MATRIX_NAMES}
-
-    def document(self, mats, n=2):
-        return json.dumps({
-            "format_version": 1,
-            "n": n,
-            "matrices": {
-                name: [pairs(row) for row in np.atleast_2d(mats[name])]
-                for name in mats
-            },
-        })
-
-    def test_loader_round_trip(self):
-        mats = self.sample_matrices()
-        out = load_flutter_data(self.document(mats))
-        for name in FLUTTER_MATRIX_NAMES:
-            assert np.array_equal(out[name], mats[name])
-
-    def test_missing_matrix(self):
-        mats = self.sample_matrices()
-        del mats["G2"]
-        with pytest.raises(ParseError, match="matrices.G2"):
-            load_flutter_data(self.document(mats))
-
-    def test_ragged_row(self):
-        mats = self.sample_matrices()
-        doc = json.loads(self.document(mats))
-        doc["matrices"]["K0"][1] = doc["matrices"]["K0"][1][:1]
-        with pytest.raises(ParseError, match=r"matrices.K0\[1\]"):
-            load_flutter_data(json.dumps(doc))
-
-    def test_assembled_system_matches_model(self):
-        mats = self.sample_matrices()
-        p = flutter_pmep(mats)
-        assert p.d == 2 and p.tau == (2, 1) and p.sizes == (2, 2)
-        t, lam = 0.3 - 0.7j, 1.1 + 0.2j
-        direct = (mats["M0"] + mats["G0"] + mats["G1"] * t + mats["G2"] * t**2
-                  - mats["K0"] * lam)
-        assert np.allclose(p.polys[0].eval([t, lam]), direct, atol=1e-14)
-        assert np.allclose(p.polys[1].eval([t, lam]),
-                           np.conj(mats["M0"] + mats["G0"]) + np.conj(mats["G1"]) * t
-                           + np.conj(mats["G2"]) * t**2 - np.conj(mats["K0"]) * lam,
-                           atol=1e-14)
-
-    def test_real_matrices_give_conjugate_pair_of_equations(self):
-        mats = self.sample_matrices()
-        p = flutter_pmep(mats)
-        assert np.array_equal(p.polys[0].coeffs, np.conj(p.polys[1].coeffs))

@@ -259,3 +259,8 @@ class TestPmepValidation:
         c[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             MatrixPoly(c, Basis.MONOMIAL)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)], ids=["no_variable", "not_square"])
+    def test_malformed_tensor_rejected(self, shape):
+        with pytest.raises(ValueError):
+            MatrixPoly(np.zeros(shape), Basis.MONOMIAL)

@@ -180,9 +180,10 @@ class TestSolveLinearMep:
         rng = np.random.default_rng(68)
         mep = random_linear_mep(rng, (2, 3))
         out = solve_linear_mep(mep)
+        polys = mep.to_pmep().polys
         for sol in out:
             for i in range(mep.d):
-                w = mep.eval_equation(i, sol.x)
+                w = polys[i].eval(sol.x)
                 assert np.linalg.norm(w @ sol.eigenvectors[i]) <= 1e-8 * np.linalg.norm(w)
 
     def test_singular_delta0_raises(self):

@@ -345,6 +345,16 @@ class TestWaveguide:
         assert out.diagnostics["projected"] is True
         assert any(s.flags["reduced"] for s in out)
 
+    @pytest.mark.xfail(strict=True, reason="the fallback's nested solve of the first d - 1 "
+                       "equations loses two roots that share u, and no diagnostic counts them")
+    def test_shared_coordinate_roots_are_all_found(self):
+        # u = k^2 model at n = 36, u hidden: 4(n - 1) = 140 roots.  Two of
+        # them are lost: the fallback's nested (P_1, P_2) solves are projected
+        # (side 72, twice), none of their points passes the gate, and
+        # `dropped_eigenpairs` still reads 0
+        out = solve(systems.waveguide_system(36, even=True))
+        assert len(out) == 140
+
     def test_fallback_candidates_take_further_newton_steps(self):
         # u = k^2 model at n = 24, u hidden: every root is read from the
         # deflated core's eigenvectors; 12 of the read candidates are still
