@@ -14,7 +14,6 @@ from .errors import (
     MultiPolyEigError,
     ParseError,
     ProjectionFailureError,
-    ReductionDepthExceededError,
     SingularMepError,
     SingularPencilError,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SingularMepError",
     "SingularPencilError",
     "ProjectionFailureError",
-    "ReductionDepthExceededError",
     "ParseError",
     "__version__",
 ]

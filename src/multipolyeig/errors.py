@@ -6,7 +6,6 @@ __all__ = [
     "SingularMepError",
     "SingularPencilError",
     "ProjectionFailureError",
-    "ReductionDepthExceededError",
     "ParseError",
 ]
 
@@ -30,10 +29,6 @@ class SingularPencilError(MultiPolyEigError):
 
 class ProjectionFailureError(MultiPolyEigError):
     """Projection did not reach the normal rank after the allowed redraws."""
-
-
-class ReductionDepthExceededError(MultiPolyEigError):
-    """A reduced subproblem lost a coordinate again; deeper recursion is not done."""
 
 
 class ParseError(ValueError):

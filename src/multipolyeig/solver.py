@@ -34,7 +34,9 @@ One pipeline for every input, run once in the given coordinates:
    residual comes from singular values alone,
 7. the one fallback: for each eigenpair whose read failed or none of whose
    candidates passed, every front coordinate is re-solved from the equations
-   with x_d = lambda substituted (one level of nested solve only), and those
+   with x_d = lambda substituted: each equation is left out in turn, the last
+   one first, and the other d - 1 are solved, as one univariate polynomial
+   eigenvalue problem when d = 2 and by a nested solve otherwise.  Those
    candidates are gated in a second call, with the SVD's null vectors at
    every step.  A hidden coordinate shared by several roots mixes their
    eigenvectors; the substituted equations still have each of them as a
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dixon import DixonShape, ResultantPoly, build_resultant
-from .errors import MultiPolyEigError, ReductionDepthExceededError
+from .errors import MultiPolyEigError
 from .extract import (
     ExtractionConfig,
     Solution,
@@ -226,28 +228,32 @@ def _kronecker_read(work, factors, pts, coords):
     return out
 
 
-def _substituted_candidates(work, lam, cfg, depth):
-    """Candidate points with x_d = lam substituted and every front coordinate
-    re-solved from the substituted equations, and whether a nested solve
-    projected its pencil: ``(points, projected)``."""
+def _substituted_candidates(work, lam, cfg):
+    """Candidate points with x_d = lam substituted, and whether a nested
+    solve projected its pencil: ``(points, projected)``.
+
+    Each equation is left out in turn, the last one first, and the front
+    coordinates are solved from the other d - 1 substituted equations: the
+    eigenvalues of the one equation left when d = 2, a nested solve
+    otherwise.  The recursion ends, as d drops by one at each level.  A
+    degenerate subsystem gives up only itself."""
     d = work.d
-    if d == 2:
-        values = []
-        for poly in work.polys:
-            sub = poly.partial_eval({1: lam})
-            r = ResultantPoly(sub.coeffs, sub.basis).trim()
-            if r.m < 1:
-                continue
-            values.extend(lam_k for lam_k, _ in solve_pep(r, vectors=False))
-        return [np.array([val, lam], dtype=complex) for val in values], False
-    if depth >= 1:
-        raise ReductionDepthExceededError(
-            "substituted system needs a second nested solve; refusing to recurse deeper"
-        )
-    reduced_polys = [poly.partial_eval({d - 1: lam}) for poly in work.polys[: d - 1]]
     sub_cfg = replace(cfg, hide_variable=None, basis=None)
-    sub = solve(Pmep(reduced_polys), sub_cfg, _depth=depth + 1)
-    return [np.append(s.x, lam) for s in sub], sub.diagnostics["projected"]
+    points, projected = [], False
+    for out in reversed(range(d)):
+        try:
+            rest = [q.partial_eval({d - 1: lam}) for i, q in enumerate(work.polys) if i != out]
+            if d == 2:
+                r = ResultantPoly(rest[0].coeffs, rest[0].basis).trim()
+                xs = [[x] for x, _ in solve_pep(r, vectors=False)] if r.m >= 1 else []
+            else:
+                sub = solve(Pmep(rest), sub_cfg)
+                xs = [s.x for s in sub]
+                projected |= sub.diagnostics["projected"]
+        except (ValueError, MultiPolyEigError):
+            continue
+        points.extend(np.append(x, lam) for x in xs)
+    return points, projected
 
 
 def _refine_groups(p, groups, tol, vecs=None):
@@ -261,7 +267,7 @@ def _refine_groups(p, groups, tol, vecs=None):
     return [list(zip(points[e - n : e], res[e - n : e])) for n, e in zip(sizes, ends)]
 
 
-def solve(p, cfg=None, _depth=0):
+def solve(p, cfg=None):
     """Globally solve a polynomial multiparameter eigenvalue problem."""
     cfg = cfg or SolverConfig()
     if not isinstance(p, Pmep):
@@ -323,33 +329,22 @@ def solve(p, cfg=None, _depth=0):
     )
     reduced = [False] * len(gated)
 
-    nested_projected = False
-
-    def complete(lam):
-        """Points in the original coordinates with x_d = lam substituted."""
-        nonlocal nested_projected
-        # a spurious eigenvalue can make the substituted equations
-        # arbitrarily degenerate, or overflow them; give up on the eigenpair,
-        # not the solve
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ys, sub_projected = _substituted_candidates(work, lam, cfg, _depth)
-        except (ValueError, MultiPolyEigError):
-            return []
-        nested_projected |= sub_projected
-        return [y[unpermute] for y in ys]
-
     # a hidden coordinate shared by several roots mixes their eigenvectors;
     # substituting lambda into the equations still finds every one of them,
     # so each repeated eigenvalue is solved once, for all of its copies
     covered = np.zeros(len(gated), dtype=bool)
+    nested_projected = False
     if d > 1:
         retry = np.array(
             [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)], dtype=int
         )
         first = retry[_first_copy(lams[retry, None])]
         leaders = retry[first == retry]
-        redone = _refine_groups(p, [complete(lams[j]) for j in leaders], tol)
+        # a spurious eigenvalue can overflow the substituted equations
+        with np.errstate(over="ignore", invalid="ignore"):
+            subs = [_substituted_candidates(work, lams[j], cfg) for j in leaders]
+        nested_projected = any(pr for _, pr in subs)
+        redone = _refine_groups(p, [[y[unpermute] for y in ys] for ys, _ in subs], tol)
         for j in retry:
             gated[j], reduced[j] = [], True
         for j, g in zip(leaders, redone):

@@ -90,26 +90,26 @@ def quadratic_pair_solutions():
     return [np.array([x, u / x]) for x in xs for u in roots_u]
 
 
-def decoupled_pair_system(rng, n, degree):
-    """x1^degree I - A, x2^degree I - B with random A, B: (degree * n)^2 roots.
+def decoupled_system(rng, n, degree, d=2):
+    """x_i^degree I - A_i for i = 1..d with random A_i: (degree * n)^d roots.
 
-    Every root shares its x2 with degree * n - 1 others, so the eigenvectors
-    of those roots mix and only the per-eigenpair reduction recovers x1.
-    Returns the system and its closed-form roots.
+    Every root shares its x_d with (degree * n)^(d - 1) - 1 others, so the
+    eigenvectors of those roots mix and only the per-eigenpair reduction
+    recovers the front coordinates.  Returns the system and its closed-form
+    roots.
     """
-    a = random_matrix(rng, n)
-    b = random_matrix(rng, n)
-    c1 = np.zeros((degree + 1, degree + 1, n, n), dtype=complex)
-    c1[0, 0] = -a
-    c1[degree, 0] = np.eye(n)
-    c2 = np.zeros((degree + 1, degree + 1, n, n), dtype=complex)
-    c2[0, 0] = -b
-    c2[0, degree] = np.eye(n)
     unity = np.exp(2j * np.pi * np.arange(degree) / degree)
-    xs = [r * z for r in np.linalg.eigvals(a) ** (1 / degree) for z in unity]
-    ys = [r * z for r in np.linalg.eigvals(b) ** (1 / degree) for z in unity]
-    roots = [np.array([x, y]) for x in xs for y in ys]
-    return Pmep([MatrixPoly(c1), MatrixPoly(c2)]), roots
+    polys, coords = [], []
+    for i in range(d):
+        a = random_matrix(rng, n)
+        c = np.zeros((degree + 1,) * d + (n, n), dtype=complex)
+        idx = [0] * d
+        c[tuple(idx)] = -a
+        idx[i] = degree
+        c[tuple(idx)] = np.eye(n)
+        polys.append(MatrixPoly(c))
+        coords.append([r * z for r in np.linalg.eigvals(a) ** (1 / degree) for z in unity])
+    return Pmep(polys), [np.array(x) for x in itertools.product(*coords)]
 
 
 # frozen degree-1 resultant of the quadratic pair, R(y) = M0 + y*M1

@@ -8,7 +8,6 @@ import pytest
 import systems
 from multipolyeig import extract, pep, solver
 from multipolyeig.dixon import DixonShape, ResultantPoly, build_resultant
-from multipolyeig.errors import ReductionDepthExceededError
 from multipolyeig.io import serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
@@ -345,15 +344,17 @@ class TestWaveguide:
         assert out.diagnostics["projected"] is True
         assert any(s.flags["reduced"] for s in out)
 
-    @pytest.mark.xfail(strict=True, reason="the fallback's nested solve of the first d - 1 "
-                       "equations loses two roots that share u, and no diagnostic counts them")
-    def test_shared_coordinate_roots_are_all_found(self):
-        # u = k^2 model at n = 36, u hidden: 4(n - 1) = 140 roots.  Two of
-        # them are lost: the fallback's nested (P_1, P_2) solves are projected
-        # (side 72, twice), none of their points passes the gate, and
-        # `dropped_eigenpairs` still reads 0
-        out = solve(systems.waveguide_system(36, even=True))
-        assert len(out) == 140
+    @pytest.mark.parametrize(
+        "n, even, hide, count",
+        [(36, True, None, 140), (48, True, None, 188), (48, True, 2, 188), (48, False, 1, 376)],
+    )
+    def test_shared_coordinate_roots_are_all_found(self, n, even, hide, count):
+        # a pair of roots shares u (k) and kappa_1, so their eigenvectors mix
+        # and the pair takes the fallback.  At the shared eigenvalue (P_1, P_2)
+        # leave kappa_2 free, and P_3 rejects every point of their nested
+        # solve; the subsystems that leave out P_2 or P_1 find both roots
+        out = solve(systems.waveguide_system(n, even=even), SolverConfig(hide_variable=hide))
+        assert len(out) == count
 
     def test_fallback_candidates_take_further_newton_steps(self):
         # u = k^2 model at n = 24, u hidden: every root is read from the
@@ -466,7 +467,7 @@ class TestRepeatedHiddenCoordinate:
     def test_decoupled_quadratic_takes_fallback(self):
         # x2 takes each of its 6 values at 6 roots, which mixes their
         # eigenvectors; the fallback re-solves x1 from the equations
-        p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 2)
+        p, roots = systems.decoupled_system(np.random.default_rng(5), 3, 2)
         for seed in (0, 3):
             out = solve(p, SolverConfig(seed=seed))
             assert len(out) == 36
@@ -477,7 +478,7 @@ class TestRepeatedHiddenCoordinate:
         # x2 takes each of its 3 values at 3 roots, which mixes their
         # eigenvectors of the operator-determinant pencil; the fallback
         # re-solves x1 from the equations, with no second resultant
-        p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 1)
+        p, roots = systems.decoupled_system(np.random.default_rng(5), 3, 1)
         assert solver._as_linear_mep(p) is not None
 
         def no_dixon(*args, **kwargs):
@@ -492,12 +493,22 @@ class TestRepeatedHiddenCoordinate:
     def test_repeated_eigenvalue_solved_once(self, pep_calls):
         # each of the 3 values of x2 is a triple eigenvalue of the pencil;
         # the fallback solves each value once, and no copy counts as dropped
-        p, roots = systems.decoupled_pair_system(np.random.default_rng(5), 3, 1)
+        p, roots = systems.decoupled_system(np.random.default_rng(5), 3, 1)
         out = solve(p)
         assert pep_calls[0] == 1 + 3
         assert len(out) == 9
         assert_same_points(out.points(), roots, 1e-6)
         assert all(s.flags["reduced"] for s in out)
+        assert out.diagnostics["dropped_eigenpairs"] == 0
+
+    def test_decoupled_d4_recurses_to_one_equation(self):
+        # x4 takes each of its 2 values at 8 roots; the fallback's nested
+        # solves mix their eigenvectors again at every level, down to one
+        # equation in one unknown
+        p, roots = systems.decoupled_system(np.random.default_rng(0), 2, 1, d=4)
+        out = solve(p)
+        assert len(out) == 16
+        assert_same_points(out.points(), roots, 1e-6)
         assert out.diagnostics["dropped_eigenpairs"] == 0
 
     def test_generic_dense_reads_every_eigenvector(self):
@@ -544,7 +555,7 @@ def one_resultant(monkeypatch):
 class TestSinglePass:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_decoupled_cubic_pair(self, one_resultant, seed):
-        p, roots = systems.decoupled_pair_system(np.random.default_rng(seed), 3, 3)
+        p, roots = systems.decoupled_system(np.random.default_rng(seed), 3, 3)
         out = one_resultant(p)
         assert len(out) == 81
         assert_same_points(out.points(), roots, 1e-6)
@@ -746,7 +757,7 @@ class TestReduction:
         p = systems.quadratic_pair_system()
         x_true = 2.0**0.25
         y_true = (-1 + np.sqrt(5)) / 2 / x_true
-        cands, projected = _substituted_candidates(p, y_true, SolverConfig(), depth=0)
+        cands, projected = _substituted_candidates(p, y_true, SolverConfig())
         assert not projected
         xs = np.array([c[0] for c in cands])
         assert np.min(np.abs(xs - x_true)) <= 1e-8
@@ -763,23 +774,12 @@ class TestReduction:
         polys.append(systems.random_poly(rng, 2, (2, 2, 1)))
         work = Pmep(polys)
         lam = 0.7
-        cands, projected = _substituted_candidates(work, lam, SolverConfig(), depth=0)
+        cands, projected = _substituted_candidates(work, lam, SolverConfig())
         assert not projected
-        assert len(cands) == 8
+        # the 8 points of the first d - 1 equations come first, then those of
+        # the subsystems that leave out P_2 and P_1
+        assert len(cands) == 40
         assert_same_points(
-            [c[:2] for c in cands], systems.quadratic_pair_solutions(), 1e-6
+            [c[:2] for c in cands[:8]], systems.quadratic_pair_solutions(), 1e-6
         )
         assert all(c[2] == lam for c in cands)
-
-    def test_reduction_depth_is_capped(self):
-        quad = systems.quadratic_pair_system()
-        polys = []
-        for poly in quad.polys:
-            c = np.zeros((3, 3, 2, 2, 2), dtype=complex)
-            c[:, :, 0] = poly.coeffs
-            polys.append(MatrixPoly(c))
-        rng = np.random.default_rng(42)
-        polys.append(systems.random_poly(rng, 2, (2, 2, 1)))
-        work = Pmep(polys)
-        with pytest.raises(ReductionDepthExceededError):
-            _substituted_candidates(work, 0.7, SolverConfig(), depth=1)
