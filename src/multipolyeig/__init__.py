@@ -8,7 +8,7 @@ and polishing every root with Newton steps on the original system.
 `solve` runs the whole pipeline; the building blocks are exported.
 """
 
-from .dixon import DixonShape, ResultantPoly, build_resultant, dixon_numerator_eval
+from .dixon import DixonShape, build_resultant, dixon_numerator_eval
 from .errors import (
     DixonConsistencyError,
     MultiPolyEigError,
@@ -28,7 +28,7 @@ from .extract import (
 )
 from .io import parse_pmep, parse_solutions, serialize_pmep, serialize_solutions
 from .mpoly import Basis, MatrixPoly, Pmep
-from .opdet import LinearMep, delta, solve_linear_mep
+from .opdet import delta, solve_linear_mep
 from .oracle import newton_oracle
 from .pep import normal_rank, project_singular, solve_pep
 from .solver import SolverConfig, choose_hidden_variable, solve
@@ -40,10 +40,8 @@ __all__ = [
     "MatrixPoly",
     "Pmep",
     "DixonShape",
-    "ResultantPoly",
     "build_resultant",
     "dixon_numerator_eval",
-    "LinearMep",
     "delta",
     "solve_linear_mep",
     "solve_pep",

@@ -39,15 +39,6 @@ def basis_rows(basis, x, deg):
     return rows
 
 
-def val_axis0(basis, x, coeffs):
-    """Contract the leading (degree) axis of coeffs with basis values at scalar x."""
-    if basis == MONOMIAL:
-        return _poly.polyval(x, coeffs, tensor=False)
-    if basis == CHEBYSHEV1:
-        return _cheb.chebval(x, coeffs, tensor=False)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 def der_axis0(basis, coeffs):
     """Coefficients of the derivative along the leading (degree) axis of coeffs."""
     if basis == MONOMIAL:

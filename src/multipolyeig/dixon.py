@@ -37,10 +37,10 @@ import numpy as np
 from . import _basisops as bo
 from .errors import DixonConsistencyError
 from .mpoly import Basis, MatrixPoly, Pmep
+from .pep import trim
 
 __all__ = [
     "DixonShape",
-    "ResultantPoly",
     "kron_det",
     "dixon_numerator_eval",
     "divide_out",
@@ -86,54 +86,6 @@ class DixonShape:
             f"DixonShape(d={self.d}, tau={self.tau}, N={self.N}, "
             f"size={self.resultant_size}, xd_deg<={self.xd_degree_bound})"
         )
-
-
-class ResultantPoly:
-    """Univariate matrix polynomial R(x_d) as a stack of coefficient matrices."""
-
-    def __init__(self, coeffs, basis=Basis.MONOMIAL):
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("coeffs must be a stack of square matrices")
-        if arr.shape[0] < 1:
-            raise ValueError("need at least the constant coefficient")
-        self.coeffs = arr
-        self.basis = basis if isinstance(basis, Basis) else Basis(basis)
-
-    @property
-    def m(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def size(self):
-        return self.coeffs.shape[1]
-
-    def __repr__(self):
-        return f"ResultantPoly(m={self.m}, size={self.size}, basis={self.basis.tag})"
-
-    def eval(self, xd):
-        return bo.val_axis0(self.basis.tag, complex(xd), self.coeffs)
-
-    def max_coeff_norm(self):
-        return float(np.max(np.linalg.norm(self.coeffs, axis=(1, 2)))) if self.coeffs.size else 0.0
-
-    def convert_basis(self, target):
-        target = target if isinstance(target, Basis) else Basis(target)
-        if target == self.basis:
-            return self
-        mat = bo.conversion_matrix(self.basis.tag, target.tag, self.m)
-        return ResultantPoly(np.tensordot(mat, self.coeffs, axes=(1, 0)), target)
-
-    def trim(self, tol=1e-10):
-        """Drop trailing coefficients small relative to the largest one."""
-        norms = np.linalg.norm(self.coeffs, axis=(1, 2))
-        top = float(np.max(norms))
-        if top == 0.0:
-            return ResultantPoly(self.coeffs[:1], self.basis)
-        keep = self.m + 1
-        while keep > 1 and norms[keep - 1] <= tol * top:
-            keep -= 1
-        return ResultantPoly(self.coeffs[:keep], self.basis)
 
 
 def _hybrid_point(s, t, xd, col):
@@ -436,8 +388,8 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     chunks of nodes stacked along a leading axis; each chunk is substituted,
     evaluated (one `kron_det` call), divided on the s/t grids built once
     here (see `divide_out`) and unfolded.  The matrices are then
-    interpolated entrywise. Trailing coefficients below trim_tol (relative)
-    are trimmed.
+    interpolated entrywise into a univariate `MatrixPoly`. Trailing
+    coefficients below trim_tol (relative) are trimmed (`pep.trim`).
     """
     if not isinstance(p, Pmep):
         raise ValueError("build_resultant expects a Pmep")
@@ -462,4 +414,4 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
         num = _numerator_on_grid(part, shape, grids, p.basis.tag)
         mats.append(unfold(_divide_nodes(num, part, shape, grids, check_tol), shape))
     coeffs = np.tensordot(to_coeff, np.concatenate(mats), axes=(1, 0))
-    return ResultantPoly(coeffs, p.basis).trim(trim_tol)
+    return trim(MatrixPoly(coeffs, p.basis), trim_tol)

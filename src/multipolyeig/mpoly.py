@@ -4,7 +4,9 @@ A MatrixPoly stores a dense coefficient tensor of square complex matrices: the
 entry ``coeffs[i1, ..., id]`` is the n-by-n coefficient of the basis product
 ``phi_{i1}(x_1) * ... * phi_{id}(x_d)``, where ``phi`` is either the monomial
 or the first-kind Chebyshev family. A Pmep is a system of d such polynomials
-in d variables sharing one degree-bound vector tau.
+in d variables sharing one degree-bound vector tau.  A MatrixPoly with d = 1
+is a univariate matrix polynomial, such as the resultant R(x_d); `m` and
+`size` name its degree and side.
 """
 
 import enum
@@ -67,18 +69,26 @@ class MatrixPoly:
     def tau(self):
         return tuple(s - 1 for s in self.coeffs.shape[:-2])
 
+    @property
+    def m(self):
+        """Degree of a univariate (d = 1) polynomial."""
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def size(self):
+        """Side of the coefficient matrices, as the eigensolver names it."""
+        return self.n
+
     def __repr__(self):
         return f"MatrixPoly(d={self.d}, n={self.n}, tau={self.tau}, basis={self.basis.tag})"
 
     def eval(self, x):
-        """Evaluate at one point x in C^d (Horner/Clenshaw along each axis)."""
+        """Evaluate at one point x in C^d (a scalar when d = 1): `eval_many`
+        on that point."""
         x = np.atleast_1d(np.asarray(x, dtype=complex))
         if x.shape != (self.d,):
             raise ValueError(f"point has length {x.size}, expected {self.d}")
-        vals = self.coeffs
-        for k in range(self.d):
-            vals = bo.val_axis0(self.basis.tag, x[k], vals)
-        return vals
+        return self.eval_many(x[None])[0]
 
     def eval_many(self, pts, jet=False):
         """Evaluate at an (m, d) array of points; returns (m, n, n).
@@ -107,7 +117,7 @@ class MatrixPoly:
                 factor[:, k + 1] = (vals[:, None, :] @ der)[:, 0, :]
             width = rows.shape[-1] * factor.shape[-1]  # explicit: m may be 0
             rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, width)
-        out = (rows[..., None, :] @ self.coeffs.reshape(-1, n * n))[..., 0, :]
+        out = (rows[..., None, :] @ self.coeffs.reshape(rows.shape[-1], n * n))[..., 0, :]
         return out.reshape((m, self.d + 1, n, n) if jet else (m, n, n))
 
     def partial_eval(self, assignments):

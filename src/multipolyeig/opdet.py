@@ -1,7 +1,10 @@
 """Operator determinants of linear multiparameter eigenvalue problems.
 
 A linear MEP consists of d equations W_i(x) v_i = (V_i0 - sum_j x_j V_ij) v_i
-= 0 sharing the point x in C^d.  The block Kronecker determinants Delta_0 and
+= 0 sharing the point x in C^d.  Here it is a `Pmep` of degree one in every
+variable, without cross terms, in the monomial basis: V_i0 = C_i0 and
+V_ij = -C_{i,e_j}, where C_{i,e} is the coefficient of equation i at the
+degree multi-index e.  The block Kronecker determinants Delta_0 and
 Delta_k (Atkinson) turn it into d generalized eigenvalue problems
 (Delta_k - x_k Delta_0) z = 0 with the shared eigenvector
 z = v_1 kron ... kron v_d.  `solve` builds the pencil for k = d with `delta`;
@@ -13,56 +16,29 @@ import numpy as np
 from .dixon import kron_det
 from .errors import SingularMepError
 from .extract import Solution, SolutionSet, residual
-from .mpoly import Basis, MatrixPoly, Pmep
+from .mpoly import Basis
 
-__all__ = ["LinearMep", "delta", "solve_linear_mep", "kron_factor"]
-
-
-class LinearMep:
-    """Coefficient container: one constant and d coefficient matrices per equation."""
-
-    def __init__(self, v0, vmats):
-        self.v0 = [np.asarray(m, dtype=complex) for m in v0]
-        self.vmats = [[np.asarray(m, dtype=complex) for m in row] for row in vmats]
-        self.d = len(self.v0)
-        if len(self.vmats) != self.d or any(len(row) != self.d for row in self.vmats):
-            raise ValueError("need d coefficient matrices per equation")
-        self.sizes = []
-        for i in range(self.d):
-            n = self.v0[i].shape[0]
-            for m in [self.v0[i]] + self.vmats[i]:
-                if m.shape != (n, n):
-                    raise ValueError(f"equation {i + 1} matrices must all be {n}x{n}")
-            self.sizes.append(n)
-        self.sizes = tuple(self.sizes)
-        self.N = int(np.prod(self.sizes))
-
-    def to_pmep(self):
-        """Encode as a dense degree-(1,...,1) polynomial system."""
-        polys = []
-        for i in range(self.d):
-            n = self.sizes[i]
-            coeffs = np.zeros((2,) * self.d + (n, n), dtype=complex)
-            coeffs[(0,) * self.d] = self.v0[i]
-            for j in range(self.d):
-                idx = [0] * self.d
-                idx[j] = 1
-                coeffs[tuple(idx)] = -self.vmats[i][j]
-            polys.append(MatrixPoly(coeffs, Basis.MONOMIAL))
-        return Pmep(polys)
+__all__ = ["delta", "solve_linear_mep", "kron_factor"]
 
 
-def delta(mep, k):
-    """Block Kronecker determinant: Delta_0 for k = 0, else column k replaced by V_i0."""
-    if not 0 <= k <= mep.d:
+def delta(p, k):
+    """Block Kronecker determinant of the linear MEP p (monomial basis, see
+    above): Delta_0 for k = 0, else column k replaced by V_i0.  Terms of
+    degree two or more are not read."""
+    d = p.d
+    if any(t != 1 for t in p.tau):
+        raise ValueError("a linear MEP has degree one in every variable")
+    if not 0 <= k <= d:
         raise ValueError("k must lie in 0..d")
+    unit = np.eye(d, dtype=int)
 
     def column(i, j):
+        coeffs = p.polys[i].coeffs
         if k and j == k - 1:
-            return mep.v0[i]
-        return mep.vmats[i][j]
+            return coeffs[(0,) * d]
+        return -coeffs[tuple(unit[j])]
 
-    return kron_det([[column(i, j) for j in range(mep.d)] for i in range(mep.d)])
+    return kron_det([[column(i, j) for j in range(d)] for i in range(d)])
 
 
 def _unit(vec, norm):
@@ -93,8 +69,9 @@ def kron_factor(z, sizes):
     return factors
 
 
-def solve_linear_mep(mep):
-    """Solve a regular linear MEP through its operator determinants.
+def solve_linear_mep(p):
+    """Solve a regular linear MEP, a `Pmep` in either basis, through its
+    operator determinants.
 
     Solves the x_d generalized eigenvalue problem once; the other coordinates
     come from generalized Rayleigh quotients with the left eigenvectors, which
@@ -107,25 +84,26 @@ def solve_linear_mep(mep):
     """
     import scipy.linalg
 
-    d0 = delta(mep, 0)
+    p = p.convert_basis(Basis.MONOMIAL)
+    d0 = delta(p, 0)
     sv = np.linalg.svd(d0, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= 1e-12:
         raise SingularMepError("Delta_0 is numerically singular; not a regular MEP")
-    deltas = [delta(mep, k) for k in range(1, mep.d + 1)]
+    deltas = [delta(p, k) for k in range(1, p.d + 1)]
     vals, left, right = scipy.linalg.eig(deltas[-1], d0, left=True, right=True)
-    points = np.empty((vals.shape[0], mep.d), dtype=complex)
+    points = np.empty((vals.shape[0], p.d), dtype=complex)
     points[:, -1] = vals
     for idx in range(vals.shape[0]):
         z = right[:, idx]
         w = left[:, idx]
         denom = w.conj() @ (d0 @ z)
-        for k in range(mep.d - 1):
+        for k in range(p.d - 1):
             points[idx, k] = (w.conj() @ (deltas[k] @ z)) / denom
     sols = []
-    for idx, res in enumerate(residual(mep.to_pmep(), points)):
+    for idx, res in enumerate(residual(p, points)):
         sol = Solution(points[idx], res)
-        sol.eigenvectors = kron_factor(right[:, idx], mep.sizes)
+        sol.eigenvectors = kron_factor(right[:, idx], p.sizes)
         sols.append(sol)
     sols.sort(key=lambda s: s.residual)
-    return SolutionSet(sols, {"resultant_size": mep.N, "normal_rank": mep.N,
+    return SolutionSet(sols, {"resultant_size": p.N, "normal_rank": p.N,
                               "projected": False, "dropped_eigenpairs": 0})

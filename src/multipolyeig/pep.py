@@ -1,14 +1,14 @@
 """Univariate polynomial eigenvalue problems: shift-and-invert eigensolve, projection.
 
-A matrix polynomial R(lambda) of degree m and side n has the eigenvalues of
-its linearization A + lambda*B of side m*n: the companion pencil in the
-monomial basis, the colleague pencil in the Chebyshev basis.  That pencil is
-never formed: its standard eigenvalue problem C = (A + sigma*B)^-1 B is
-built straight from R's coefficients with one solve with R(sigma), of side
-n, and the shift sigma is the one of three fixed points where R(sigma) is
-best conditioned.  When R is a singular polynomial
-it is first compressed to its normal rank by a random two-sided orthogonal
-projection.  Eigenpairs come back unrefined: the solver polishes the roots
+A univariate matrix polynomial R(lambda) (a `MatrixPoly` with d = 1) of
+degree m and side n has the eigenvalues of its linearization A + lambda*B
+of side m*n: the companion pencil in the monomial basis, the colleague
+pencil in the Chebyshev basis.  That pencil is never formed: its standard
+eigenvalue problem C = (A + sigma*B)^-1 B is built straight from R's
+coefficients with one solve with R(sigma), of side n, and the shift sigma
+is the one of three fixed points where R(sigma) is best conditioned.  When
+R is a singular polynomial it is first compressed to its normal rank by a
+random two-sided orthogonal projection.  Eigenpairs come back unrefined: the solver polishes the roots
 they lead to with Newton steps on the original system (`extract.refine`).
 Everything here runs on numpy alone.
 """
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dixon import ResultantPoly
 from .errors import ProjectionFailureError, SingularPencilError
-from .mpoly import Basis
+from .mpoly import Basis, MatrixPoly
 
 __all__ = [
     "RankProfile",
+    "trim",
     "solve_pep",
     "normal_rank",
     "project_singular",
@@ -48,6 +48,16 @@ _SHIFTS = 1.3 * np.exp(2j * np.pi * (0.1234 + np.arange(3) / 3))
 # its worst direction from both
 _PROBE_PHASES = 2j * np.pi * np.array([0.0, (np.sqrt(5.0) - 1.0) / 2.0])
 _EPS = np.finfo(float).eps
+
+
+def trim(R, tol=1e-10):
+    """R without its trailing coefficients whose Frobenius norm is at most
+    tol times the largest one; a zero R keeps its constant coefficient."""
+    norms = np.linalg.norm(R.coeffs, axis=(1, 2))
+    keep = len(norms)
+    while keep > 1 and norms[keep - 1] <= tol * norms.max():
+        keep -= 1
+    return R if keep == len(norms) else MatrixPoly(R.coeffs[:keep], R.basis)
 
 
 def _conditions(mats):
@@ -227,7 +237,7 @@ def project_singular(R, rp, rng=None):
         gv = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
         u = np.linalg.qr(gu)[0].conj().T
         v = np.linalg.qr(gv)[0]
-        projected = ResultantPoly(u @ R.coeffs @ v, R.basis)
+        projected = MatrixPoly(u @ R.coeffs @ v, R.basis)
         if normal_rank(projected, rank_tol=rp.rank_tol, rng=rng).normal_rank == r:
             return projected, u, v
     raise ProjectionFailureError(

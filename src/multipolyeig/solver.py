@@ -36,14 +36,14 @@ One pipeline for every input, run once in the given coordinates:
    candidates passed, every front coordinate is re-solved from the equations
    with x_d = lambda substituted: each equation is left out in turn, the last
    one first, and the other d - 1 are solved, as one univariate polynomial
-   eigenvalue problem when d = 2 and by a nested solve otherwise.  Those
-   candidates are gated in a second call, with the SVD's null vectors at
-   every step.  A hidden coordinate shared by several roots mixes their
-   eigenvectors; the substituted equations still have each of them as a
-   root, so the copies of a repeated eigenvalue are solved once.  The
-   passing candidates are deduplicated.  The diagnostic ``projected`` is
-   true when the top-level pencil or the pencil of any nested solve was
-   projected.
+   eigenvalue problem when d = 2 and by a nested solve otherwise.  A point
+   that several subsystems find is kept once.  Those candidates are gated
+   in a second call, with the SVD's null vectors at every step.  A hidden
+   coordinate shared by several roots mixes their eigenvectors; the
+   substituted equations still have each of them as a root, so the copies
+   of a repeated eigenvalue are solved once.  The passing candidates are
+   deduplicated.  The diagnostic ``projected`` is true when the top-level
+   pencil or the pencil of any nested solve was projected.
 """
 
 import math
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dixon import DixonShape, ResultantPoly, build_resultant
+from .dixon import DixonShape, build_resultant
 from .errors import MultiPolyEigError
 from .extract import (
     ExtractionConfig,
@@ -65,9 +65,9 @@ from .extract import (
     refine,
     vandermonde_ratios,
 )
-from .mpoly import Basis, Pmep
-from .opdet import LinearMep, delta, kron_factor
-from .pep import normal_rank, project_singular, solve_pep
+from .mpoly import Basis, MatrixPoly, Pmep
+from .opdet import delta, kron_factor
+from .pep import normal_rank, project_singular, solve_pep, trim
 
 __all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
 
@@ -121,37 +121,31 @@ def choose_hidden_variable(p):
 
 
 def _as_linear_mep(p):
-    """Convert a degree-(1,..,1) system without cross terms, else return None."""
+    """p in the monomial basis when it is a linear MEP (degree one in every
+    variable, without cross terms; see `opdet`), else None."""
     if any(t != 1 for t in p.tau):
         return None
     q = p.convert_basis(Basis.MONOMIAL)
-    v0, vmats = [], []
     for poly in q.polys:
         scale = poly.max_coeff_norm()
-        coeffs = poly.coeffs
         for idx in np.ndindex(*(2,) * q.d):
-            if sum(idx) >= 2 and np.max(np.abs(coeffs[idx])) > 1e-14 * scale:
+            if sum(idx) >= 2 and np.max(np.abs(poly.coeffs[idx])) > 1e-14 * scale:
                 return None
-        v0.append(coeffs[(0,) * q.d])
-        row = []
-        for j in range(q.d):
-            e = [0] * q.d
-            e[j] = 1
-            row.append(-coeffs[tuple(e)])
-        vmats.append(row)
-    return LinearMep(v0, vmats)
+    return q
 
 
 def _structural_core(R, rank_tol):
     """R without the rows and columns whose every coefficient entry is at
-    most ``rank_tol`` times R's largest, and the kept columns.  When those
-    rows and columns do not pair up, or R is zero, R comes back whole."""
+    most ``rank_tol`` times R's largest, and the kept columns.  When none
+    drop, those rows and columns do not pair up, or R is zero, R comes back
+    whole."""
     mag = np.abs(R.coeffs)
     big = mag > rank_tol * np.max(mag)
     rows, cols = np.any(big, axis=(0, 2)), np.any(big, axis=(0, 1))
-    if not np.any(rows) or np.count_nonzero(rows) != np.count_nonzero(cols):
+    kept = np.count_nonzero(rows)
+    if kept in (0, R.size) or kept != np.count_nonzero(cols):
         return R, np.ones(R.size, dtype=bool)
-    return ResultantPoly(R.coeffs[(slice(None), *np.ix_(rows, cols))], R.basis), cols
+    return MatrixPoly(R.coeffs[(slice(None), *np.ix_(rows, cols))], R.basis), cols
 
 
 def _masked_out(shape, mask):
@@ -180,12 +174,12 @@ def _resultant(work):
     """
     d = work.d
     if d == 1:
-        R = ResultantPoly(work.polys[0].coeffs, work.basis)
+        R = work.polys[0]
     elif (mep := _as_linear_mep(work)) is not None:
-        R = ResultantPoly(np.stack([-delta(mep, d), delta(mep, 0)]))
+        R = MatrixPoly(np.stack([-delta(mep, d), delta(mep, 0)]))
     else:
         return build_resultant(work), DixonShape.from_pmep(work)
-    return R.trim(), _OneBlock(d, work.sizes, work.N, (0,) * (d - 1))
+    return trim(R), _OneBlock(d, work.sizes, work.N, (0,) * (d - 1))
 
 
 def _kronecker_read(work, factors, pts, coords):
@@ -236,7 +230,8 @@ def _substituted_candidates(work, lam, cfg):
     coordinates are solved from the other d - 1 substituted equations: the
     eigenvalues of the one equation left when d = 2, a nested solve
     otherwise.  The recursion ends, as d drops by one at each level.  A
-    degenerate subsystem gives up only itself."""
+    degenerate subsystem gives up only itself.  A root of all d equations
+    solves every subsystem; each point is kept once."""
     d = work.d
     sub_cfg = replace(cfg, hide_variable=None, basis=None)
     points, projected = [], False
@@ -244,7 +239,7 @@ def _substituted_candidates(work, lam, cfg):
         try:
             rest = [q.partial_eval({d - 1: lam}) for i, q in enumerate(work.polys) if i != out]
             if d == 2:
-                r = ResultantPoly(rest[0].coeffs, rest[0].basis).trim()
+                r = trim(rest[0])
                 xs = [[x] for x, _ in solve_pep(r, vectors=False)] if r.m >= 1 else []
             else:
                 sub = solve(Pmep(rest), sub_cfg)
@@ -253,7 +248,8 @@ def _substituted_candidates(work, lam, cfg):
         except (ValueError, MultiPolyEigError):
             continue
         points.extend(np.append(x, lam) for x in xs)
-    return points, projected
+    first = _first_copy(np.array(points).reshape(-1, d))
+    return [x for i, x in enumerate(points) if first[i] == i], projected
 
 
 def _refine_groups(p, groups, tol, vecs=None):

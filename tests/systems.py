@@ -34,6 +34,21 @@ def random_pmep(rng, sizes, tau, basis=Basis.MONOMIAL, real=False):
     return Pmep([random_poly(rng, n, tau, basis, real) for n in sizes])
 
 
+def linear_mep(v0, vmats):
+    """The linear MEP (V_i0 - sum_j x_j V_ij) v_i = 0, i = 1..d, as a Pmep of
+    degree one in every variable: C_i0 = V_i0 and C_{i,e_j} = -V_ij, where
+    v0[i] is V_i0 and vmats[i][j] is V_ij."""
+    d = len(v0)
+    polys = []
+    for a, row in zip(v0, vmats):
+        c = np.zeros((2,) * d + np.shape(a), dtype=complex)
+        c[(0,) * d] = a
+        for j, v in enumerate(row):
+            c[tuple(np.eye(d, dtype=int)[j])] = -np.asarray(v)
+        polys.append(MatrixPoly(c))
+    return Pmep(polys)
+
+
 def sparse_random_pmep(rng):
     """A random system with d in {2, 3}, n_i <= 2, tau_k <= 2 and only a
     random 30-80% of its coefficients nonzero; sparse systems often have

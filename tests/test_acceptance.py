@@ -81,14 +81,14 @@ def test_criterion_05_linear_mep_equivalence(monkeypatch):
     rng = np.random.default_rng(800)
     for _ in range(20):
         sizes = tuple(int(rng.integers(1, 4)) for _ in range(2))
-        mep = random_linear_mep(rng, sizes)
-        r = build_resultant(mep.to_pmep())
-        d0, d2 = delta(mep, 0), delta(mep, 2)
+        p = random_linear_mep(rng, sizes)
+        r = build_resultant(p)
+        d0, d2 = delta(p, 0), delta(p, 2)
         scale = max(np.max(np.abs(d0)), np.max(np.abs(d2)))
         assert np.max(np.abs(r.coeffs[0] + d2)) <= 1e-12 * scale
         assert np.max(np.abs(r.coeffs[1] - d0)) <= 1e-12 * scale
-        got = solve(mep.to_pmep())
-        want = solve_linear_mep(mep)
+        got = solve(p)
+        want = solve_linear_mep(p)
         assert len(got) == len(want)
         pool = [y for y in want.points()]
         for x in got.points():

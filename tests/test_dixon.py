@@ -10,7 +10,6 @@ from multipolyeig import _basisops as bo
 from multipolyeig import dixon
 from multipolyeig.dixon import (
     DixonShape,
-    ResultantPoly,
     _grids,
     build_resultant,
     dixon_numerator_eval,
@@ -21,6 +20,7 @@ from multipolyeig.dixon import (
 )
 from multipolyeig.errors import DixonConsistencyError
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
+from multipolyeig.pep import trim
 
 
 def values_times_pair_differences(h, shape, basis, grids):
@@ -433,22 +433,24 @@ class TestKroneckerLayout:
 
 
 class TestResultantPoly:
+    """R(x_d) is a univariate MatrixPoly: trimming and evaluation."""
+
     def test_trim_keeps_constant(self):
-        r = ResultantPoly(np.zeros((3, 2, 2)), Basis.MONOMIAL)
-        assert r.trim().m == 0
+        r = MatrixPoly(np.zeros((3, 2, 2)), Basis.MONOMIAL)
+        assert trim(r).m == 0
 
     def test_trim_tolerance(self):
         c = np.zeros((3, 2, 2), dtype=complex)
         c[0] = np.eye(2)
         c[1] = np.eye(2)
         c[2] = 1e-14 * np.eye(2)
-        r = ResultantPoly(c, Basis.MONOMIAL).trim(1e-10)
+        r = trim(MatrixPoly(c, Basis.MONOMIAL), 1e-10)
         assert r.m == 1
 
     def test_eval_matches_horner(self):
         rng = np.random.default_rng(39)
         c = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-        r = ResultantPoly(c, Basis.MONOMIAL)
+        r = MatrixPoly(c, Basis.MONOMIAL)
         z = 0.7 - 0.2j
         want = c[0] + z * (c[1] + z * (c[2] + z * c[3]))
         assert np.allclose(r.eval(z), want)

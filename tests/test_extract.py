@@ -7,7 +7,7 @@ import pytest
 
 import systems
 from multipolyeig import extract
-from multipolyeig.dixon import DixonShape, ResultantPoly, build_resultant
+from multipolyeig.dixon import DixonShape, build_resultant
 from multipolyeig.extract import (
     ExtractionConfig,
     Solution,
@@ -132,7 +132,7 @@ class TestGenericNullspaceMask:
         sh = pair_shape()
         coeffs = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
         coeffs[:, :, 2] = 0.0  # e_2 spans the generic null space
-        r = ResultantPoly(coeffs, Basis.MONOMIAL)
+        r = MatrixPoly(coeffs, Basis.MONOMIAL)
         mask = nullspace_mask(r, rng=1)
         assert not mask[2] and np.count_nonzero(~mask) == 1
         x = np.array([0.7 + 0.2j])

@@ -10,27 +10,33 @@ import systems
 from multipolyeig.dixon import build_resultant
 from multipolyeig.errors import SingularMepError
 from multipolyeig.extract import residual
-from multipolyeig.opdet import LinearMep, delta, kron_factor, solve_linear_mep
+from multipolyeig.opdet import delta, kron_factor, solve_linear_mep
 
 
-def random_linear_mep(rng, sizes):
+def random_coefficients(rng, sizes):
+    """Random V_i0 (v0[i]) and V_ij (vmats[i][j]) of a linear MEP."""
     d = len(sizes)
     v0 = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in sizes]
     vmats = [
         [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
         for n in sizes
     ]
-    return LinearMep(v0, vmats)
+    return v0, vmats
 
 
-def naive_delta(mep, k):
+def random_linear_mep(rng, sizes):
+    return systems.linear_mep(*random_coefficients(rng, sizes))
+
+
+def naive_delta(v0, vmats, k):
     """Independent Leibniz expansion written directly from the definition."""
+    d = len(v0)
     out = 0
-    for sigma in itertools.permutations(range(mep.d)):
-        sign = np.linalg.det(np.eye(mep.d)[list(sigma)])
+    for sigma in itertools.permutations(range(d)):
+        sign = np.linalg.det(np.eye(d)[list(sigma)])
         term = np.array([[1.0 + 0j]])
         for i, j in enumerate(sigma):
-            mat = mep.v0[i] if (k and j == k - 1) else mep.vmats[i][j]
+            mat = v0[i] if (k and j == k - 1) else vmats[i][j]
             term = np.kron(term, mat)
         out = out + round(sign) * term
     return out
@@ -39,29 +45,31 @@ def naive_delta(mep, k):
 class TestDelta:
     def test_d1(self):
         rng = np.random.default_rng(60)
-        mep = random_linear_mep(rng, (3,))
-        assert np.array_equal(delta(mep, 0), mep.vmats[0][0])
-        assert np.array_equal(delta(mep, 1), mep.v0[0])
+        v0, vmats = random_coefficients(rng, (3,))
+        p = systems.linear_mep(v0, vmats)
+        assert np.array_equal(delta(p, 0), vmats[0][0])
+        assert np.array_equal(delta(p, 1), v0[0])
 
     def test_d2_formula(self):
         rng = np.random.default_rng(61)
-        mep = random_linear_mep(rng, (2, 3))
-        want = np.kron(mep.vmats[0][0], mep.vmats[1][1]) - np.kron(
-            mep.vmats[0][1], mep.vmats[1][0]
-        )
-        assert np.allclose(delta(mep, 0), want, atol=1e-14)
+        v0, vmats = random_coefficients(rng, (2, 3))
+        want = np.kron(vmats[0][0], vmats[1][1]) - np.kron(vmats[0][1], vmats[1][0])
+        assert np.allclose(delta(systems.linear_mep(v0, vmats), 0), want, atol=1e-14)
 
     def test_d3_naive_oracle(self):
         rng = np.random.default_rng(62)
-        mep = random_linear_mep(rng, (2, 2, 2))
+        v0, vmats = random_coefficients(rng, (2, 2, 2))
+        p = systems.linear_mep(v0, vmats)
         for k in range(4):
-            assert np.allclose(delta(mep, k), naive_delta(mep, k), atol=1e-12)
+            assert np.allclose(delta(p, k), naive_delta(v0, vmats, k), atol=1e-12)
 
     def test_bad_k(self):
         rng = np.random.default_rng(63)
-        mep = random_linear_mep(rng, (2, 2))
+        p = random_linear_mep(rng, (2, 2))
         with pytest.raises(ValueError):
-            delta(mep, 3)
+            delta(p, 3)
+        with pytest.raises(ValueError):  # degree two in x_1: not a linear MEP
+            delta(systems.quadratic_pair_system(), 0)
 
 
 class TestKronFactor:
@@ -138,10 +146,10 @@ class TestKronFactor:
 class TestSolveLinearMep:
     def test_d1_is_gep(self):
         rng = np.random.default_rng(65)
-        mep = random_linear_mep(rng, (3,))
-        out = solve_linear_mep(mep)
+        v0, vmats = random_coefficients(rng, (3,))
+        out = solve_linear_mep(systems.linear_mep(v0, vmats))
         got = np.sort_complex(np.array([s.x[0] for s in out]))
-        want = np.sort_complex(scipy.linalg.eigvals(mep.v0[0], mep.vmats[0][0]))
+        want = np.sort_complex(scipy.linalg.eigvals(v0[0], vmats[0][0]))
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1, np.max(np.abs(want)))
 
     def test_diagonal_decoupled(self):
@@ -149,8 +157,7 @@ class TestSolveLinearMep:
         sizes = (2, 2)
         v0 = [np.diag(rng.standard_normal(n)) for n in sizes]
         vmats = [[np.diag(rng.standard_normal(n) + 1.0) for _ in sizes] for n in sizes]
-        mep = LinearMep(v0, vmats)
-        out = solve_linear_mep(mep)
+        out = solve_linear_mep(systems.linear_mep(v0, vmats))
         want = []
         for l1 in range(2):
             for l2 in range(2):
@@ -168,22 +175,20 @@ class TestSolveLinearMep:
 
     def test_random_regular_residuals(self):
         rng = np.random.default_rng(67)
-        mep = random_linear_mep(rng, (2, 2))
-        out = solve_linear_mep(mep)
+        p = random_linear_mep(rng, (2, 2))
+        out = solve_linear_mep(p)
         assert len(out) == 4
-        pmep = mep.to_pmep()
         for sol in out:
             assert sol.residual <= 1e-10
-            assert residual(pmep, sol.x) <= 1e-10
+            assert residual(p, sol.x) <= 1e-10
 
     def test_recovered_eigenvectors_annihilate(self):
         rng = np.random.default_rng(68)
-        mep = random_linear_mep(rng, (2, 3))
-        out = solve_linear_mep(mep)
-        polys = mep.to_pmep().polys
+        p = random_linear_mep(rng, (2, 3))
+        out = solve_linear_mep(p)
         for sol in out:
-            for i in range(mep.d):
-                w = polys[i].eval(sol.x)
+            for i in range(p.d):
+                w = p.polys[i].eval(sol.x)
                 assert np.linalg.norm(w @ sol.eigenvectors[i]) <= 1e-8 * np.linalg.norm(w)
 
     def test_singular_delta0_raises(self):
@@ -193,14 +198,14 @@ class TestSolveLinearMep:
         v0 = [rng.standard_normal((n, n)) for _ in range(2)]
         vmats = [[a, a], [rng.standard_normal((n, n))] * 2]
         with pytest.raises(SingularMepError):
-            solve_linear_mep(LinearMep(v0, vmats))
+            solve_linear_mep(systems.linear_mep(v0, vmats))
 
     def test_x1_gep_multiset_matches_solutions(self):
         rng = np.random.default_rng(70)
-        mep = random_linear_mep(rng, (2, 2))
-        out = solve_linear_mep(mep)
+        p = random_linear_mep(rng, (2, 2))
+        out = solve_linear_mep(p)
         got = np.sort_complex(np.array([s.x[0] for s in out]))
-        want = np.sort_complex(scipy.linalg.eigvals(delta(mep, 1), delta(mep, 0)))
+        want = np.sort_complex(scipy.linalg.eigvals(delta(p, 1), delta(p, 0)))
         assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
@@ -209,9 +214,9 @@ class TestDixonEquivalence:
         for seed in range(5):
             rng = np.random.default_rng(200 + seed)
             sizes = tuple(rng.integers(1, 4, size=2))
-            mep = random_linear_mep(rng, sizes)
-            r = build_resultant(mep.to_pmep())
-            d0, d2 = delta(mep, 0), delta(mep, 2)
+            p = random_linear_mep(rng, sizes)
+            r = build_resultant(p)
+            d0, d2 = delta(p, 0), delta(p, 2)
             top = max(np.abs(d0).max(), np.abs(d2).max())
             assert r.m == 1
             assert np.max(np.abs(r.coeffs[0] - (-d2))) <= 1e-12 * top
@@ -219,11 +224,10 @@ class TestDixonEquivalence:
 
     def test_solution_sets_match(self):
         rng = np.random.default_rng(71)
-        mep = random_linear_mep(rng, (2, 2))
-        direct = solve_linear_mep(mep)
+        p = random_linear_mep(rng, (2, 2))
+        direct = solve_linear_mep(p)
         x2_from_pencil = scipy.linalg.eigvals(
-            build_resultant(mep.to_pmep()).coeffs[0],
-            -build_resultant(mep.to_pmep()).coeffs[1],
+            build_resultant(p).coeffs[0], -build_resultant(p).coeffs[1]
         )
         got = np.sort_complex(x2_from_pencil)
         want = np.sort_complex(np.array([s.x[1] for s in direct]))

@@ -40,9 +40,9 @@ class TestNewtonOracle:
 
     def test_linear_mep_matches_opdet(self):
         rng = np.random.default_rng(91)
-        mep = random_linear_mep(rng, (2, 2))
-        want = solve_linear_mep(mep).points()
-        got = newton_oracle(mep.to_pmep(), starts=200, seed=2).points()
+        p = random_linear_mep(rng, (2, 2))
+        want = solve_linear_mep(p).points()
+        got = newton_oracle(p, starts=200, seed=2).points()
         assert got.shape == want.shape
         for w in want:
             assert np.min(np.max(np.abs(got - w), axis=1)) <= 1e-8

@@ -7,7 +7,8 @@ import pytest
 
 import systems
 from multipolyeig import extract, pep, solver
-from multipolyeig.dixon import DixonShape, ResultantPoly, build_resultant
+from multipolyeig.dixon import DixonShape, build_resultant
+from multipolyeig.extract import _first_copy
 from multipolyeig.io import serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
@@ -235,7 +236,7 @@ class TestRankDeficientPair:
         # the projected pencil's eigenvectors are not read, so R is evaluated
         # at the rank probes only, never at an eigenvalue
         points, lams = [], []
-        evaluate, solve_pep = ResultantPoly.eval, solver.solve_pep
+        evaluate, solve_pep = MatrixPoly.eval, solver.solve_pep
 
         def recorded(self, xd):
             points.append(xd)
@@ -246,7 +247,7 @@ class TestRankDeficientPair:
             lams.extend(lam for lam, _ in pairs)
             return pairs
 
-        monkeypatch.setattr(ResultantPoly, "eval", recorded)
+        monkeypatch.setattr(MatrixPoly, "eval", recorded)
         monkeypatch.setattr(solver, "solve_pep", recorded_pep)
         out = solve(systems.mixed_rank_deficient_pair_system())
         assert out.diagnostics["projected"]
@@ -428,10 +429,9 @@ class TestDeflation:
 class TestLinearPath:
     def test_fast_path_matches_direct_solver(self):
         rng = np.random.default_rng(11)
-        mep = random_linear_mep(rng, (2, 3))
-        p = mep.to_pmep()
+        p = random_linear_mep(rng, (2, 3))
         out = solve(p)
-        direct = solve_linear_mep(mep)
+        direct = solve_linear_mep(p)
         assert len(out) == len(direct) == 6
         assert_same_points(
             out.points(), [s.x for s in direct], 1e-8
@@ -443,8 +443,7 @@ class TestLinearPath:
         # eigenvectors are the single block v_1 kron v_2: x_1 is read from its
         # Kronecker factors either way
         rng = np.random.default_rng(12)
-        mep = random_linear_mep(rng, (2, 2))
-        p = mep.to_pmep()
+        p = random_linear_mep(rng, (2, 2))
         opdet = solve(p)
         monkeypatch.setattr(solver, "_as_linear_mep", lambda p: None)
         dixon = solve(p)
@@ -611,16 +610,19 @@ class TestDegreeOneRead:
     )
     def test_one_pep_solve(self, pep_calls, sizes, tau, basis, count):
         rng = np.random.default_rng(1)
-        mep = random_linear_mep(rng, sizes) if tau is None else None
-        p = mep.to_pmep() if tau is None else systems.random_pmep(rng, sizes, tau, basis)
+        linear = tau is None
+        if linear:
+            p = random_linear_mep(rng, sizes)
+        else:
+            p = systems.random_pmep(rng, sizes, tau, basis)
         out = solve(p)
         assert len(out) == count
         assert pep_calls[0] == 1
         assert all(not s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
-        if mep is None:
+        if not linear:
             return
-        assert_same_points(out.points(), solve_linear_mep(mep).points(), 1e-8)
+        assert_same_points(out.points(), solve_linear_mep(p).points(), 1e-8)
         for cfg in (SolverConfig(hide_variable=1), SolverConfig(basis=Basis.CHEBYSHEV1)):
             pep_calls[0] = 0
             other = solve(p, cfg)
@@ -670,7 +672,7 @@ class TestBatchedGate:
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
         dense = solve(systems.random_pmep(np.random.default_rng(1), (3, 3), (3, 3)))
-        linear = solve(random_linear_mep(np.random.default_rng(11), (3, 4)).to_pmep())
+        linear = solve(random_linear_mep(np.random.default_rng(11), (3, 4)))
         assert len(dense) == 162 and len(linear) == 12
         assert all(not s.flags["reduced"] for s in (*dense, *linear))
         assert with_vectors == []
@@ -682,7 +684,7 @@ class TestUnivariatePassthrough:
         c = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         p = Pmep([MatrixPoly(c)])
         out = solve(p)
-        want = det_roots(ResultantPoly(c, Basis.MONOMIAL))
+        want = det_roots(MatrixPoly(c, Basis.MONOMIAL))
         assert len(out) == 4
         assert max(s.residual for s in out) <= 1e-10
         match_sets([s.x[0] for s in out], want, 1e-6)
@@ -762,6 +764,15 @@ class TestReduction:
         xs = np.array([c[0] for c in cands])
         assert np.min(np.abs(xs - x_true)) <= 1e-8
         assert all(c[1] == y_true for c in cands)
+
+    def test_subsystems_share_no_candidate(self):
+        # x_2 is hidden, as `solve` orders this system; at the x_2 of a root
+        # each equation alone finds its x_1, and the root is gated once
+        p = systems.quadratic_pair_system()
+        lam = systems.quadratic_pair_solutions()[0][1]
+        cands, _ = _substituted_candidates(p, lam, SolverConfig())
+        assert cands
+        assert np.array_equal(_first_copy(np.array(cands)), np.arange(len(cands)))
 
     def test_two_lost_coordinates_recurse_once(self):
         quad = systems.quadratic_pair_system()

@@ -112,7 +112,7 @@ def kronecker_read_reference(work, shape, vecs, pts, coords):
 def test_kronecker_read_matches_pinv(sizes, rows):
     rng = np.random.default_rng(len(sizes))
     d = len(sizes)
-    work = random_linear_mep(rng, sizes).to_pmep()
+    work = random_linear_mep(rng, sizes)
     N = int(np.prod(sizes))
     shape = solver._OneBlock(d, sizes, N, (0,) * (d - 1))
     vecs = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
@@ -129,7 +129,7 @@ def test_kronecker_read_of_a_zero_row_is_nan():
     # its triangular factor is exactly singular
     rng = np.random.default_rng(3)
     sizes = (3, 2, 2)
-    work = random_linear_mep(rng, sizes).to_pmep()
+    work = random_linear_mep(rng, sizes)
     shape = solver._OneBlock(3, sizes, 12, (0, 0))
     vecs = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
     vecs[2] = 0.0
