@@ -18,7 +18,6 @@ from .errors import (
     SingularPencilError,
 )
 from .extract import (
-    ExtractionConfig,
     Solution,
     SolutionSet,
     filter_solutions,
@@ -49,7 +48,6 @@ __all__ = [
     "project_singular",
     "Solution",
     "SolutionSet",
-    "ExtractionConfig",
     "vandermonde_ratios",
     "residual",
     "refine",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MultiPolyEigError
-from .extract import ExtractionConfig, check_tolerances, residual
+from .extract import check_tolerances, residual
 from .io import parse_pmep, parse_solutions, serialize_solutions
 from .mpoly import Basis
 from .oracle import newton_oracle
@@ -60,7 +60,7 @@ def _cmd_solve(args):
         basis=Basis(args.basis) if args.basis else None,
         seed=_resolve_seed(args.seed),
         hide_variable=args.hide,
-        extraction=ExtractionConfig(residual_tol=args.residual_tol),
+        residual_tol=args.residual_tol,
         rank_tol=args.rank_tol,
     )
     out = solve(p, cfg)

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "Solution",
     "SolutionSet",
-    "ExtractionConfig",
     "block_indices",
     "vandermonde_ratios",
     "residual",
@@ -77,16 +76,6 @@ def check_tolerances(**tolerances):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-@dataclass
-class ExtractionConfig:
-    """The residual gate a candidate point must pass to become a solution."""
-
-    residual_tol: float = 1e-8
-
-    def __post_init__(self):
-        check_tolerances(residual_tol=self.residual_tol)
-
-
 def block_indices(shape, exponents):
     """Flat indices of the eigenvector block for one s-exponent multi-index."""
     exponents = tuple(exponents)
@@ -106,20 +95,19 @@ def block_indices(shape, exponents):
 _KEEP_FRACTION = 0.25
 
 
-def vandermonde_ratios(V, shape, mask=None, coords=None):
+def vandermonde_ratios(V, shape, mask=None):
     """Recover x_1..x_{d-1} from a (k, size) stack of resultant eigenvectors.
 
-    For each coordinate k, averages the ratios of unmasked entries of the
-    e_k block against the zero block, using only the pairs whose divisor
-    magnitude lies in the top `_KEEP_FRACTION`.  ``mask`` (boolean, True =
-    usable) has one entry per eigenvector component.  ``coords`` restricts
-    recovery to the given 0-based coordinates (default: all); the entries of
-    skipped coordinates come back as NaN.
+    For each coordinate k with a ratio block (alpha_k > 0), averages the
+    ratios of unmasked entries of the e_k block against the zero block,
+    using only the pairs whose divisor magnitude lies in the top
+    `_KEEP_FRACTION`.  ``mask`` (boolean, True = usable) has one entry per
+    eigenvector component.  A coordinate without a ratio block
+    (alpha_k = 0) reads NaN in its own column.
 
     The stack is read in one set of array calls and gives (k, d-1).  A row
-    with no usable entry pair for some requested coordinate (either
-    alpha_k = 0, so the block does not exist, or masking/zero divisors remove
-    everything) comes back all NaN.
+    with no usable entry pair for some coordinate with a ratio block
+    (masking or zero divisors remove everything) comes back all NaN.
     """
     stack = np.asarray(V, dtype=complex)
     if stack.ndim != 2 or stack.shape[1] != shape.resultant_size:
@@ -128,15 +116,13 @@ def vandermonde_ratios(V, shape, mask=None, coords=None):
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.shape[0] != stack.shape[1]:
             raise ValueError("mask length does not match the eigenvector")
-    wanted = range(shape.d - 1) if coords is None else coords
     zero_idx = block_indices(shape, (0,) * (shape.d - 1))
     den = stack[:, zero_idx]
     mag = np.abs(den)
     out = np.full((stack.shape[0], shape.d - 1), np.nan, dtype=complex)
     failed = np.zeros(stack.shape[0], dtype=bool)
-    for k in wanted:
+    for k in range(shape.d - 1):
         if shape.alpha[k] == 0:
-            failed[:] = True
             continue
         unit = [0] * (shape.d - 1)
         unit[k] = 1
@@ -381,14 +367,14 @@ def _first_copy(points):
     return np.array(first, dtype=int)
 
 
-def filter_solutions(cands, cfg):
+def filter_solutions(cands, residual_tol):
     """Keep residual <= residual_tol, deduplicate, sort by residual.
 
     A candidate duplicates a kept point y when
     max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf); candidates are visited in
     residual order, so the best-residual copy of each point survives.
     """
-    kept = [s for s in cands if s.residual <= cfg.residual_tol]
+    kept = [s for s in cands if s.residual <= residual_tol]
     kept.sort(key=lambda s: s.residual)
     if not kept:
         return SolutionSet([])

@@ -12,7 +12,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from ._basisops import CHEBYSHEV1
-from .extract import ExtractionConfig, Solution, SolutionSet, filter_solutions, residual
+from .extract import Solution, check_tolerances, filter_solutions, residual
 from .mpoly import MatrixPoly
 
 __all__ = ["adjugate", "newton_oracle"]
@@ -53,6 +53,7 @@ def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):
         raise ValueError("need at least one start")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_tolerances(residual_tol=residual_tol)
     rng = np.random.default_rng(seed)
     derivs = _derivatives(p)
     d = p.d
@@ -82,8 +83,7 @@ def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):
         else:
             nonconverged += 1
     res = residual(p, np.array(found).reshape(-1, d))
-    cfg = ExtractionConfig(residual_tol=residual_tol)
-    out = filter_solutions([Solution(x, r) for x, r in zip(found, res)], cfg)
+    out = filter_solutions([Solution(x, r) for x, r in zip(found, res)], residual_tol)
     out.diagnostics = {
         "starts": starts,
         "nonconverged": nonconverged,

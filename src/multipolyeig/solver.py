@@ -1,61 +1,60 @@
 """End-to-end solver: hidden variable, resultant, eigensolve, extraction.
 
-One pipeline for every input, run once in the given coordinates:
+One pipeline for every input, run once in the given coordinates, in four
+stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
 
-1. choose the hidden variable and permute it last,
-2. build R(x_d): the hidden-variable Dixon resultant in general, the
-   operator-determinant pencil x_d Delta_0 - Delta_d of side N for a linear
-   MEP, the polynomial itself for d = 1,
-3. drop R's structurally zero rows and columns (Kapur, Saxena and Yang),
-   probe the normal rank, and compress a still singular R by a two-sided
-   projection,
-4. solve by shift and invert, with C of the companion/colleague pencil
-   built from R's coefficients and R(sigma); the eigenpairs stay unrefined,
-   and carry no vectors when nothing is read from them,
-5. for all eigenpairs in one stacked call, read each x_k with a ratio block
-   (alpha_k > 0) off the block Vandermonde structure of the eigenvector, on
-   the columns step 3 kept.  Every x_k without a ratio block
-   (alpha_k = 0: a degree-one x_1 of the Dixon resultant, every front
-   coordinate of the other two) is read for all eigenpairs in one batch: it
-   solves the equations, with the other coordinates substituted, in the
-   least-squares sense on the Kronecker factors v_1 kron ... kron v_d of
-   block 0.  Those factors are taken once, whenever eigenvectors exist and
-   the kept columns hold all of block 0, and serve step 6 as well.  An
-   eigenpair whose read fails reads NaN.  Nothing is read from a projected
-   pencil, or when the kept columns leave a read short: every eigenpair
-   then takes the fallback,
-6. undo the permutation and gate the candidates of every eigenpair in one
-   call (`extract.refine`): each point takes one Newton step on the original
-   system, keeps it only if it lowers the normalized residual, steps again
-   while it fails the filter's tolerance and Newton converges on it (up to
-   3 steps), and passes when that residual is within the tolerance.  The
-   first step's null vectors v_i are the Kronecker factors of step 5 when
-   there are any; a further step takes them from an SVD of P_i(x).  Every
-   residual comes from singular values alone,
-7. the one fallback: for each eigenpair whose read failed or none of whose
-   candidates passed, every front coordinate is re-solved from the equations
-   with x_d = lambda substituted: each equation is left out in turn, the last
-   one first, and the other d - 1 are solved, as one univariate polynomial
-   eigenvalue problem when d = 2 and by a nested solve otherwise.  A point
-   that several subsystems find is kept once.  Those candidates are gated
-   in a second call, with the SVD's null vectors at every step.  A hidden
-   coordinate shared by several roots mixes their eigenvectors; the
-   substituted equations still have each of them as a root, so the copies
-   of a repeated eigenvalue are solved once.  The passing candidates are
-   deduplicated.  The diagnostic ``projected`` is true when the top-level
-   pencil or the pencil of any nested solve was projected.
+1. `_hide`: validate, convert to the working basis, choose the hidden
+   variable and permute it last,
+2. `_eigenpairs`: build R(x_d): the hidden-variable Dixon resultant in
+   general, the operator-determinant pencil x_d Delta_0 - Delta_d of side N
+   for a linear MEP, the polynomial itself for d = 1.  Drop R's structurally
+   zero rows and columns (Kapur, Saxena and Yang), probe the normal rank,
+   and compress a still singular R by a two-sided projection.  Solve by
+   shift and invert, with C of the companion/colleague pencil built from
+   R's coefficients and R(sigma); the eigenpairs stay unrefined, and carry
+   no vectors when nothing is read from them.  Then, for all eigenpairs in
+   one stacked call, read each x_k with a ratio block (alpha_k > 0) off the
+   block Vandermonde structure of the eigenvector, on the kept columns.
+   Every x_k without one (alpha_k = 0: a degree-one x_1 of the Dixon
+   resultant, every front coordinate of the other two) is read in one
+   batch: it solves the equations, with the other coordinates substituted,
+   in the least-squares sense on the Kronecker factors v_1 kron ... kron v_d
+   of block 0.  Those factors are taken once, whenever eigenvectors exist
+   and the kept columns hold all of block 0, and serve the gate as well.  A
+   read that fails gives NaN, and so does every read of a projected pencil
+   or of kept columns that leave it short.  The points are put back in the
+   caller's variable order,
+3. `_gate_reads`: gate every read point in one call (`extract.refine`):
+   each point takes one Newton step on the original system, keeps it only
+   if it lowers the normalized residual, steps again while it fails the
+   tolerance and Newton converges on it (up to 3 steps), and passes when
+   that residual is within the tolerance.  The first step's null vectors
+   v_i are the Kronecker factors when there are any; a further step takes
+   them from an SVD of P_i(x).  Every residual comes from singular values
+   alone; a point that was not read keeps an infinite one,
+4. `_fallback`: for each eigenpair that failed the gate, every front
+   coordinate is re-solved with x_d = lambda substituted: each equation is
+   left out in turn, the last one first, and the other d - 1 are solved, as
+   one univariate polynomial eigenvalue problem when d = 2 and by a nested
+   solve otherwise; a point that several subsystems find is kept once.  A
+   hidden coordinate shared by several roots mixes their eigenvectors, but
+   the substituted equations still have each of them as a root, so the
+   copies of a repeated eigenvalue are solved once, by the first.  These
+   candidates are gated in a second call, with the SVD's null vectors.
+
+`solve` deduplicates the passing points.  The diagnostic ``projected`` is
+true when the top-level pencil or that of any nested solve was projected.
 """
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dixon import DixonShape, build_resultant
 from .errors import MultiPolyEigError
 from .extract import (
-    ExtractionConfig,
     Solution,
     _first_copy,
     _per_slice,
@@ -74,6 +73,12 @@ __all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
 # eigenvector layout of a pencil whose eigenvector is v_1 kron ... kron v_d
 _OneBlock = namedtuple("_OneBlock", "d sizes N alpha")
 
+# one row per pencil eigenvalue: ``lam`` (k,); the point ``x`` (k, d) read
+# off its eigenvector, in the caller's variable order, NaN where the read
+# failed; its residual ``res`` (k,), infinite until gated and where not read;
+# ``factors``, equation i's null vectors from block 0 (k, n_i), or None
+_Eigenpairs = namedtuple("_Eigenpairs", "lam x res factors")
+
 
 @dataclass
 class SolverConfig:
@@ -81,17 +86,18 @@ class SolverConfig:
 
     ``seed`` drives the random rank probes and projections of singular
     resultants; ``hide_variable`` (1-based) overrides the automatic choice.
-    ``rank_tol`` also cuts R's structurally zero rows and columns.
+    ``residual_tol`` is the residual gate a point must pass to become a
+    solution; ``rank_tol`` also cuts R's structurally zero rows and columns.
     """
 
     basis: Basis | None = None
     seed: int = 0
     hide_variable: int | None = None
-    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
+    residual_tol: float = 1e-8
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        check_tolerances(rank_tol=self.rank_tol)
+        check_tolerances(rank_tol=self.rank_tol, residual_tol=self.residual_tol)
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.hide_variable is not None and self.hide_variable < 1:
@@ -252,20 +258,10 @@ def _substituted_candidates(work, lam, cfg):
     return [x for i, x in enumerate(points) if first[i] == i], projected
 
 
-def _refine_groups(p, groups, tol, vecs=None):
-    """Refine and gate every point of every group in one call; returns the
-    (point, residual) pairs in the same grouping.  ``vecs``, when given,
-    holds each equation's null vectors of the points in order (see
-    `extract.refine`)."""
-    sizes = [len(g) for g in groups]
-    points, res = refine(p, [x for g in groups for x in g], tol, vecs)
-    ends = np.cumsum(sizes)
-    return [list(zip(points[e - n : e], res[e - n : e])) for n, e in zip(sizes, ends)]
-
-
-def solve(p, cfg=None):
-    """Globally solve a polynomial multiparameter eigenvalue problem."""
-    cfg = cfg or SolverConfig()
+def _hide(p, cfg):
+    """Validate p and convert it to cfg's basis; choose the hidden variable
+    and permute it last.  Returns p, the permuted system, and the column
+    order that undoes the permutation."""
     if not isinstance(p, Pmep):
         raise ValueError("expected a Pmep")
     if cfg.basis is not None and cfg.basis != p.basis:
@@ -278,11 +274,20 @@ def solve(p, cfg=None):
             "every variable must appear in the system (tau_k >= 1); a missing "
             "variable leaves the point underdetermined"
         )
-
     hide = choose_hidden_variable(p) if cfg.hide_variable is None else cfg.hide_variable
     perm = [i for i in range(1, d + 1) if i != hide] + [hide]
-    work = p.permute_variables(perm)
+    return p, p.permute_variables(perm), np.argsort(np.array(perm) - 1)
 
+
+def _eigenpairs(work, unpermute, cfg):
+    """The ungated `_Eigenpairs` of the permuted system, and R's diagnostics.
+
+    A projected pencil's eigenvectors, or a read the kept columns leave
+    short, give nothing: every eigenpair then reads NaN.  Otherwise the
+    ratio read fills the coordinates with a ratio block, and the Kronecker
+    read, which substitutes every coordinate it does not read, the others.
+    """
+    d = work.d
     R, shape = _resultant(work)
     rng = np.random.default_rng([cfg.seed, 1])
     core, mask = _structural_core(R, cfg.rank_tol)
@@ -290,16 +295,9 @@ def solve(p, cfg=None):
     projected = rp.normal_rank < core.size
     if projected:
         core = project_singular(core, rp, rng)[0]
-    # a projected pencil's eigenvectors, or a read the kept columns leave
-    # short, give nothing: every eigenpair then takes the fallback; the
-    # Kronecker read substitutes every coordinate it does not read
-    ratio = [k for k in range(d - 1) if shape.alpha[k] > 0]
-    read = [k for k in range(d - 1) if shape.alpha[k] == 0]
-    if projected or _masked_out(shape, mask):
-        ratio, read = [], []
-    vectors = bool(ratio or read)
+    vectors = d > 1 and not (projected or _masked_out(shape, mask))
     eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
-    lams = np.array([lam for lam, _ in eigpairs], dtype=complex)
+    lam = np.array([val for val, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
     factors = None
     if vectors and eigpairs:
@@ -309,56 +307,73 @@ def solve(p, cfg=None):
         zero = block_indices(shape, (0,) * (d - 1))
         if np.all(mask[zero]):  # block 0 is v_1 kron ... kron v_d
             factors = kron_factor(vecs[:, zero], shape.sizes)
-        if ratio:  # rows whose read fails come back NaN
-            fronts = vandermonde_ratios(vecs, shape, mask, coords=ratio)
+        if any(shape.alpha):  # rows whose read fails come back NaN
+            fronts = vandermonde_ratios(vecs, shape, mask)
+        read = [k for k in range(d - 1) if shape.alpha[k] == 0]
         if read:  # rows whose ratio read failed stay NaN
-            pts = np.column_stack([fronts, lams])
-            fronts[:, read] = _kronecker_read(work, factors, pts, read)
-    unpermute = np.argsort(np.array(perm) - 1)
-    points = np.column_stack([fronts, lams])[:, unpermute]
-    readable = np.all(np.isfinite(points), axis=1)
-    if factors is not None:  # the first Newton step's v_i
-        factors = [u[readable] for u in factors]
-    tol = cfg.extraction.residual_tol
-    gated = _refine_groups(
-        p, [[x] if ok else [] for x, ok in zip(points, readable)], tol, factors
+            fronts[:, read] = _kronecker_read(work, factors, np.column_stack([fronts, lam]), read)
+    x = np.column_stack([fronts, lam])[:, unpermute]
+    info = {"resultant_size": R.size, "normal_rank": rp.normal_rank, "projected": projected}
+    return _Eigenpairs(lam, x, np.full(len(lam), np.inf), factors), info
+
+
+def _gate_reads(p, pairs, tol):
+    """Refine and gate every read point of ``pairs`` in one `refine` call;
+    fills in their ``x`` and ``res``."""
+    read = np.all(np.isfinite(pairs.x), axis=1)
+    factors = None if pairs.factors is None else [u[read] for u in pairs.factors]
+    pairs.x[read], pairs.res[read] = refine(p, pairs.x[read], tol, factors)
+
+
+def _fallback(p, work, unpermute, pairs, cfg):
+    """The candidate points of the solution set, in eigenpair order.
+
+    Each eigenpair that passed the gate gives its own point.  The first copy
+    of each eigenvalue that failed it re-solves the front coordinates
+    (`_substituted_candidates`) for all of its copies, and those candidates
+    are gated in one `refine` call.  With d = 1 nothing is left to re-solve:
+    only an eigenpair that was not read fails, and it finds nothing.
+    Returns ``(points, residuals, reduced, nested_projected, dropped)``,
+    with ``dropped`` the eigenpairs whose first copy found no candidate.
+    """
+    d, tol = work.d, cfg.residual_tol
+    read = np.all(np.isfinite(pairs.x), axis=1)
+    retry = np.flatnonzero(~(pairs.res <= tol) if d > 1 else ~read)
+    first = retry[_first_copy(pairs.lam[retry, None])]
+    leaders = retry[first == retry] if d > 1 else retry[:0]
+    # a spurious eigenvalue can overflow the substituted equations
+    with np.errstate(over="ignore", invalid="ignore"):
+        subs = [_substituted_candidates(work, pairs.lam[j], cfg) for j in leaders]
+    found = np.zeros(len(pairs.lam), dtype=int)
+    found[leaders] = [len(ys) for ys, _ in subs]
+    ys = np.array([y for ys, _ in subs for y in ys], dtype=complex).reshape(-1, d)
+    xs, res = refine(p, ys[:, unpermute], tol)
+    # each candidate carries the eigenpair it came from; a stable sort on
+    # that index puts the points in eigenpair order
+    keep = np.setdiff1d(np.arange(len(pairs.lam)), retry)
+    src = np.concatenate([keep, np.repeat(leaders, found[leaders])])
+    order = np.argsort(src, kind="stable")
+    return (
+        np.concatenate([pairs.x[keep], xs])[order],
+        np.concatenate([pairs.res[keep], res])[order],
+        (order >= len(keep)).tolist(),
+        any(pr for _, pr in subs),
+        int(np.count_nonzero(found[first] == 0)),
     )
-    reduced = [False] * len(gated)
 
-    # a hidden coordinate shared by several roots mixes their eigenvectors;
-    # substituting lambda into the equations still finds every one of them,
-    # so each repeated eigenvalue is solved once, for all of its copies
-    covered = np.zeros(len(gated), dtype=bool)
-    nested_projected = False
-    if d > 1:
-        retry = np.array(
-            [j for j, g in enumerate(gated) if not any(r <= tol for _, r in g)], dtype=int
-        )
-        first = retry[_first_copy(lams[retry, None])]
-        leaders = retry[first == retry]
-        # a spurious eigenvalue can overflow the substituted equations
-        with np.errstate(over="ignore", invalid="ignore"):
-            subs = [_substituted_candidates(work, lams[j], cfg) for j in leaders]
-        nested_projected = any(pr for _, pr in subs)
-        redone = _refine_groups(p, [[y[unpermute] for y in ys] for ys, _ in subs], tol)
-        for j in retry:
-            gated[j], reduced[j] = [], True
-        for j, g in zip(leaders, redone):
-            gated[j] = g
-            covered[retry[first == j]] = bool(g)
 
-    dropped = sum(1 for g, c in zip(gated, covered) if not (g or c))
+def solve(p, cfg=None):
+    """Globally solve a polynomial multiparameter eigenvalue problem."""
+    cfg = cfg or SolverConfig()
+    p, work, unpermute = _hide(p, cfg)
+    pairs, info = _eigenpairs(work, unpermute, cfg)
+    _gate_reads(p, pairs, cfg.residual_tol)
+    points, res, reduced, nested, dropped = _fallback(p, work, unpermute, pairs, cfg)
     cands = [
-        Solution(x, r, {"projected": projected, "reduced": red})
-        for g, red in zip(gated, reduced)
-        for x, r in g
+        Solution(x, r, {"projected": info["projected"], "reduced": red})
+        for x, r, red in zip(points, res, reduced)
     ]
-    out = filter_solutions(cands, cfg.extraction)
-    out.diagnostics = {
-        "resultant_size": R.size,
-        "normal_rank": rp.normal_rank,
-        # the top-level pencil or any nested one
-        "projected": projected or nested_projected,
-        "dropped_eigenpairs": dropped,
-    }
+    out = filter_solutions(cands, cfg.residual_tol)
+    info["projected"] = info["projected"] or nested  # the top-level pencil or any nested one
+    out.diagnostics = {**info, "dropped_eigenpairs": dropped}
     return out

@@ -9,7 +9,6 @@ import systems
 from multipolyeig import extract
 from multipolyeig.dixon import DixonShape, build_resultant
 from multipolyeig.extract import (
-    ExtractionConfig,
     Solution,
     SolutionSet,
     block_indices,
@@ -21,6 +20,7 @@ from multipolyeig.extract import (
     vandermonde_ratios,
 )
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
+from multipolyeig.solver import SolverConfig
 
 
 REFERENCE_EIGENVECTOR = np.array(
@@ -39,14 +39,17 @@ def nullspace_mask(r, tol=1e-13, rng=None):
 
 class TestConfig:
     def test_defaults(self):
-        # the residual gate is the one setting; the read takes no knobs
-        cfg = ExtractionConfig()
+        # the residual gate is a solver setting like the other four; the
+        # read takes no knobs
+        cfg = SolverConfig()
         assert cfg.residual_tol == 1e-8
-        assert [f.name for f in dataclasses.fields(cfg)] == ["residual_tol"]
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "basis", "seed", "hide_variable", "residual_tol", "rank_tol"
+        ]
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            ExtractionConfig(residual_tol=-1e-8)
+            SolverConfig(residual_tol=-1e-8)
 
 
 class TestVandermondeRatios:
@@ -300,25 +303,25 @@ class TestFilterSolutions:
         cands = [
             Solution(x, residual(p, x)) for x in systems.quadratic_pair_solutions()
         ]
-        out = filter_solutions(cands, ExtractionConfig())
+        out = filter_solutions(cands, 1e-8)
         assert len(out) == 8
 
     def test_empty(self):
-        out = filter_solutions([], ExtractionConfig())
+        out = filter_solutions([], 1e-8)
         assert len(out) == 0
         assert isinstance(out, SolutionSet)
 
     def test_spurious_removed(self):
         good = Solution(np.array([1.0, 2.0]), 1e-12)
         bad = Solution(np.array([9.0, 9.0]), 1.0)
-        out = filter_solutions([bad, good], ExtractionConfig())
+        out = filter_solutions([bad, good], 1e-8)
         assert len(out) == 1
         assert np.allclose(out[0].x, [1.0, 2.0])
 
     def test_duplicates_keep_smaller_residual(self):
         a = Solution(np.array([1.0, 2.0]), 1e-10)
         b = Solution(np.array([1.0 + 1e-12, 2.0]), 1e-13)
-        out = filter_solutions([a, b], ExtractionConfig())
+        out = filter_solutions([a, b], 1e-8)
         assert len(out) == 1
         assert out[0].residual == 1e-13
 
@@ -326,13 +329,13 @@ class TestFilterSolutions:
         sols = [
             Solution(np.array([float(k), 0.0]), 10.0**-k) for k in range(9, 12)
         ]
-        out = filter_solutions(sols[::-1], ExtractionConfig())
+        out = filter_solutions(sols[::-1], 1e-8)
         assert [s.residual for s in out] == sorted(s.residual for s in sols)
 
     def test_nearby_but_distinct_points_kept(self):
         a = Solution(np.array([1.0, 2.0]), 1e-12)
         b = Solution(np.array([1.0 + 1e-5, 2.0]), 1e-12)
-        out = filter_solutions([a, b], ExtractionConfig())
+        out = filter_solutions([a, b], 1e-8)
         assert len(out) == 2
 
 

@@ -77,7 +77,7 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="rank_tol"):
                 SolverConfig(rank_tol=bad)
             with pytest.raises(ValueError, match="residual_tol"):
-                extract.ExtractionConfig(residual_tol=bad)
+                SolverConfig(residual_tol=bad)
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=-1)
         with pytest.raises(ValueError):
@@ -204,15 +204,17 @@ class TestRankDeficientPair:
         assert out.diagnostics["projected"] is False
         assert all(not s.flags["reduced"] for s in out)
 
-    def test_overflowing_eigenvalue_is_dropped(self, monkeypatch):
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_overflowing_eigenvalue_is_dropped(self, monkeypatch, copies):
         # an eigenvalue where R(lambda) overflows must not reach an SVD: with
-        # vectors, LAPACK's SVD of a complex matrix holding inf never returns
+        # vectors, LAPACK's SVD of a complex matrix holding inf never returns.
+        # Its copies are re-solved once, by the first, and each is dropped
         lam = complex(1e308, 1e308)
         solve_pep = solver.solve_pep
 
         def with_overflow(R, vectors=True):
             vec = np.ones(R.size, dtype=complex) if vectors else None
-            return solve_pep(R, vectors=vectors) + [(lam, vec)]
+            return solve_pep(R, vectors=vectors) + [(lam, vec)] * copies
 
         monkeypatch.setattr(solver, "solve_pep", with_overflow)
         svd = np.linalg.svd
@@ -230,7 +232,7 @@ class TestRankDeficientPair:
         out = solve(p)
         assert out.diagnostics["projected"]
         assert_same_points(out.points(), systems.rank_deficient_pair_solutions(), 1e-8)
-        assert out.diagnostics["dropped_eigenpairs"] == 1
+        assert out.diagnostics["dropped_eigenpairs"] == copies
 
     def test_resultant_evaluated_only_at_probe_points(self, monkeypatch):
         # the projected pencil's eigenvectors are not read, so R is evaluated

@@ -13,10 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import systems
 from multipolyeig import extract, solver
 from multipolyeig.dixon import DixonShape
 from multipolyeig.extract import (
-    ExtractionConfig,
     Solution,
     SolutionSet,
     filter_solutions,
@@ -44,21 +44,18 @@ SHAPES = (
     rows=st.integers(1, 6),
     zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
     masked=st.booleans(),
-    coords=st.sampled_from([None, (0,), (1,)]),
 )
-def test_stacked_ratios_match_one_vector_calls(seed, which, rows, zero_fraction, masked, coords):
+def test_stacked_ratios_match_one_vector_calls(seed, which, rows, zero_fraction, masked):
     shape = SHAPES[which]
-    if coords is not None and coords[0] >= shape.d - 1:
-        coords = None
     rng = np.random.default_rng(seed)
     size = shape.resultant_size
     vecs = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
     vecs[rng.uniform(size=(rows, size)) < zero_fraction] = 0.0
     mask = rng.uniform(size=size) < 0.7 if masked else None
-    got = vandermonde_ratios(vecs, shape, mask, coords)
+    got = vandermonde_ratios(vecs, shape, mask)
     assert got.shape == (rows, shape.d - 1)
     for vec, row in zip(vecs, got):
-        want = vandermonde_ratios(vec[None], shape, mask, coords)[0]
+        want = vandermonde_ratios(vec[None], shape, mask)[0]
         assert np.array_equal(np.isnan(row), np.isnan(want))
         ok = ~np.isnan(want)
         assert np.allclose(row[ok], want[ok], rtol=1e-13, atol=0.0)
@@ -71,6 +68,18 @@ def test_one_vector_still_raises():
     with pytest.raises(ValueError):
         vandermonde_ratios(vec, shape)
     assert np.all(np.isnan(vandermonde_ratios(vec[None], shape)))
+
+
+def test_coordinate_without_ratio_block_reads_nan_alone():
+    # alpha = (0, 3): x_1 has no ratio block and reads NaN in its own
+    # column, without failing the read of x_2
+    shape = SHAPES[2]
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = rng.standard_normal(shape.N) + 1j * rng.standard_normal(shape.N)
+    got = vandermonde_ratios(systems.vandermonde_vector(shape, x, v)[None], shape)[0]
+    assert np.isnan(got[0])
+    assert abs(got[1] - x[1]) <= 1e-13 * max(1.0, abs(x[1]))
 
 
 @hypothesis.settings(max_examples=200, derandomize=True, deadline=None)
@@ -142,9 +151,9 @@ def test_kronecker_read_of_a_zero_row_is_nan():
     assert np.allclose(got[keep], want, rtol=1e-12, atol=0.0)
 
 
-def greedy_filter(cands, cfg):
+def greedy_filter(cands, residual_tol):
     """The one-candidate-at-a-time dedup loop that `filter_solutions` batches."""
-    kept = [s for s in cands if s.residual <= cfg.residual_tol]
+    kept = [s for s in cands if s.residual <= residual_tol]
     kept.sort(key=lambda s: s.residual)
     unique = []
     for sol in kept:
@@ -183,9 +192,8 @@ def test_dedup_matches_greedy_loop(n_centers, seed, count, d):
         step = rng.choice([0.0, 3e-9, 9e-9, 1.1e-8, 2e-8]) * scale
         x = c + step * np.exp(2j * np.pi * rng.uniform(size=d))
         cands.append(Solution(x, rng.choice([1e-15, 1e-12, 1e-12, 1e-9, 1.0])))
-    cfg = ExtractionConfig()
-    want = greedy_filter(cands, cfg)
-    got = filter_solutions(cands, cfg)
+    want = greedy_filter(cands, 1e-8)
+    got = filter_solutions(cands, 1e-8)
     assert [id(s) for s in got] == [id(s) for s in want]
 
 

@@ -1,0 +1,71 @@
+"""Hash the solution document of every benchmark problem.
+
+For each seed, every problem of the `dense`, `structured` and `many_roots`
+workloads of `perfbench/problems.py` is written to a problem document and
+solved with ``run_cli(["solve", doc, "-o", out] + args)``, the call the
+benchmark makes.  One line per document goes to standard output::
+
+    workload seed name exit_code sha256
+
+The package is imported from this tree's `src/`, and BLAS runs on one thread,
+as in the benchmark.  To check that a change leaves every document
+byte-identical, run the script in both trees and diff the output::
+
+    python3 tools/document_hashes.py --seeds 0 1 2 > after.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("dense", "structured", "many_roots")
+
+
+def _load_problems():
+    """`perfbench/problems.py` as a module, without putting perfbench on the path."""
+    spec = importlib.util.spec_from_file_location("problems", ROOT / "perfbench" / "problems.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def document_hashes(seeds):
+    """Yield (workload, seed, name, exit code, sha256 of the document) per problem."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from multipolyeig.cli import run_cli
+
+    problems = _load_problems()
+    with tempfile.TemporaryDirectory() as work:
+        doc, out = os.path.join(work, "problem.json"), os.path.join(work, "solutions.json")
+        for seed in seeds:
+            for workload in WORKLOADS:
+                for prob in problems.workload(workload, seed):
+                    Path(doc).write_text(problems.problem_document(prob), encoding="utf-8")
+                    if os.path.exists(out):
+                        os.remove(out)
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = run_cli(["solve", doc, "-o", out] + prob["args"])
+                    text = Path(out).read_bytes() if os.path.exists(out) else b""
+                    yield workload, seed, prob["name"], code, hashlib.sha256(text).hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    args = parser.parse_args(argv)
+    # before numpy is imported, which reads them once
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    for row in document_hashes(args.seeds):
+        print(*row, flush=True)
+
+
+if __name__ == "__main__":
+    main()
