@@ -1,18 +1,33 @@
-"""Shared basis utilities: nodes, basis value rows, axis transforms.
+"""Shared basis utilities: the `Basis` type, nodes, basis rows, axis transforms.
 
-Everything here works for both supported bases (monomial and Chebyshev of the
-first kind) and operates on dense complex coefficient tensors whose leading
-axes are degree axes.
+Each `Basis` member names its `numpy.polynomial` kernels, and the functions
+here take the member and look its kernel up, so both bases share one code
+path.  `shift_multiply_matrix` is a basis's multiply-by-x map: the Dixon
+multiply-back check applies it, and the eigensolver linearizes with it.
 """
 
+import enum
 import functools
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
-MONOMIAL = "monomial"
-CHEBYSHEV1 = "chebyshev1"
+
+class Basis(enum.Enum):
+    """A degree-graded polynomial basis, named by its `numpy.polynomial`
+    kernels: `vander` (basis values), `der` (derivative coefficients) and
+    `mulx` (coefficients of the product with the variable).  The value is
+    the basis's name in problem documents and on the command line."""
+
+    MONOMIAL = "monomial", _poly.polyvander, _poly.polyder, _poly.polymulx
+    CHEBYSHEV1 = "chebyshev1", _cheb.chebvander, _cheb.chebder, _cheb.chebmulx
+
+    def __new__(cls, value, vander, der, mulx):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.vander, member.der, member.mulx = vander, der, mulx
+        return member
 
 
 def cheb1_nodes(k):
@@ -28,24 +43,19 @@ def basis_rows(basis, x, deg):
     Returns an array of shape x.shape + (deg+1,).
     """
     x = np.asarray(x)
-    if basis == MONOMIAL:
-        rows = _poly.polyvander(x, deg)
-    elif basis == CHEBYSHEV1:
-        rows = _cheb.chebvander(x, deg)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    if x.ndim == 0:
-        rows = rows[0]
-    return rows
+    rows = basis.vander(x, deg)
+    return rows[0] if x.ndim == 0 else rows
 
 
-def der_axis0(basis, coeffs):
-    """Coefficients of the derivative along the leading (degree) axis of coeffs."""
-    if basis == MONOMIAL:
-        return _poly.polyder(coeffs, axis=0)
-    if basis == CHEBYSHEV1:
-        return _cheb.chebder(coeffs, axis=0)
-    raise ValueError(f"unknown basis {basis!r}")
+def _kernel_matrix(kernel, size, rows):
+    """Read-only matrix with `rows` rows whose column j holds kernel(e_j) for
+    the first `size` unit vectors, zero-padded (the kernels trim)."""
+    out = np.zeros((rows, size))
+    for j, unit in enumerate(np.eye(size)):
+        col = kernel(unit)
+        out[: len(col), j] = col
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,11 +63,7 @@ def der_matrix(basis, deg):
     """(deg+1)-square matrix D whose column j holds the coefficients of the
     derivative of basis polynomial j, so ``basis_rows(basis, x, deg) @ D``
     are the derivatives of the basis at x (cached, read-only)."""
-    der = der_axis0(basis, np.eye(deg + 1))
-    mat = np.zeros((deg + 1, deg + 1))
-    mat[: der.shape[0]] = der
-    mat.setflags(write=False)
-    return mat
+    return _kernel_matrix(basis.der, deg + 1, deg + 1)
 
 
 def apply_matrix_axis(coeffs, mat, axis):
@@ -97,42 +103,21 @@ def interp_matrix(basis, nodes, deg):
     return np.linalg.inv(v)
 
 
+@functools.lru_cache(maxsize=None)
 def conversion_matrix(src, dst, deg):
-    """Matrix converting degree-deg coefficient vectors from basis src to dst."""
-    if src == dst:
-        return np.eye(deg + 1)
-    out = np.zeros((deg + 1, deg + 1))
-    for j in range(deg + 1):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        if src == CHEBYSHEV1 and dst == MONOMIAL:
-            col = _cheb.cheb2poly(unit)
-        elif src == MONOMIAL and dst == CHEBYSHEV1:
-            col = _cheb.poly2cheb(unit)
-        else:
-            raise ValueError(f"unsupported conversion {src!r} -> {dst!r}")
-        out[: len(col), j] = col
-    return out
+    """Matrix converting degree-deg coefficient vectors from basis src to the
+    other basis dst (cached, read-only)."""
+    convert = {
+        (Basis.CHEBYSHEV1, Basis.MONOMIAL): _cheb.cheb2poly,
+        (Basis.MONOMIAL, Basis.CHEBYSHEV1): _cheb.poly2cheb,
+    }[src, dst]
+    return _kernel_matrix(convert, deg + 1, deg + 1)
 
 
+@functools.lru_cache(maxsize=None)
 def shift_multiply_matrix(basis, deg_in):
-    """Matrix of the 'multiply by the variable' map on coefficient vectors.
-
-    Maps degree-deg_in coefficient vectors to degree-(deg_in+1) vectors.
-    Monomial: shift by one. Chebyshev: x*T_0 = T_1 and
-    x*T_a = (T_{a+1} + T_{a-1})/2 for a >= 1.
-    """
-    out = np.zeros((deg_in + 2, deg_in + 1))
-    if basis == MONOMIAL:
-        for a in range(deg_in + 1):
-            out[a + 1, a] = 1.0
-    elif basis == CHEBYSHEV1:
-        for a in range(deg_in + 1):
-            if a == 0:
-                out[1, 0] = 1.0
-            else:
-                out[a + 1, a] += 0.5
-                out[a - 1, a] += 0.5
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return out
+    """Matrix M of the 'multiply by the variable' map on coefficient vectors,
+    from degree deg_in to degree deg_in+1: x*phi_j = sum_i M[i, j] phi_i
+    (cached, read-only).  Monomial: a shift by one; Chebyshev: x*T_0 = T_1
+    and x*T_a = (T_{a+1} + T_{a-1})/2 for a >= 1."""
+    return _kernel_matrix(basis.mulx, deg_in + 1, deg_in + 2)

@@ -69,12 +69,9 @@ class DixonShape:
         self.N = int(np.prod(self.sizes))
         self.alpha = tuple((k + 1) * tau[k] - 1 for k in range(d - 1))
         self.beta = tuple((d - k - 1) * tau[k] - 1 for k in range(d - 1))
-        blocks = int(np.prod([a + 1 for a in self.alpha])) if d > 1 else 1
-        expected = math.factorial(d - 1) * int(np.prod(tau[:-1]))
-        if blocks != expected:
-            raise AssertionError("block-count identity violated")
-        self.num_blocks = blocks
-        self.resultant_size = self.N * blocks
+        # prod_k (alpha_k + 1) = (d-1)! prod_{k<d} tau_k
+        self.num_blocks = int(np.prod([a + 1 for a in self.alpha]))
+        self.resultant_size = self.N * self.num_blocks
         self.xd_degree_bound = d * tau[-1]
 
     @classmethod
@@ -156,7 +153,7 @@ def _split_interleaved(k_s, k_t):
 def _hide_nodes(p, xd_nodes):
     """Every equation with x_d substituted at every node, in one contraction
     each: axes (node, x_1.., x_{d-1}, n, n)."""
-    rows = bo.basis_rows(p.basis.tag, xd_nodes, p.tau[-1])
+    rows = bo.basis_rows(p.basis, xd_nodes, p.tau[-1])
     return [np.tensordot(rows, poly.coeffs, axes=(1, p.d - 1)) for poly in p.polys]
 
 
@@ -332,10 +329,10 @@ def _grids(shape, basis):
     return _Grids(
         s_grids,
         t_grids,
-        [bo.interp_matrix(basis.tag, nodes, len(nodes) - 1) for nodes in s_grids],
-        [bo.interp_matrix(basis.tag, nodes, len(nodes) - 1) for nodes in t_grids],
-        [bo.shift_multiply_matrix(basis.tag, a) for a in shape.alpha],
-        [bo.shift_multiply_matrix(basis.tag, b) for b in shape.beta],
+        [bo.interp_matrix(basis, nodes, len(nodes) - 1) for nodes in s_grids],
+        [bo.interp_matrix(basis, nodes, len(nodes) - 1) for nodes in t_grids],
+        [bo.shift_multiply_matrix(basis, a) for a in shape.alpha],
+        [bo.shift_multiply_matrix(basis, b) for b in shape.beta],
     )
 
 
@@ -400,7 +397,7 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     deg = shape.xd_degree_bound
     if p.basis == Basis.MONOMIAL:
         xd_nodes = _unit_roots(deg + 1)
-        to_coeff = bo.interp_matrix(bo.MONOMIAL, xd_nodes, deg)
+        to_coeff = bo.interp_matrix(p.basis, xd_nodes, deg)
     else:
         xd_nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
@@ -411,7 +408,7 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     mats = []
     for lo in range(0, len(xd_nodes), chunk):
         part = [h[lo : lo + chunk] for h in hidden]
-        num = _numerator_on_grid(part, shape, grids, p.basis.tag)
+        num = _numerator_on_grid(part, shape, grids, p.basis)
         mats.append(unfold(_divide_nodes(num, part, shape, grids, check_tol), shape))
     coeffs = np.tensordot(to_coeff, np.concatenate(mats), axes=(1, 0))
     return trim(MatrixPoly(coeffs, p.basis), trim_tol)

@@ -74,15 +74,22 @@ def _as_int(value, path, minimum=None):
     return value
 
 
+def _as_float(value, path, msg):
+    """A JSON int or float as a float, inf for an int beyond float range;
+    ParseError with msg at path for any other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, msg)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _as_complex(value, path):
     """Decode one [re, im] pair into a finite complex number."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         _fail(path, "expected a [re, im] pair")
-    re, im = value
-    for part in (re, im):
-        if isinstance(part, bool) or not isinstance(part, (int, float)):
-            _fail(path, "entries must be real numbers")
-    z = complex(float(re), float(im))
+    z = complex(*(_as_float(part, path, "entries must be real numbers") for part in value))
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         _fail(path, "entries must be finite")
     return z
@@ -219,10 +226,7 @@ def parse_solutions(text):
         if not isinstance(coords, list) or not coords:
             _fail(f"{path}.x", "expected a nonempty list of [re, im] pairs")
         x = [_as_complex(pair, f"{path}.x[{k}]") for k, pair in enumerate(coords)]
-        res = _require(entry, "residual", path)
-        if isinstance(res, bool) or not isinstance(res, (int, float)):
-            _fail(f"{path}.residual", "expected a number")
-        res = float(res)
+        res = _as_float(_require(entry, "residual", path), f"{path}.residual", "expected a number")
         if not np.isfinite(res) or res < 0:
             _fail(f"{path}.residual", "must be finite and nonnegative")
         solutions.append(Solution(x, res))

@@ -9,28 +9,10 @@ is a univariate matrix polynomial, such as the resultant R(x_d); `m` and
 `size` name its degree and side.
 """
 
-import enum
-
 import numpy as np
 
 from . import _basisops as bo
-
-
-class Basis(enum.Enum):
-    """Degree-graded polynomial basis tag."""
-
-    MONOMIAL = "monomial"
-    CHEBYSHEV1 = "chebyshev1"
-
-    @property
-    def tag(self):
-        return self.value
-
-
-def _as_basis(basis):
-    if isinstance(basis, Basis):
-        return basis
-    return Basis(basis)
+from ._basisops import Basis
 
 
 class MatrixPoly:
@@ -57,7 +39,7 @@ class MatrixPoly:
         arr = arr.copy()
         arr.setflags(write=False)
         self.coeffs = arr
-        self.basis = _as_basis(basis)
+        self.basis = Basis(basis)
         self.d = arr.ndim - 2
         self._max_coeff_norm = None
 
@@ -80,7 +62,7 @@ class MatrixPoly:
         return self.n
 
     def __repr__(self):
-        return f"MatrixPoly(d={self.d}, n={self.n}, tau={self.tau}, basis={self.basis.tag})"
+        return f"MatrixPoly(d={self.d}, n={self.n}, tau={self.tau}, basis={self.basis.value})"
 
     def eval(self, x):
         """Evaluate at one point x in C^d (a scalar when d = 1): `eval_many`
@@ -110,10 +92,10 @@ class MatrixPoly:
         j = self.d + 1 if jet else 1
         rows = np.ones((m, j, 1), dtype=complex)
         for k in range(self.d):
-            vals = bo.basis_rows(self.basis.tag, pts[:, k], self.tau[k])
+            vals = bo.basis_rows(self.basis, pts[:, k], self.tau[k])
             factor = np.repeat(vals[:, None, :], j, axis=1)
             if jet:
-                der = bo.der_matrix(self.basis.tag, self.tau[k])
+                der = bo.der_matrix(self.basis, self.tau[k])
                 factor[:, k + 1] = (vals[:, None, :] @ der)[:, 0, :]
             width = rows.shape[-1] * factor.shape[-1]  # explicit: m may be 0
             rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, width)
@@ -135,18 +117,18 @@ class MatrixPoly:
             raise ValueError("cannot substitute every variable; use eval")
         new = self.coeffs
         for a in reversed(axes):
-            row = bo.basis_rows(self.basis.tag, complex(assignments[a]), self.tau[a])
+            row = bo.basis_rows(self.basis, complex(assignments[a]), self.tau[a])
             new = bo.contract_axis(new, row, a)
         return MatrixPoly(new, self.basis)
 
     def convert_basis(self, target):
         """Return the same polynomial expressed in `target` basis."""
-        target = _as_basis(target)
+        target = Basis(target)
         if target == self.basis:
             return self
         new = self.coeffs
         for k in range(self.d):
-            mat = bo.conversion_matrix(self.basis.tag, target.tag, self.tau[k])
+            mat = bo.conversion_matrix(self.basis, target, self.tau[k])
             new = bo.apply_matrix_axis(new, mat, k)
         return MatrixPoly(new, target)
 
@@ -181,7 +163,7 @@ class Pmep:
             if p.tau != tau:
                 raise ValueError(f"equation {i} has tau={p.tau}, expected {tau}")
             if p.basis != basis:
-                raise ValueError(f"equation {i} has basis {p.basis.tag}, expected {basis.tag}")
+                raise ValueError(f"equation {i} has basis {p.basis.value}, expected {basis.value}")
         n_total = 1
         for p in polys:
             n_total *= p.n
@@ -198,7 +180,7 @@ class Pmep:
         return tuple(p.n for p in self.polys)
 
     def __repr__(self):
-        return f"Pmep(d={self.d}, sizes={self.sizes}, tau={self.tau}, basis={self.basis.tag})"
+        return f"Pmep(d={self.d}, sizes={self.sizes}, tau={self.tau}, basis={self.basis.value})"
 
     def convert_basis(self, target):
         return Pmep([p.convert_basis(target) for p in self.polys])
@@ -241,7 +223,7 @@ class Pmep:
         pts_orig = pts_rot @ q  # rows: Q^T x' for each grid point x'
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(k)
         if self.basis == Basis.MONOMIAL:
-            to_coeff = bo.conversion_matrix(bo.CHEBYSHEV1, bo.MONOMIAL, total) @ to_coeff
+            to_coeff = bo.conversion_matrix(Basis.CHEBYSHEV1, Basis.MONOMIAL, total) @ to_coeff
         out = []
         for p in self.polys:
             vals = p.eval_many(pts_orig)

@@ -8,10 +8,7 @@ pipeline without sharing any code path with it.
 """
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
-from ._basisops import CHEBYSHEV1
 from .extract import Solution, check_tolerances, filter_solutions, residual
 from .mpoly import MatrixPoly
 
@@ -33,14 +30,10 @@ def adjugate(a):
 
 
 def _derivatives(p):
-    der = _cheb.chebder if p.basis.tag == CHEBYSHEV1 else _poly.polyder
-    out = []
-    for poly in p.polys:
-        row = []
-        for j in range(p.d):
-            row.append(MatrixPoly(der(poly.coeffs, axis=j), p.basis))
-        out.append(row)
-    return out
+    return [
+        [MatrixPoly(p.basis.der(poly.coeffs, axis=j), p.basis) for j in range(p.d)]
+        for poly in p.polys
+    ]
 
 
 def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):

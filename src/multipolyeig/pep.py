@@ -2,23 +2,26 @@
 
 A univariate matrix polynomial R(lambda) (a `MatrixPoly` with d = 1) of
 degree m and side n has the eigenvalues of its linearization A + lambda*B
-of side m*n: the companion pencil in the monomial basis, the colleague
-pencil in the Chebyshev basis.  That pencil is never formed: its standard
-eigenvalue problem C = (A + sigma*B)^-1 B is built straight from R's
-coefficients with one solve with R(sigma), of side n, and the shift sigma
-is the one of three fixed points where R(sigma) is best conditioned.  When
-R is a singular polynomial it is first compressed to its normal rank by a
-random two-sided orthogonal projection.  Eigenpairs come back unrefined: the solver polishes the roots
-they lead to with Newton steps on the original system (`extract.refine`).
-Everything here runs on numpy alone.
+of side m*n, built from its basis's multiply-by-x matrix: the companion
+pencil in the monomial basis, the colleague pencil in the Chebyshev basis.
+That pencil is never formed: its standard eigenvalue problem
+C = (A + sigma*B)^-1 B is built straight from R's coefficients with one
+solve with R(sigma), of side n, and the shift sigma is the one of three
+fixed points where R(sigma) is best conditioned.  When R is a singular
+polynomial it is first compressed to its normal rank by a random two-sided
+orthogonal projection.  Eigenpairs come back unrefined: the solver polishes
+the roots they lead to with Newton steps on the original system
+(`extract.refine`).  Everything here runs on numpy alone.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _basisops as bo
 from .errors import ProjectionFailureError, SingularPencilError
-from .mpoly import Basis, MatrixPoly
+from .mpoly import MatrixPoly
 
 __all__ = [
     "RankProfile",
@@ -76,16 +79,39 @@ def _conditions(mats):
     return [cond if cond < np.inf else np.inf for cond in conds.tolist()]
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_pencil(basis, m):
+    """What the pencil of a degree-m R takes from its basis alone, read from
+    M (see `_shifted_inverse`; cached, read-only): Q and P's rows 1..m-1 at
+    each shift, M[m, m-1], and the top-row pairs (k, c)."""
+    mat = bo.shift_multiply_matrix(basis, m - 1)
+    kb = np.eye(m - 1, m, 1)
+    bordered = np.zeros((len(_SHIFTS), m, m), dtype=complex)
+    bordered[:, :-1] = -mat[:m, : m - 1][::-1, ::-1].T + _SHIFTS[:, None, None] * kb
+    bordered[:, -1, 0] = 1.0
+    qs = np.linalg.inv(bordered)
+    ps = qs[:, 1:, :-1] @ kb
+    qs.setflags(write=False)
+    ps.setflags(write=False)
+    lead = mat[m, m - 1]
+    fixes = tuple((m - 1 - i, mat[i, m - 1] / lead) for i in np.flatnonzero(mat[:m, m - 1]))
+    return qs, ps, lead, fixes
+
+
 def _shifted_inverse(R):
     """The shift sigma and C = (A + sigma*B)^-1 B of the linearization
-    A + lambda*B of R (companion in the monomial basis, colleague in the
-    Chebyshev basis), from R's coefficients and one solve with R(sigma).
+    A + lambda*B of R, from R's coefficients and one solve with R(sigma).
 
-    With m = deg R, the pencil has m block rows of side n = size(R).  Its top
-    block row has blocks T_k = A_k + lambda*B_k: A_k = R_{m-1-k}, less R_m on
-    block 1 in the Chebyshev basis, B_0 = R_m, doubled in the Chebyshev
-    basis when m > 1, and B_k = 0 for k >= 1.  Block rows 1..m-1 are a
-    scalar (m-1) x m pencil K kron I (none for m = 1, a plain pencil).
+    With m = deg R, the pencil has m block rows of side n = size(R), read
+    from M = `shift_multiply_matrix(R.basis, m - 1)`, x*phi_j =
+    sum_i M[i, j] phi_i: one construction gives the companion (monomial)
+    and the colleague (Chebyshev) pencil.  Its top block row is R with
+    phi_m written through column m-1 of M: blocks T_k = A_k + lambda*B_k,
+    B_0 = R_m / M[m, m-1], B_k = 0 for k >= 1, and A_k = R_{m-1-k} less
+    c R_m, c = M[m-1-k, m-1] / M[m, m-1], where c != 0.  Block rows 1..m-1
+    are a scalar pencil K kron I, K = K_A + lambda*[0 I] of shape (m-1, m),
+    row r the relation for x*phi_{m-2-r}, so K_A is -M[:m, :m-1] reversed
+    (none for m = 1, a plain pencil).
     Bordered by the row e_1^T, K(sigma) has an inverse Q whose last column nv
     holds the basis values at sigma over the leading one, nv_k =
     phi_{m-1-k}(sigma) / phi_{m-1}(sigma), so sum_k nv_k T_k(sigma) =
@@ -103,24 +129,12 @@ def _shifted_inverse(R):
     m, n = R.m, R.size
     if m < 1:
         raise ValueError("a constant matrix polynomial has no eigenvalues")
+    qs, ps, lead_div, fixes = _scalar_pencil(R.basis, m)
     top = [R.coeffs[m - 1 - k] for k in range(m)]
-    lead = R.coeffs[m]
-    ka = np.zeros((m - 1, m), dtype=complex)
-    kb = np.eye(m - 1, m, 1, dtype=complex)
-    if R.basis == Basis.CHEBYSHEV1 and m > 1:
-        # T_{k+1} = 2 lambda T_k - T_{k-1}, and lambda T_0 = T_1
-        top[1] = top[1] - R.coeffs[m]
-        lead = 2.0 * lead
-        np.fill_diagonal(ka, -0.5)
-        np.fill_diagonal(ka[:, 2:], -0.5)
-        ka[-1, -2] = -1.0
-    else:
-        np.fill_diagonal(ka, -1.0)
+    for k, c in fixes:
+        top[k] = top[k] - c * R.coeffs[m]
+    lead = R.coeffs[m] / lead_div
     shifts = _SHIFTS[:, None, None]
-    bordered = np.zeros((len(_SHIFTS), m, m), dtype=complex)
-    bordered[:, :-1] = ka + shifts * kb
-    bordered[:, -1, 0] = 1.0
-    qs = np.linalg.inv(bordered)
     mats = shifts * lead
     mats += top[0]
     for k in range(1, m):
@@ -129,8 +143,7 @@ def _shifted_inverse(R):
     best = conds.index(min(conds))
     if conds[best] == np.inf:
         raise SingularPencilError("R(sigma) is singular at every shift")
-    sigma, nv = _SHIFTS[best], qs[best, :, -1]
-    p = qs[best, 1:, :-1] @ kb  # P's rows 1..m-1; its first row is zero
+    sigma, nv, p = _SHIFTS[best], qs[best, :, -1], ps[best]
     rhs = np.zeros((n, m, n), dtype=complex)
     rhs[:, 0] = lead
     for k in range(1, m):

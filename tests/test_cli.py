@@ -282,6 +282,30 @@ class TestExitCodes:
         assert run_cli(["solve", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_in_problem_is_parse_error(self, problem_file, capsys):
+        # float(10**400) raises OverflowError, which run_cli does not catch
+        doc = json.loads(Path(problem_file).read_text())
+        doc["equations"][0]["coeffs"][1][0] = 10**400
+        Path(problem_file).write_text(json.dumps(doc))
+        assert run_cli(["solve", problem_file]) == 1
+        assert "equations[0].coeffs[1]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            ({"x": [[1, 0], [0, -10**400]], "residual": 0.0}, "solutions[0].x[1]"),
+            ({"x": [[1, 0], [0, 1]], "residual": 10**400}, "solutions[0].residual"),
+        ],
+        ids=["x", "residual"],
+    )
+    def test_integer_beyond_float_range_in_solutions_is_parse_error(
+        self, problem_file, tmp_path, capsys, entry, path
+    ):
+        sols = tmp_path / "solutions.json"
+        sols.write_text(json.dumps({"solutions": [entry]}))
+        assert run_cli(["verify", problem_file, str(sols)]) == 1
+        assert f"{path}:" in capsys.readouterr().err
+
     def test_malformed_document_is_solver_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{oops")

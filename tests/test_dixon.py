@@ -29,8 +29,8 @@ def values_times_pair_differences(h, shape, basis, grids):
     vals = h
     for k in range(shape.d - 1):
         ax_s, ax_t = k, (shape.d - 1) + k
-        s_rows = bo.basis_rows(basis.tag, grids.s[k], shape.alpha[k])
-        t_rows = bo.basis_rows(basis.tag, grids.t[k], shape.beta[k])
+        s_rows = bo.basis_rows(basis, grids.s[k], shape.alpha[k])
+        t_rows = bo.basis_rows(basis, grids.t[k], shape.beta[k])
         vals = bo.apply_matrix_axis(bo.apply_matrix_axis(vals, s_rows, ax_s), t_rows, ax_t)
         diff_shape = [1] * vals.ndim
         diff_shape[ax_s], diff_shape[ax_t] = len(grids.s[k]), len(grids.t[k])
@@ -42,10 +42,10 @@ def eval_tensor(tens, shape, basis, s, t):
     """Contract a Dixon coefficient tensor with basis values at one (s, t)."""
     vals = tens
     for k in range(shape.d - 1):
-        row = bo.basis_rows(basis.tag, s[k], vals.shape[0] - 1)
+        row = bo.basis_rows(basis, s[k], vals.shape[0] - 1)
         vals = np.tensordot(row, vals, axes=(0, 0))
     for k in range(shape.d - 1):
-        row = bo.basis_rows(basis.tag, t[k], vals.shape[0] - 1)
+        row = bo.basis_rows(basis, t[k], vals.shape[0] - 1)
         vals = np.tensordot(row, vals, axes=(0, 0))
     return vals
 
@@ -322,7 +322,7 @@ def per_node_resultant(p):
     deg = sh.xd_degree_bound
     if p.basis == Basis.MONOMIAL:
         nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-        to_coeff = bo.interp_matrix(bo.MONOMIAL, nodes, deg)
+        to_coeff = bo.interp_matrix(Basis.MONOMIAL, nodes, deg)
     else:
         nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)

@@ -1,6 +1,7 @@
 """Tests for the JSON problem and solution formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ def scalar_system_doc():
             {"n": 1, "coeffs": pairs([5, 6, 7, 8])},
         ],
     }
+
+
+def mutated(doc, keys, value):
+    """doc with the entry at keys (object keys and list indices) set to
+    value; value itself when keys is empty."""
+    if not keys:
+        return value
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc
 
 
 class TestParsePmep:
@@ -154,6 +167,21 @@ class TestParsePmep:
         with pytest.raises(ParseError, match="size limit"):
             parse_pmep(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "keys, value, path",
+        [
+            (("equations", 1), [], "equations[1]"),
+            (("equations",), {}, "equations"),
+            (("equations", 0, "coeffs"), "1", "equations[0].coeffs"),
+        ],
+        ids=["equation_not_object", "equations_not_list", "coeffs_not_list"],
+    )
+    def test_wrong_type_names_its_path(self, keys, value, path):
+        doc = scalar_system_doc()
+        mutated(doc, keys, value)
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: expected"):
+            parse_pmep(json.dumps(doc))
+
     def test_truncated_documents_never_crash(self):
         text = serialize_pmep(quadratic_pair_system())
         for cut in range(0, len(text) - 1, 7):
@@ -253,6 +281,28 @@ class TestSolutionDocuments:
     def test_missing_diagnostics_defaults_empty(self):
         out = parse_solutions('{"solutions": []}')
         assert len(out) == 0 and out.diagnostics == {}
+
+    @pytest.mark.parametrize(
+        "keys, value, path",
+        [
+            ((), [], "document"),
+            (("solutions",), {}, "solutions"),
+            (("solutions", 0), 3, "solutions[0]"),
+            (("solutions", 0, "residual"), "0", "solutions[0].residual"),
+            (("diagnostics",), [], "diagnostics"),
+        ],
+        ids=[
+            "document_not_object",
+            "solutions_not_list",
+            "solution_not_object",
+            "residual_not_number",
+            "diagnostics_not_object",
+        ],
+    )
+    def test_wrong_type_names_its_path(self, keys, value, path):
+        doc = mutated(json.loads(serialize_solutions(self.sample_set())), keys, value)
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: expected"):
+            parse_solutions(json.dumps(doc))
 
     def test_negative_residual_rejected(self):
         text = '{"solutions": [{"x": [[1, 0]], "residual": -1e-9}]}'
