@@ -90,17 +90,12 @@ def cheb1_vals_to_coeffs_matrix(k):
     return mat
 
 
-def interp_matrix(basis, nodes, deg):
-    """Matrix mapping values at `nodes` to coefficients 0..deg in `basis`.
-
-    len(nodes) must be deg+1; the generalized Vandermonde system is solved
-    explicitly, which is well conditioned for the node counts used here.
-    """
+def interp_matrix(basis, nodes):
+    """Matrix mapping values at `nodes` to coefficients 0..len(nodes)-1 in
+    `basis`: the inverse of the generalized Vandermonde matrix, which is
+    well conditioned for the node counts used here."""
     nodes = np.asarray(nodes)
-    if len(nodes) != deg + 1:
-        raise ValueError("node count must equal deg+1")
-    v = basis_rows(basis, nodes, deg)
-    return np.linalg.inv(v)
+    return np.linalg.inv(basis_rows(basis, nodes, len(nodes) - 1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -329,8 +329,8 @@ def _grids(shape, basis):
     return _Grids(
         s_grids,
         t_grids,
-        [bo.interp_matrix(basis, nodes, len(nodes) - 1) for nodes in s_grids],
-        [bo.interp_matrix(basis, nodes, len(nodes) - 1) for nodes in t_grids],
+        [bo.interp_matrix(basis, nodes) for nodes in s_grids],
+        [bo.interp_matrix(basis, nodes) for nodes in t_grids],
         [bo.shift_multiply_matrix(basis, a) for a in shape.alpha],
         [bo.shift_multiply_matrix(basis, b) for b in shape.beta],
     )
@@ -397,7 +397,7 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     deg = shape.xd_degree_bound
     if p.basis == Basis.MONOMIAL:
         xd_nodes = _unit_roots(deg + 1)
-        to_coeff = bo.interp_matrix(p.basis, xd_nodes, deg)
+        to_coeff = bo.interp_matrix(p.basis, xd_nodes)
     else:
         xd_nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)

@@ -342,25 +342,30 @@ def _first_copy(points):
     so after one sort by Re x_1 each row is tested only against the rows
     that follow it within that window, and only the pairs that pass are
     walked in row order.  This takes O(k log k) when Re x_1 separates the
-    points, and never forms the k x k distances.
+    points, and never forms the k x k distances.  Fewer than two finite
+    rows, or windows that hold no pair, return at once.
     """
     k = points.shape[0]
-    first = list(range(k))
     rows = np.flatnonzero(np.all(np.isfinite(points), axis=1))
+    if rows.size < 2:
+        return np.arange(k)
     key = points[rows, 0].real
     order = np.argsort(key, kind="stable")
     rows, key = rows[order], key[order]
-    norms = np.max(np.abs(points[rows]), axis=1)
-    ends = np.searchsorted(key, key + 2e-8 * np.maximum(1.0, norms), side="right")
+    scale = np.maximum(1.0, np.max(np.abs(points[rows]), axis=1))
+    ends = np.searchsorted(key, key + 2e-8 * scale, side="right")
     # every pair of sorted positions lo < hi < ends[lo]
-    counts = ends - np.arange(rows.size) - 1
+    counts = ends - np.arange(1, rows.size + 1)
+    if not counts.any():
+        return np.arange(k)
     lo = np.repeat(np.arange(rows.size), counts)
     hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(counts) - counts, counts)
     dist = np.max(np.abs(points[rows[lo]] - points[rows[hi]]), axis=1)
-    close = dist <= 1e-8 * np.maximum(np.maximum(1.0, norms[lo]), norms[hi])
+    close = dist <= 1e-8 * np.maximum(scale[lo], scale[hi])
     a, b = rows[lo[close]], rows[hi[close]]
     later, earlier = np.maximum(a, b), np.minimum(a, b)
     walk = np.lexsort((earlier, later))
+    first = list(range(k))
     for row, prev in zip(later[walk].tolist(), earlier[walk].tolist()):
         if first[row] == row and first[prev] == prev:
             first[row] = prev

@@ -41,7 +41,7 @@ class MatrixPoly:
         self.coeffs = arr
         self.basis = Basis(basis)
         self.d = arr.ndim - 2
-        self._max_coeff_norm = None
+        self._matrix_cache = {}  # shared by a copy with the same matrices
 
     @property
     def n(self):
@@ -135,14 +135,14 @@ class MatrixPoly:
     def max_coeff_norm(self):
         """Largest spectral norm among the coefficient matrices (cached: the
         coefficients are read-only)."""
-        if self._max_coeff_norm is None:
+        if "norm" not in self._matrix_cache:
             flat = self.coeffs.reshape(-1, self.n, self.n)
-            self._max_coeff_norm = (
+            self._matrix_cache["norm"] = (
                 float(np.max(np.linalg.norm(flat, ord=2, axis=(1, 2))))
                 if flat.shape[0]
                 else 0.0
             )
-        return self._max_coeff_norm
+        return self._matrix_cache["norm"]
 
 
 class Pmep:
@@ -191,15 +191,18 @@ class Pmep:
         `perm` is a permutation of 1..d: new variable k is old variable
         perm[k-1], i.e. the new system Q satisfies
         Q(x[perm[0]-1], ..., x[perm[d-1]-1]) = P(x[0], ..., x[d-1]).
+        The identity returns the system; a copy shares each `max_coeff_norm`.
         """
         perm = tuple(int(v) for v in perm)
         if sorted(perm) != list(range(1, self.d + 1)):
             raise ValueError(f"perm {perm} is not a permutation of 1..{self.d}")
+        if perm == tuple(range(1, self.d + 1)):
+            return self
         axes = tuple(v - 1 for v in perm)
         out = []
         for p in self.polys:
-            new = np.transpose(p.coeffs, axes + (self.d, self.d + 1))
-            out.append(MatrixPoly(new, p.basis))
+            out.append(MatrixPoly(np.transpose(p.coeffs, axes + (self.d, self.d + 1)), p.basis))
+            out[-1]._matrix_cache = p._matrix_cache
         return Pmep(out)
 
     def change_of_variables(self, q):

@@ -7,11 +7,12 @@ pencil in the monomial basis, the colleague pencil in the Chebyshev basis.
 That pencil is never formed: its standard eigenvalue problem
 C = (A + sigma*B)^-1 B is built straight from R's coefficients with one
 solve with R(sigma), of side n, and the shift sigma is the one of three
-fixed points where R(sigma) is best conditioned.  When R is a singular
-polynomial it is first compressed to its normal rank by a random two-sided
-orthogonal projection.  Eigenpairs come back unrefined: the solver polishes
-the roots they lead to with Newton steps on the original system
-(`extract.refine`).  Everything here runs on numpy alone.
+fixed points where R(sigma) is best conditioned; under a bound on its
+condition estimate the solve certifies R regular.  Only an R that it does
+not certify needs `normal_rank` and, when singular, the random two-sided
+compression to its normal rank, `project_singular`.  Eigenpairs come back
+unrefined: the solver polishes the roots they lead to with Newton steps on
+the original system (`extract.refine`).  Everything here runs on numpy alone.
 """
 
 import functools
@@ -98,7 +99,7 @@ def _scalar_pencil(basis, m):
     return qs, ps, lead, fixes
 
 
-def _shifted_inverse(R):
+def _shifted_inverse(R, max_cond=np.inf):
     """The shift sigma and C = (A + sigma*B)^-1 B of the linearization
     A + lambda*B of R, from R's coefficients and one solve with R(sigma).
 
@@ -124,7 +125,8 @@ def _shifted_inverse(R):
     one of `_SHIFTS` with the best conditioned R(sigma), by a 1-norm
     estimate from one stacked evaluation and one stacked solve.  Neither A
     nor B is formed.  Raises ValueError for a constant R, and
-    SingularPencilError when R(sigma) is singular at every shift.
+    SingularPencilError when R(sigma) is singular at every shift or its
+    best estimate exceeds ``max_cond``.
     """
     m, n = R.m, R.size
     if m < 1:
@@ -141,8 +143,8 @@ def _shifted_inverse(R):
         mats += qs[:, k, -1, None, None] * top[k]
     conds = _conditions(mats)
     best = conds.index(min(conds))
-    if conds[best] == np.inf:
-        raise SingularPencilError("R(sigma) is singular at every shift")
+    if conds[best] == np.inf or conds[best] > max_cond:
+        raise SingularPencilError("R(sigma) is singular, or above max_cond, at every shift")
     sigma, nv, p = _SHIFTS[best], qs[best, :, -1], ps[best]
     rhs = np.zeros((n, m, n), dtype=complex)
     rhs[:, 0] = lead
@@ -155,7 +157,7 @@ def _shifted_inverse(R):
     return sigma, c
 
 
-def solve_pep(R, vectors=True):
+def solve_pep(R, vectors=True, max_cond=np.inf):
     """Finite eigenpairs of a matrix polynomial R, unrefined.
 
     Shift and invert: C = (A + sigma*B)^-1 B of R's linearization (see
@@ -166,9 +168,10 @@ def solve_pep(R, vectors=True):
     the largest of the m blocks of the pencil eigenvector, or None for v
     when ``vectors=False``, where the eigensolver skips the eigenvectors.
     Raises SingularPencilError when R(sigma) is singular at every shift,
-    which a regular R never is.
+    which a regular R never is, or has condition estimates above ``max_cond``
+    at all three: a solve that returns has certified R with its one LU.
     """
-    sigma, c = _shifted_inverse(R)
+    sigma, c = _shifted_inverse(R, max_cond)
     mag = np.abs(c)
     norm = mag.sum(axis=0).max()
     # entries at or below eps^2 ||C||_1 are zeros of exact arithmetic with

@@ -7,11 +7,12 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    variable and permute it last,
 2. `_eigenpairs`: build R(x_d): the hidden-variable Dixon resultant in
    general, the operator-determinant pencil x_d Delta_0 - Delta_d of side N
-   for a linear MEP, the polynomial itself for d = 1.  Drop R's structurally
-   zero rows and columns (Kapur, Saxena and Yang), probe the normal rank,
-   and compress a still singular R by a two-sided projection.  Solve by
-   shift and invert, with C of the companion/colleague pencil built from
-   R's coefficients and R(sigma); the eigenpairs stay unrefined, and carry
+   for a linear MEP, the polynomial itself for d = 1.  Solve by shift and
+   invert, with C of the companion/colleague pencil built from R's
+   coefficients and R(sigma), whose LU certifies a regular R (`_certified`);
+   any other R first loses its structurally zero rows and columns (Kapur,
+   Saxena and Yang), has its normal rank probed, and is compressed by a
+   two-sided projection when singular.  The eigenpairs stay unrefined, with
    no vectors when nothing is read from them.  Then, for all eigenpairs in
    one stacked call, read each x_k with a ratio block (alpha_k > 0) off the
    block Vandermonde structure of the eigenvector, on the kept columns.
@@ -53,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dixon import DixonShape, build_resultant
-from .errors import MultiPolyEigError
+from .errors import MultiPolyEigError, SingularPencilError
 from .extract import (
     Solution,
     _first_copy,
@@ -152,6 +153,17 @@ def _structural_core(R, rank_tol):
     if kept in (0, R.size) or kept != np.count_nonzero(cols):
         return R, np.ones(R.size, dtype=bool)
     return MatrixPoly(R.coeffs[(slice(None), *np.ix_(rows, cols))], R.basis), cols
+
+
+def _certified(R, vectors, rank_tol):
+    """`solve_pep` of R, or None unless some R(sigma) has a condition estimate
+    at most rank_tol^-1/2, halfway (in log scale) to the rank probe's cut: a
+    row or column of entries within rank_tol of R's largest makes it about
+    1/rank_tol, so a certified R is whole and of full normal rank."""
+    try:
+        return solve_pep(R, vectors, max_cond=rank_tol**-0.5) if R.m >= 1 else None
+    except SingularPencilError:
+        return None
 
 
 def _masked_out(shape, mask):
@@ -282,21 +294,26 @@ def _hide(p, cfg):
 def _eigenpairs(work, unpermute, cfg):
     """The ungated `_Eigenpairs` of the permuted system, and R's diagnostics.
 
-    A projected pencil's eigenvectors, or a read the kept columns leave
-    short, give nothing: every eigenpair then reads NaN.  Otherwise the
-    ratio read fills the coordinates with a ratio block, and the Kronecker
-    read, which substitutes every coordinate it does not read, the others.
+    A certified R is solved as it is and draws nothing from the seed's
+    generator.  A projected pencil's eigenvectors, or a read the kept
+    columns leave short, give nothing: every eigenpair then reads NaN.
+    Otherwise the ratio read fills the coordinates with a ratio block, and
+    the Kronecker read, which substitutes every coordinate it does not
+    read, the others.
     """
     d = work.d
     R, shape = _resultant(work)
-    rng = np.random.default_rng([cfg.seed, 1])
-    core, mask = _structural_core(R, cfg.rank_tol)
-    rp = normal_rank(core, rank_tol=cfg.rank_tol, rng=rng)
-    projected = rp.normal_rank < core.size
-    if projected:
-        core = project_singular(core, rp, rng)[0]
-    vectors = d > 1 and not (projected or _masked_out(shape, mask))
-    eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
+    eigpairs = _certified(R, d > 1, cfg.rank_tol)
+    mask, rank, projected, vectors = np.ones(R.size, dtype=bool), R.size, False, d > 1
+    if eigpairs is None:  # deflate, probe the normal rank, project a singular core
+        rng = np.random.default_rng([cfg.seed, 1])
+        core, mask = _structural_core(R, cfg.rank_tol)
+        rp = normal_rank(core, rank_tol=cfg.rank_tol, rng=rng)
+        rank, projected = rp.normal_rank, rp.normal_rank < core.size
+        if projected:
+            core = project_singular(core, rp, rng)[0]
+        vectors = d > 1 and not (projected or _masked_out(shape, mask))
+        eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lam = np.array([val for val, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
     factors = None
@@ -313,7 +330,7 @@ def _eigenpairs(work, unpermute, cfg):
         if read:  # rows whose ratio read failed stay NaN
             fronts[:, read] = _kronecker_read(work, factors, np.column_stack([fronts, lam]), read)
     x = np.column_stack([fronts, lam])[:, unpermute]
-    info = {"resultant_size": R.size, "normal_rank": rp.normal_rank, "projected": projected}
+    info = {"resultant_size": R.size, "normal_rank": rank, "projected": projected}
     return _Eigenpairs(lam, x, np.full(len(lam), np.inf), factors), info
 
 

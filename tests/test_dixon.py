@@ -322,7 +322,7 @@ def per_node_resultant(p):
     deg = sh.xd_degree_bound
     if p.basis == Basis.MONOMIAL:
         nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-        to_coeff = bo.interp_matrix(Basis.MONOMIAL, nodes, deg)
+        to_coeff = bo.interp_matrix(Basis.MONOMIAL, nodes)
     else:
         nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)

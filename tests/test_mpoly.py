@@ -144,6 +144,26 @@ class TestPermute:
         for a, b in zip(p.polys, q.polys):
             assert np.array_equal(a.coeffs, b.coeffs)
 
+    def test_identity_returns_the_system(self):
+        p = random_pmep(np.random.default_rng(13), 3, (2, 1, 2), (2, 1, 3))
+        assert p.permute_variables((1, 2, 3)) is p
+
+    def test_copy_shares_the_coefficient_norm(self, monkeypatch):
+        # the same matrices in another order: one norm computation serves
+        # both systems, whichever asks first, with the bits of a fresh one
+        p = random_pmep(np.random.default_rng(16), 3, (2, 1, 2), (2, 1, 3))
+        q = p.permute_variables((3, 1, 2))
+        fresh = [MatrixPoly(b.coeffs).max_coeff_norm() for b in q.polys]
+        assert q.polys[0].max_coeff_norm() == fresh[0]
+        assert p.polys[1].max_coeff_norm() == fresh[1]
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("a shared norm was computed again")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        assert p.polys[0].max_coeff_norm() == fresh[0]
+        assert q.polys[1].max_coeff_norm() == fresh[1]
+
     def test_involution(self):
         rng = np.random.default_rng(14)
         p = random_pmep(rng, 3, (2, 1, 2), (2, 1, 3))

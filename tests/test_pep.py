@@ -228,6 +228,26 @@ class TestSolvePep:
             assert np.linalg.norm(core.eval(lam) @ v) <= 1e-12 * scale * np.linalg.norm(v)
 
     @pytest.mark.parametrize("basis", list(Basis))
+    def test_condition_bound_certifies_or_raises(self, basis, monkeypatch):
+        # under a bound that the best shift meets, the solve is the same to
+        # the bit; under one that no shift meets it raises before the
+        # eigensolve.  Every estimate is at least 1, as ||M||_1 ||M^-1 b||_1
+        # >= ||b||_1 = n, and a random R(sigma) is not that well conditioned
+        rng = np.random.default_rng(96)
+        coeffs = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        r = MatrixPoly(coeffs, basis)
+        free, bounded = solve_pep(r), solve_pep(r, max_cond=1e5)
+        assert [lam for lam, _ in free] == [lam for lam, _ in bounded]
+        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(free, bounded))
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("an uncertified R reached the eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        with pytest.raises(SingularPencilError):
+            solve_pep(r, max_cond=1.0)
+
+    @pytest.mark.parametrize("basis", list(Basis))
     def test_no_pencil_is_formed(self, basis):
         # C is the one array of the pencil's side: A and B (two more) are
         # never built, and the solve with R(sigma) and the eigenvalue cut

@@ -7,7 +7,9 @@ The benchmark also rejects a run whose solution documents miss roots or hold
 a root that fails its independent recheck (`perfbench/check.py`); the same
 check runs here on seed 0 of the `dense` and `structured` workloads, and a
 traced pass of `structured` reads the sizes the per-layer metrics take from
-the package's arguments and results.
+the package's arguments and results.  Every resultant of those two workloads
+but that of `rank_deficient_pair` certifies itself regular at a shift, so no
+other problem probes its normal rank.
 """
 
 import importlib.util
@@ -15,7 +17,9 @@ import sys
 import time
 from pathlib import Path
 
+from multipolyeig import solver
 from multipolyeig.cli import run_cli
+from multipolyeig.mpoly import MatrixPoly, Pmep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,6 +49,24 @@ def test_workloads_pass_correctness_gate(tmp_path, capsys):
             found, bad = check.validate(problem, out.read_text(encoding="utf-8"))
             assert (found, bad) == (problem["expected"], 0), name
     capsys.readouterr()
+
+
+def test_only_the_singular_problem_probes_the_rank(monkeypatch):
+    problems = _load("problems")
+    probed = []
+    normal_rank = solver.normal_rank
+
+    def counted(*args, **kwargs):
+        probed.append(name)
+        return normal_rank(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "normal_rank", counted)
+    for workload in ("dense", "structured"):
+        for problem in problems.workload(workload, 0):
+            name = problem["name"]
+            assert problem["args"] == []
+            solver.solve(Pmep([MatrixPoly(c, problem["basis"]) for c in problem["coeffs"]]))
+    assert set(probed) == {"rank_deficient_pair"}
 
 
 def _bindings():

@@ -212,9 +212,9 @@ class TestRankDeficientPair:
         lam = complex(1e308, 1e308)
         solve_pep = solver.solve_pep
 
-        def with_overflow(R, vectors=True):
+        def with_overflow(R, vectors=True, max_cond=np.inf):
             vec = np.ones(R.size, dtype=complex) if vectors else None
-            return solve_pep(R, vectors=vectors) + [(lam, vec)] * copies
+            return solve_pep(R, vectors=vectors, max_cond=max_cond) + [(lam, vec)] * copies
 
         monkeypatch.setattr(solver, "solve_pep", with_overflow)
         svd = np.linalg.svd
@@ -426,6 +426,80 @@ class TestDeflation:
             out = solve(p)
             if len(out):
                 assert np.all(extract.residual(p, out.points()) <= 1e-8), p
+
+
+@pytest.fixture
+def rank_machinery(monkeypatch):
+    """Count the calls a solve makes, nested solves included, to the
+    deflation, the rank probe and the projection."""
+    calls = {"_structural_core": 0, "normal_rank": 0, "project_singular": 0}
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    return calls
+
+
+class TestCertifiedResultant:
+    # a shift where R(sigma) is well conditioned certifies R regular and
+    # whole; only an R that no shift certifies is deflated, probed and
+    # projected
+    @pytest.mark.parametrize(
+        "make, count",
+        [
+            (lambda: systems.random_pmep(np.random.default_rng(3), (2, 2), (2, 2)), 32),
+            (lambda: random_linear_mep(np.random.default_rng(4), (3, 2)), 6),
+            (lambda: systems.random_pmep(np.random.default_rng(5), (1, 1, 1), (1, 1, 1)), 6),
+        ],
+        ids=["dense_d2", "linear_mep", "scalar_d3"],
+    )
+    def test_regular_input_skips_the_rank_machinery(self, rank_machinery, make, count):
+        p = make()
+        out = solve(p)
+        assert rank_machinery == {"_structural_core": 0, "normal_rank": 0, "project_singular": 0}
+        assert len(out) == count
+        assert out.diagnostics["normal_rank"] == out.diagnostics["resultant_size"]
+        assert out.diagnostics["projected"] is False
+
+    @pytest.mark.parametrize(
+        "make, size, rank, projected",
+        [
+            (systems.rank_deficient_pair_system, 8, 5, False),
+            (systems.mixed_rank_deficient_pair_system, 8, 5, True),
+            (systems.shared_factor_system, 4, 3, True),
+        ],
+    )
+    def test_singular_resultant_is_probed(self, rank_machinery, make, size, rank, projected):
+        out = solve(make())
+        assert rank_machinery["_structural_core"] >= 1
+        assert rank_machinery["normal_rank"] >= 1
+        assert (rank_machinery["project_singular"] >= 1) == projected
+        assert out.diagnostics["resultant_size"] == size
+        assert out.diagnostics["normal_rank"] == rank
+        assert out.diagnostics["projected"] is projected
+
+    def test_ill_conditioned_regular_resultant_is_probed(self, rank_machinery):
+        # R = diag(x - 1, 1e-8 (x - 2)) is regular, with full normal rank at
+        # rank_tol 1e-10, but R(sigma) has condition about 1e8 at every shift
+        c = np.zeros((2, 2, 2), dtype=complex)
+        c[0] = np.diag([-1.0, -2e-8])
+        c[1] = np.diag([1.0, 1e-8])
+        R = MatrixPoly(c)
+        assert solver._certified(R, False, SolverConfig().rank_tol) is None
+        out = solve(Pmep([R]))
+        assert rank_machinery["normal_rank"] == 1
+        assert rank_machinery["project_singular"] == 0
+        assert out.diagnostics["normal_rank"] == 2
+        assert out.diagnostics["projected"] is False
+        assert_same_points(out.points(), [[1.0], [2.0]], 1e-12)
 
 
 class TestLinearPath:

@@ -9,9 +9,15 @@ benchmark makes.  One line per document goes to standard output::
 
 The package is imported from this tree's `src/`, and BLAS runs on one thread,
 as in the benchmark.  To check that a change leaves every document
-byte-identical, run the script in both trees and diff the output::
+byte-identical, save the output of the tree before the change and compare
+the tree after it against that list::
 
-    python3 tools/document_hashes.py --seeds 0 1 2 > after.txt
+    python3 tools/document_hashes.py --seeds 0 1 2 > before.txt
+    python3 tools/document_hashes.py --seeds 0 1 2 --against before.txt
+
+With ``--against`` only the documents that differ from the saved list (or
+are missing from it) are printed, each with its saved exit code and hash,
+and the exit code is 1 if any differs.
 """
 
 import argparse
@@ -59,13 +65,30 @@ def document_hashes(seeds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    parser.add_argument(
+        "--against", metavar="FILE", type=Path,
+        help="saved output to compare with: print only the documents that differ",
+    )
     args = parser.parse_args(argv)
+    saved = None
+    if args.against is not None:
+        lines = args.against.read_text(encoding="utf-8").splitlines()
+        saved = {tuple(f[:3]): f[3:] for f in map(str.split, lines) if f}
     # before numpy is imported, which reads them once
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    differ = 0
     for row in document_hashes(args.seeds):
-        print(*row, flush=True)
+        fields = [str(v) for v in row]
+        if saved is None:
+            print(*fields, flush=True)
+            continue
+        was = saved.get(tuple(fields[:3]), ["none"])
+        if was != fields[3:]:
+            differ += 1
+            print(*fields, "saved:", *was, flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
