@@ -7,8 +7,10 @@ prod_k x_k^{i_k} * v.  The coordinate x_k is therefore the entrywise ratio of
 the unit-exponent block e_k against the zero-exponent block.
 
 Candidate points are then refined and gated in one batch on the original
-system (`refine`), with the normalized residual that `residual` gives for a
-single point.
+system (`refine`): Newton steps on each point and its null vectors v_i, and
+the refined triplet's residual max_i ||P_i(x) v_i|| / (||v_i|| scale_i).  Up
+to rounding it bounds from above `residual`, the sigma_min-based value that
+independent checks recompute from the point alone.
 """
 
 import math
@@ -189,50 +191,65 @@ def _finite_rows(fn, stack, width):
     return out
 
 
-def _gate(p, mats):
-    """Normalized residuals of k points: max_i sigma_min(P_i(x)) / scale_i.
+def residual(p, x):
+    """Normalized residual max_i sigma_min(P_i(x)) / scale_i at a point.
 
-    ``mats[i]`` stacks P_i at the k points; sigma_min comes from one
-    values-only stacked SVD per equation, and scale_i is the largest
-    coefficient norm of P_i (a zero polynomial contributes 0).  A point
-    where some P_i is not finite, or its SVD fails, gets an infinite
-    residual.  A point's value does not depend, to the bit, on the other
-    points of the stack.
+    scale_i is the largest coefficient norm of P_i (a zero polynomial
+    contributes 0), and sigma_min comes from one values-only stacked SVD per
+    equation.  Given a (k, d) array of points instead, returns their k
+    residuals from one batched evaluation; a point's value does not depend,
+    to the bit, on the other points.  A point where some P_i is not finite,
+    or its SVD fails, gets an infinite residual.  This is the independent
+    check of a solution; `refine` gates on an upper bound of it.
     """
-    worst = np.zeros(mats[0].shape[0])
-    for poly, stack in zip(p.polys, mats):
+    x = np.asarray(x, dtype=complex)
+    pts = x.reshape(-1, p.d)
+    res = np.zeros(pts.shape[0])
+    for poly in p.polys:
         scale = poly.max_coeff_norm()
         if scale == 0.0:
             continue
         sigma = _finite_rows(
-            lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], stack, 1
+            lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], poly.eval_many(pts), 1
         )[:, 0].real
         sigma[np.isnan(sigma)] = np.inf
-        worst = np.maximum(worst, sigma / scale)
-    return worst
-
-
-def residual(p, x):
-    """Normalized residual max_i sigma_min(P_i(x)) / scale_i at a point.
-
-    Given a (k, d) array of points instead, returns their k residuals from
-    one batched evaluation.  This is the value `refine` gates on: both
-    take it from `_gate`, from singular values alone.
-    """
-    x = np.asarray(x, dtype=complex)
-    pts = x.reshape(-1, p.d)
-    res = _gate(p, [poly.eval_many(pts) for poly in p.polys])
+        res = np.maximum(res, sigma / scale)
     return res if x.ndim == 2 else float(res[0])
 
 
+def _triplet_residuals(p, mats, vecs):
+    """Normalized residuals of k eigentriplets: max_i ||P_i(x) v_i|| /
+    (||v_i|| scale_i), with scale_i as in `residual`.
+
+    ``mats[i]`` stacks P_i at the k points and ``vecs[i]`` (shape (k, n_i))
+    the v_i.  As ||P_i(x) v_i|| >= sigma_min(P_i(x)) ||v_i||, this bounds
+    `residual` from above, up to rounding; it is the backward error of the
+    triplet (Tisseur, Linear Algebra Appl. 2000).  It takes one matrix-vector
+    product per point and equation, so a point's value does not depend, to
+    the bit, on the other points.  A point where some P_i v_i is not finite
+    gets an infinite residual.
+    """
+    worst = np.zeros(vecs[0].shape[0])
+    for poly, stack, v in zip(p.polys, mats, vecs):
+        scale = poly.max_coeff_norm()
+        if scale == 0.0:
+            continue
+        pv = (stack @ v[..., None])[..., 0]
+        r = np.linalg.norm(pv, axis=1) / np.linalg.norm(v, axis=1) / scale
+        worst = np.maximum(worst, np.where(np.isfinite(r), r, np.inf))
+    return worst
+
+
 def _bordered_steps(jets, vecs):
-    """Newton corrections of x for P_i(x) v_i = 0, v_i^H v_i = 1 at k points.
+    """Newton corrections of (x, v_1..v_d) for P_i(x) v_i = 0, v_i^H v_i = 1
+    at k points.
 
     ``jets[i]`` stacks P_i and its d partials, ``vecs[i]`` the current v_i.
     Each point's bordered Jacobian, of side sum(n_i) + d, is
     [[P_i, (dP_i/dx_j) v_i], [v_i^H, 0]] with equation blocks on the
-    diagonal; all are solved in one stacked call.  A point whose system is
-    singular or not finite gets a NaN step.
+    diagonal; all are solved in one stacked call.  Returns the steps of x,
+    shape (k, d), and those of each v_i, shape (k, n_i).  A point whose
+    system is singular or not finite gets NaN steps.
     """
     k, d = jets[0].shape[0], jets[0].shape[1] - 1
     side = sum(v.shape[1] for v in vecs)
@@ -249,28 +266,31 @@ def _bordered_steps(jets, vecs):
     ok = np.all(np.isfinite(jac), axis=(1, 2))
     if not np.all(ok):  # copy only when some system is dropped
         jac, rhs = jac[ok], rhs[ok]
-    steps = np.full((k, d), np.nan, dtype=complex)
+    steps = np.full((k, side + d), np.nan, dtype=complex)
     if len(jac):
 
         def solve(sl):
-            return np.linalg.solve(jac[sl], rhs[sl])[:, side:, 0]
+            return np.linalg.solve(jac[sl], rhs[sl])[..., 0]
 
-        steps[ok] = _per_slice(solve, 0, len(jac), d)
-    return steps
+        steps[ok] = _per_slice(solve, 0, len(jac), side + d)
+    ends = np.cumsum([v.shape[1] for v in vecs])
+    return steps[:, side:], np.split(steps[:, :side], ends[:-1], axis=1)
 
 
-def _newton_step(p, X, vecs=None):
-    """One Newton step at each row of X (shape (k, d)).
+def _newton_step(p, X, vecs=None, before=None):
+    """One Newton step on (x, v_1..v_d) at each row of X (shape (k, d)).
 
-    Steps on P_i(x) v_i = 0, v_i^H v_i = 1 for all i at once, with v_i the
-    row of ``vecs[i]`` (shape (k, n_i)).  A row whose v_i is not finite, and
-    every row when ``vecs`` is None, takes the right singular vector of
-    sigma_min(P_i(x)) instead.  Returns the stepped points, their normalized
-    residuals and those of X, both gated in one stacked call; a step that is
-    singular or not finite gets an infinite residual.
+    Steps on P_i(x) v_i = 0, v_i^H v_i = 1 for all i at once, from v_i the
+    row of ``vecs[i]`` (shape (k, n_i)).  A row whose v_i is not finite,
+    and every row when ``vecs`` is None, takes the right singular vector of
+    sigma_min(P_i(x)) instead.  Returns the stepped points, their
+    vectors (v_i + dv_i, normalized), their normalized residuals and those
+    of the given triplets (`_triplet_residuals`); ``before``, when given,
+    stands for the last.  A step that is singular or not finite gets an
+    infinite residual.
     """
     k = X.shape[0]
-    # a point far enough out overflows; _gate gives it an infinite residual
+    # a point far enough out overflows; its residual is infinite
     with np.errstate(over="ignore", invalid="ignore"):
         jets = [poly.eval_many(X, jet=True) for poly in p.polys]
         null = []
@@ -283,15 +303,18 @@ def _newton_step(p, X, vecs=None):
                     lambda m: np.linalg.svd(m)[2][:, -1].conj(), jet[lost, 0], n
                 )
             null.append(v)
-        stepped = X + _bordered_steps(jets, null)
+        if before is None:
+            before = _triplet_residuals(p, [jet[:, 0] for jet in jets], null)
+        dx, dv = _bordered_steps(jets, null)
+        stepped = X + dx
+        moved = [v + step for v, step in zip(null, dv)]
+        moved = [w / np.linalg.norm(w, axis=1, keepdims=True) for w in moved]
         ok = np.flatnonzero(np.all(np.isfinite(stepped), axis=1))
-        gated = _gate(p, [
-            np.concatenate([jet[:, 0], poly.eval_many(stepped[ok])])
-            for poly, jet in zip(p.polys, jets)
-        ])
-    after = np.full(k, np.inf)
-    after[ok] = gated[k:]
-    return stepped, after, gated[:k]
+        after = np.full(k, np.inf)
+        after[ok] = _triplet_residuals(
+            p, [poly.eval_many(stepped[ok]) for poly in p.polys], [w[ok] for w in moved]
+        )
+    return stepped, moved, after, before
 
 
 # Newton steps a point may take in `refine`, and the factor by which each
@@ -303,30 +326,36 @@ _CONVERGING = 1e-2
 def refine(p, X, tol=np.inf, vecs=None):
     """Gated Newton steps on the original system at each of k points.
 
-    Every row x of X (shape (k, d)) takes one step (`_newton_step`) and keeps
-    whichever of x and the stepped point has the smaller normalized residual
-    (see `residual`).  The first step takes equation i's null vector of row
-    j from ``vecs[i][j]`` when that is finite (the resultant's eigenvector
-    already holds it), else from a with-vector SVD of P_i(x); every further
-    step takes the SVD's.  A row still above ``tol`` steps again only while
-    Newton converges on it: its last step cut the residual at least 100-fold,
-    up to ``_MAX_NEWTON_STEPS`` steps in all.  Rows that pass after one step,
-    and rows far from any root, pay nothing more.  Returns the best point of
-    each row with its residual: ``(points, residuals)``.  A point whose step
-    is singular or not finite comes back unchanged; nothing here raises.
+    Every row x of X (shape (k, d)) takes one Newton step on the point and
+    its null vectors v_i jointly (`_newton_step`), and keeps whichever of x
+    and the stepped point has the smaller normalized residual
+    max_i ||P_i(x) v_i|| / (||v_i|| scale_i), taken with the vectors of that
+    step.  It bounds `residual`'s sigma_min / scale_i from above, so a
+    point that passes here passes that check too, and no SVD is needed to
+    gate.  The first step takes equation i's null vector of row j from
+    ``vecs[i][j]`` when that is finite (the resultant's eigenvector already
+    holds it), else from a with-vector SVD of P_i(x); every further step
+    carries the vectors the last step refined, and starts from the
+    residual it returned.  A row still above ``tol`` steps
+    again only while Newton converges on it: its last step cut the residual
+    at least 100-fold, up to ``_MAX_NEWTON_STEPS`` steps in all.  Rows that
+    pass after one step, and rows far from any root, pay nothing more.
+    Returns the best point of each row with its residual:
+    ``(points, residuals)``.  A point whose step is singular or not finite
+    comes back unchanged; nothing here raises.
     """
     X = np.asarray(X, dtype=complex).reshape(-1, p.d)
     points, res = X.copy(), np.zeros(X.shape[0])
-    todo = np.arange(X.shape[0])
+    todo, before = np.arange(X.shape[0]), None
     for _ in range(_MAX_NEWTON_STEPS):
         if not todo.size:
             break
-        stepped, after, before = _newton_step(p, points[todo], vecs)
-        vecs = None
+        stepped, vecs, after, before = _newton_step(p, points[todo], vecs, before)
         better = after < before
         points[todo[better]] = stepped[better]
         res[todo] = np.where(better, after, before)
-        todo = todo[(after < _CONVERGING * before) & (after > tol)]
+        go = (after < _CONVERGING * before) & (after > tol)
+        todo, before, vecs = todo[go], after[go], [v[go] for v in vecs]
     return points, res
 
 

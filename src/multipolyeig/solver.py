@@ -26,13 +26,16 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    or of kept columns that leave it short.  The points are put back in the
    caller's variable order,
 3. `_gate_reads`: gate every read point in one call (`extract.refine`):
-   each point takes one Newton step on the original system, keeps it only
-   if it lowers the normalized residual, steps again while it fails the
-   tolerance and Newton converges on it (up to 3 steps), and passes when
-   that residual is within the tolerance.  The first step's null vectors
-   v_i are the Kronecker factors when there are any; a further step takes
-   them from an SVD of P_i(x).  Every residual comes from singular values
-   alone; a point that was not read keeps an infinite one,
+   each point takes one Newton step on the original system, on the point
+   and its null vectors v_i jointly, keeps it only if it lowers the
+   normalized residual max_i ||P_i(x) v_i|| / (||v_i|| scale_i) of the
+   triplet, steps again while it fails the tolerance and Newton converges
+   on it (up to 3 steps), and passes when that residual is within the
+   tolerance.  The first step's v_i are the Kronecker factors when there
+   are any, else from an SVD of P_i(x); a further step carries the v_i the
+   last one refined.  No residual needs an SVD, and each bounds from above
+   the sigma_min-based `extract.residual` that `verify` recomputes; a point
+   that was not read keeps an infinite one,
 4. `_fallback`: for each eigenpair that failed the gate, every front
    coordinate is re-solved with x_d = lambda substituted: each equation is
    left out in turn, the last one first, and the other d - 1 are solved, as
@@ -41,7 +44,8 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    hidden coordinate shared by several roots mixes their eigenvectors, but
    the substituted equations still have each of them as a root, so the
    copies of a repeated eigenvalue are solved once, by the first.  These
-   candidates are gated in a second call, with the SVD's null vectors.
+   candidates are gated in a second call, whose first step takes its null
+   vectors from the SVD.
 
 `solve` deduplicates the passing points.  The diagnostic ``projected`` is
 true when the top-level pencil or that of any nested solve was projected.

@@ -16,11 +16,14 @@ from multipolyeig.cli import run_cli
 from multipolyeig.io import parse_solutions, serialize_pmep, serialize_solutions
 from multipolyeig.solver import SolverConfig, solve
 
+import systems
+from multipolyeig.mpoly import Basis
 from systems import (
     mixed_rank_deficient_pair_system,
     quadratic_pair_solutions,
     quadratic_pair_system,
 )
+from test_opdet import random_linear_mep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -210,6 +213,30 @@ class TestVerifyCommand:
         bad.write_text('{"solutions": [{"x": [[1, 0]], "residual": 0.0}]}')
         assert run_cli(["verify", problem_file, str(bad)]) == 1
         assert "coordinates" in capsys.readouterr().err
+
+
+# the solver gates on max_i ||P_i(x) v_i|| / (||v_i|| scale_i) of its refined
+# triplets, `verify` recomputes max_i sigma_min(P_i(x)) / scale_i; the first
+# bounds the second, so every solution the solver keeps must verify
+SOUND_SYSTEMS = {  # name: (system, its root count)
+    "quadratic_pair": (quadratic_pair_system, 8),
+    "quadratic_pair_cheb": (lambda: quadratic_pair_system(Basis.CHEBYSHEV1), 8),
+    "decoupled": (lambda: systems.decoupled_system(np.random.default_rng(5), 3, 1)[0], 9),
+    "rank_deficient_pair": (systems.rank_deficient_pair_system, 2),
+    "dense": (lambda: systems.random_pmep(np.random.default_rng(7), (3, 3), (2, 2)), 72),
+    "linear_mep": (lambda: random_linear_mep(np.random.default_rng(8), (3, 4)), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOUND_SYSTEMS))
+def test_solutions_verify(name, tmp_path, capsys):
+    system, count = SOUND_SYSTEMS[name]
+    problem, out = tmp_path / "problem.json", tmp_path / "solutions.json"
+    problem.write_text(serialize_pmep(system()), encoding="utf-8")
+    assert run_cli(["solve", str(problem), "-o", str(out)]) == 0
+    assert len(parse_solutions(out.read_text())) == count
+    assert run_cli(["verify", str(problem), str(out)]) == 0
+    assert f"verify: {count} points, 0 over tolerance" in capsys.readouterr().err
 
 
 class TestOracleCommand:

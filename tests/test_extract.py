@@ -12,7 +12,6 @@ from multipolyeig.extract import (
     Solution,
     SolutionSet,
     block_indices,
-    _gate,
     filter_solutions,
     generic_nullspace_basis,
     refine,
@@ -217,7 +216,8 @@ class TestRefine:
 
     def test_never_worse_than_the_input(self):
         # points near roots, where the step helps, and random points, where
-        # it mostly does not
+        # it mostly does not.  The input's residual is that of its triplet
+        # with the SVD's null vectors, and the default tol takes one step
         p = systems.quadratic_pair_system()
         rng = np.random.default_rng(61)
         roots = np.array(systems.quadratic_pair_solutions())
@@ -225,9 +225,14 @@ class TestRefine:
             roots + 1e-3 * rng.standard_normal(roots.shape),
             rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)),
         ])
+        stepped, _, after, before = extract._newton_step(p, start)
         points, res = refine(p, start)
-        assert np.all(res <= [residual(p, x) for x in start])
-        assert np.all(res == [residual(p, x) for x in points])
+        assert np.all(res <= before)
+        moved = np.any(points != start, axis=1)
+        assert np.array_equal(points[moved], stepped[moved])
+        assert np.array_equal(res, np.where(moved, after, before))
+        # the triplet's residual bounds sigma_min / scale_i, up to rounding
+        assert np.all(residual(p, points) <= res + 1e-14)
 
     def test_supplied_null_vectors_take_the_first_step(self, monkeypatch):
         # each equation's null vectors at the true roots, and the roots kicked
@@ -257,12 +262,44 @@ class TestRefine:
         assert np.max(np.abs(points - roots)) <= 1e-10
 
     def test_residual_is_the_pre_step_value(self):
+        # with finite vectors supplied, the pre-step residual is
+        # max_i ||P_i(x) v_i|| / (||v_i|| scale_i) of the given triplets,
+        # above sigma_min / scale_i, and a row's bits do not depend on the
+        # other rows of the stack
         rng = np.random.default_rng(62)
         p = systems.random_pmep(rng, (3, 2, 1), (1, 2, 1), Basis.CHEBYSHEV1)
         start = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-        jets = [poly.eval_many(start, jet=True) for poly in p.polys]
-        before = _gate(p, [jet[:, 0] for jet in jets])
-        assert list(before) == [residual(p, x) for x in start]
+        vecs = [
+            rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n)) for n in p.sizes
+        ]
+        before = extract._newton_step(p, start, vecs)[3]
+        want = [
+            max(
+                np.linalg.norm(poly.eval(x) @ v[j]) / np.linalg.norm(v[j]) / poly.max_coeff_norm()
+                for poly, v in zip(p.polys, vecs)
+            )
+            for j, x in enumerate(start)
+        ]
+        np.testing.assert_allclose(before, want, rtol=1e-12)
+        assert np.all(before > residual(p, start))
+        for j in range(len(start)):
+            one = extract._newton_step(p, start[j : j + 1], [v[j : j + 1] for v in vecs])
+            assert one[3][0] == before[j]
+
+    def test_zero_polynomial_contributes_zero(self):
+        # as in `residual`, a zero equation adds nothing to the triplet's
+        # residual; its Jacobian block is zero, so the step is singular and
+        # the point keeps the residual of the other equation
+        p = systems.quadratic_pair_system()
+        zero = MatrixPoly(np.zeros((3, 3, 2, 2)), Basis.MONOMIAL)
+        mixed = Pmep([p.polys[0], zero])
+        x = np.array([[0.5, -0.25j]])
+        vecs = [np.array([[1.0, 2.0j]]), np.array([[1.0, 0.0]])]
+        points, res = refine(mixed, x, vecs=vecs)
+        poly = p.polys[0]
+        want = np.linalg.norm(poly.eval(x[0]) @ vecs[0][0]) / np.linalg.norm(vecs[0][0])
+        assert np.array_equal(points, x)
+        assert res[0] == pytest.approx(want / poly.max_coeff_norm(), rel=1e-12)
 
     def test_failing_rows_step_again_while_converging(self, monkeypatch):
         # roots kicked by 1e-6 pass after one step; kicked by 5e-3 they are
@@ -276,12 +313,13 @@ class TestRefine:
         far = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
         start = np.concatenate([roots + 1e-6 * kick, roots + 5e-3 * kick, far])
         one_step, one_res = refine(p, start)
-        rows = []
+        rows, calls = [], []
         step = extract._newton_step
 
-        def recorded(p, X, vecs=None):
+        def recorded(p, X, *args):
             rows.append(len(X))
-            return step(p, X, vecs)
+            calls.append((args, step(p, X, *args)))
+            return calls[-1][1]
 
         monkeypatch.setattr(extract, "_newton_step", recorded)
         points, res = refine(p, start, tol=1e-8)
@@ -290,7 +328,17 @@ class TestRefine:
         assert np.min(one_res[n : 2 * n]) > 1e-8 >= np.max(res[: 2 * n])
         assert np.array_equal(points[:n], one_step[:n])
         assert np.array_equal(points[2 * n :], one_step[2 * n :])
-        assert np.all(res == [residual(p, x) for x in points])
+        # the second step starts from the first one's point, vectors and
+        # residual, and its rows return the residual of the triplet they keep
+        (_, first), ((vecs, before), second) = calls
+        again = slice(n, 2 * n)
+        assert np.array_equal(before, first[2][again])
+        assert all(np.array_equal(v, w[again]) for v, w in zip(vecs, first[1]))
+        stepped, _, after, _ = second
+        better = (after < before)[:, None]
+        assert np.array_equal(points[again], np.where(better, stepped, first[0][again]))
+        assert np.array_equal(res[again], np.minimum(after, before))
+        assert np.all(residual(p, points) <= res + 1e-14)
 
     def test_empty_batch(self):
         points, res = refine(systems.quadratic_pair_system(), np.zeros((0, 2)))

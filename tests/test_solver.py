@@ -735,23 +735,77 @@ class TestBatchedGate:
 
     def test_eigenvector_reads_make_no_with_vector_svd(self, monkeypatch):
         # block 0 of each eigenvector gives the first Newton step its null
-        # vectors, and every residual comes from singular values alone; the
+        # vectors, and later steps carry the vectors Newton refined; the
         # ratio read (dense) and the Kronecker read (linear MEP) both pass
-        # every root after one step, so no row needs the SVD's vectors
-        with_vectors = []
-        svd = np.linalg.svd
-
-        def recorded(a, *args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                with_vectors.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
+        # every root after one step, so no row needs the SVD's vectors, and
+        # the gate's residual is a matrix-vector product: `refine` makes no
+        # SVD at all
+        svds, _ = record_svds(monkeypatch)
         dense = solve(systems.random_pmep(np.random.default_rng(1), (3, 3), (3, 3)))
         linear = solve(random_linear_mep(np.random.default_rng(11), (3, 4)))
         assert len(dense) == 162 and len(linear) == 12
         assert all(not s.flags["reduced"] for s in (*dense, *linear))
-        assert with_vectors == []
+        assert [uv for _, _, uv in svds if uv] == []
+        assert [call for call, _, _ in svds if call is not None] == []
+
+    def test_fallback_svds_run_only_on_first_steps(self, monkeypatch):
+        # the sixth sparse draw has one root only the fallback finds; its
+        # candidates come with no vectors, so their first step takes them
+        # from a with-vector SVD, and the steps after it carry their own
+        svds, calls = record_svds(monkeypatch)
+        rng = np.random.default_rng(20261018)
+        for _ in range(6):
+            p = systems.sparse_random_pmep(rng)
+        out = solve(p)
+        assert len(out) == 5 and sum(s.flags["reduced"] for s in out) == 1
+        in_refine = [(call, step, uv) for call, step, uv in svds if call is not None]
+        assert in_refine
+        assert all(uv and step == 0 and calls[call][0] is None for call, step, uv in in_refine)
+        assert any(given is None and steps > 1 for given, steps in calls)
+
+
+def record_svds(monkeypatch):
+    """Record every np.linalg.svd call outside `MatrixPoly.max_coeff_norm`.
+
+    Returns ``(svds, calls)``: ``svds`` holds (refine call, Newton step, with
+    vectors) per SVD, the call and step None outside `solver.refine`;
+    ``calls`` holds (vecs, Newton steps taken) per refine call.
+    """
+    svds, calls, at = [], [], {"call": None, "norm": 0}
+    refine, step, norm = solver.refine, extract._newton_step, MatrixPoly.max_coeff_norm
+    svd = np.linalg.svd
+
+    def counted_refine(p, X, tol=np.inf, vecs=None):
+        at["call"] = len(calls)
+        calls.append([vecs, 0])
+        try:
+            return refine(p, X, tol, vecs)
+        finally:
+            at["call"] = None
+
+    def counted_step(*args):
+        calls[at["call"]][1] += 1
+        return step(*args)
+
+    def counted_norm(self):
+        at["norm"] += 1
+        try:
+            return norm(self)
+        finally:
+            at["norm"] -= 1
+
+    def counted_svd(a, *args, **kwargs):
+        if not at["norm"]:
+            call = at["call"]
+            where = None if call is None else calls[call][1] - 1
+            svds.append((call, where, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "refine", counted_refine)
+    monkeypatch.setattr(extract, "_newton_step", counted_step)
+    monkeypatch.setattr(MatrixPoly, "max_coeff_norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return svds, calls
 
 
 class TestUnivariatePassthrough:

@@ -3,9 +3,10 @@
 For each seed, every problem of the `dense`, `structured` and `many_roots`
 workloads of `perfbench/problems.py` is written to a problem document and
 solved with ``run_cli(["solve", doc, "-o", out] + args)``, the call the
-benchmark makes.  One line per document goes to standard output::
+benchmark makes.  One line per document goes to standard output, with the
+number of solutions the document holds (``-`` when none was written)::
 
-    workload seed name exit_code sha256
+    workload seed name exit_code count sha256
 
 The package is imported from this tree's `src/`, and BLAS runs on one thread,
 as in the benchmark.  To check that a change leaves every document
@@ -16,8 +17,11 @@ the tree after it against that list::
     python3 tools/document_hashes.py --seeds 0 1 2 --against before.txt
 
 With ``--against`` only the documents that differ from the saved list (or
-are missing from it) are printed, each with its saved exit code and hash,
-and the exit code is 1 if any differs.
+are missing from it) are printed, each with its saved fields and the kind of
+change: ``count`` when the exit code or the solution count moved, ``bytes``
+when only the hash did.  The exit code is 2 if any count moved, else 1 if
+any bytes did, else 0.  A change that rewrites residuals on purpose must
+show ``bytes`` lines only.
 """
 
 import argparse
@@ -25,6 +29,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import sys
 import tempfile
@@ -43,7 +48,8 @@ def _load_problems():
 
 
 def document_hashes(seeds):
-    """Yield (workload, seed, name, exit code, sha256 of the document) per problem."""
+    """Yield (workload, seed, name, exit code, solution count, sha256 of the
+    document) per problem."""
     sys.path.insert(0, str(ROOT / "src"))
     from multipolyeig.cli import run_cli
 
@@ -59,7 +65,9 @@ def document_hashes(seeds):
                     with contextlib.redirect_stderr(io.StringIO()):
                         code = run_cli(["solve", doc, "-o", out] + prob["args"])
                     text = Path(out).read_bytes() if os.path.exists(out) else b""
-                    yield workload, seed, prob["name"], code, hashlib.sha256(text).hexdigest()
+                    count = len(json.loads(text)["solutions"]) if text else "-"
+                    digest = hashlib.sha256(text).hexdigest()
+                    yield workload, seed, prob["name"], code, count, digest
 
 
 def main(argv=None):
@@ -77,7 +85,7 @@ def main(argv=None):
     # before numpy is imported, which reads them once
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    differ = 0
+    worst = 0
     for row in document_hashes(args.seeds):
         fields = [str(v) for v in row]
         if saved is None:
@@ -85,9 +93,10 @@ def main(argv=None):
             continue
         was = saved.get(tuple(fields[:3]), ["none"])
         if was != fields[3:]:
-            differ += 1
-            print(*fields, "saved:", *was, flush=True)
-    return 1 if differ else 0
+            moved = was[:2] != fields[3:5]
+            worst = max(worst, 2 if moved else 1)
+            print(*fields, "count" if moved else "bytes", "saved:", *was, flush=True)
+    return worst
 
 
 if __name__ == "__main__":
