@@ -3,8 +3,8 @@
 Eigenvectors of the resultant R(x_d) carry block Vandermonde structure: the
 flat vector is a stack of N-sized blocks indexed colexicographically by the
 s-exponent multi-index (i_1..i_{d-1}), and block i holds
-prod_k x_k^{i_k} * v.  The coordinate x_k is therefore the entrywise ratio of
-the unit-exponent block e_k against the zero-exponent block.
+prod_k x_k^{i_k} * v.  The coordinate x_k is therefore the ratio of the
+unit-exponent block e_k to the zero-exponent block, read by least squares.
 
 Candidate points are then refined and gated in one batch on the original
 system (`refine`): Newton steps on each point and its null vectors v_i, and
@@ -93,23 +93,19 @@ def block_indices(shape, exponents):
     return np.arange(shape.N) + shape.N * flat
 
 
-# share of the usable divisors, largest first, whose ratios are averaged
-_KEEP_FRACTION = 0.25
-
-
 def vandermonde_ratios(V, shape, mask=None):
     """Recover x_1..x_{d-1} from a (k, size) stack of resultant eigenvectors.
 
-    For each coordinate k with a ratio block (alpha_k > 0), averages the
-    ratios of unmasked entries of the e_k block against the zero block,
-    using only the pairs whose divisor magnitude lies in the top
-    `_KEEP_FRACTION`.  ``mask`` (boolean, True = usable) has one entry per
-    eigenvector component.  A coordinate without a ratio block
-    (alpha_k = 0) reads NaN in its own column.
+    For each coordinate k with a ratio block (alpha_k > 0), block e_k of an
+    eigenvector is x_k times block 0, so x_k is read as the least-squares
+    ratio of the two blocks over the entry pairs kept on both sides,
+    sum conj(b_0) b_{e_k} / sum |b_0|^2.  ``mask`` (boolean, True = kept)
+    has one entry per eigenvector component.  A coordinate without a ratio
+    block (alpha_k = 0) reads NaN in its own column.
 
     The stack is read in one set of array calls and gives (k, d-1).  A row
-    with no usable entry pair for some coordinate with a ratio block
-    (masking or zero divisors remove everything) comes back all NaN.
+    whose kept block-0 entries for some coordinate with a ratio block are
+    all zero (or none is kept) comes back all NaN.
     """
     stack = np.asarray(V, dtype=complex)
     if stack.ndim != 2 or stack.shape[1] != shape.resultant_size:
@@ -120,7 +116,6 @@ def vandermonde_ratios(V, shape, mask=None):
             raise ValueError("mask length does not match the eigenvector")
     zero_idx = block_indices(shape, (0,) * (shape.d - 1))
     den = stack[:, zero_idx]
-    mag = np.abs(den)
     out = np.full((stack.shape[0], shape.d - 1), np.nan, dtype=complex)
     failed = np.zeros(stack.shape[0], dtype=bool)
     for k in range(shape.d - 1):
@@ -129,20 +124,11 @@ def vandermonde_ratios(V, shape, mask=None):
         unit = [0] * (shape.d - 1)
         unit[k] = 1
         num_idx = block_indices(shape, unit)
-        usable = mag > 0
-        if mask is not None:
-            usable &= mask[zero_idx] & mask[num_idx]
-        count = np.count_nonzero(usable, axis=1)
-        failed |= count == 0
-        # the top `keep` usable divisors of every row, largest first
-        keep = np.maximum(1, np.ceil(_KEEP_FRACTION * count).astype(int))
-        order = np.argsort(-np.where(usable, mag, -1.0), axis=1)
-        pick = np.arange(shape.N) < keep[:, None]
-        pick &= np.take_along_axis(usable, order, axis=1)
-        num = np.take_along_axis(stack[:, num_idx], order, axis=1)
-        div = np.take_along_axis(den, order, axis=1)
-        ratios = np.divide(num, div, out=np.zeros_like(num), where=pick)
-        out[:, k] = np.sum(ratios, axis=1) / keep
+        b0 = den if mask is None else den * (mask[zero_idx] & mask[num_idx])
+        norm = np.sum(np.abs(b0) ** 2, axis=1)
+        failed |= norm == 0
+        dot = np.einsum("kj,kj->k", b0.conj(), stack[:, num_idx])
+        out[:, k] = np.divide(dot, norm, out=np.zeros_like(dot), where=norm > 0)
     out[failed] = np.nan
     return out
 
@@ -406,11 +392,15 @@ def filter_solutions(cands, residual_tol):
 
     A candidate duplicates a kept point y when
     max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf); candidates are visited in
-    residual order, so the best-residual copy of each point survives.
+    residual order, so the best-residual copy of each point survives.  The
+    survivor reads ``reduced: False`` when any copy does, so the flag does
+    not hang on a last-bit residual tie between a read and a reduced copy.
     """
     kept = [s for s in cands if s.residual <= residual_tol]
     kept.sort(key=lambda s: s.residual)
     if not kept:
         return SolutionSet([])
     first = _first_copy(np.array([s.x for s in kept]))
+    for i in {first[i] for i, s in enumerate(kept) if not s.flags["reduced"]}:
+        kept[i].flags = {**kept[i].flags, "reduced": False}
     return SolutionSet([s for i, s in enumerate(kept) if first[i] == i])

@@ -8,11 +8,13 @@ That pencil is never formed: its standard eigenvalue problem
 C = (A + sigma*B)^-1 B is built straight from R's coefficients with one
 solve with R(sigma), of side n, and the shift sigma is the one of three
 fixed points where R(sigma) is best conditioned; under a bound on its
-condition estimate the solve certifies R regular.  Only an R that it does
-not certify needs `normal_rank` and, when singular, the random two-sided
-compression to its normal rank, `project_singular`.  Eigenpairs come back
-unrefined: the solver polishes the roots they lead to with Newton steps on
-the original system (`extract.refine`).  Everything here runs on numpy alone.
+condition estimate the solve certifies R regular, so one factorization
+both certifies and solves.  Only an R that it does not certify needs
+`normal_rank` and, when singular, the random two-sided compression to its
+normal rank, `project_singular`, before it is solved again.  Eigenpairs
+come back unrefined: the solver polishes the roots they lead to with Newton
+steps on the original system (`extract.refine`).  Everything here runs on
+numpy alone.
 """
 
 import functools

@@ -7,24 +7,26 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    variable and permute it last,
 2. `_eigenpairs`: build R(x_d): the hidden-variable Dixon resultant in
    general, the operator-determinant pencil x_d Delta_0 - Delta_d of side N
-   for a linear MEP, the polynomial itself for d = 1.  Solve by shift and
-   invert, with C of the companion/colleague pencil built from R's
-   coefficients and R(sigma), whose LU certifies a regular R (`_certified`);
-   any other R first loses its structurally zero rows and columns (Kapur,
-   Saxena and Yang), has its normal rank probed, and is compressed by a
-   two-sided projection when singular.  The eigenpairs stay unrefined, with
-   no vectors when nothing is read from them.  Then, for all eigenpairs in
-   one stacked call, read each x_k with a ratio block (alpha_k > 0) off the
-   block Vandermonde structure of the eigenvector, on the kept columns.
-   Every x_k without one (alpha_k = 0: a degree-one x_1 of the Dixon
-   resultant, every front coordinate of the other two) is read in one
-   batch: it solves the equations, with the other coordinates substituted,
-   in the least-squares sense on the Kronecker factors v_1 kron ... kron v_d
-   of block 0.  Those factors are taken once, whenever eigenvectors exist
-   and the kept columns hold all of block 0, and serve the gate as well.  A
-   read that fails gives NaN, and so does every read of a projected pencil
-   or of kept columns that leave it short.  The points are put back in the
-   caller's variable order,
+   for a linear MEP, the polynomial itself for d = 1.  R loses its
+   structurally zero rows and columns (Kapur, Saxena and Yang) and the core
+   left is solved by shift and invert, with C of the companion/colleague
+   pencil built from its coefficients and R(sigma), whose LU certifies a
+   regular core; only a core that it does not certify has its normal rank
+   probed, is compressed by a two-sided projection when singular, and is
+   solved again.  The eigenpairs stay unrefined, with no vectors when
+   nothing is read from them.  Then, for all eigenpairs in one stacked
+   call, read each x_k with a ratio block (alpha_k > 0) off the block
+   Vandermonde structure of the eigenvector, as a least-squares ratio on
+   the kept columns.  Every x_k without one (alpha_k = 0: a degree-one x_1
+   of the Dixon resultant, every front coordinate of the other two) is read
+   in one batch: it solves the equations, with the other coordinates
+   substituted, in the least-squares sense on the Kronecker factors
+   v_1 kron ... kron v_d of block 0.  Those factors are taken once,
+   whenever eigenvectors exist and the kept columns hold all of block 0,
+   and serve the gate as well.  A read that fails gives NaN, and so does
+   every read of a projected pencil or of kept columns that leave it short:
+   a ratio block with no kept entry pair, or a Kronecker read without all
+   of block 0.  The points are put back in the caller's variable order,
 3. `_gate_reads`: gate every read point in one call (`extract.refine`):
    each point takes one Newton step on the original system, on the point
    and its null vectors v_i jointly, keeps it only if it lowers the
@@ -159,33 +161,6 @@ def _structural_core(R, rank_tol):
     return MatrixPoly(R.coeffs[(slice(None), *np.ix_(rows, cols))], R.basis), cols
 
 
-def _certified(R, vectors, rank_tol):
-    """`solve_pep` of R, or None unless some R(sigma) has a condition estimate
-    at most rank_tol^-1/2, halfway (in log scale) to the rank probe's cut: a
-    row or column of entries within rank_tol of R's largest makes it about
-    1/rank_tol, so a certified R is whole and of full normal rank."""
-    try:
-        return solve_pep(R, vectors, max_cond=rank_tol**-0.5) if R.m >= 1 else None
-    except SingularPencilError:
-        return None
-
-
-def _masked_out(shape, mask):
-    """Whether the kept columns leave a read short: a ratio block without an
-    entry pair, or a Kronecker read without all of block 0."""
-    zero = mask[block_indices(shape, (0,) * (shape.d - 1))]
-    for k in range(shape.d - 1):
-        if shape.alpha[k] == 0:  # no ratio block: the Kronecker read factors block 0
-            if not np.all(zero):
-                return True
-            continue
-        unit = [0] * (shape.d - 1)
-        unit[k] = 1
-        if not np.any(zero & mask[block_indices(shape, unit)]):
-            return True
-    return False
-
-
 def _resultant(work):
     """R(x_d) of the permuted system and the layout of its eigenvectors.
 
@@ -298,25 +273,32 @@ def _hide(p, cfg):
 def _eigenpairs(work, unpermute, cfg):
     """The ungated `_Eigenpairs` of the permuted system, and R's diagnostics.
 
-    A certified R is solved as it is and draws nothing from the seed's
-    generator.  A projected pencil's eigenvectors, or a read the kept
-    columns leave short, give nothing: every eigenpair then reads NaN.
-    Otherwise the ratio read fills the coordinates with a ratio block, and
-    the Kronecker read, which substitutes every coordinate it does not
-    read, the others.
+    R's structural core is solved once when some R(sigma) certifies it, with
+    a condition estimate at most rank_tol^-1/2, halfway (in log scale) to
+    the rank probe's cut; such a core draws nothing from the seed's
+    generator.  A row or column of entries at most rank_tol times R's
+    largest makes the estimate about 1/rank_tol, so an R that would certify
+    whole loses nothing to the deflation.  A projected pencil's
+    eigenvectors give nothing: every eigenpair then reads NaN.  Otherwise
+    the ratio read fills the coordinates with a ratio block, and the
+    Kronecker read, which substitutes every coordinate it does not read,
+    the others; a read the kept columns leave short reads NaN.
     """
     d = work.d
     R, shape = _resultant(work)
-    eigpairs = _certified(R, d > 1, cfg.rank_tol)
-    mask, rank, projected, vectors = np.ones(R.size, dtype=bool), R.size, False, d > 1
-    if eigpairs is None:  # deflate, probe the normal rank, project a singular core
+    core, mask = _structural_core(R, cfg.rank_tol)
+    rank, projected, vectors = core.size, False, d > 1
+    try:  # a constant core has no shift to certify it, and is probed
+        eigpairs = solve_pep(core, vectors, max_cond=cfg.rank_tol**-0.5) if core.m >= 1 else None
+    except SingularPencilError:
+        eigpairs = None
+    if eigpairs is None:  # probe the normal rank, project a singular core
         rng = np.random.default_rng([cfg.seed, 1])
-        core, mask = _structural_core(R, cfg.rank_tol)
         rp = normal_rank(core, rank_tol=cfg.rank_tol, rng=rng)
         rank, projected = rp.normal_rank, rp.normal_rank < core.size
         if projected:
             core = project_singular(core, rp, rng)[0]
-        vectors = d > 1 and not (projected or _masked_out(shape, mask))
+        vectors = d > 1 and not projected
         eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lam = np.array([val for val, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
@@ -331,7 +313,7 @@ def _eigenpairs(work, unpermute, cfg):
         if any(shape.alpha):  # rows whose read fails come back NaN
             fronts = vandermonde_ratios(vecs, shape, mask)
         read = [k for k in range(d - 1) if shape.alpha[k] == 0]
-        if read:  # rows whose ratio read failed stay NaN
+        if read and factors is not None:  # rows whose ratio read failed stay NaN
             fronts[:, read] = _kronecker_read(work, factors, np.column_stack([fronts, lam]), read)
     x = np.column_stack([fronts, lam])[:, unpermute]
     info = {"resultant_size": R.size, "normal_rank": rank, "projected": projected}

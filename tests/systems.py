@@ -87,6 +87,26 @@ def shared_factor_system():
     return Pmep(polys)
 
 
+def rank_one_front_system(rng):
+    """Bilinear-in-x1 pair of side 2 whose x1 coefficients are rank one:
+    P1 = A(x2) + x1 (1 + 2x2) e_1 e_2^T, P2 = B(x2) + x1 e_1 e_1^T, with A
+    and B random of degree one in x2.
+
+    Hiding x2 leaves x1 of degree one with no ratio block, so block 0 is the
+    whole eigenvector of the 4 x 4 resultant.  That resultant combines only
+    A (x) e_1 e_1^T and e_1 e_2^T (x) B, so its row 3 and column 1 are zero
+    at every coefficient, and its core of side 3 is regular.  det P1 and det P2 have bidegree
+    (1, 2), so the system has 4 roots.
+    """
+    c1 = np.zeros((2, 2, 2, 2), dtype=complex)
+    c2 = np.zeros((2, 2, 2, 2), dtype=complex)
+    c1[0] = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    c2[0] = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    c1[1, :, 0, 1] = [1.0, 2.0]
+    c2[1, 0, 0, 0] = 1.0
+    return Pmep([MatrixPoly(c1), MatrixPoly(c2)])
+
+
 def quadratic_pair_system(basis=Basis.MONOMIAL):
     c1 = np.zeros((3, 3, 2, 2), dtype=complex)
     c1[0, 0] = [[0, 1], [2, 0]]

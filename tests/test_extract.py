@@ -88,6 +88,20 @@ class TestVandermondeRatios:
         bad = vandermonde_ratios(vec[None], sh)[0]
         assert abs(bad[0] - x[0]) > 1e-3
 
+    def test_least_squares_ratio_over_kept_pairs(self):
+        # off exact structure the read is the least-squares ratio of block
+        # e_1 against block 0, over the entry pairs kept on both sides
+        sh = pair_shape()
+        rng = np.random.default_rng(52)
+        vec = systems.vandermonde_vector(sh, np.array([0.7 + 0.2j]), np.arange(1.0, 5.0))
+        vec = vec + 0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        mask = np.ones(8, dtype=bool)
+        mask[5] = False  # the e_1 side of the pair (1, 5)
+        b0, b1 = vec[[0, 2, 3]], vec[[4, 6, 7]]
+        want = np.vdot(b0, b1) / np.vdot(b0, b0).real
+        got = vandermonde_ratios(vec[None], sh, mask=mask)[0, 0]
+        assert abs(got - want) <= 1e-15 * abs(want)
+
     # an unreadable row reads NaN in its stack; a lone vector is not a stack
 
     def test_missing_block_raises(self):
@@ -385,6 +399,16 @@ class TestFilterSolutions:
         b = Solution(np.array([1.0 + 1e-5, 2.0]), 1e-12)
         out = filter_solutions([a, b], 1e-8)
         assert len(out) == 2
+
+    def test_a_read_copy_clears_reduced(self):
+        # the reduced copy wins the residual tie by its last bits; the kept
+        # point still reads as read, since a copy of it was
+        reduced = Solution(np.array([1.0, 2.0]), 2.08e-14, {"reduced": True})
+        read = Solution(np.array([1.0 + 1e-13, 2.0]), 2.18e-14, {"reduced": False})
+        out = filter_solutions([read, reduced], 1e-8)
+        assert len(out) == 1
+        assert out[0].residual == 2.08e-14
+        assert out[0].flags["reduced"] is False
 
 
 class TestSolutionTypes:

@@ -8,6 +8,7 @@ import pytest
 import systems
 from multipolyeig import extract, pep, solver
 from multipolyeig.dixon import DixonShape, build_resultant
+from multipolyeig.errors import SingularPencilError
 from multipolyeig.extract import _first_copy
 from multipolyeig.io import serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
@@ -403,18 +404,29 @@ class TestDeflation:
         assert np.all(extract.residual(p, out.points()) <= 1e-8)
 
     def test_kept_columns_that_leave_a_read_short(self):
-        # a ratio read needs one kept entry pair; a Kronecker read factors
-        # all of block 0, so a dropped entry there would read garbage
+        # a ratio read needs one kept entry pair: without one the row reads NaN
         ratio = DixonShape(2, (2, 2), (2, 2))  # blocks 0 and e_1, side 4 each
-        kron = DixonShape(2, (1, 1), (2, 2))  # block 0 only
+        vec = systems.vandermonde_vector(ratio, np.array([0.5]), np.arange(1.0, 5.0))
         keep = np.ones(8, dtype=bool)
-        assert not solver._masked_out(ratio, keep)
-        assert not solver._masked_out(kron, keep[:4])
         keep[[0, 5, 6, 7]] = False  # every entry pair (j, j + 4) loses a side
-        assert solver._masked_out(ratio, keep)
-        assert solver._masked_out(kron, keep[:4])
+        assert np.all(np.isnan(extract.vandermonde_ratios(vec[None], ratio, keep)))
         keep[7] = True  # the pair (3, 7) is whole again
-        assert not solver._masked_out(ratio, keep)
+        assert np.allclose(extract.vandermonde_ratios(vec[None], ratio, keep), 0.5)
+        # a Kronecker read factors all of block 0: with a column of it
+        # dropped there are no factors, every eigenpair reads NaN, and each
+        # root comes from the fallback
+        p = systems.rank_one_front_system(np.random.default_rng(0))
+        cfg = SolverConfig()
+        _, work, unpermute = solver._hide(p, cfg)
+        pairs, info = solver._eigenpairs(work, unpermute, cfg)
+        assert info == {"resultant_size": 4, "normal_rank": 3, "projected": False}
+        assert pairs.factors is None
+        assert len(pairs.lam) > 0
+        assert np.all(np.isnan(pairs.x[:, 0]))
+        out = solve(p)
+        assert len(out) == 4
+        assert all(s.flags["reduced"] for s in out)
+        assert np.all(extract.residual(p, out.points()) <= 1e-8)
 
     def test_sparse_random_systems(self):
         # sparse inputs give singular resultants with and without structural
@@ -431,8 +443,8 @@ class TestDeflation:
 @pytest.fixture
 def rank_machinery(monkeypatch):
     """Count the calls a solve makes, nested solves included, to the
-    deflation, the rank probe and the projection."""
-    calls = {"_structural_core": 0, "normal_rank": 0, "project_singular": 0}
+    deflation, the rank probe, the projection and the eigensolve."""
+    calls = {"_structural_core": 0, "normal_rank": 0, "project_singular": 0, "solve_pep": 0}
 
     def counted(name):
         original = getattr(solver, name)
@@ -449,8 +461,9 @@ def rank_machinery(monkeypatch):
 
 
 class TestCertifiedResultant:
-    # a shift where R(sigma) is well conditioned certifies R regular and
-    # whole; only an R that no shift certifies is deflated, probed and
+    # every R first loses its structurally zero rows and columns; a shift
+    # where the core's R(sigma) is well conditioned certifies the core
+    # regular, and only a core that no shift certifies is probed and
     # projected
     @pytest.mark.parametrize(
         "make, count",
@@ -464,15 +477,32 @@ class TestCertifiedResultant:
     def test_regular_input_skips_the_rank_machinery(self, rank_machinery, make, count):
         p = make()
         out = solve(p)
-        assert rank_machinery == {"_structural_core": 0, "normal_rank": 0, "project_singular": 0}
+        assert rank_machinery == {
+            "_structural_core": 1,
+            "normal_rank": 0,
+            "project_singular": 0,
+            "solve_pep": 1,
+        }
         assert len(out) == count
         assert out.diagnostics["normal_rank"] == out.diagnostics["resultant_size"]
         assert out.diagnostics["projected"] is False
 
+    def test_deflated_core_is_certified_with_one_eigensolve(self, rank_machinery):
+        # the resultant of side 8 has 3 structurally zero rows and columns;
+        # its core of side 5 is regular, so one solve both certifies and
+        # solves it, its rank is never probed, and both roots are read
+        cfg = SolverConfig()
+        _, work, unpermute = solver._hide(systems.rank_deficient_pair_system(), cfg)
+        pairs, info = solver._eigenpairs(work, unpermute, cfg)
+        assert rank_machinery["solve_pep"] == 1
+        assert rank_machinery["normal_rank"] == 0
+        assert info == {"resultant_size": 8, "normal_rank": 5, "projected": False}
+        read = pairs.x[np.all(np.isfinite(pairs.x), axis=1)]
+        assert_same_points(read, systems.rank_deficient_pair_solutions(), 1e-8)
+
     @pytest.mark.parametrize(
         "make, size, rank, projected",
         [
-            (systems.rank_deficient_pair_system, 8, 5, False),
             (systems.mixed_rank_deficient_pair_system, 8, 5, True),
             (systems.shared_factor_system, 4, 3, True),
         ],
@@ -493,10 +523,12 @@ class TestCertifiedResultant:
         c[0] = np.diag([-1.0, -2e-8])
         c[1] = np.diag([1.0, 1e-8])
         R = MatrixPoly(c)
-        assert solver._certified(R, False, SolverConfig().rank_tol) is None
+        with pytest.raises(SingularPencilError):
+            pep.solve_pep(R, False, max_cond=SolverConfig().rank_tol**-0.5)
         out = solve(Pmep([R]))
         assert rank_machinery["normal_rank"] == 1
         assert rank_machinery["project_singular"] == 0
+        assert rank_machinery["solve_pep"] == 2  # the failed certificate, then the solve
         assert out.diagnostics["normal_rank"] == 2
         assert out.diagnostics["projected"] is False
         assert_same_points(out.points(), [[1.0], [2.0]], 1e-12)
