@@ -10,7 +10,6 @@ and polishing every root with Newton steps on the original system.
 
 from .dixon import DixonShape, build_resultant, dixon_numerator_eval
 from .errors import (
-    DixonConsistencyError,
     MultiPolyEigError,
     ParseError,
     ProjectionFailureError,
@@ -61,7 +60,6 @@ __all__ = [
     "parse_solutions",
     "serialize_solutions",
     "MultiPolyEigError",
-    "DixonConsistencyError",
     "SingularMepError",
     "SingularPencilError",
     "ProjectionFailureError",

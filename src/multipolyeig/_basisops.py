@@ -2,8 +2,8 @@
 
 Each `Basis` member names its `numpy.polynomial` kernels, and the functions
 here take the member and look its kernel up, so both bases share one code
-path.  `shift_multiply_matrix` is a basis's multiply-by-x map: the Dixon
-multiply-back check applies it, and the eigensolver linearizes with it.
+path.  `shift_multiply_matrix` is a basis's multiply-by-x map, from which
+the eigensolver's linearization is built.
 """
 
 import enum
@@ -114,5 +114,6 @@ def shift_multiply_matrix(basis, deg_in):
     """Matrix M of the 'multiply by the variable' map on coefficient vectors,
     from degree deg_in to degree deg_in+1: x*phi_j = sum_i M[i, j] phi_i
     (cached, read-only).  Monomial: a shift by one; Chebyshev: x*T_0 = T_1
-    and x*T_a = (T_{a+1} + T_{a-1})/2 for a >= 1."""
+    and x*T_a = (T_{a+1} + T_{a-1})/2 for a >= 1.  The linearization in
+    `pep` is its only user."""
     return _kernel_matrix(basis.mulx, deg_in + 1, deg_in + 2)

@@ -3,12 +3,12 @@
 Pipeline, run on stacks of interpolation nodes in the hidden variable x_d
 (every node of a stack in one array call per step):
 
-1. substitute the nodes into the equations and evaluate the block-determinant
-   numerator of the Dixon function on a tensor grid in
-   (s_1..s_{d-1}, t_1..t_{d-1}),
-2. divide by prod_k (s_k - t_k) pointwise (the s and t node sets are
-   disjoint), interpolate the quotient's coefficients and check them by
-   multiplying back, node by node,
+1. substitute the nodes into the equations and evaluate the Dixon function on
+   a tensor grid in (s_1..s_{d-1}, t_1..t_{d-1}): the block Kronecker
+   determinant of the hybrid-point table with its first d-1 block columns
+   replaced by divided differences, which is the block-determinant numerator
+   divided by prod_k (s_k - t_k) (Dixon, Proc. London Math. Soc. 1908),
+2. interpolate its coefficients with square maps on the s and t axes,
 3. unfold each node's coefficient tensor into a square matrix,
 
 then interpolate the matrices across the x_d nodes to get the matrix
@@ -35,7 +35,6 @@ import math
 import numpy as np
 
 from . import _basisops as bo
-from .errors import DixonConsistencyError
 from .mpoly import Basis, MatrixPoly, Pmep
 from .pep import trim
 
@@ -43,7 +42,6 @@ __all__ = [
     "DixonShape",
     "kron_det",
     "dixon_numerator_eval",
-    "divide_out",
     "unfold",
     "refold",
     "build_resultant",
@@ -158,14 +156,25 @@ def _hide_nodes(p, xd_nodes):
 
 
 def _numerator_on_grid(hidden, shape, grids, basis):
-    """Numerator values on the tensor grid at a stack of x_d nodes; axes
+    """Values of the Dixon function, prod_k (s_k - t_k) times smaller than
+    the numerator, on the tensor grid at a stack of x_d nodes; axes
     (node, s_1.., t_1.., N, N).
 
     `hidden` holds the equations with x_d already substituted (`_hide_nodes`).
+    Block column j < d-1 of the hybrid-point table becomes the divided
+    difference (col_j - col_{j+1}) / (s_j - t_j): the block Kronecker
+    determinant is multilinear and alternating in its columns, so the table's
+    determinant is the numerator divided by prod_k (s_k - t_k), and every
+    entry is a polynomial (Dixon's own form of the construction).
     """
     d = shape.d
     s_rows = [bo.basis_rows(basis, grids.s[k], shape.tau[k]) for k in range(d - 1)]
     t_rows = [bo.basis_rows(basis, grids.t[k], shape.tau[k]) for k in range(d - 1)]
+    gaps = []
+    for k in range(d - 1):
+        gap_shape = [1] * (2 * d + 1)
+        gap_shape[1 + k], gap_shape[d + k] = len(grids.s[k]), len(grids.t[k])
+        gaps.append(np.subtract.outer(grids.s[k], grids.t[k]).reshape(gap_shape))
     evals = []
     for coeffs in hidden:
         per_col = []
@@ -180,81 +189,10 @@ def _numerator_on_grid(hidden, shape, grids, basis):
             for k in range(col):  # axis 1 + k currently holds the t_k grid
                 order[1 + k], order[d + k] = order[d + k], order[1 + k]
             per_col.append(np.transpose(full, order) if col else full)
-        evals.append(per_col)
-    return kron_det(evals)
-
-
-def _axis_pair(shape, k):
-    """Tensor axes of the s_k and t_k degrees in a Dixon coefficient tensor,
-    counted from the end so that leading (node) axes pass through."""
-    s_axis = k - 2 * shape.d
-    return s_axis, s_axis + (shape.d - 1)
-
-
-def _multiply_pair(h, ms, mt, ax_s, ax_t):
-    """(s - t) * h in coefficient space along one axis pair.
-
-    ms and mt are the multiply-by-the-variable maps of the s and t axes.
-    """
-    sh = bo.apply_matrix_axis(h, ms, ax_s)
-    th = bo.apply_matrix_axis(h, mt, ax_t)
-    out = np.zeros(np.maximum(sh.shape, th.shape), dtype=complex)
-    out[tuple(slice(n) for n in sh.shape)] = sh
-    out[tuple(slice(n) for n in th.shape)] -= th
-    return out
-
-
-def _coeff_shape(shape):
-    """Shape of one Dixon coefficient tensor."""
-    return (
-        tuple(a + 1 for a in shape.alpha)
-        + tuple(b + 1 for b in shape.beta)
-        + (shape.N, shape.N)
-    )
-
-
-def divide_out(num_vals, shape, grids, check_tol=1e-8):
-    """Dixon coefficient tensor: the numerator divided by prod_k (s_k - t_k).
-
-    `num_vals` holds the numerator on the tensor grid `grids` (from
-    `_grids(shape, basis)`, which fixes the basis), axes (s_1.., t_1.., N, N),
-    after any leading axes (one per x_d node of a stack), which pass through.
-    No s_k node equals a t_k node, so the division is pointwise.
-    Interpolating the quotient gives coefficients of degree alpha_k+1 in s_k
-    and beta_k+1 in t_k; the top ones vanish for an exact numerator and are
-    dropped.
-
-    Each returned quotient is multiplied back by prod_k (s_k - t_k) and
-    compared with its interpolated numerator; a relative mismatch above
-    check_tol at any node raises DixonConsistencyError.
-    """
-    num = np.asarray(num_vals, dtype=complex)
-    quot = num
-    for k in range(shape.d - 1):
-        ax_s, ax_t = _axis_pair(shape, k)
-        diff = grids.s[k].reshape((-1,) + (1,) * (-1 - ax_s))
-        diff = diff - grids.t[k].reshape((-1,) + (1,) * (-1 - ax_t))
-        quot = quot / diff
-    for k in range(shape.d - 1):
-        ax_s, ax_t = _axis_pair(shape, k)
-        quot = bo.apply_matrix_axis(quot, grids.s_interp[k], ax_s)
-        quot = bo.apply_matrix_axis(quot, grids.t_interp[k], ax_t)
-        num = bo.apply_matrix_axis(num, grids.s_interp[k], ax_s)
-        num = bo.apply_matrix_axis(num, grids.t_interp[k], ax_t)
-    quot = quot[(Ellipsis,) + tuple(slice(n) for n in _coeff_shape(shape))]
-    back = quot
-    for k in range(shape.d - 1):
-        back = _multiply_pair(back, grids.s_shift[k], grids.t_shift[k], *_axis_pair(shape, k))
-    per_node = tuple(range(num.ndim - 2 * shape.d, num.ndim))
-    scale = np.max(np.abs(num), axis=per_node)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    err = np.max(np.abs(back - num), axis=per_node)
-    if np.any(err > check_tol * scale):
-        raise DixonConsistencyError(
-            "divide-out failed the multiply-back check: relative error "
-            f"{float(np.max(err / scale)):.3e}"
+        evals.append(
+            [(per_col[j] - per_col[j + 1]) / gaps[j] for j in range(d - 1)] + [per_col[-1]]
         )
-    return quot
+    return kron_det(evals)
 
 
 def unfold(f_coeffs, shape):
@@ -265,7 +203,9 @@ def unfold(f_coeffs, shape):
     blocks are contiguous.  Leading axes (one per x_d node of a stack) pass
     through.
     """
-    expected = _coeff_shape(shape)
+    expected = (
+        tuple(a + 1 for a in shape.alpha) + tuple(b + 1 for b in shape.beta) + (shape.N, shape.N)
+    )
     f_coeffs = np.asarray(f_coeffs)
     lead = f_coeffs.ndim - len(expected)
     if lead < 0 or f_coeffs.shape[lead:] != expected:
@@ -300,25 +240,25 @@ def _unit_roots(m):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-_Grids = collections.namedtuple("_Grids", "s t s_interp t_interp s_shift t_shift")
+_Grids = collections.namedtuple("_Grids", "s t s_interp t_interp")
 
 
 def _grids(shape, basis):
     """Interpolation grids for the s_k/t_k axes and their values-to-coefficients maps.
 
-    The numerator is divided by s_k - t_k on the grid, so the s and t node
-    sets must be disjoint. Monomial input samples the unit circle: s_k at the
-    (alpha_k+2)-th roots of unity, t_k at the (beta_k+2)-th roots rotated by
-    pi/L with L = lcm(alpha_k+2, beta_k+2). In units of pi/L the s angles are
+    The Dixon function has degree alpha_k in s_k and beta_k in t_k, so s_k
+    takes alpha_k+1 nodes and t_k beta_k+1: both maps are square.  The table
+    divides by s_k - t_k on the grid, so the s and t node sets must be
+    disjoint. Monomial input samples the unit circle: s_k at the
+    (alpha_k+1)-th roots of unity, t_k at the (beta_k+1)-th roots rotated by
+    pi/L with L = lcm(alpha_k+1, beta_k+1). In units of pi/L the s angles are
     even and the t angles odd, so the sets never meet, and both Vandermonde
     matrices stay scaled DFTs (perfectly conditioned). Chebyshev input
-    interleaves a single Chebyshev family per axis pair. The s_shift/t_shift
-    maps multiply degree-alpha_k/beta_k coefficient vectors by the variable,
-    for the multiply-back check.
+    interleaves a single Chebyshev family per axis pair.
     """
     s_grids, t_grids = [], []
     for k in range(shape.d - 1):
-        k_s, k_t = shape.alpha[k] + 2, shape.beta[k] + 2
+        k_s, k_t = shape.alpha[k] + 1, shape.beta[k] + 1
         if basis == Basis.MONOMIAL:
             s_nodes = _unit_roots(k_s)
             t_nodes = _unit_roots(k_t) * np.exp(1j * np.pi / math.lcm(k_s, k_t))
@@ -331,62 +271,27 @@ def _grids(shape, basis):
         t_grids,
         [bo.interp_matrix(basis, nodes) for nodes in s_grids],
         [bo.interp_matrix(basis, nodes) for nodes in t_grids],
-        [bo.shift_multiply_matrix(basis, a) for a in shape.alpha],
-        [bo.shift_multiply_matrix(basis, b) for b in shape.beta],
     )
 
 
-def _node_noise_floor(hidden):
-    """Cancellation floor, per x_d node, of the numerator evaluated on the
-    in-[-1,1] grids.
-
-    Every Leibniz term is a Kronecker product of equation values at points
-    inside the unit box, so its entries are bounded by the product of the
-    per-equation coefficient sums; the numerator is an alternating sum of d!
-    such terms and anything at rounding distance of that bound is noise.
-    """
-    term = 1.0
-    for coeffs in hidden:
-        degree_axes = tuple(range(1, coeffs.ndim - 2))
-        term = term * np.max(np.sum(np.abs(coeffs), axis=degree_axes), axis=(-2, -1))
-    return 64.0 * math.factorial(len(hidden)) * np.finfo(float).eps * term
-
-
-def _divide_nodes(num, hidden, shape, grids, check_tol):
-    """Divided Dixon coefficient tensors at a stack of x_d nodes.
-
-    A numerator that vanishes identically at a node (the Dixon function has
-    the hidden variable's value as a content root) evaluates to pure
-    cancellation noise; it is snapped to the exact zero tensor instead of
-    being fed to the division, which could not tell noise from inconsistency.
-    """
-    live = np.max(np.abs(num), axis=tuple(range(1, num.ndim))) > _node_noise_floor(hidden)
-    if np.all(live):
-        return divide_out(num, shape, grids, check_tol)
-    out = np.zeros((len(num),) + _coeff_shape(shape), dtype=complex)
-    if np.any(live):
-        out[live] = divide_out(num[live], shape, grids, check_tol)
-    return out
-
-
-# Bytes of numerator values stacked per chunk of x_d nodes.  A chunk's
-# transient memory is about six times its numerator, so this budget keeps a
-# stacked chunk below what one large node already needs: small systems take
-# all their nodes in one chunk, and nodes whose numerator exceeds the budget
-# go one at a time.
+# Bytes of Dixon values stacked per chunk of x_d nodes.  A chunk's
+# transient memory is three to six times its values (tracemalloc, d = 2-4),
+# so this budget keeps a stacked chunk below what one large node already
+# needs: small systems take all their nodes in one chunk, and nodes whose
+# values exceed the budget go one at a time.
 _CHUNK_BYTES = 1 << 18
 
 
-def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
+def build_resultant(p, trim_tol=1e-10):
     """Construct the hidden variable tensor Dixon resultant R(x_d) of a Pmep.
 
-    Evaluates the Dixon numerator at d*tau_d + 1 nodes in x_d (unit-circle
+    Evaluates the Dixon function at d*tau_d + 1 nodes in x_d (unit-circle
     samples for monomial input, Chebyshev nodes for Chebyshev input), in
     chunks of nodes stacked along a leading axis; each chunk is substituted,
-    evaluated (one `kron_det` call), divided on the s/t grids built once
-    here (see `divide_out`) and unfolded.  The matrices are then
-    interpolated entrywise into a univariate `MatrixPoly`. Trailing
-    coefficients below trim_tol (relative) are trimmed (`pep.trim`).
+    evaluated on the s/t grids built once here (one `kron_det` call, see
+    `_numerator_on_grid`), interpolated to coefficients and unfolded.  The
+    matrices are then interpolated entrywise into a univariate `MatrixPoly`.
+    Trailing coefficients below trim_tol (relative) are trimmed (`pep.trim`).
     """
     if not isinstance(p, Pmep):
         raise ValueError("build_resultant expects a Pmep")
@@ -407,8 +312,10 @@ def build_resultant(p, trim_tol=1e-10, check_tol=1e-8):
     chunk = max(1, _CHUNK_BYTES // int(16 * shape.N**2 * grid_points))
     mats = []
     for lo in range(0, len(xd_nodes), chunk):
-        part = [h[lo : lo + chunk] for h in hidden]
-        num = _numerator_on_grid(part, shape, grids, p.basis)
-        mats.append(unfold(_divide_nodes(num, part, shape, grids, check_tol), shape))
+        vals = _numerator_on_grid([h[lo : lo + chunk] for h in hidden], shape, grids, p.basis)
+        for k in range(shape.d - 1):
+            vals = bo.apply_matrix_axis(vals, grids.s_interp[k], 1 + k)
+            vals = bo.apply_matrix_axis(vals, grids.t_interp[k], shape.d + k)
+        mats.append(unfold(vals, shape))
     coeffs = np.tensordot(to_coeff, np.concatenate(mats), axes=(1, 0))
     return trim(MatrixPoly(coeffs, p.basis), trim_tol)

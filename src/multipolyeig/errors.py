@@ -2,7 +2,6 @@
 
 __all__ = [
     "MultiPolyEigError",
-    "DixonConsistencyError",
     "SingularMepError",
     "SingularPencilError",
     "ProjectionFailureError",
@@ -12,10 +11,6 @@ __all__ = [
 
 class MultiPolyEigError(Exception):
     """Base class for solver errors (as opposed to input validation errors)."""
-
-
-class DixonConsistencyError(MultiPolyEigError):
-    """The divided Dixon function failed the multiply-back consistency check."""
 
 
 class SingularMepError(MultiPolyEigError):

@@ -11,31 +11,16 @@ from multipolyeig import dixon
 from multipolyeig.dixon import (
     DixonShape,
     _grids,
+    _hide_nodes,
+    _numerator_on_grid,
     build_resultant,
     dixon_numerator_eval,
-    divide_out,
     kron_det,
     refold,
     unfold,
 )
-from multipolyeig.errors import DixonConsistencyError
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.pep import trim
-
-
-def values_times_pair_differences(h, shape, basis, grids):
-    """Test oracle: prod_k (s_k - t_k) * h on the divide-out grids, from the
-    basis values of the coefficient tensor h."""
-    vals = h
-    for k in range(shape.d - 1):
-        ax_s, ax_t = k, (shape.d - 1) + k
-        s_rows = bo.basis_rows(basis, grids.s[k], shape.alpha[k])
-        t_rows = bo.basis_rows(basis, grids.t[k], shape.beta[k])
-        vals = bo.apply_matrix_axis(bo.apply_matrix_axis(vals, s_rows, ax_s), t_rows, ax_t)
-        diff_shape = [1] * vals.ndim
-        diff_shape[ax_s], diff_shape[ax_t] = len(grids.s[k]), len(grids.t[k])
-        vals = vals * np.subtract.outer(grids.s[k], grids.t[k]).reshape(diff_shape)
-    return vals
 
 
 def eval_tensor(tens, shape, basis, s, t):
@@ -128,58 +113,44 @@ class TestNumerator:
 BASES = (Basis.MONOMIAL, Basis.CHEBYSHEV1)
 
 
-class TestDivideOut:
-    def test_constant_quotient(self):
-        sh = DixonShape(2, (1, 1), (2, 2))
-        h = np.zeros((1, 1, 4, 4), dtype=complex)
-        h[0, 0] = np.arange(16.0).reshape(4, 4)
-        for basis in BASES:
-            grids = _grids(sh, basis)
-            vals = values_times_pair_differences(h, sh, basis, grids)
-            got = divide_out(vals, sh, grids)
-            assert got.shape == h.shape
-            assert np.max(np.abs(got - h)) <= 1e-14 * np.max(np.abs(h))
+def divided_numerator(p, grids, grid_index, xd):
+    """Test oracle: the pointwise numerator at one grid point, divided by
+    prod_k (s_k - t_k)."""
+    d = p.d
+    s = np.array([grids.s[k][grid_index[k]] for k in range(d - 1)])
+    t = np.array([grids.t[k][grid_index[d - 1 + k]] for k in range(d - 1)])
+    return dixon_numerator_eval(p, s, t, xd) / np.prod(s - t)
 
-    def test_random_round_trip_three_variables(self):
+
+class TestDividedDifferences:
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("sizes, tau", [((2, 3), (2, 2)), ((2, 1, 2), (2, 1, 2))])
+    def test_table_is_numerator_over_pair_differences(self, basis, sizes, tau):
+        # the divided-difference table's determinant equals the numerator
+        # divided by prod_k (s_k - t_k), at every grid point and x_d node
         rng = np.random.default_rng(32)
-        sh = DixonShape(3, (2, 1, 1), (2, 2, 1))
-        shape = tuple(a + 1 for a in sh.alpha) + tuple(b + 1 for b in sh.beta) + (sh.N, sh.N)
-        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for basis in BASES:
-            grids = _grids(sh, basis)
-            vals = values_times_pair_differences(h, sh, basis, grids)
-            got = divide_out(vals, sh, grids)
-            assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))
-
-    def test_stacked_nodes_divide_and_check_one_by_one(self):
-        rng = np.random.default_rng(36)
-        sh = DixonShape(2, (1, 1), (2, 2))
-        for basis in BASES:
-            grids = _grids(sh, basis)
-            hs = [random_stack(rng, (1, 1, 4, 4)) for _ in range(2)]
-            vals = np.stack([values_times_pair_differences(h, sh, basis, grids) for h in hs])
-            got = divide_out(vals, sh, grids)
-            for h, g in zip(hs, got):
-                assert np.max(np.abs(g - h)) <= 1e-14 * np.max(np.abs(h))
-            vals[1] = 1.0  # a constant is not divisible by s - t
-            with pytest.raises(DixonConsistencyError):
-                divide_out(vals, sh, grids)
-
-    def test_inconsistent_input_raises(self):
-        sh = DixonShape(2, (1, 1), (2, 2))
-        g = np.ones((2, 2, 4, 4), dtype=complex)  # a constant is not divisible by s - t
-        for basis in BASES:
-            with pytest.raises(DixonConsistencyError):
-                divide_out(g, sh, _grids(sh, basis))
+        p = systems.random_pmep(rng, sizes, tau, basis)
+        sh = DixonShape.from_pmep(p)
+        grids = _grids(sh, basis)
+        xd_nodes = np.array([0.3 - 0.2j, -0.7 + 0.1j])
+        got = _numerator_on_grid(_hide_nodes(p, xd_nodes), sh, grids, basis)
+        grid_shape = tuple(len(g) for g in grids.s) + tuple(len(g) for g in grids.t)
+        assert got.shape == (len(xd_nodes),) + grid_shape + (sh.N, sh.N)
+        for node, xd in enumerate(xd_nodes):
+            for idx in np.ndindex(*grid_shape):
+                want = divided_numerator(p, grids, idx, xd)
+                assert np.max(np.abs(got[(node,) + idx] - want)) <= 1e-12 * max(
+                    1.0, np.max(np.abs(want))
+                )
 
 
 class TestGrids:
     def test_disjoint_and_well_conditioned(self):
-        # s and t node counts alpha+2 and beta+2 from 2 to 12
+        # s and t node counts alpha+1 and beta+1 from 1 to 12
         for basis in BASES:
-            for k_s in range(2, 13):
-                for k_t in range(2, 13):
-                    sh = SimpleNamespace(d=2, alpha=(k_s - 2,), beta=(k_t - 2,))
+            for k_s in range(1, 13):
+                for k_t in range(1, 13):
+                    sh = SimpleNamespace(d=2, alpha=(k_s - 1,), beta=(k_t - 1,))
                     grids = _grids(sh, basis)
                     assert len(grids.s[0]) == k_s and len(grids.t[0]) == k_t
                     assert np.min(np.abs(np.subtract.outer(grids.s[0], grids.t[0]))) >= 1e-3
@@ -314,9 +285,9 @@ class TestBuildResultant:
 
 
 def per_node_resultant(p):
-    """Coefficients of R(x_d) one node at a time: the numerator at every grid
-    point from `dixon_numerator_eval`, then `divide_out`, `unfold` and the
-    interpolation across the x_d nodes."""
+    """Coefficients of R(x_d) one node at a time: `dixon_numerator_eval`
+    divided by prod_k (s_k - t_k) at every grid point, then interpolated on
+    the s/t axes, unfolded, and interpolated across the x_d nodes."""
     sh = DixonShape.from_pmep(p)
     grids = _grids(sh, p.basis)
     deg = sh.xd_degree_bound
@@ -329,12 +300,13 @@ def per_node_resultant(p):
     grid_shape = tuple(len(g) for g in grids.s) + tuple(len(g) for g in grids.t)
     mats = []
     for xd in nodes:
-        num = np.empty(grid_shape + (sh.N, sh.N), dtype=complex)
+        vals = np.empty(grid_shape + (sh.N, sh.N), dtype=complex)
         for idx in np.ndindex(*grid_shape):
-            s = [grids.s[k][idx[k]] for k in range(sh.d - 1)]
-            t = [grids.t[k][idx[sh.d - 1 + k]] for k in range(sh.d - 1)]
-            num[idx] = dixon_numerator_eval(p, s, t, xd)
-        mats.append(unfold(divide_out(num, sh, grids), sh))
+            vals[idx] = divided_numerator(p, grids, idx, xd)
+        for k in range(sh.d - 1):
+            vals = bo.apply_matrix_axis(vals, grids.s_interp[k], k)
+            vals = bo.apply_matrix_axis(vals, grids.t_interp[k], sh.d - 1 + k)
+        mats.append(unfold(vals, sh))
     return np.tensordot(to_coeff, np.array(mats), axes=(1, 0))
 
 
@@ -382,9 +354,9 @@ class TestStackedNodes:
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     def test_content_root_at_a_node(self, monkeypatch, chunk_bytes):
         # scalar P_2 = c P_1 + (x_2 - 1) Q: at the node x_2 = 1 the Dixon
-        # function vanishes identically, and its computed values are
-        # cancellation noise that no polynomial divides; that node is snapped
-        # to zero, within a stacked chunk or on its own
+        # function vanishes identically, and the divided-difference table
+        # gives it as rounding-level values, within a stacked chunk or on its
+        # own
         if chunk_bytes is not None:
             monkeypatch.setattr(dixon, "_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(0)

@@ -330,7 +330,7 @@ class TestWaveguide:
         assert max(s.residual for s in out) <= 1e-8
 
     def test_nested_projection_is_reported(self, monkeypatch):
-        # u = k^2 model at n = 40, u hidden: two roots share u, their
+        # u = k^2 model at n = 48, u hidden: two roots share u, their
         # eigenvectors mix, and the fallback's nested (P_1, P_2) resultant at
         # that u is singular, so the nested solve projects its pencil while
         # the top-level one is not projected
@@ -342,9 +342,9 @@ class TestWaveguide:
 
         project_singular = solver.project_singular
         monkeypatch.setattr(solver, "project_singular", recorded)
-        out = solve(systems.waveguide_system(40, even=True))
-        assert calls == [80]
-        assert out.diagnostics["normal_rank"] == 160
+        out = solve(systems.waveguide_system(48, even=True))
+        assert calls == [96]
+        assert out.diagnostics["normal_rank"] == 192
         assert out.diagnostics["projected"] is True
         assert any(s.flags["reduced"] for s in out)
 
@@ -373,15 +373,24 @@ class TestWaveguide:
         assert out.diagnostics["dropped_eigenpairs"] == 0
         assert max(s.residual for s in out) <= 1e-8
 
-    def test_k_model_hiding_k_reads_every_root(self):
-        # k model at n = 16, k hidden: the deflated core's eigenvectors give
-        # all 120 roots, with no fallback, so the core is not projected (a
+    def test_k_model_hiding_k_reads_every_root(self, monkeypatch):
+        # k model at n = 8, k hidden: the deflated core's eigenvectors give
+        # all 56 roots, with no fallback, so the core is not projected (a
         # projected pencil reads nothing).  The fallback's nested solves at
         # the eigenvalues that belong to no root do project their pencils,
         # and `projected` reports nested pencils too
-        out = solve(systems.waveguide_system(16), SolverConfig(hide_variable=1))
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0].size)
+            return project_singular(*args, **kwargs)
+
+        project_singular = solver.project_singular
+        monkeypatch.setattr(solver, "project_singular", recorded)
+        out = solve(systems.waveguide_system(8), SolverConfig(hide_variable=1))
+        assert calls == [2, 2]
         assert out.diagnostics["projected"] is True
-        assert len(out) == 120
+        assert len(out) == 56
         assert all(not s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
 
@@ -781,15 +790,15 @@ class TestBatchedGate:
         assert [call for call, _, _ in svds if call is not None] == []
 
     def test_fallback_svds_run_only_on_first_steps(self, monkeypatch):
-        # the sixth sparse draw has one root only the fallback finds; its
+        # the 21st sparse draw has four roots only the fallback finds; its
         # candidates come with no vectors, so their first step takes them
         # from a with-vector SVD, and the steps after it carry their own
         svds, calls = record_svds(monkeypatch)
         rng = np.random.default_rng(20261018)
-        for _ in range(6):
+        for _ in range(21):
             p = systems.sparse_random_pmep(rng)
         out = solve(p)
-        assert len(out) == 5 and sum(s.flags["reduced"] for s in out) == 1
+        assert len(out) == 17 and sum(s.flags["reduced"] for s in out) == 4
         in_refine = [(call, step, uv) for call, step, uv in svds if call is not None]
         assert in_refine
         assert all(uv and step == 0 and calls[call][0] is None for call, step, uv in in_refine)
