@@ -26,14 +26,15 @@ with the relative Jacobian sigma below and one of three labels:
   (det P_1, ..., det P_d) at the point is at most 1e-8, so the point lies on
   a curve of roots or is a multiple root;
 * ``near-copy``: one of several copies of one root.  A point of backward
-  error at most residual_tol near an m-fold root can lie residual_tol^(1/m)
-  away from it (the Puiseux expansion of the perturbed root), so m copies
-  lie pairwise within 2 residual_tol^(1/m), and their mean, in which the
-  leading terms of the expansion cancel, is a root itself.  A point is
-  labeled so when, for some m >= 2, its m - 1 nearest other points of its
-  own set lie that close and the mean of the m points has residual at most
-  residual_tol.  The radius nears 1 as m grows; the mean's residual keeps
-  distinct roots of crowded or symmetric sets apart;
+  error at most residual_tol (`SolverConfig`'s default, 1e-8) near an
+  m-fold root can lie residual_tol^(1/m) away from it (the Puiseux
+  expansion of the perturbed root), so m copies lie pairwise within
+  2 residual_tol^(1/m), and their mean, in which the leading terms of the
+  expansion cancel, is a root itself.  A point is labeled so when, for some
+  m >= 2, its m - 1 nearest other points of its own set lie that close and
+  the mean of the m points has residual at most residual_tol.  The radius
+  nears 1 as m grows; the mean's residual keeps distinct roots of crowded
+  or symmetric sets apart;
 * ``regular``: neither, so the other side lost a root.
 
 The exit code is 1 if any regular point is missing from either side, else 0.
@@ -62,7 +63,6 @@ WAVEGUIDE_ROWS = (
 )
 SINGULAR_TOL = 1e-8
 MERGE_TOL = 1e-8  # the relative distance at which `filter_solutions` merges points
-RESIDUAL_TOL = 1e-8  # `SolverConfig.residual_tol`'s default
 
 
 def _load(path, name):
@@ -155,8 +155,9 @@ def one_sided(p, mine, theirs):
     """Yield (point, label, relative Jacobian sigma) for every point of mine
     that has no point of theirs within MERGE_TOL."""
     import numpy as np
-    from multipolyeig.extract import residual
+    from multipolyeig import SolverConfig, residual
 
+    tol = SolverConfig.residual_tol
     if len(mine) == 0:
         return
     if len(theirs):
@@ -165,7 +166,7 @@ def one_sided(p, mine, theirs):
         alone = np.ones(len(mine), dtype=bool)
     dist = _rel_dist(mine, mine)
     m = np.arange(2, len(mine) + 1)
-    radius = 2 * RESIDUAL_TOL ** (1 / m)
+    radius = 2 * tol ** (1 / m)
     for k in np.flatnonzero(alone):
         sigma = jacobian_sigma(p, mine[k])
         order = np.argsort(dist[k])  # the point itself first
@@ -173,7 +174,7 @@ def one_sided(p, mine, theirs):
         means = np.cumsum(mine[order], axis=0)[1:][near] / m[near][:, None]
         if sigma <= SINGULAR_TOL:
             label = "singular"
-        elif len(means) and np.min(residual(p, means)) <= RESIDUAL_TOL:
+        elif len(means) and np.min(residual(p, means)) <= tol:
             label = "near-copy"
         else:
             label = "regular"
