@@ -12,7 +12,9 @@ Pipeline, run on stacks of interpolation nodes in the hidden variable x_d
 3. unfold each node's coefficient tensor into a square matrix,
 
 then interpolate the matrices across the x_d nodes to get the matrix
-polynomial R(x_d).
+polynomial R(x_d).  The nodes, grids, basis rows and interpolation maps
+depend only on (tau, basis), and are built once per such shape and cached
+(`_tables`); a build pays for them only the first time.
 
 Layout conventions (fixed; the on-disk format and eigenvector extraction rely
 on them):
@@ -29,6 +31,7 @@ block (i_1..i_{d-1}) holds prod_k x_k^{i_k} * (v_1 kron ... kron v_d).
 """
 
 import collections
+import functools
 import itertools
 import math
 
@@ -135,30 +138,16 @@ def kron_det(table):
     return total
 
 
-def _split_interleaved(k_s, k_t):
-    """Split the size-(k_s+k_t) Chebyshev family into disjoint s/t node sets."""
-    total = k_s + k_t
-    nodes = bo.cheb1_nodes(total)
-    take_s = np.zeros(total, dtype=bool)
-    count = 0
-    for i in range(total):
-        if (i + 1) * k_s // total > count:
-            take_s[i] = True
-            count += 1
-    return nodes[take_s], nodes[~take_s]
-
-
-def _hide_nodes(p, xd_nodes):
-    """Every equation with x_d substituted at every node, in one contraction
-    each: axes (node, x_1.., x_{d-1}, n, n)."""
-    rows = bo.basis_rows(p.basis, xd_nodes, p.tau[-1])
+def _hide_nodes(p, rows):
+    """Every equation with x_d substituted at every node, given the nodes'
+    basis rows, in one contraction each: axes (node, x_1.., x_{d-1}, n, n)."""
     return [np.tensordot(rows, poly.coeffs, axes=(1, p.d - 1)) for poly in p.polys]
 
 
-def _numerator_on_grid(hidden, shape, grids, basis):
+def _numerator_on_grid(hidden, tables):
     """Values of the Dixon function, prod_k (s_k - t_k) times smaller than
-    the numerator, on the tensor grid at a stack of x_d nodes; axes
-    (node, s_1.., t_1.., N, N).
+    the numerator, on the tensor grid of `tables` (`_tables`) at a stack of
+    x_d nodes; axes (node, s_1.., t_1.., N, N).
 
     `hidden` holds the equations with x_d already substituted (`_hide_nodes`).
     Block column j < d-1 of the hybrid-point table becomes the divided
@@ -167,21 +156,14 @@ def _numerator_on_grid(hidden, shape, grids, basis):
     determinant is the numerator divided by prod_k (s_k - t_k), and every
     entry is a polynomial (Dixon's own form of the construction).
     """
-    d = shape.d
-    s_rows = [bo.basis_rows(basis, grids.s[k], shape.tau[k]) for k in range(d - 1)]
-    t_rows = [bo.basis_rows(basis, grids.t[k], shape.tau[k]) for k in range(d - 1)]
-    gaps = []
-    for k in range(d - 1):
-        gap_shape = [1] * (2 * d + 1)
-        gap_shape[1 + k], gap_shape[d + k] = len(grids.s[k]), len(grids.t[k])
-        gaps.append(np.subtract.outer(grids.s[k], grids.t[k]).reshape(gap_shape))
+    d = len(hidden)
     evals = []
     for coeffs in hidden:
         per_col = []
         for col in range(d):
             vals = coeffs
             for k in range(d - 1):
-                rows = t_rows[k] if k < col else s_rows[k]
+                rows = tables.t_rows[k] if k < col else tables.s_rows[k]
                 vals = bo.apply_matrix_axis(vals, rows, 1 + k)
             # expand to the common axis order (node, s_1.., t_1.., n, n)
             full = np.expand_dims(vals, axis=tuple(range(d, 2 * d - 1)))
@@ -190,7 +172,8 @@ def _numerator_on_grid(hidden, shape, grids, basis):
                 order[1 + k], order[d + k] = order[d + k], order[1 + k]
             per_col.append(np.transpose(full, order) if col else full)
         evals.append(
-            [(per_col[j] - per_col[j + 1]) / gaps[j] for j in range(d - 1)] + [per_col[-1]]
+            [(per_col[j] - per_col[j + 1]) / tables.gaps[j] for j in range(d - 1)]
+            + [per_col[-1]]
         )
     return kron_det(evals)
 
@@ -240,38 +223,69 @@ def _unit_roots(m):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-_Grids = collections.namedtuple("_Grids", "s t s_interp t_interp")
+def _axis_nodes(k_s, k_t, basis):
+    """k_s nodes for an s_k axis and k_t for its t_k axis, disjoint.
+
+    The table divides by s_k - t_k on the grid, so the two node sets must
+    not meet.  Monomial input samples the unit circle: s_k at the k_s-th
+    roots of unity, t_k at the k_t-th roots rotated by pi/L with
+    L = lcm(k_s, k_t).  In units of pi/L the s angles are even and the t
+    angles odd, so the sets never meet, and both Vandermonde matrices stay
+    scaled DFTs (perfectly conditioned).  Chebyshev input splits the
+    k_s + k_t Chebyshev nodes between s_k and t_k, node i going to s_k when
+    floor(i k_s / (k_s + k_t)) steps up at i + 1, which interleaves them.
+    """
+    if basis == Basis.MONOMIAL:
+        return _unit_roots(k_s), _unit_roots(k_t) * np.exp(1j * np.pi / math.lcm(k_s, k_t))
+    total = k_s + k_t
+    take_s = np.diff(np.arange(total + 1) * k_s // total) > 0
+    nodes = bo.cheb1_nodes(total)
+    return nodes[take_s], nodes[~take_s]
 
 
-def _grids(shape, basis):
-    """Interpolation grids for the s_k/t_k axes and their values-to-coefficients maps.
+_Tables = collections.namedtuple(
+    "_Tables", "s t s_interp t_interp s_rows t_rows gaps xd_nodes xd_rows to_coeff"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(tau, basis):
+    """The part of a build that depends only on (tau, basis), cached and
+    read-only, one tuple entry per front axis k where it is per axis.
 
     The Dixon function has degree alpha_k in s_k and beta_k in t_k, so s_k
-    takes alpha_k+1 nodes and t_k beta_k+1: both maps are square.  The table
-    divides by s_k - t_k on the grid, so the s and t node sets must be
-    disjoint. Monomial input samples the unit circle: s_k at the
-    (alpha_k+1)-th roots of unity, t_k at the (beta_k+1)-th roots rotated by
-    pi/L with L = lcm(alpha_k+1, beta_k+1). In units of pi/L the s angles are
-    even and the t angles odd, so the sets never meet, and both Vandermonde
-    matrices stay scaled DFTs (perfectly conditioned). Chebyshev input
-    interleaves a single Chebyshev family per axis pair.
+    takes alpha_k+1 nodes and t_k beta_k+1 (`_axis_nodes`): ``s`` and ``t``
+    are the nodes, ``s_interp`` and ``t_interp`` their square
+    values-to-coefficients maps, ``s_rows`` and ``t_rows`` their basis rows
+    and ``gaps`` the differences s_k - t_k, shaped to broadcast over axes
+    (node, s_1.., t_1.., N, N).  R has degree at most d*tau_d in x_d, so it
+    takes d*tau_d + 1 ``xd_nodes`` (unit-circle samples for monomial input,
+    Chebyshev nodes for Chebyshev input) with their basis rows ``xd_rows``
+    and values-to-coefficients map ``to_coeff``.
     """
-    s_grids, t_grids = [], []
-    for k in range(shape.d - 1):
-        k_s, k_t = shape.alpha[k] + 1, shape.beta[k] + 1
-        if basis == Basis.MONOMIAL:
-            s_nodes = _unit_roots(k_s)
-            t_nodes = _unit_roots(k_t) * np.exp(1j * np.pi / math.lcm(k_s, k_t))
-        else:
-            s_nodes, t_nodes = _split_interleaved(k_s, k_t)
-        s_grids.append(s_nodes)
-        t_grids.append(t_nodes)
-    return _Grids(
-        s_grids,
-        t_grids,
-        [bo.interp_matrix(basis, nodes) for nodes in s_grids],
-        [bo.interp_matrix(basis, nodes) for nodes in t_grids],
-    )
+    d = len(tau)
+    shape = DixonShape(d, tau, (1,) * d)  # the degrees; no size enters here
+    s, t = zip(*(_axis_nodes(a + 1, b + 1, basis) for a, b in zip(shape.alpha, shape.beta)))
+    gaps = []
+    for k in range(d - 1):
+        gap_shape = [1] * (2 * d + 1)
+        gap_shape[1 + k], gap_shape[d + k] = len(s[k]), len(t[k])
+        gaps.append(np.subtract.outer(s[k], t[k]).reshape(gap_shape))
+    deg = shape.xd_degree_bound
+    if basis == Basis.MONOMIAL:
+        xd_nodes = _unit_roots(deg + 1)
+        to_coeff = bo.interp_matrix(basis, xd_nodes)
+    else:
+        xd_nodes = bo.cheb1_nodes(deg + 1)
+        to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
+    interp = [tuple(bo.interp_matrix(basis, x) for x in nodes) for nodes in (s, t)]
+    rows = [tuple(bo.basis_rows(basis, x, tau[k]) for k, x in enumerate(nodes)) for nodes in (s, t)]
+    xd_rows = bo.basis_rows(basis, xd_nodes, tau[-1])
+    out = _Tables(s, t, *interp, *rows, tuple(gaps), xd_nodes, xd_rows, to_coeff)
+    for entry in out:
+        for arr in entry if isinstance(entry, tuple) else (entry,):
+            arr.setflags(write=False)
+    return out
 
 
 # Bytes of Dixon values stacked per chunk of x_d nodes.  A chunk's
@@ -285,37 +299,31 @@ _CHUNK_BYTES = 1 << 18
 def build_resultant(p, trim_tol=1e-10):
     """Construct the hidden variable tensor Dixon resultant R(x_d) of a Pmep.
 
-    Evaluates the Dixon function at d*tau_d + 1 nodes in x_d (unit-circle
-    samples for monomial input, Chebyshev nodes for Chebyshev input), in
-    chunks of nodes stacked along a leading axis; each chunk is substituted,
-    evaluated on the s/t grids built once here (one `kron_det` call, see
-    `_numerator_on_grid`), interpolated to coefficients and unfolded.  The
-    matrices are then interpolated entrywise into a univariate `MatrixPoly`.
-    Trailing coefficients below trim_tol (relative) are trimmed (`pep.trim`).
+    Evaluates the Dixon function at d*tau_d + 1 nodes in x_d, in chunks of
+    nodes stacked along a leading axis; each chunk is substituted, evaluated
+    on the s/t grids (one `kron_det` call, see `_numerator_on_grid`),
+    interpolated to coefficients and unfolded.  The matrices are then
+    interpolated entrywise into a univariate `MatrixPoly`.  The nodes, grids,
+    basis rows and interpolation maps depend only on (tau, basis) and are
+    cached (`_tables`), so a repeated shape pays only for the work on its
+    coefficients.  Trailing coefficients below trim_tol (relative) are
+    trimmed (`pep.trim`).
     """
     if not isinstance(p, Pmep):
         raise ValueError("build_resultant expects a Pmep")
     if p.d < 2:
         raise ValueError("d=1 input is already a polynomial eigenvalue problem")
     shape = DixonShape.from_pmep(p)
-    grids = _grids(shape, p.basis)
-    deg = shape.xd_degree_bound
-    if p.basis == Basis.MONOMIAL:
-        xd_nodes = _unit_roots(deg + 1)
-        to_coeff = bo.interp_matrix(p.basis, xd_nodes)
-    else:
-        xd_nodes = bo.cheb1_nodes(deg + 1)
-        to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
-
-    hidden = _hide_nodes(p, xd_nodes)
-    grid_points = np.prod([len(s) * len(t) for s, t in zip(grids.s, grids.t)])
+    tables = _tables(p.tau, p.basis)
+    hidden = _hide_nodes(p, tables.xd_rows)
+    grid_points = np.prod([len(s) * len(t) for s, t in zip(tables.s, tables.t)])
     chunk = max(1, _CHUNK_BYTES // int(16 * shape.N**2 * grid_points))
     mats = []
-    for lo in range(0, len(xd_nodes), chunk):
-        vals = _numerator_on_grid([h[lo : lo + chunk] for h in hidden], shape, grids, p.basis)
+    for lo in range(0, len(tables.xd_nodes), chunk):
+        vals = _numerator_on_grid([h[lo : lo + chunk] for h in hidden], tables)
         for k in range(shape.d - 1):
-            vals = bo.apply_matrix_axis(vals, grids.s_interp[k], 1 + k)
-            vals = bo.apply_matrix_axis(vals, grids.t_interp[k], shape.d + k)
+            vals = bo.apply_matrix_axis(vals, tables.s_interp[k], 1 + k)
+            vals = bo.apply_matrix_axis(vals, tables.t_interp[k], shape.d + k)
         mats.append(unfold(vals, shape))
-    coeffs = np.tensordot(to_coeff, np.concatenate(mats), axes=(1, 0))
+    coeffs = np.tensordot(tables.to_coeff, np.concatenate(mats), axes=(1, 0))
     return trim(MatrixPoly(coeffs, p.basis), trim_tol)

@@ -183,7 +183,8 @@ def residual(p, x):
     scale_i is the largest coefficient norm of P_i (a zero polynomial
     contributes 0), and sigma_min comes from one values-only stacked SVD per
     equation.  Given a (k, d) array of points instead, returns their k
-    residuals from one batched evaluation; a point's value does not depend,
+    residuals from one batched evaluation (`Pmep.eval_many`, whose basis
+    rows all equations share); a point's value does not depend,
     to the bit, on the other points.  A point where some P_i is not finite,
     or its SVD fails, gets an infinite residual.  This is the independent
     check of a solution; `refine` gates on an upper bound of it.
@@ -191,13 +192,12 @@ def residual(p, x):
     x = np.asarray(x, dtype=complex)
     pts = x.reshape(-1, p.d)
     res = np.zeros(pts.shape[0])
-    for poly in p.polys:
+    for poly, vals in zip(p.polys, p.eval_many(pts)):
         scale = poly.max_coeff_norm()
         if scale == 0.0:
             continue
-        sigma = _finite_rows(
-            lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], poly.eval_many(pts), 1
-        )[:, 0].real
+        sigma = _finite_rows(lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], vals, 1)
+        sigma = sigma[:, 0].real
         sigma[np.isnan(sigma)] = np.inf
         res = np.maximum(res, sigma / scale)
     return res if x.ndim == 2 else float(res[0])
@@ -278,7 +278,7 @@ def _newton_step(p, X, vecs=None, before=None):
     k = X.shape[0]
     # a point far enough out overflows; its residual is infinite
     with np.errstate(over="ignore", invalid="ignore"):
-        jets = [poly.eval_many(X, jet=True) for poly in p.polys]
+        jets = p.eval_many(X, jet=True)
         null = []
         for i, jet in enumerate(jets):
             n = jet.shape[-1]
@@ -297,9 +297,7 @@ def _newton_step(p, X, vecs=None, before=None):
         moved = [w / np.linalg.norm(w, axis=1, keepdims=True) for w in moved]
         ok = np.flatnonzero(np.all(np.isfinite(stepped), axis=1))
         after = np.full(k, np.inf)
-        after[ok] = _triplet_residuals(
-            p, [poly.eval_many(stepped[ok]) for poly in p.polys], [w[ok] for w in moved]
-        )
+        after[ok] = _triplet_residuals(p, p.eval_many(stepped[ok]), [w[ok] for w in moved])
     return stepped, moved, after, before
 
 

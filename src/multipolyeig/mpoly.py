@@ -4,15 +4,39 @@ A MatrixPoly stores a dense coefficient tensor of square complex matrices: the
 entry ``coeffs[i1, ..., id]`` is the n-by-n coefficient of the basis product
 ``phi_{i1}(x_1) * ... * phi_{id}(x_d)``, where ``phi`` is either the monomial
 or the first-kind Chebyshev family. A Pmep is a system of d such polynomials
-in d variables sharing one degree-bound vector tau.  A MatrixPoly with d = 1
-is a univariate matrix polynomial, such as the resultant R(x_d); `m` and
-`size` name its degree and side.
+in d variables sharing one degree-bound vector tau and the basis, so the
+outer-product basis rows of a set of points are the same for every equation:
+`Pmep.eval_many` builds them once and contracts each equation with them.  A
+MatrixPoly with d = 1 is a univariate matrix polynomial, such as the
+resultant R(x_d); `m` and `size` name its degree and side.
 """
 
 import numpy as np
 
 from . import _basisops as bo
 from ._basisops import Basis
+
+
+def _outer_rows(basis, tau, pts, jet):
+    """Outer-product basis rows of an (m, d) array of points, shape
+    (m, j, prod(tau_k + 1)): j = 1 holds the values' rows, and with ``jet``
+    j = d + 1 adds, for each partial k, the rows with factor k swapped for
+    its derivative row ``basis_rows @ der_matrix``."""
+    pts = np.asarray(pts, dtype=complex)
+    d = len(tau)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError("pts must have shape (m, d)")
+    m = pts.shape[0]
+    j = d + 1 if jet else 1
+    rows = np.ones((m, j, 1), dtype=complex)
+    for k in range(d):
+        vals = bo.basis_rows(basis, pts[:, k], tau[k])
+        factor = np.repeat(vals[:, None, :], j, axis=1)
+        if jet:
+            factor[:, k + 1] = (vals[:, None, :] @ bo.der_matrix(basis, tau[k]))[:, 0, :]
+        width = rows.shape[-1] * factor.shape[-1]  # explicit: m may be 0
+        rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, width)
+    return rows
 
 
 class MatrixPoly:
@@ -77,28 +101,21 @@ class MatrixPoly:
 
         With ``jet=True`` returns (m, d+1, n, n): the value followed by the d
         partial derivatives.  Each is the outer-product basis row of the point
-        contracted with the flattened coefficients; partial k swaps factor k
-        of the row for its derivative row ``basis_rows @ der_matrix``, so no
-        derivative coefficients are formed or cached.  The contraction is one
-        vector-matrix product per row, stacked, so a point's result does not
-        depend, to the bit, on the other points in the batch (one
-        ``rows @ table`` product splits its work by batch size and rounds
-        differently).
+        (`_outer_rows`) contracted with the flattened coefficients; partial k
+        swaps factor k of the row for its derivative row
+        ``basis_rows @ der_matrix``, so no derivative coefficients are formed
+        or cached.  The contraction is one vector-matrix product per row,
+        stacked, so a point's result does not depend, to the bit, on the
+        other points in the batch (one ``rows @ table`` product splits its
+        work by batch size and rounds differently).  `Pmep.eval_many` shares
+        one set of rows among a system's equations.
         """
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError("pts must have shape (m, d)")
-        m, n = pts.shape[0], self.n
-        j = self.d + 1 if jet else 1
-        rows = np.ones((m, j, 1), dtype=complex)
-        for k in range(self.d):
-            vals = bo.basis_rows(self.basis, pts[:, k], self.tau[k])
-            factor = np.repeat(vals[:, None, :], j, axis=1)
-            if jet:
-                der = bo.der_matrix(self.basis, self.tau[k])
-                factor[:, k + 1] = (vals[:, None, :] @ der)[:, 0, :]
-            width = rows.shape[-1] * factor.shape[-1]  # explicit: m may be 0
-            rows = (rows[..., :, None] * factor[..., None, :]).reshape(m, j, width)
+        return self._contract(_outer_rows(self.basis, self.tau, pts, jet), jet)
+
+    def _contract(self, rows, jet):
+        """Rows from `_outer_rows` contracted with the coefficients, one
+        vector-matrix product per row."""
+        m, n = rows.shape[0], self.n
         out = (rows[..., None, :] @ self.coeffs.reshape(rows.shape[-1], n * n))[..., 0, :]
         return out.reshape((m, self.d + 1, n, n) if jet else (m, n, n))
 
@@ -185,6 +202,14 @@ class Pmep:
     def convert_basis(self, target):
         return Pmep([p.convert_basis(target) for p in self.polys])
 
+    def eval_many(self, pts, jet=False):
+        """Every equation at an (m, d) array of points: the list of the d
+        `MatrixPoly.eval_many` results, equal to them bit for bit.  The
+        equations share tau and the basis, so the basis rows of the points
+        are built once and each equation contracts them."""
+        rows = _outer_rows(self.basis, self.tau, pts, jet)
+        return [poly._contract(rows, jet) for poly in self.polys]
+
     def permute_variables(self, perm):
         """Reorder variables.
 
@@ -228,8 +253,7 @@ class Pmep:
         if self.basis == Basis.MONOMIAL:
             to_coeff = bo.conversion_matrix(Basis.CHEBYSHEV1, Basis.MONOMIAL, total) @ to_coeff
         out = []
-        for p in self.polys:
-            vals = p.eval_many(pts_orig)
+        for p, vals in zip(self.polys, self.eval_many(pts_orig)):
             vals = vals.reshape((k,) * self.d + (p.n, p.n))
             for axis in range(self.d):
                 vals = bo.apply_matrix_axis(vals, to_coeff, axis)

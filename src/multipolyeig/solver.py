@@ -13,20 +13,22 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    pencil built from its coefficients and R(sigma), whose LU certifies a
    regular core; only a core that it does not certify has its normal rank
    probed, is compressed by a two-sided projection when singular, and is
-   solved again.  The eigenpairs stay unrefined, with no vectors when
-   nothing is read from them.  Then, for all eigenpairs in one stacked
-   call, read each x_k with a ratio block (alpha_k > 0) off the block
-   Vandermonde structure of the eigenvector, as a least-squares ratio on
-   the kept columns.  Every x_k without one (alpha_k = 0: a degree-one x_1
-   of the Dixon resultant, every front coordinate of the other two) is read
-   in one batch: it solves the equations, with the other coordinates
-   substituted, in the least-squares sense on the Kronecker factors
-   v_1 kron ... kron v_d of block 0.  Those factors are taken once,
-   whenever eigenvectors exist and the kept columns hold all of block 0,
-   and serve the gate as well.  A read that fails gives NaN, and so does
-   every read of a projected pencil or of kept columns that leave it short:
-   a ratio block with no kept entry pair, or a Kronecker read without all
-   of block 0.  The points are put back in the caller's variable order,
+   solved again.  The eigenpairs stay unrefined, with no vectors when no
+   point can be read from them: a projected pencil, or kept columns that
+   leave some coordinate without a read (`_readable`).  Then, for all
+   eigenpairs in one stacked call, read each x_k with a ratio block
+   (alpha_k > 0) off the block Vandermonde structure of the eigenvector, as
+   a least-squares ratio on the kept columns.  Every x_k without one
+   (alpha_k = 0: a degree-one x_1 of the Dixon resultant, every front
+   coordinate of the other two) is read in one batch: it solves the
+   equations, with the other coordinates substituted, in the least-squares
+   sense on the Kronecker factors v_1 kron ... kron v_d of block 0.  Those
+   factors are taken once, whenever eigenvectors exist and the kept columns
+   hold all of block 0, and serve the gate as well.  A read that fails gives
+   NaN, and so does every read of a projected pencil or of kept columns
+   that leave it short: a ratio block with no kept entry pair, or a
+   Kronecker read without all of block 0.  The points are put back in the
+   caller's variable order,
 3. `_gate_reads`: gate every read point in one call (`extract.refine`):
    each point takes one Newton step on the original system, on the point
    and its null vectors v_i jointly, keeps it only if it lowers the
@@ -47,7 +49,8 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    the substituted equations still have each of them as a root, so the
    copies of a repeated eigenvalue are solved once, by the first.  These
    candidates are gated in a second call, whose first step takes its null
-   vectors from the SVD.
+   vectors from the SVD.  When every eigenpair passed, this stage returns
+   the gated points as they are, with no second call.
 
 `solve` deduplicates the passing points.  The diagnostic ``projected`` is
 true when the top-level pencil or that of any nested solve was projected.
@@ -179,6 +182,19 @@ def _resultant(work):
     return trim(R), _OneBlock(d, work.sizes, work.N, (0,) * (d - 1))
 
 
+def _readable(shape, mask):
+    """Whether an eigenvector whose kept columns are ``mask`` can give a
+    point: d > 1 and every front coordinate has a read, which is a ratio
+    block (alpha_k > 0) that keeps an entry pair with block 0, or, for a
+    coordinate without one, block 0 kept whole.  A point needs all of them,
+    so one coordinate without a read leaves every eigenvector unused."""
+    zero = mask[block_indices(shape, (0,) * (shape.d - 1))]
+    return shape.d > 1 and all(
+        np.any(zero & mask[block_indices(shape, unit)]) if alpha else np.all(zero)
+        for alpha, unit in zip(shape.alpha, np.eye(shape.d - 1, dtype=int))
+    )
+
+
 def _kronecker_read(work, factors, pts, coords):
     """Front coordinates without a ratio block (alpha_k = 0), for k eigenpairs.
 
@@ -190,7 +206,7 @@ def _kronecker_read(work, factors, pts, coords):
     cross terms; T_0 = 1, T_1 = x), so they are the least-squares solution
     that makes the stacked C0_i u_i + sum_j x_j Cj_i u_i smallest.  C0_i and
     Cj_i are the value and partials of P_i with the read coordinates at 0:
-    one jet evaluation per equation for all eigenpairs.  The least-squares
+    one jet evaluation of the system for all eigenpairs.  The least-squares
     problems are solved by one stacked reduced QR of the (k, sum n_i, c)
     coefficient stack and one stacked solve with its triangular factor.
     Rows whose substituted equations are not finite, or whose triangular
@@ -200,8 +216,8 @@ def _kronecker_read(work, factors, pts, coords):
     at[:, coords] = 0.0
     slices = [0] + [1 + j for j in coords]
     a, b = [], []
-    for poly, u in zip(work.polys, factors):
-        cu = np.einsum("kjab,kb->kja", poly.eval_many(at, jet=True)[:, slices], u)
+    for jet, u in zip(work.eval_many(at, jet=True), factors):
+        cu = np.einsum("kjab,kb->kja", jet[:, slices], u)
         a.append(cu[:, 0])
         b.append(cu[:, 1:])
     a = np.concatenate(a, axis=1)
@@ -282,12 +298,14 @@ def _eigenpairs(work, unpermute, cfg):
     eigenvectors give nothing: every eigenpair then reads NaN.  Otherwise
     the ratio read fills the coordinates with a ratio block, and the
     Kronecker read, which substitutes every coordinate it does not read,
-    the others; a read the kept columns leave short reads NaN.
+    the others; a read the kept columns leave short reads NaN.  When they
+    leave some coordinate without a read, no point can be read, and the
+    solve computes no eigenvectors.
     """
     d = work.d
     R, shape = _resultant(work)
     core, mask = _structural_core(R, cfg.rank_tol)
-    rank, projected, vectors = core.size, False, d > 1
+    rank, projected, vectors = core.size, False, _readable(shape, mask)
     try:  # a constant core has no shift to certify it, and is probed
         eigpairs = solve_pep(core, vectors, max_cond=cfg.rank_tol**-0.5) if core.m >= 1 else None
     except SingularPencilError:
@@ -298,7 +316,7 @@ def _eigenpairs(work, unpermute, cfg):
         rank, projected = rp.normal_rank, rp.normal_rank < core.size
         if projected:
             core = project_singular(core, rp, rng)[0]
-        vectors = d > 1 and not projected
+        vectors = vectors and not projected
         eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lam = np.array([val for val, _ in eigpairs], dtype=complex)
     fronts = np.full((len(eigpairs), d - 1), np.nan, dtype=complex)
@@ -334,14 +352,17 @@ def _fallback(p, work, unpermute, pairs, cfg):
     Each eigenpair that passed the gate gives its own point.  The first copy
     of each eigenvalue that failed it re-solves the front coordinates
     (`_substituted_candidates`) for all of its copies, and those candidates
-    are gated in one `refine` call.  With d = 1 nothing is left to re-solve:
-    only an eigenpair that was not read fails, and it finds nothing.
+    are gated in one `refine` call; when none failed, nothing is re-solved
+    or gated.  With d = 1 nothing is left to re-solve: only an eigenpair
+    that was not read fails, and it finds nothing.
     Returns ``(points, residuals, reduced, nested_projected, dropped)``,
     with ``dropped`` the eigenpairs whose first copy found no candidate.
     """
     d, tol = work.d, cfg.residual_tol
     read = np.all(np.isfinite(pairs.x), axis=1)
     retry = np.flatnonzero(~(pairs.res <= tol) if d > 1 else ~read)
+    if not retry.size:
+        return pairs.x, pairs.res, [False] * len(pairs.lam), False, 0
     first = retry[_first_copy(pairs.lam[retry, None])]
     leaders = retry[first == retry] if d > 1 else retry[:0]
     # a spurious eigenvalue can overflow the substituted equations

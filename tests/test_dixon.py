@@ -1,7 +1,5 @@
 """Tests for the tensor Dixon resultant construction."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,10 @@ from multipolyeig import _basisops as bo
 from multipolyeig import dixon
 from multipolyeig.dixon import (
     DixonShape,
-    _grids,
+    _axis_nodes,
     _hide_nodes,
     _numerator_on_grid,
+    _tables,
     build_resultant,
     dixon_numerator_eval,
     kron_det,
@@ -113,12 +112,12 @@ class TestNumerator:
 BASES = (Basis.MONOMIAL, Basis.CHEBYSHEV1)
 
 
-def divided_numerator(p, grids, grid_index, xd):
+def divided_numerator(p, tables, grid_index, xd):
     """Test oracle: the pointwise numerator at one grid point, divided by
     prod_k (s_k - t_k)."""
     d = p.d
-    s = np.array([grids.s[k][grid_index[k]] for k in range(d - 1)])
-    t = np.array([grids.t[k][grid_index[d - 1 + k]] for k in range(d - 1)])
+    s = np.array([tables.s[k][grid_index[k]] for k in range(d - 1)])
+    t = np.array([tables.t[k][grid_index[d - 1 + k]] for k in range(d - 1)])
     return dixon_numerator_eval(p, s, t, xd) / np.prod(s - t)
 
 
@@ -131,14 +130,15 @@ class TestDividedDifferences:
         rng = np.random.default_rng(32)
         p = systems.random_pmep(rng, sizes, tau, basis)
         sh = DixonShape.from_pmep(p)
-        grids = _grids(sh, basis)
+        tables = _tables(tau, basis)
         xd_nodes = np.array([0.3 - 0.2j, -0.7 + 0.1j])
-        got = _numerator_on_grid(_hide_nodes(p, xd_nodes), sh, grids, basis)
-        grid_shape = tuple(len(g) for g in grids.s) + tuple(len(g) for g in grids.t)
+        hidden = _hide_nodes(p, bo.basis_rows(basis, xd_nodes, tau[-1]))
+        got = _numerator_on_grid(hidden, tables)
+        grid_shape = tuple(len(g) for g in tables.s) + tuple(len(g) for g in tables.t)
         assert got.shape == (len(xd_nodes),) + grid_shape + (sh.N, sh.N)
         for node, xd in enumerate(xd_nodes):
             for idx in np.ndindex(*grid_shape):
-                want = divided_numerator(p, grids, idx, xd)
+                want = divided_numerator(p, tables, idx, xd)
                 assert np.max(np.abs(got[(node,) + idx] - want)) <= 1e-12 * max(
                     1.0, np.max(np.abs(want))
                 )
@@ -150,13 +150,73 @@ class TestGrids:
         for basis in BASES:
             for k_s in range(1, 13):
                 for k_t in range(1, 13):
-                    sh = SimpleNamespace(d=2, alpha=(k_s - 1,), beta=(k_t - 1,))
-                    grids = _grids(sh, basis)
-                    assert len(grids.s[0]) == k_s and len(grids.t[0]) == k_t
-                    assert np.min(np.abs(np.subtract.outer(grids.s[0], grids.t[0]))) >= 1e-3
+                    s, t = _axis_nodes(k_s, k_t, basis)
+                    assert len(s) == k_s and len(t) == k_t
+                    assert np.min(np.abs(np.subtract.outer(s, t))) >= 1e-3
                     if basis == Basis.MONOMIAL:
-                        assert np.linalg.cond(grids.s_interp[0]) <= 1 + 1e-12
-                        assert np.linalg.cond(grids.t_interp[0]) <= 1 + 1e-12
+                        assert np.linalg.cond(bo.interp_matrix(basis, s)) <= 1 + 1e-12
+                        assert np.linalg.cond(bo.interp_matrix(basis, t)) <= 1 + 1e-12
+
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("tau", [(2, 3), (3, 0), (1, 2, 1), (2, 1, 1, 2)])
+    def test_tables_hold_the_axis_nodes_and_their_maps(self, basis, tau):
+        # each front axis k of the build takes alpha_k+1 s-nodes and
+        # beta_k+1 t-nodes from `_axis_nodes`, with their interpolation maps,
+        # basis rows and differences; x_d takes d*tau_d + 1 nodes whose
+        # values-to-coefficients map inverts their basis rows
+        d = len(tau)
+        sh = DixonShape(d, tau, (1,) * d)
+        tables = _tables(tau, basis)
+        for k in range(d - 1):
+            s, t = _axis_nodes(sh.alpha[k] + 1, sh.beta[k] + 1, basis)
+            assert np.array_equal(tables.s[k], s) and np.array_equal(tables.t[k], t)
+            assert np.array_equal(tables.s_interp[k], bo.interp_matrix(basis, s))
+            assert np.array_equal(tables.t_interp[k], bo.interp_matrix(basis, t))
+            assert np.array_equal(tables.s_rows[k], bo.basis_rows(basis, s, tau[k]))
+            assert np.array_equal(tables.t_rows[k], bo.basis_rows(basis, t, tau[k]))
+            gap = tables.gaps[k]
+            assert gap.ndim == 2 * d + 1
+            assert gap.shape[1 + k] == len(s) and gap.shape[d + k] == len(t)
+            assert np.array_equal(gap.reshape(len(s), len(t)), np.subtract.outer(s, t))
+        assert len(tables.xd_nodes) == sh.xd_degree_bound + 1
+        assert np.array_equal(tables.xd_rows, bo.basis_rows(basis, tables.xd_nodes, tau[-1]))
+        full = bo.basis_rows(basis, tables.xd_nodes, sh.xd_degree_bound)
+        assert np.allclose(tables.to_coeff @ full, np.eye(len(full)), atol=1e-12)
+
+
+def table_arrays(tables):
+    return [a for entry in tables for a in (entry if isinstance(entry, tuple) else (entry,))]
+
+
+class TestTableCache:
+    # the (tau, basis) tables are built once per shape and shared read-only
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_tables_are_read_only(self, basis):
+        tables = _tables((2, 1, 2), basis)
+        arrays = table_arrays(tables)
+        assert len(arrays) == 7 * 2 + 3  # seven per-axis tuples for d = 3
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.0
+        assert _tables((2, 1, 2), basis) is tables
+
+    @pytest.mark.parametrize(
+        "sizes, tau, basis",
+        [((2, 3), (2, 2), Basis.MONOMIAL), ((1, 2, 1), (1, 2, 1), Basis.CHEBYSHEV1)],
+    )
+    def test_same_resultant_from_a_cold_or_a_warm_cache(self, sizes, tau, basis):
+        # two systems of one shape: R is bit-equal whichever is built first,
+        # that is, whether its tables are built afresh or come from the cache
+        rng = np.random.default_rng(72)
+        p, q = (systems.random_pmep(rng, sizes, tau, basis) for _ in range(2))
+        _tables.cache_clear()
+        first = [build_resultant(p).coeffs, build_resultant(q).coeffs]
+        assert _tables.cache_info().misses == 1 and _tables.cache_info().hits == 1
+        _tables.cache_clear()
+        second = [build_resultant(q).coeffs, build_resultant(p).coeffs][::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestUnfold:
@@ -289,7 +349,7 @@ def per_node_resultant(p):
     divided by prod_k (s_k - t_k) at every grid point, then interpolated on
     the s/t axes, unfolded, and interpolated across the x_d nodes."""
     sh = DixonShape.from_pmep(p)
-    grids = _grids(sh, p.basis)
+    tables = _tables(p.tau, p.basis)
     deg = sh.xd_degree_bound
     if p.basis == Basis.MONOMIAL:
         nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
@@ -297,15 +357,15 @@ def per_node_resultant(p):
     else:
         nodes = bo.cheb1_nodes(deg + 1)
         to_coeff = bo.cheb1_vals_to_coeffs_matrix(deg + 1)
-    grid_shape = tuple(len(g) for g in grids.s) + tuple(len(g) for g in grids.t)
+    grid_shape = tuple(len(g) for g in tables.s) + tuple(len(g) for g in tables.t)
     mats = []
     for xd in nodes:
         vals = np.empty(grid_shape + (sh.N, sh.N), dtype=complex)
         for idx in np.ndindex(*grid_shape):
-            vals[idx] = divided_numerator(p, grids, idx, xd)
+            vals[idx] = divided_numerator(p, tables, idx, xd)
         for k in range(sh.d - 1):
-            vals = bo.apply_matrix_axis(vals, grids.s_interp[k], k)
-            vals = bo.apply_matrix_axis(vals, grids.t_interp[k], sh.d - 1 + k)
+            vals = bo.apply_matrix_axis(vals, tables.s_interp[k], k)
+            vals = bo.apply_matrix_axis(vals, tables.t_interp[k], sh.d - 1 + k)
         mats.append(unfold(vals, sh))
     return np.tensordot(to_coeff, np.array(mats), axes=(1, 0))
 
@@ -332,8 +392,8 @@ class TestStackedNodes:
         p = systems.random_pmep(np.random.default_rng(71), (2, 2), (2, 2))
         sh = DixonShape.from_pmep(p)
         nodes = sh.xd_degree_bound + 1
-        grids = _grids(sh, p.basis)
-        node_bytes = 16 * sh.N**2 * np.prod([len(s) * len(t) for s, t in zip(grids.s, grids.t)])
+        tables = _tables(p.tau, p.basis)
+        node_bytes = 16 * sh.N**2 * np.prod([len(s) * len(t) for s, t in zip(tables.s, tables.t)])
         calls = [0]
         kron_det_ = dixon.kron_det
 

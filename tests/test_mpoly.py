@@ -100,6 +100,16 @@ class TestEval:
             for i in range(5):
                 want = naive_monomial_eval(der, pts[i])
                 assert np.allclose(jet[i, k + 1], want, rtol=1e-12, atol=1e-12)
+        # a system shares one set of basis rows among its equations, and
+        # each equation's result is its own evaluation, to the bit, at five
+        # points and at none
+        q = Pmep([p, random_poly(rng, 3, 1, tau, basis), random_poly(rng, 3, 3, tau, basis)])
+        for with_jet in (False, True):
+            for at in (pts, np.zeros((0, 3))):
+                got = q.eval_many(at, jet=with_jet)
+                assert len(got) == 3
+                for vals, poly in zip(got, q.polys):
+                    assert np.array_equal(vals, poly.eval_many(at, jet=with_jet))
 
     @pytest.mark.parametrize("jet", [False, True])
     def test_eval_many_of_no_points(self, jet):

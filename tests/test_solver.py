@@ -437,6 +437,31 @@ class TestDeflation:
         assert all(s.flags["reduced"] for s in out)
         assert np.all(extract.residual(p, out.points()) <= 1e-8)
 
+    @pytest.mark.parametrize("draw, count", [(32, 1), (294, 15)])
+    def test_no_eigenvectors_when_a_coordinate_has_no_read(self, monkeypatch, draw, count):
+        # the kept columns of these sparse draws (seed 20261018) leave a
+        # front coordinate without a read; in the trivariate draw the other
+        # coordinate keeps its ratio pair, but a point needs both.  The
+        # solve asks for eigenvalues only, and the fallback finds every root
+        rng = np.random.default_rng(20261018)
+        for _ in range(draw + 1):
+            p = systems.sparse_random_pmep(rng)
+        asked = []
+        solve_pep = solver.solve_pep
+
+        def recorded(R, vectors=True, max_cond=np.inf):
+            asked.append(vectors)
+            return solve_pep(R, vectors, max_cond)
+
+        monkeypatch.setattr(solver, "solve_pep", recorded)
+        cfg = SolverConfig()
+        _, work, unpermute = solver._hide(p, cfg)
+        pairs, info = solver._eigenpairs(work, unpermute, cfg)
+        assert asked == [False] and not info["projected"]
+        assert len(pairs.lam) > 0 and np.all(np.isnan(pairs.x).any(axis=1))
+        out = solve(p)
+        assert len(out) == count and all(s.flags["reduced"] for s in out)
+
     def test_sparse_random_systems(self):
         # sparse inputs give singular resultants with and without structural
         # zeros, curves of roots and roots at infinity; none may raise, and
@@ -750,7 +775,8 @@ class TestDegreeOneRead:
 
 class TestBatchedGate:
     # every candidate point is refined and gated in one call, plus one more
-    # for the fallback's candidates when there are any; never one per point
+    # for the fallback's candidates when some eigenpair failed; never one per
+    # point, and no second call when every eigenpair passed
     def test_gate_calls_do_not_grow_with_eigenpairs(self, monkeypatch):
         calls = {"refine": 0, "residual": 0}
 
@@ -769,8 +795,16 @@ class TestBatchedGate:
                 )
         p = systems.random_pmep(np.random.default_rng(1), (3, 3), (3, 3))
         out = solve(p)
-        assert len(out) == 162
-        assert calls["refine"] <= 2
+        assert len(out) == 162 and not any(s.flags["reduced"] for s in out)
+        assert calls["refine"] == 1
+        assert calls["residual"] == 0
+        # the decoupled system's eigenvectors mix its roots, so every root
+        # comes from the fallback, gated in the one second call
+        calls["refine"] = 0
+        p, roots = systems.decoupled_system(np.random.default_rng(0), 3, 2)
+        out = solve(p)
+        assert len(out) == len(roots) == 36 and all(s.flags["reduced"] for s in out)
+        assert calls["refine"] == 2
         assert calls["residual"] == 0
 
 

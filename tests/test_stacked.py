@@ -23,7 +23,7 @@ from multipolyeig.extract import (
     vandermonde_ratios,
 )
 from multipolyeig.io import parse_solutions, serialize_solutions
-from multipolyeig.mpoly import Basis, MatrixPoly
+from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import kron_factor
 from test_opdet import random_linear_mep
 
@@ -87,18 +87,27 @@ def test_coordinate_without_ratio_block_reads_nan_alone():
     seed=st.integers(0, 2**32 - 1),
     tau=st.lists(st.integers(0, 3), min_size=1, max_size=3),
     n=st.integers(1, 3),
-    batch=st.integers(1, 6),
+    batch=st.integers(0, 6),
     basis=st.sampled_from(list(Basis)),
 )
 def test_jet_rows_do_not_depend_on_the_batch(seed, tau, n, batch, basis):
+    # each equation of a system takes its slice of the system's shared
+    # rows: equal, to the bit, to its own evaluation, values and jets alike
     rng = np.random.default_rng(seed)
-    shape = tuple(t + 1 for t in tau) + (n, n)
-    p = MatrixPoly(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), basis)
+    polys = []
+    for i in range(len(tau)):
+        shape = tuple(t + 1 for t in tau) + (n + i % 2,) * 2
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        polys.append(MatrixPoly(c, basis))
+    system = Pmep(polys)
     pts = rng.standard_normal((batch, len(tau))) + 1j * rng.standard_normal((batch, len(tau)))
-    jet = p.eval_many(pts, jet=True)
-    for i in range(batch):
-        assert np.array_equal(jet[i], p.eval_many(pts[i : i + 1], jet=True)[0])
-    assert np.array_equal(jet[:, 0], p.eval_many(pts))
+    jets, values = system.eval_many(pts, jet=True), system.eval_many(pts)
+    for p, jet, vals in zip(polys, jets, values):
+        assert np.array_equal(jet, p.eval_many(pts, jet=True))
+        assert np.array_equal(vals, p.eval_many(pts))
+        for i in range(batch):
+            assert np.array_equal(jet[i], p.eval_many(pts[i : i + 1], jet=True)[0])
+        assert np.array_equal(jet[:, 0], vals)
 
 
 def kronecker_read_reference(work, shape, vecs, pts, coords):
