@@ -3,21 +3,20 @@
 Subcommands::
 
     multipolyeig solve <problem.json> [-o out.json] [--basis B] [--hide K]
-                 [--seed S] [--residual-tol T] [--rank-tol T]
+                 [--residual-tol T] [--rank-tol T]
     multipolyeig verify <problem.json> <solutions.json> [--residual-tol T]
     multipolyeig oracle <problem.json> [-o out.json] [--starts N] [--seed S]
                  [--residual-tol T]
 
 Results go to standard output (or the -o file); progress and diagnostics go
 to standard error.  Exit codes: 0 success, 1 solver or input error, 2 usage
-error.  When --seed is omitted the environment variable MULTIPOLYEIG_SEED is
-used, defaulting to 0; the same input, seed and BLAS thread count produce
-byte-identical output documents.
+error.  `solve` takes no seed: the same input and BLAS thread count produce
+byte-identical output documents.  `oracle --seed` (default 0) seeds the
+oracle's start points.
 """
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -44,21 +43,10 @@ def _emit(text, output):
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _resolve_seed(value):
-    if value is not None:
-        return value
-    raw = os.environ.get("MULTIPOLYEIG_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"MULTIPOLYEIG_SEED must be an integer, got {raw!r}") from None
-
-
 def _cmd_solve(args):
     p = parse_pmep(_read(args.problem))
     cfg = SolverConfig(
         basis=Basis(args.basis) if args.basis else None,
-        seed=_resolve_seed(args.seed),
         hide_variable=args.hide,
         residual_tol=args.residual_tol,
         rank_tol=args.rank_tol,
@@ -105,7 +93,7 @@ def _cmd_oracle(args):
     out = newton_oracle(
         p,
         starts=args.starts,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         residual_tol=args.residual_tol,
     )
     info = out.diagnostics
@@ -153,9 +141,6 @@ def _build_parser():
                      help="1-based index of the variable to hide (default: automatic)")
     # accepted and ignored, so command lines that still pass it keep working
     sub.add_argument("--no-rotate", action="store_true", help=argparse.SUPPRESS)
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed of the rank probes and projections "
-                          "(default: MULTIPOLYEIG_SEED or 0)")
     _add_common_tolerances(sub)
     sub.add_argument("--rank-tol", type=float, default=1e-10,
                      help="relative cutoff for rank decisions (default 1e-10)")
@@ -171,8 +156,7 @@ def _build_parser():
     sub.add_argument("problem", help="problem JSON file")
     sub.add_argument("-o", "--output", default=None, help="write roots here instead of stdout")
     sub.add_argument("--starts", type=int, default=200, help="number of Newton starts (default 200)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="start-point seed (default: MULTIPOLYEIG_SEED or 0)")
+    sub.add_argument("--seed", type=int, default=0, help="start-point seed (default 0)")
     _add_common_tolerances(sub)
     sub.set_defaults(func=_cmd_oracle)
 

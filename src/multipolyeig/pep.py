@@ -10,15 +10,14 @@ solve with R(sigma), of side n, and the shift sigma is the one of three
 fixed points where R(sigma) is best conditioned; under a bound on its
 condition estimate the solve certifies R regular, so one factorization
 both certifies and solves.  Only an R that it does not certify needs
-`normal_rank` and, when singular, the random two-sided compression to its
-normal rank, `project_singular`, before it is solved again.  Eigenpairs
-come back unrefined: the solver polishes the roots they lead to with Newton
-steps on the original system (`extract.refine`).  Everything here runs on
-numpy alone.
+`normal_rank`, probed at the same shifts, and, when singular, the random
+two-sided compression to its normal rank, `project_singular`, before it is
+solved again.  Eigenpairs come back unrefined: the solver polishes the
+roots they lead to with Newton steps on the original system
+(`extract.refine`).  Everything here runs on numpy alone.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,22 +26,11 @@ from .errors import ProjectionFailureError, SingularPencilError
 from .mpoly import MatrixPoly
 
 __all__ = [
-    "RankProfile",
     "trim",
     "solve_pep",
     "normal_rank",
     "project_singular",
 ]
-
-
-@dataclass
-class RankProfile:
-    """Numerical normal rank of a matrix polynomial with its probe evidence."""
-
-    normal_rank: int
-    sample_points: list
-    singular_values: list = field(repr=False)
-    rank_tol: float = 1e-10
 
 
 # Fixed shifts on the circle of radius 1.3, off the real axis (where
@@ -198,51 +186,37 @@ def solve_pep(R, vectors=True, max_cond=np.inf):
     return list(zip(lams[finite].tolist(), blocks[np.arange(len(finite)), best]))
 
 
-def _rank_from_singular_values(sv, rank_tol):
-    # Rank is cut at the crossing below rank_tol.  Gaps *within* the
-    # below-tolerance tail carry no rank information (roundoff junk next to
-    # exact zeros produces huge spurious gaps there).
-    sv = np.asarray(sv)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv / sv[0] > rank_tol))
+def normal_rank(R, rank_tol=1e-10):
+    """Numerical normal rank of R: the largest rank of R(z) over the fixed
+    shifts `_SHIFTS`, where a singular value counts when it is above
+    rank_tol times the largest.  Gaps below that cut carry no rank
+    information: roundoff next to exact zeros makes gaps of any size there.
 
-
-def normal_rank(R, rank_tol=1e-10, rng=None):
-    """Numerical normal rank of R: the largest rank of R(z) at up to three
-    points on a randomly rotated unit circle.
-
-    The rank is a maximum, so the probe stops at the first point where R(z)
-    has full rank R.size; a singular R is probed at all three.  The profile
-    lists only the points probed.  The rotation is drawn before the first
-    probe, so the generator's later draws do not depend on how many points
-    were probed.
+    The rank is a maximum, so the probe stops at the first shift where R(z)
+    has full rank R.size; a singular R is probed at all three.
     """
-    rng = np.random.default_rng(rng)
-    phase = np.exp(2j * np.pi * rng.uniform())
-    points = [phase * np.exp(2j * np.pi * j / 3) for j in range(3)]
-    best = 0
-    all_sv = []
-    for z in points:
+    rank = 0
+    for z in _SHIFTS:
         sv = np.linalg.svd(R.eval(z), compute_uv=False)
-        all_sv.append(sv)
-        best = max(best, _rank_from_singular_values(sv, rank_tol))
-        if best == R.size:
+        if sv.size and sv[0] > 0.0:
+            rank = max(rank, int(np.count_nonzero(sv / sv[0] > rank_tol)))
+        if rank == R.size:
             break
-    return RankProfile(best, points[: len(all_sv)], all_sv, rank_tol)
+    return rank
 
 
-def project_singular(R, rp, rng=None):
-    """Two-sided orthogonal compression of a singular matrix polynomial.
+def project_singular(R, r, rank_tol, rng):
+    """Two-sided orthogonal compression of a singular matrix polynomial to
+    its normal rank r.
 
     Draws U (r x dim, orthonormal rows) and V (dim x r, orthonormal columns)
-    from Gaussian matrices and forms R'(lambda) = U R(lambda) V, re-probing
-    to confirm the compressed polynomial has full normal rank r; redraws up
+    from Gaussian matrices of the generator ``rng`` (a numpy Generator or a
+    seed) and forms R'(lambda) = U R(lambda) V, confirming with
+    `normal_rank` at ``rank_tol`` that R' has full normal rank r; redraws up
     to three times before giving up.  Returns (R', U, V).  V maps
     eigenvectors back: at an eigenvalue of R, R'(lambda) w = 0 gives, for
     generic U and V, the null vector V w of R(lambda).
     """
-    r = rp.normal_rank
     dim = R.size
     if r > dim:
         raise ValueError("normal rank exceeds dimension")
@@ -256,7 +230,7 @@ def project_singular(R, rp, rng=None):
         u = np.linalg.qr(gu)[0].conj().T
         v = np.linalg.qr(gv)[0]
         projected = MatrixPoly(u @ R.coeffs @ v, R.basis)
-        if normal_rank(projected, rank_tol=rp.rank_tol, rng=rng).normal_rank == r:
+        if normal_rank(projected, rank_tol) == r:
             return projected, u, v
     raise ProjectionFailureError(
         f"projection to normal rank {r} not confirmed after 3 draws"

@@ -94,22 +94,18 @@ _Eigenpairs = namedtuple("_Eigenpairs", "lam x res factors")
 class SolverConfig:
     """Knobs for the full pipeline; defaults follow the library conventions.
 
-    ``seed`` drives the random rank probes and projections of singular
-    resultants; ``hide_variable`` (1-based) overrides the automatic choice.
+    ``hide_variable`` (1-based) overrides the automatic choice.
     ``residual_tol`` is the residual gate a point must pass to become a
     solution; ``rank_tol`` also cuts R's structurally zero rows and columns.
     """
 
     basis: Basis | None = None
-    seed: int = 0
     hide_variable: int | None = None
     residual_tol: float = 1e-8
     rank_tol: float = 1e-10
 
     def __post_init__(self):
         check_tolerances(rank_tol=self.rank_tol, residual_tol=self.residual_tol)
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.hide_variable is not None and self.hide_variable < 1:
             raise ValueError("hide_variable is a 1-based variable index")
 
@@ -291,16 +287,17 @@ def _eigenpairs(work, unpermute, cfg):
 
     R's structural core is solved once when some R(sigma) certifies it, with
     a condition estimate at most rank_tol^-1/2, halfway (in log scale) to
-    the rank probe's cut; such a core draws nothing from the seed's
-    generator.  A row or column of entries at most rank_tol times R's
-    largest makes the estimate about 1/rank_tol, so an R that would certify
-    whole loses nothing to the deflation.  A projected pencil's
-    eigenvectors give nothing: every eigenpair then reads NaN.  Otherwise
-    the ratio read fills the coordinates with a ratio block, and the
-    Kronecker read, which substitutes every coordinate it does not read,
-    the others; a read the kept columns leave short reads NaN.  When they
-    leave some coordinate without a read, no point can be read, and the
-    solve computes no eigenvectors.
+    the rank probe's cut.  A core it does not certify has its rank probed at
+    the same shifts; only a singular one is projected, from a generator of
+    fixed seed that no other core creates.  A row or column of entries at
+    most rank_tol times R's largest makes the estimate about 1/rank_tol, so
+    an R that would certify whole loses nothing to the deflation.  A
+    projected pencil's eigenvectors give nothing: every eigenpair then reads
+    NaN.  Otherwise the ratio read fills the coordinates with a ratio block,
+    and the Kronecker read, which substitutes every coordinate it does not
+    read, the others; a read the kept columns leave short reads NaN.  When
+    they leave some coordinate without a read, no point can be read, and
+    the solve computes no eigenvectors.
     """
     d = work.d
     R, shape = _resultant(work)
@@ -311,11 +308,10 @@ def _eigenpairs(work, unpermute, cfg):
     except SingularPencilError:
         eigpairs = None
     if eigpairs is None:  # probe the normal rank, project a singular core
-        rng = np.random.default_rng([cfg.seed, 1])
-        rp = normal_rank(core, rank_tol=cfg.rank_tol, rng=rng)
-        rank, projected = rp.normal_rank, rp.normal_rank < core.size
+        rank = normal_rank(core, cfg.rank_tol)
+        projected = rank < core.size
         if projected:
-            core = project_singular(core, rp, rng)[0]
+            core = project_singular(core, rank, cfg.rank_tol, rng=0)[0]
         vectors = vectors and not projected
         eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lam = np.array([val for val, _ in eigpairs], dtype=complex)

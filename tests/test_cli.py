@@ -37,8 +37,8 @@ def problem_file(tmp_path):
 
 @pytest.fixture
 def seeded_file(tmp_path):
-    """A singular system with no zero row or column in its resultant: its
-    random projection makes the output depend on the seed."""
+    """A singular system with no zero row or column in its resultant: only
+    a random projection, from a generator of fixed seed, solves it."""
     path = tmp_path / "seeded.json"
     path.write_text(serialize_pmep(mixed_rank_deficient_pair_system()), encoding="utf-8")
     return str(path)
@@ -67,35 +67,25 @@ class TestSolveCommand:
         cli_text = capsys.readouterr().out
         assert cli_text == serialize_solutions(solve(quadratic_pair_system()))
 
-    def test_byte_determinism(self, problem_file, capsys):
-        run_cli(["solve", problem_file, "--seed", "5"])
-        first = capsys.readouterr().out
-        run_cli(["solve", problem_file, "--seed", "5"])
-        assert capsys.readouterr().out == first
+    def test_byte_determinism(self, problem_file, seeded_file, capsys):
+        for path in (problem_file, seeded_file):
+            run_cli(["solve", path])
+            first = capsys.readouterr().out
+            run_cli(["solve", path])
+            assert capsys.readouterr().out == first
 
-    def test_env_seed_fallback(self, seeded_file, capsys, monkeypatch):
-        run_cli(["solve", seeded_file, "--seed", "7"])
-        explicit = capsys.readouterr().out
-        run_cli(["solve", seeded_file, "--seed", "2"])
-        assert capsys.readouterr().out != explicit
-        monkeypatch.setenv("MULTIPOLYEIG_SEED", "7")
-        run_cli(["solve", seeded_file])
-        assert capsys.readouterr().out == explicit
-
-    def test_flag_overrides_env_seed(self, seeded_file, capsys, monkeypatch):
-        run_cli(["solve", seeded_file, "--seed", "7"])
-        seven = capsys.readouterr().out
-        run_cli(["solve", seeded_file, "--seed", "2"])
-        two = capsys.readouterr().out
-        assert two != seven
-        monkeypatch.setenv("MULTIPOLYEIG_SEED", "7")
-        run_cli(["solve", seeded_file, "--seed", "2"])
-        assert capsys.readouterr().out == two
-
-    def test_bad_env_seed_is_an_error(self, problem_file, capsys, monkeypatch):
-        monkeypatch.setenv("MULTIPOLYEIG_SEED", "twelve")
-        assert run_cli(["solve", problem_file]) == 1
-        assert "MULTIPOLYEIG_SEED" in capsys.readouterr().err
+    def test_solve_takes_no_seed(self, seeded_file, capsys, monkeypatch):
+        # the projection's generator is fixed: --seed is a usage error, and
+        # MULTIPOLYEIG_SEED, which once stood in for it, is not read
+        assert run_cli(["solve", seeded_file, "--seed", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.delenv("MULTIPOLYEIG_SEED", raising=False)
+        assert run_cli(["solve", seeded_file]) == 0
+        plain = capsys.readouterr().out
+        for value in ("7", "twelve"):
+            monkeypatch.setenv("MULTIPOLYEIG_SEED", value)
+            assert run_cli(["solve", seeded_file]) == 0
+            assert capsys.readouterr().out == plain
 
     def test_no_rotate_and_hide_flags(self, problem_file, capsys):
         assert run_cli(["solve", problem_file, "--no-rotate", "--hide", "1"]) == 0
@@ -132,11 +122,10 @@ class TestSolveCommand:
         assert len(json.loads(capsys.readouterr().out)["solutions"]) == 8
 
 
-    def test_reused_parser_leaks_nothing(self, seeded_file, capsys, monkeypatch):
+    def test_reused_parser_leaks_nothing(self, seeded_file, capsys):
         # later calls in one process reuse the first call's parser; a flag of
         # one call must not carry over to the next
-        monkeypatch.delenv("MULTIPOLYEIG_SEED", raising=False)
-        flag_sets = [["--seed", "7", "--hide", "1"], [], ["--residual-tol", "1e-6"]]
+        flag_sets = [["--hide", "1"], [], ["--residual-tol", "1e-6"]]
 
         def call(flags):
             rc = run_cli(["solve", seeded_file, *flags])
@@ -273,7 +262,8 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_bad_flag_value_is_usage_error(self, problem_file, capsys):
-        assert run_cli(["solve", problem_file, "--seed", "abc"]) == 2
+        assert run_cli(["solve", problem_file, "--hide", "abc"]) == 2
+        assert run_cli(["oracle", problem_file, "--seed", "abc"]) == 2
         capsys.readouterr()
 
     def test_non_finite_tolerance_or_negative_seed_is_solver_error(
@@ -287,7 +277,6 @@ class TestExitCodes:
         for argv, name in [
             (["solve", problem_file, "--residual-tol", "nan"], "residual_tol"),
             (["solve", problem_file, "--rank-tol", "nan"], "rank_tol"),
-            (["solve", problem_file, "--seed", "-1"], "seed"),
             (["oracle", problem_file, "--seed", "-1"], "seed"),
             (["verify", problem_file, str(out), "--residual-tol", "nan"], "residual_tol"),
         ]:

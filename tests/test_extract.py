@@ -38,12 +38,12 @@ def nullspace_mask(r, tol=1e-13, rng=None):
 
 class TestConfig:
     def test_defaults(self):
-        # the residual gate is a solver setting like the other four; the
-        # read takes no knobs
+        # the residual gate is a solver setting like the other three; the
+        # read takes no knobs, and the solve no seed
         cfg = SolverConfig()
         assert cfg.residual_tol == 1e-8
         assert [f.name for f in dataclasses.fields(cfg)] == [
-            "basis", "seed", "hide_variable", "residual_tol", "rank_tol"
+            "basis", "hide_variable", "residual_tol", "rank_tol"
         ]
 
     def test_rejects_bad_tolerance(self):

@@ -286,39 +286,62 @@ def test_structured_inverse_matches_dense_solve(seed, m, n, basis):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-class TestNormalRank:
-    def test_identity_pencil(self):
-        r = MatrixPoly(np.stack([np.eye(4), np.zeros((4, 4))]), Basis.MONOMIAL)
-        rp = normal_rank(r, rng=0)
-        assert rp.normal_rank == 4
-        # full rank at the first point ends the probe
-        assert len(rp.sample_points) == 1
-        assert all(sv.shape == (4,) for sv in rp.singular_values)
+@pytest.fixture
+def probed(monkeypatch):
+    """The points at which R is evaluated, in order."""
+    points, evaluate = [], MatrixPoly.eval
 
-    def test_rank_deficient_pencil(self):
+    def recorded(self, x):
+        points.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(MatrixPoly, "eval", recorded)
+    return points
+
+
+class TestNormalRank:
+    def test_identity_pencil(self, probed):
+        r = MatrixPoly(np.stack([np.eye(4), np.zeros((4, 4))]), Basis.MONOMIAL)
+        assert normal_rank(r) == 4
+        # full rank at the first shift ends the probe
+        assert probed == [pep._SHIFTS[0]]
+
+    def test_rank_deficient_pencil(self, probed):
         r = build_resultant(systems.rank_deficient_pair_system())
-        rp = normal_rank(r, rng=0)
-        assert rp.normal_rank == 5 < r.size
-        # no point shows full rank, so every point is probed
-        assert len(rp.sample_points) == len(rp.singular_values) == 3
+        assert normal_rank(r) == 5 < r.size
+        # no shift shows full rank, so every shift is probed
+        assert probed == list(pep._SHIFTS)
 
     def test_quadratic_pair_full_rank(self):
         r = build_resultant(systems.quadratic_pair_system())
-        assert normal_rank(r, rng=0).normal_rank == 8
+        assert normal_rank(r) == 8
+
+    def test_probe_is_deterministic_and_draws_nothing(self, probed, monkeypatch):
+        # the probe evaluates R at a prefix of the eigensolve's fixed shifts,
+        # the same for every call, and never creates a generator
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the rank probe created a generator")
+
+        full = MatrixPoly(np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])]), Basis.MONOMIAL)
+        singular = build_resultant(systems.mixed_rank_deficient_pair_system())
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for r, rank, points in ((full, 3, 1), (singular, 5, 3)):
+            for _ in range(2):
+                probed.clear()
+                assert normal_rank(r) == rank
+                assert probed == list(pep._SHIFTS[:points])
 
 
 class TestProjectSingular:
     def test_noop_when_full_rank(self):
         r = build_resultant(systems.quadratic_pair_system())
-        rp = normal_rank(r, rng=0)
-        out, u, v = project_singular(r, rp, rng=0)
+        out, u, v = project_singular(r, normal_rank(r), 1e-10, 0)
         assert out is r
         assert np.array_equal(u, np.eye(8))
 
     def test_rank_deficient_pencil_projects_to_5(self):
         r = build_resultant(systems.rank_deficient_pair_system())
-        rp = normal_rank(r, rng=0)
-        out, u, v = project_singular(r, rp, rng=0)
+        out, u, v = project_singular(r, normal_rank(r), 1e-10, 0)
         assert out.size == 5 and out.m == 1
         assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
         assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
@@ -336,9 +359,9 @@ class TestProjectSingular:
             qv = np.linalg.qr(rng.standard_normal((6, 6)))[0]
             coeffs = np.einsum("ab,kbc,cd->kad", qu, emb, qv)
             r = MatrixPoly(coeffs, Basis.MONOMIAL)
-            rp = normal_rank(r, rng=rng)
-            assert rp.normal_rank == 4
-            out, _, _ = project_singular(r, rp, rng=rng)
+            rank = normal_rank(r)
+            assert rank == 4
+            out, _, _ = project_singular(r, rank, 1e-10, rng)
             true = [l for l, _ in solve_pep(MatrixPoly(core, Basis.MONOMIAL))
                     if np.isfinite(l)]
             got = [l for l, _ in solve_pep(out) if np.isfinite(l)]
@@ -347,14 +370,12 @@ class TestProjectSingular:
 
     def test_unreachable_rank_raises(self):
         r = build_resultant(systems.rank_deficient_pair_system())
-        fake = normal_rank(r, rng=0)
-        fake.normal_rank = 7  # true normal rank is 5; confirmation must fail
+        assert normal_rank(r) == 5  # a projection to rank 7 cannot be confirmed
         with pytest.raises(ProjectionFailureError):
-            project_singular(r, fake, rng=0)
+            project_singular(r, 7, 1e-10, 0)
 
     def test_rank_above_dimension_rejected(self):
         r = MatrixPoly(np.eye(2)[None], Basis.MONOMIAL)
-        rp = normal_rank(r, rng=0)
-        rp.normal_rank = 3
+        assert normal_rank(r) == 2
         with pytest.raises(ValueError):
-            project_singular(r, rp)
+            project_singular(r, 3, 1e-10, 0)

@@ -79,8 +79,8 @@ class TestConfigValidation:
                 SolverConfig(rank_tol=bad)
             with pytest.raises(ValueError, match="residual_tol"):
                 SolverConfig(residual_tol=bad)
-        with pytest.raises(ValueError, match="seed"):
-            SolverConfig(seed=-1)
+        with pytest.raises(TypeError, match="seed"):  # a solve takes no seed
+            SolverConfig(seed=0)
         with pytest.raises(ValueError):
             SolverConfig(hide_variable=0)
 
@@ -122,12 +122,6 @@ class TestQuadraticPair:
         assert out.diagnostics["resultant_size"] == 8
         assert out.diagnostics["normal_rank"] == 8
         assert not out.diagnostics["projected"]
-
-    def test_rotation_seed_invariance(self):
-        p = systems.quadratic_pair_system()
-        a = solve(p, SolverConfig(seed=0))
-        b = solve(p, SolverConfig(seed=7))
-        assert_same_points(a.points(), b.points(), 1e-6)
 
     def test_explicit_hidden_variable_recovers_all_roots(self):
         # hiding x makes the four x-values double eigenvalues and drops the
@@ -259,37 +253,37 @@ class TestRankDeficientPair:
         gaps = np.abs(np.subtract.outer(np.array(points), np.array(lams)))
         assert np.min(gaps) > 1e-6
 
-    @pytest.mark.parametrize("seed", [0, 2, 7])
-    def test_early_stopping_probe_keeps_the_projection(self, seed, monkeypatch):
-        # the projected pencil shows full rank at its first probe point and
-        # stops there; the probe's rotation is drawn before its loop, so the
-        # projection's draws, and the document, are those of a probe that
-        # always takes all three points
+    def test_early_stopping_probe_keeps_the_projection(self, monkeypatch):
+        # the projected pencil shows full rank at its first shift and the
+        # probe stops there; the document is that of a probe that always
+        # takes all three shifts
         p = systems.mixed_rank_deficient_pair_system()
-        cfg = SolverConfig(seed=seed)
-        probed, real = [], pep.normal_rank
+        points, probed, evaluate, real = [], [], MatrixPoly.eval, pep.normal_rank
 
-        def recorded(*args, **kwargs):
-            rp = real(*args, **kwargs)
-            probed.append(len(rp.sample_points))
-            return rp
+        def counted_eval(self, x):
+            points.append(x)
+            return evaluate(self, x)
 
-        def probe_all(R, rank_tol=1e-10, rng=None):
-            rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-            phase = np.exp(2j * np.pi * rng.uniform())
-            points = [phase * np.exp(2j * np.pi * j / 3) for j in range(3)]
-            sv = [np.linalg.svd(R.eval(z), compute_uv=False) for z in points]
-            rank = max(pep._rank_from_singular_values(s, rank_tol) for s in sv)
-            return pep.RankProfile(rank, points, sv, rank_tol)
+        def recorded(R, rank_tol=1e-10):
+            points.clear()
+            rank = real(R, rank_tol)
+            probed.append(len(points))
+            return rank
+
+        def probe_all(R, rank_tol=1e-10):
+            sv = [np.linalg.svd(R.eval(z), compute_uv=False) for z in pep._SHIFTS]
+            return max(int(np.count_nonzero(s / s[0] > rank_tol)) for s in sv)
 
         def solved_with(probe):
             monkeypatch.setattr(pep, "normal_rank", probe)
             monkeypatch.setattr(solver, "normal_rank", probe)
-            return serialize_solutions(solve(p, cfg))
+            return serialize_solutions(solve(p))
 
-        assert solved_with(recorded) == solved_with(probe_all)
-        # singular R: all three points; the confirmed projection: one
+        monkeypatch.setattr(MatrixPoly, "eval", counted_eval)
+        document = solved_with(recorded)
+        # singular R: all three shifts; the confirmed projection: one
         assert probed == [3, 1]
+        assert document == solved_with(probe_all)
 
     def test_projected_roots_are_refined(self):
         # the projected pencil's eigenvalues come back unrefined; the Newton
@@ -309,13 +303,11 @@ class TestWaveguide:
         # so it is read from the Kronecker factors of every eigenvector; at
         # the seeds where a projected solve's read once raised, the deflated
         # core keeps all of block 0 and reads every root
-        p = systems.waveguide_system(8, even=True)
-        for seed in (8, 9, 13):
-            out = solve(p, SolverConfig(seed=seed, hide_variable=3))
-            assert out.diagnostics["projected"] is False
-            assert len(out) == 28
-            assert all(not s.flags["reduced"] for s in out)
-            assert max(s.residual for s in out) <= 1e-8
+        out = solve(systems.waveguide_system(8, even=True), SolverConfig(hide_variable=3))
+        assert out.diagnostics["projected"] is False
+        assert len(out) == 28
+        assert all(not s.flags["reduced"] for s in out)
+        assert max(s.residual for s in out) <= 1e-8
 
     def test_masked_ratio_block_takes_fallback(self):
         # k model, kappa_2 hidden: k enters only as k^2, so the roots come in
@@ -567,6 +559,27 @@ class TestCertifiedResultant:
         assert out.diagnostics["projected"] is False
         assert_same_points(out.points(), [[1.0], [2.0]], 1e-12)
 
+    def test_only_a_projection_creates_a_generator(self, monkeypatch):
+        # the rank probe is deterministic: a certified core and an
+        # uncertified one that probes regular, like the diag(x - 1,
+        # 1e-8 (x - 2)) above, are solved without a generator
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a solve that does not project created a generator")
+
+        c = np.zeros((2, 2, 2), dtype=complex)
+        c[0] = np.diag([-1.0, -2e-8])
+        c[1] = np.diag([1.0, 1e-8])
+        regular, certified = Pmep([MatrixPoly(c)]), systems.quadratic_pair_system()
+        singular = systems.mixed_rank_deficient_pair_system()
+        monkeypatch.setattr(solver.np.random, "default_rng", no_generator)
+        out = solve(regular)
+        assert out.diagnostics["normal_rank"] == 2
+        assert out.diagnostics["projected"] is False
+        assert_same_points(out.points(), [[1.0], [2.0]], 1e-12)
+        assert len(solve(certified)) == 8
+        with pytest.raises(AssertionError, match="generator"):
+            solve(singular)
+
 
 class TestLinearPath:
     def test_fast_path_matches_direct_solver(self):
@@ -609,11 +622,10 @@ class TestRepeatedHiddenCoordinate:
         # x2 takes each of its 6 values at 6 roots, which mixes their
         # eigenvectors; the fallback re-solves x1 from the equations
         p, roots = systems.decoupled_system(np.random.default_rng(5), 3, 2)
-        for seed in (0, 3):
-            out = solve(p, SolverConfig(seed=seed))
-            assert len(out) == 36
-            assert_same_points(out.points(), roots, 1e-6)
-            assert all(s.flags["reduced"] for s in out)
+        out = solve(p)
+        assert len(out) == 36
+        assert_same_points(out.points(), roots, 1e-6)
+        assert all(s.flags["reduced"] for s in out)
 
     def test_decoupled_linear_takes_fallback(self, monkeypatch):
         # x2 takes each of its 3 values at 3 roots, which mixes their
