@@ -187,15 +187,15 @@ def rank_deficient_pair_system():
     return Pmep([MatrixPoly(c1), MatrixPoly(c2)])
 
 
-def mixed_rank_deficient_pair_system():
+def mixed_rank_deficient_pair_system(seed=0):
     """The rank-deficient pair with each P_i replaced by A_i P_i B_i.
 
-    A_i and B_i are random constant matrices, so the roots and the normal
-    rank 5 of the size-8 resultant stay, but no row or column of the
-    resultant is zero: its singularity is not structural, and only the
-    projection removes it.
+    A_i and B_i are random constant matrices drawn from ``seed``, so the
+    roots and the normal rank 5 of the size-8 resultant stay, but no row or
+    column of the resultant is zero: its singularity is not structural, and
+    only the projection removes it.
     """
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     polys = []
     for poly in rank_deficient_pair_system().polys:
         a, b = random_matrix(rng, 2), random_matrix(rng, 2)
