@@ -2,8 +2,7 @@
 
 Subcommands::
 
-    multipolyeig solve <problem.json> [-o out.json] [--basis B] [--hide K]
-                 [--residual-tol T] [--rank-tol T]
+    multipolyeig solve <problem.json> [-o out.json] [--hide K] [--residual-tol T]
     multipolyeig verify <problem.json> <solutions.json> [--residual-tol T]
     multipolyeig oracle <problem.json> [-o out.json] [--starts N] [--seed S]
                  [--residual-tol T]
@@ -11,8 +10,10 @@ Subcommands::
 Results go to standard output (or the -o file); progress and diagnostics go
 to standard error.  Exit codes: 0 success, 1 solver or input error, 2 usage
 error.  `solve` takes no seed: the same input and BLAS thread count produce
-byte-identical output documents.  `oracle --seed` (default 0) seeds the
-oracle's start points.
+byte-identical output documents.  It works in the document's own basis,
+and cuts every rank decision at the one relative tolerance
+`pep.RANK_TOL`.  `oracle --seed` (default 0) seeds the oracle's start
+points.
 """
 
 import argparse
@@ -25,7 +26,6 @@ import numpy as np
 from .errors import MultiPolyEigError
 from .extract import check_tolerances, residual
 from .io import parse_pmep, parse_solutions, serialize_solutions
-from .mpoly import Basis
 from .oracle import newton_oracle
 from .solver import SolverConfig, solve
 
@@ -45,13 +45,7 @@ def _emit(text, output):
 
 def _cmd_solve(args):
     p = parse_pmep(_read(args.problem))
-    cfg = SolverConfig(
-        basis=Basis(args.basis) if args.basis else None,
-        hide_variable=args.hide,
-        residual_tol=args.residual_tol,
-        rank_tol=args.rank_tol,
-    )
-    out = solve(p, cfg)
+    out = solve(p, SolverConfig(hide_variable=args.hide, residual_tol=args.residual_tol))
     _emit(serialize_solutions(out), args.output)
     d = out.diagnostics
     print(
@@ -135,15 +129,11 @@ def _build_parser():
     sub = commands.add_parser("solve", help="solve a problem document")
     sub.add_argument("problem", help="problem JSON file")
     sub.add_argument("-o", "--output", default=None, help="write solutions here instead of stdout")
-    sub.add_argument("--basis", choices=[b.value for b in Basis], default=None,
-                     help="convert to this working basis before solving")
     sub.add_argument("--hide", type=int, default=None, metavar="K",
                      help="1-based index of the variable to hide (default: automatic)")
     # accepted and ignored, so command lines that still pass it keep working
     sub.add_argument("--no-rotate", action="store_true", help=argparse.SUPPRESS)
     _add_common_tolerances(sub)
-    sub.add_argument("--rank-tol", type=float, default=1e-10,
-                     help="relative cutoff for rank decisions (default 1e-10)")
     sub.set_defaults(func=_cmd_solve)
 
     sub = commands.add_parser("verify", help="recompute residuals for stored solutions")

@@ -42,6 +42,9 @@ _SHIFTS = 1.3 * np.exp(2j * np.pi * (0.1234 + np.arange(3) / 3))
 # its worst direction from both
 _PROBE_PHASES = 2j * np.pi * np.array([0.0, (np.sqrt(5.0) - 1.0) / 2.0])
 _EPS = np.finfo(float).eps
+# relative cut of every rank decision: R's structurally zero rows and
+# columns, the shift certificate (at most RANK_TOL^-1/2) and the normal rank
+RANK_TOL = 1e-10
 
 
 def trim(R, tol=1e-10):
@@ -186,10 +189,10 @@ def solve_pep(R, vectors=True, max_cond=np.inf):
     return list(zip(lams[finite].tolist(), blocks[np.arange(len(finite)), best]))
 
 
-def normal_rank(R, rank_tol=1e-10):
+def normal_rank(R):
     """Numerical normal rank of R: the largest rank of R(z) over the fixed
     shifts `_SHIFTS`, where a singular value counts when it is above
-    rank_tol times the largest.  Gaps below that cut carry no rank
+    `RANK_TOL` times the largest.  Gaps below that cut carry no rank
     information: roundoff next to exact zeros makes gaps of any size there.
 
     The rank is a maximum, so the probe stops at the first shift where R(z)
@@ -199,23 +202,23 @@ def normal_rank(R, rank_tol=1e-10):
     for z in _SHIFTS:
         sv = np.linalg.svd(R.eval(z), compute_uv=False)
         if sv.size and sv[0] > 0.0:
-            rank = max(rank, int(np.count_nonzero(sv / sv[0] > rank_tol)))
+            rank = max(rank, int(np.count_nonzero(sv / sv[0] > RANK_TOL)))
         if rank == R.size:
             break
     return rank
 
 
-def project_singular(R, r, rank_tol, rng):
+def project_singular(R, r, rng):
     """Two-sided orthogonal compression of a singular matrix polynomial to
     its normal rank r.
 
     Draws U (r x dim, orthonormal rows) and V (dim x r, orthonormal columns)
     from Gaussian matrices of the generator ``rng`` (a numpy Generator or a
     seed) and forms R'(lambda) = U R(lambda) V, confirming with
-    `normal_rank` at ``rank_tol`` that R' has full normal rank r; redraws up
-    to three times before giving up.  Returns (R', U, V).  V maps
-    eigenvectors back: at an eigenvalue of R, R'(lambda) w = 0 gives, for
-    generic U and V, the null vector V w of R(lambda).
+    `normal_rank` that R' has full normal rank r; redraws up to three times
+    before giving up.  Returns (R', U, V).  V maps eigenvectors back: at an
+    eigenvalue of R, R'(lambda) w = 0 gives, for generic U and V, the null
+    vector V w of R(lambda).
     """
     dim = R.size
     if r > dim:
@@ -230,7 +233,7 @@ def project_singular(R, r, rank_tol, rng):
         u = np.linalg.qr(gu)[0].conj().T
         v = np.linalg.qr(gv)[0]
         projected = MatrixPoly(u @ R.coeffs @ v, R.basis)
-        if normal_rank(projected, rank_tol) == r:
+        if normal_rank(projected) == r:
             return projected, u, v
     raise ProjectionFailureError(
         f"projection to normal rank {r} not confirmed after 3 draws"

@@ -3,8 +3,8 @@
 One pipeline for every input, run once in the given coordinates, in four
 stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
 
-1. `_hide`: validate, convert to the working basis, choose the hidden
-   variable and permute it last,
+1. `_hide`: validate, choose the hidden variable and permute it last; the
+   solve works in the input's own basis,
 2. `_eigenpairs`: build R(x_d): the hidden-variable Dixon resultant in
    general, the operator-determinant pencil x_d Delta_0 - Delta_d of side N
    for a linear MEP, the polynomial itself for d = 1.  R loses its
@@ -76,7 +76,7 @@ from .extract import (
 )
 from .mpoly import Basis, MatrixPoly, Pmep
 from .opdet import delta, kron_factor
-from .pep import normal_rank, project_singular, solve_pep, trim
+from .pep import RANK_TOL, normal_rank, project_singular, solve_pep, trim
 
 __all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
 
@@ -96,16 +96,15 @@ class SolverConfig:
 
     ``hide_variable`` (1-based) overrides the automatic choice.
     ``residual_tol`` is the residual gate a point must pass to become a
-    solution; ``rank_tol`` also cuts R's structurally zero rows and columns.
+    solution.  Every rank decision cuts at `pep.RANK_TOL`, and the solve
+    works in the input's basis: ``solve(p.convert_basis(B))`` works in B.
     """
 
-    basis: Basis | None = None
     hide_variable: int | None = None
     residual_tol: float = 1e-8
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
-        check_tolerances(rank_tol=self.rank_tol, residual_tol=self.residual_tol)
+        check_tolerances(residual_tol=self.residual_tol)
         if self.hide_variable is not None and self.hide_variable < 1:
             raise ValueError("hide_variable is a 1-based variable index")
 
@@ -146,13 +145,13 @@ def _as_linear_mep(p):
     return q
 
 
-def _structural_core(R, rank_tol):
+def _structural_core(R):
     """R without the rows and columns whose every coefficient entry is at
-    most ``rank_tol`` times R's largest, and the kept columns.  When none
+    most `RANK_TOL` times R's largest, and the kept columns.  When none
     drop, those rows and columns do not pair up, or R is zero, R comes back
     whole."""
     mag = np.abs(R.coeffs)
-    big = mag > rank_tol * np.max(mag)
+    big = mag > RANK_TOL * np.max(mag)
     rows, cols = np.any(big, axis=(0, 2)), np.any(big, axis=(0, 1))
     kept = np.count_nonzero(rows)
     if kept in (0, R.size) or kept != np.count_nonzero(cols):
@@ -242,7 +241,7 @@ def _substituted_candidates(work, lam, cfg):
     degenerate subsystem gives up only itself.  A root of all d equations
     solves every subsystem; each point is kept once."""
     d = work.d
-    sub_cfg = replace(cfg, hide_variable=None, basis=None)
+    sub_cfg = replace(cfg, hide_variable=None)
     points, projected = [], False
     for out in reversed(range(d)):
         try:
@@ -262,13 +261,10 @@ def _substituted_candidates(work, lam, cfg):
 
 
 def _hide(p, cfg):
-    """Validate p and convert it to cfg's basis; choose the hidden variable
-    and permute it last.  Returns p, the permuted system, and the column
-    order that undoes the permutation."""
+    """Validate p, choose the hidden variable and permute it last.  Returns
+    the permuted system and the column order that undoes the permutation."""
     if not isinstance(p, Pmep):
         raise ValueError("expected a Pmep")
-    if cfg.basis is not None and cfg.basis != p.basis:
-        p = p.convert_basis(cfg.basis)
     d = p.d
     if cfg.hide_variable is not None and cfg.hide_variable > d:
         raise ValueError("hide_variable exceeds the number of variables")
@@ -279,18 +275,18 @@ def _hide(p, cfg):
         )
     hide = choose_hidden_variable(p) if cfg.hide_variable is None else cfg.hide_variable
     perm = [i for i in range(1, d + 1) if i != hide] + [hide]
-    return p, p.permute_variables(perm), np.argsort(np.array(perm) - 1)
+    return p.permute_variables(perm), np.argsort(np.array(perm) - 1)
 
 
-def _eigenpairs(work, unpermute, cfg):
+def _eigenpairs(work, unpermute):
     """The ungated `_Eigenpairs` of the permuted system, and R's diagnostics.
 
     R's structural core is solved once when some R(sigma) certifies it, with
-    a condition estimate at most rank_tol^-1/2, halfway (in log scale) to
+    a condition estimate at most RANK_TOL^-1/2, halfway (in log scale) to
     the rank probe's cut.  A core it does not certify has its rank probed at
     the same shifts; only a singular one is projected, from a generator of
     fixed seed that no other core creates.  A row or column of entries at
-    most rank_tol times R's largest makes the estimate about 1/rank_tol, so
+    most RANK_TOL times R's largest makes the estimate about 1/RANK_TOL, so
     an R that would certify whole loses nothing to the deflation.  A
     projected pencil's eigenvectors give nothing: every eigenpair then reads
     NaN.  Otherwise the ratio read fills the coordinates with a ratio block,
@@ -301,17 +297,17 @@ def _eigenpairs(work, unpermute, cfg):
     """
     d = work.d
     R, shape = _resultant(work)
-    core, mask = _structural_core(R, cfg.rank_tol)
+    core, mask = _structural_core(R)
     rank, projected, vectors = core.size, False, _readable(shape, mask)
     try:  # a constant core has no shift to certify it, and is probed
-        eigpairs = solve_pep(core, vectors, max_cond=cfg.rank_tol**-0.5) if core.m >= 1 else None
+        eigpairs = solve_pep(core, vectors, max_cond=RANK_TOL**-0.5) if core.m >= 1 else None
     except SingularPencilError:
         eigpairs = None
     if eigpairs is None:  # probe the normal rank, project a singular core
-        rank = normal_rank(core, cfg.rank_tol)
+        rank = normal_rank(core)
         projected = rank < core.size
         if projected:
-            core = project_singular(core, rank, cfg.rank_tol, rng=0)[0]
+            core = project_singular(core, rank, rng=0)[0]
         vectors = vectors and not projected
         eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lam = np.array([val for val, _ in eigpairs], dtype=complex)
@@ -349,18 +345,17 @@ def _fallback(p, work, unpermute, pairs, cfg):
     of each eigenvalue that failed it re-solves the front coordinates
     (`_substituted_candidates`) for all of its copies, and those candidates
     are gated in one `refine` call; when none failed, nothing is re-solved
-    or gated.  With d = 1 nothing is left to re-solve: only an eigenpair
-    that was not read fails, and it finds nothing.
+    or gated.  With d = 1 nothing is left to re-solve: the point is the
+    eigenvalue, so an eigenpair that failed the gate finds nothing.
     Returns ``(points, residuals, reduced, nested_projected, dropped)``,
     with ``dropped`` the eigenpairs whose first copy found no candidate.
     """
     d, tol = work.d, cfg.residual_tol
-    read = np.all(np.isfinite(pairs.x), axis=1)
-    retry = np.flatnonzero(~(pairs.res <= tol) if d > 1 else ~read)
-    if not retry.size:
+    retry = np.flatnonzero(~(pairs.res <= tol))
+    if d == 1 or not retry.size:
         return pairs.x, pairs.res, [False] * len(pairs.lam), False, 0
     first = retry[_first_copy(pairs.lam[retry, None])]
-    leaders = retry[first == retry] if d > 1 else retry[:0]
+    leaders = retry[first == retry]
     # a spurious eigenvalue can overflow the substituted equations
     with np.errstate(over="ignore", invalid="ignore"):
         subs = [_substituted_candidates(work, pairs.lam[j], cfg) for j in leaders]
@@ -385,8 +380,8 @@ def _fallback(p, work, unpermute, pairs, cfg):
 def solve(p, cfg=None):
     """Globally solve a polynomial multiparameter eigenvalue problem."""
     cfg = cfg or SolverConfig()
-    p, work, unpermute = _hide(p, cfg)
-    pairs, info = _eigenpairs(work, unpermute, cfg)
+    work, unpermute = _hide(p, cfg)
+    pairs, info = _eigenpairs(work, unpermute)
     _gate_reads(p, pairs, cfg.residual_tol)
     points, res, reduced, nested, dropped = _fallback(p, work, unpermute, pairs, cfg)
     cands = [

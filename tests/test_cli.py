@@ -87,6 +87,16 @@ class TestSolveCommand:
             assert run_cli(["solve", seeded_file]) == 0
             assert capsys.readouterr().out == plain
 
+    def test_solve_takes_no_basis_or_rank_tolerance(self, seeded_file, tmp_path, capsys):
+        # a solve works in the document's own basis at the one rank
+        # tolerance pep.RANK_TOL: either flag is a usage error, and no
+        # document is written
+        out = tmp_path / "solutions.json"
+        for flag, value in (("--basis", "chebyshev1"), ("--rank-tol", "1e-9")):
+            assert run_cli(["solve", seeded_file, "-o", str(out), flag, value]) == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
     def test_no_rotate_and_hide_flags(self, problem_file, capsys):
         assert run_cli(["solve", problem_file, "--no-rotate", "--hide", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -113,12 +123,8 @@ class TestSolveCommand:
             assert hits, f"no solution matches the true root {x}"
             got.pop(hits[0])
 
-    def test_basis_and_tolerance_flags_accepted(self, problem_file, capsys):
-        code = run_cli([
-            "solve", problem_file, "--basis", "chebyshev1", "--residual-tol", "1e-6",
-            "--rank-tol", "1e-9",
-        ])
-        assert code == 0
+    def test_tolerance_flag_accepted(self, problem_file, capsys):
+        assert run_cli(["solve", problem_file, "--residual-tol", "1e-6"]) == 0
         assert len(json.loads(capsys.readouterr().out)["solutions"]) == 8
 
 
@@ -270,13 +276,12 @@ class TestExitCodes:
         self, problem_file, tmp_path, capsys
     ):
         # NaN used to pass every "<= 0" check: a NaN residual tolerance gave
-        # 0 solutions with exit 0, a NaN rank tolerance reached LAPACK
+        # 0 solutions with exit 0
         out = tmp_path / "solutions.json"
         assert run_cli(["solve", problem_file, "-o", str(out)]) == 0
         capsys.readouterr()
         for argv, name in [
             (["solve", problem_file, "--residual-tol", "nan"], "residual_tol"),
-            (["solve", problem_file, "--rank-tol", "nan"], "rank_tol"),
             (["oracle", problem_file, "--seed", "-1"], "seed"),
             (["verify", problem_file, str(out), "--residual-tol", "nan"], "residual_tol"),
         ]:
@@ -397,6 +402,6 @@ def test_solve_synopses_match_the_parser(capsys):
     assert run_cli(["solve", "--help"]) == 0
     usage = capsys.readouterr().out.split("\n\n")[0]
     flags = set(re.findall(r"\[(--?[\w-]+)", usage)) - {"-h"}
-    assert "--rank-tol" in flags and "--nullspace-tol" not in flags
+    assert flags == {"-o", "--hide", "--residual-tol"}
     assert solve_synopsis_flags(cli.__doc__) == flags
     assert solve_synopsis_flags(README.read_text(encoding="utf-8")) == flags

@@ -38,13 +38,11 @@ def nullspace_mask(r, tol=1e-13, rng=None):
 
 class TestConfig:
     def test_defaults(self):
-        # the residual gate is a solver setting like the other three; the
-        # read takes no knobs, and the solve no seed
+        # the residual gate is a solver setting like the hidden variable; the
+        # read takes no knobs, and the solve no seed, basis or rank tolerance
         cfg = SolverConfig()
         assert cfg.residual_tol == 1e-8
-        assert [f.name for f in dataclasses.fields(cfg)] == [
-            "basis", "hide_variable", "residual_tol", "rank_tol"
-        ]
+        assert [f.name for f in dataclasses.fields(cfg)] == ["hide_variable", "residual_tol"]
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

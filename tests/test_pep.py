@@ -217,9 +217,7 @@ class TestSolvePep:
         # entries of (A + sigma*B)^-1 B that are zero in exact arithmetic
         # came out as roundoff down to 1e-50, and the standard eigensolver
         # then returned eigenvectors of lambda = +-i with residuals near 0.3
-        core, _ = solver._structural_core(
-            build_resultant(systems.rank_deficient_pair_system()), 1e-10
-        )
+        core, _ = solver._structural_core(build_resultant(systems.rank_deficient_pair_system()))
         assert (core.size, core.m) == (5, 1)
         pairs = solve_pep(core)
         assert len(pairs) == 3
@@ -335,13 +333,13 @@ class TestNormalRank:
 class TestProjectSingular:
     def test_noop_when_full_rank(self):
         r = build_resultant(systems.quadratic_pair_system())
-        out, u, v = project_singular(r, normal_rank(r), 1e-10, 0)
+        out, u, v = project_singular(r, normal_rank(r), 0)
         assert out is r
         assert np.array_equal(u, np.eye(8))
 
     def test_rank_deficient_pencil_projects_to_5(self):
         r = build_resultant(systems.rank_deficient_pair_system())
-        out, u, v = project_singular(r, normal_rank(r), 1e-10, 0)
+        out, u, v = project_singular(r, normal_rank(r), 0)
         assert out.size == 5 and out.m == 1
         assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
         assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
@@ -361,7 +359,7 @@ class TestProjectSingular:
             r = MatrixPoly(coeffs, Basis.MONOMIAL)
             rank = normal_rank(r)
             assert rank == 4
-            out, _, _ = project_singular(r, rank, 1e-10, rng)
+            out, _, _ = project_singular(r, rank, rng)
             true = [l for l, _ in solve_pep(MatrixPoly(core, Basis.MONOMIAL))
                     if np.isfinite(l)]
             got = [l for l, _ in solve_pep(out) if np.isfinite(l)]
@@ -372,10 +370,10 @@ class TestProjectSingular:
         r = build_resultant(systems.rank_deficient_pair_system())
         assert normal_rank(r) == 5  # a projection to rank 7 cannot be confirmed
         with pytest.raises(ProjectionFailureError):
-            project_singular(r, 7, 1e-10, 0)
+            project_singular(r, 7, 0)
 
     def test_rank_above_dimension_rejected(self):
         r = MatrixPoly(np.eye(2)[None], Basis.MONOMIAL)
         assert normal_rank(r) == 2
         with pytest.raises(ValueError):
-            project_singular(r, 3, 1e-10, 0)
+            project_singular(r, 3, 0)

@@ -75,12 +75,12 @@ class TestChooseHiddenVariable:
 class TestConfigValidation:
     def test_bad_tolerances(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="rank_tol"):
-                SolverConfig(rank_tol=bad)
             with pytest.raises(ValueError, match="residual_tol"):
                 SolverConfig(residual_tol=bad)
-        with pytest.raises(TypeError, match="seed"):  # a solve takes no seed
-            SolverConfig(seed=0)
+        # a solve takes no seed, and works in the input's basis at pep.RANK_TOL
+        for name, value in (("seed", 0), ("rank_tol", 1e-10), ("basis", Basis.CHEBYSHEV1)):
+            with pytest.raises(TypeError, match=name):
+                SolverConfig(**{name: value})
         with pytest.raises(ValueError):
             SolverConfig(hide_variable=0)
 
@@ -154,7 +154,7 @@ class TestQuadraticPair:
 
     def test_basis_override(self):
         p = systems.quadratic_pair_system()
-        out = solve(p, SolverConfig(basis=Basis.CHEBYSHEV1))
+        out = solve(p.convert_basis(Basis.CHEBYSHEV1))
         assert_same_points(out.points(), systems.quadratic_pair_solutions(), 1e-6)
 
     def test_determinism(self):
@@ -265,15 +265,15 @@ class TestRankDeficientPair:
             points.append(x)
             return evaluate(self, x)
 
-        def recorded(R, rank_tol=1e-10):
+        def recorded(R):
             points.clear()
-            rank = real(R, rank_tol)
+            rank = real(R)
             probed.append(len(points))
             return rank
 
-        def probe_all(R, rank_tol=1e-10):
+        def probe_all(R):
             sv = [np.linalg.svd(R.eval(z), compute_uv=False) for z in pep._SHIFTS]
-            return max(int(np.count_nonzero(s / s[0] > rank_tol)) for s in sv)
+            return max(int(np.count_nonzero(s / s[0] > pep.RANK_TOL)) for s in sv)
 
         def solved_with(probe):
             monkeypatch.setattr(pep, "normal_rank", probe)
@@ -418,9 +418,8 @@ class TestDeflation:
         # dropped there are no factors, every eigenpair reads NaN, and each
         # root comes from the fallback
         p = systems.rank_one_front_system(np.random.default_rng(0))
-        cfg = SolverConfig()
-        _, work, unpermute = solver._hide(p, cfg)
-        pairs, info = solver._eigenpairs(work, unpermute, cfg)
+        work, unpermute = solver._hide(p, SolverConfig())
+        pairs, info = solver._eigenpairs(work, unpermute)
         assert info == {"resultant_size": 4, "normal_rank": 3, "projected": False}
         assert pairs.factors is None
         assert len(pairs.lam) > 0
@@ -447,9 +446,8 @@ class TestDeflation:
             return solve_pep(R, vectors, max_cond)
 
         monkeypatch.setattr(solver, "solve_pep", recorded)
-        cfg = SolverConfig()
-        _, work, unpermute = solver._hide(p, cfg)
-        pairs, info = solver._eigenpairs(work, unpermute, cfg)
+        work, unpermute = solver._hide(p, SolverConfig())
+        pairs, info = solver._eigenpairs(work, unpermute)
         assert asked == [False] and not info["projected"]
         assert len(pairs.lam) > 0 and np.all(np.isnan(pairs.x).any(axis=1))
         out = solve(p)
@@ -518,9 +516,8 @@ class TestCertifiedResultant:
         # the resultant of side 8 has 3 structurally zero rows and columns;
         # its core of side 5 is regular, so one solve both certifies and
         # solves it, its rank is never probed, and both roots are read
-        cfg = SolverConfig()
-        _, work, unpermute = solver._hide(systems.rank_deficient_pair_system(), cfg)
-        pairs, info = solver._eigenpairs(work, unpermute, cfg)
+        work, unpermute = solver._hide(systems.rank_deficient_pair_system(), SolverConfig())
+        pairs, info = solver._eigenpairs(work, unpermute)
         assert rank_machinery["solve_pep"] == 1
         assert rank_machinery["normal_rank"] == 0
         assert info == {"resultant_size": 8, "normal_rank": 5, "projected": False}
@@ -545,13 +542,13 @@ class TestCertifiedResultant:
 
     def test_ill_conditioned_regular_resultant_is_probed(self, rank_machinery):
         # R = diag(x - 1, 1e-8 (x - 2)) is regular, with full normal rank at
-        # rank_tol 1e-10, but R(sigma) has condition about 1e8 at every shift
+        # pep.RANK_TOL, but R(sigma) has condition about 1e8 at every shift
         c = np.zeros((2, 2, 2), dtype=complex)
         c[0] = np.diag([-1.0, -2e-8])
         c[1] = np.diag([1.0, 1e-8])
         R = MatrixPoly(c)
         with pytest.raises(SingularPencilError):
-            pep.solve_pep(R, False, max_cond=SolverConfig().rank_tol**-0.5)
+            pep.solve_pep(R, False, max_cond=pep.RANK_TOL**-0.5)
         out = solve(Pmep([R]))
         assert rank_machinery["normal_rank"] == 1
         assert rank_machinery["project_singular"] == 0
@@ -778,9 +775,9 @@ class TestDegreeOneRead:
         if not linear:
             return
         assert_same_points(out.points(), solve_linear_mep(p).points(), 1e-8)
-        for cfg in (SolverConfig(hide_variable=1), SolverConfig(basis=Basis.CHEBYSHEV1)):
+        for q, cfg in ((p, SolverConfig(hide_variable=1)), (p.convert_basis(Basis.CHEBYSHEV1), None)):
             pep_calls[0] = 0
-            other = solve(p, cfg)
+            other = solve(q, cfg)
             assert pep_calls[0] == 1
             assert all(not s.flags["reduced"] for s in other)
             assert_same_points(other.points(), out.points(), 1e-8)
@@ -916,6 +913,28 @@ class TestUnivariatePassthrough:
         out = solve(Pmep([MatrixPoly(c)]))
         assert len(out) == 1
         assert abs(out[0].x[0] - 3.0) <= 1e-12
+
+    def test_gate_failures_have_no_fallback(self, monkeypatch):
+        # with d = 1 the point is the eigenvalue, so an eigenpair that fails
+        # the gate has nothing left to re-solve: it is dropped, not counted
+        # as a lost eigenpair, and no substituted system is built
+        rng = np.random.default_rng(21)
+        c = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        substituted = []
+
+        def failing(p, X, tol=np.inf, vecs=None):
+            return X, np.ones(len(X))
+
+        def recorded(*args):
+            substituted.append(args)
+            return [], False
+
+        monkeypatch.setattr(solver, "refine", failing)
+        monkeypatch.setattr(solver, "_substituted_candidates", recorded)
+        out = solve(Pmep([MatrixPoly(c)]))
+        assert len(out) == 0
+        assert out.diagnostics["dropped_eigenpairs"] == 0
+        assert substituted == []
 
 
 class TestSolutionCount:
