@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MultiPolyEigError
-from .extract import check_tolerances, residual
+from .extract import RESIDUAL_TOL, check_tolerances, residual
 from .io import parse_pmep, parse_solutions, serialize_solutions
 from .oracle import newton_oracle
 from .solver import SolverConfig, solve
@@ -111,8 +111,8 @@ def _add_common_tolerances(sub):
     sub.add_argument(
         "--residual-tol",
         type=float,
-        default=1e-8,
-        help="accept solutions with normalized residual at most T (default 1e-8)",
+        default=RESIDUAL_TOL,
+        help="accept solutions with normalized residual at most T (default %(default)g)",
     )
 
 

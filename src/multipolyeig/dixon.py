@@ -296,7 +296,7 @@ def _tables(tau, basis):
 _CHUNK_BYTES = 1 << 18
 
 
-def build_resultant(p, trim_tol=1e-10):
+def build_resultant(p):
     """Construct the hidden variable tensor Dixon resultant R(x_d) of a Pmep.
 
     Evaluates the Dixon function at d*tau_d + 1 nodes in x_d, in chunks of
@@ -306,8 +306,8 @@ def build_resultant(p, trim_tol=1e-10):
     interpolated entrywise into a univariate `MatrixPoly`.  The nodes, grids,
     basis rows and interpolation maps depend only on (tau, basis) and are
     cached (`_tables`), so a repeated shape pays only for the work on its
-    coefficients.  Trailing coefficients below trim_tol (relative) are
-    trimmed (`pep.trim`).
+    coefficients.  Trailing coefficients at most `pep.RANK_TOL` times the
+    largest are trimmed (`pep.trim`).
     """
     if not isinstance(p, Pmep):
         raise ValueError("build_resultant expects a Pmep")
@@ -326,4 +326,4 @@ def build_resultant(p, trim_tol=1e-10):
             vals = bo.apply_matrix_axis(vals, tables.t_interp[k], shape.d + k)
         mats.append(unfold(vals, shape))
     coeffs = np.tensordot(tables.to_coeff, np.concatenate(mats), axes=(1, 0))
-    return trim(MatrixPoly(coeffs, p.basis), trim_tol)
+    return trim(MatrixPoly(coeffs, p.basis))

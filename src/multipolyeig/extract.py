@@ -28,6 +28,10 @@ __all__ = [
     "filter_solutions",
 ]
 
+# the default residual gate of a solution: of `solve`, the command line's
+# --residual-tol and `oracle.newton_oracle`
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass
 class Solution:
@@ -147,33 +151,36 @@ def generic_nullspace_basis(R, rank_tol=1e-10, rng=None):
     return vh[rank:].conj().T
 
 
-def _per_slice(fn, lo, hi, width):
-    """fn(slice(lo, hi)) as one stacked LAPACK call, shape (hi - lo, width).
+def _stacked(fn, stacks, width):
+    """fn(*stacks) as one stacked LAPACK call, shape (len(stacks[0]), width).
 
-    When LAPACK rejects the stack (an exactly singular slice, an SVD that does
-    not converge), the range is halved until each failing slice stands alone;
-    that slice's row is NaN.
+    When LAPACK rejects the stack (an exactly singular matrix, an SVD that
+    does not converge), the stacks are halved until each rejected row stands
+    alone; that row is NaN.  The package's one `LinAlgError` handler.
     """
     try:
-        return fn(slice(lo, hi))
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        if hi - lo == 1:
+        k = len(stacks[0])
+        if k == 1:
             return np.full((1, width), np.nan, dtype=complex)
-        mid = (lo + hi) // 2
-        return np.concatenate(
-            [_per_slice(fn, lo, mid, width), _per_slice(fn, mid, hi, width)]
-        )
+        halves = [s[: k // 2] for s in stacks], [s[k // 2 :] for s in stacks]
+        return np.concatenate([_stacked(fn, half, width) for half in halves])
 
 
-def _finite_rows(fn, stack, width):
-    """fn of a stack's finite matrices through `_per_slice`, shape
-    (len(stack), width); the rows of the other matrices are NaN."""
-    k = stack.shape[0]
+def _finite_rows(fn, *stacks, width):
+    """fn of the rows finite in every stack, through `_stacked`, shape
+    (len(stacks[0]), width); every other row is NaN, the only sign of a
+    failed row."""
+    k = len(stacks[0])
     out = np.full((k, width), np.nan, dtype=complex)
-    finite = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2)))
-    good = stack if finite.size == k else stack[finite]
-    if finite.size:
-        out[finite] = _per_slice(lambda sl: fn(good[sl]), 0, finite.size, width)
+    finite = np.ones(k, dtype=bool)
+    for s in stacks:
+        finite &= np.all(np.isfinite(s), axis=tuple(range(1, s.ndim)))
+    if not np.all(finite):  # copy only when some row is dropped
+        stacks = [s[finite] for s in stacks]
+    if np.any(finite):
+        out[finite] = _stacked(fn, stacks, width)
     return out
 
 
@@ -196,7 +203,7 @@ def residual(p, x):
         scale = poly.max_coeff_norm()
         if scale == 0.0:
             continue
-        sigma = _finite_rows(lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], vals, 1)
+        sigma = _finite_rows(lambda m: np.linalg.svd(m, compute_uv=False)[:, -1:], vals, width=1)
         sigma = sigma[:, 0].real
         sigma[np.isnan(sigma)] = np.inf
         res = np.maximum(res, sigma / scale)
@@ -249,16 +256,7 @@ def _bordered_steps(jets, vecs):
         jac[:, side + i, at : at + n] = v.conj()
         rhs[:, at : at + n, 0] = -np.einsum("kab,kb->ka", jet[:, 0], v)
         at += n
-    ok = np.all(np.isfinite(jac), axis=(1, 2))
-    if not np.all(ok):  # copy only when some system is dropped
-        jac, rhs = jac[ok], rhs[ok]
-    steps = np.full((k, side + d), np.nan, dtype=complex)
-    if len(jac):
-
-        def solve(sl):
-            return np.linalg.solve(jac[sl], rhs[sl])[..., 0]
-
-        steps[ok] = _per_slice(solve, 0, len(jac), side + d)
+    steps = _finite_rows(lambda j, r: np.linalg.solve(j, r)[..., 0], jac, rhs, width=side + d)
     ends = np.cumsum([v.shape[1] for v in vecs])
     return steps[:, side:], np.split(steps[:, :side], ends[:-1], axis=1)
 
@@ -286,7 +284,7 @@ def _newton_step(p, X, vecs=None, before=None):
             lost = np.flatnonzero(~np.all(np.isfinite(v), axis=1))
             if lost.size:  # the right singular vectors of sigma_min
                 v[lost] = _finite_rows(
-                    lambda m: np.linalg.svd(m)[2][:, -1].conj(), jet[lost, 0], n
+                    lambda m: np.linalg.svd(m)[2][:, -1].conj(), jet[lost, 0], width=n
                 )
             null.append(v)
         if before is None:
@@ -295,9 +293,7 @@ def _newton_step(p, X, vecs=None, before=None):
         stepped = X + dx
         moved = [v + step for v, step in zip(null, dv)]
         moved = [w / np.linalg.norm(w, axis=1, keepdims=True) for w in moved]
-        ok = np.flatnonzero(np.all(np.isfinite(stepped), axis=1))
-        after = np.full(k, np.inf)
-        after[ok] = _triplet_residuals(p, p.eval_many(stepped[ok]), [w[ok] for w in moved])
+        after = _triplet_residuals(p, p.eval_many(stepped), moved)
     return stepped, moved, after, before
 
 
@@ -326,7 +322,8 @@ def refine(p, X, tol=np.inf, vecs=None):
     pass after one step, and rows far from any root, pay nothing more.
     Returns the best point of each row with its residual:
     ``(points, residuals)``.  A point whose step is singular or not finite
-    comes back unchanged; nothing here raises.
+    comes back unchanged, and one that is not finite (never read) with an
+    infinite residual; nothing here raises.
     """
     X = np.asarray(X, dtype=complex).reshape(-1, p.d)
     points, res = X.copy(), np.zeros(X.shape[0])

@@ -9,10 +9,13 @@ pipeline without sharing any code path with it.
 
 import numpy as np
 
-from .extract import Solution, check_tolerances, filter_solutions, residual
+from .extract import RESIDUAL_TOL, Solution, check_tolerances, filter_solutions, residual
 from .mpoly import MatrixPoly
 
 __all__ = ["adjugate", "newton_oracle"]
+
+# Newton iterations a start may take before it counts as nonconvergent
+_MAX_ITER = 50
 
 
 def adjugate(a):
@@ -36,7 +39,7 @@ def _derivatives(p):
     ]
 
 
-def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):
+def newton_oracle(p, starts=200, seed=0, residual_tol=RESIDUAL_TOL):
     """Multistart Newton on the determinant system of a Pmep.
 
     Returns the deduplicated, residual-validated solution set; non-convergent
@@ -55,7 +58,7 @@ def newton_oracle(p, starts=200, seed=0, residual_tol=1e-8, max_iter=50):
     for _ in range(starts):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             f = np.empty(d, dtype=complex)
             jac = np.empty((d, d), dtype=complex)
             for i, poly in enumerate(p.polys):

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _basisops as bo
 from .errors import ProjectionFailureError, SingularPencilError
+from .extract import _stacked
 from .mpoly import MatrixPoly
 
 __all__ = [
@@ -43,16 +44,17 @@ _SHIFTS = 1.3 * np.exp(2j * np.pi * (0.1234 + np.arange(3) / 3))
 _PROBE_PHASES = 2j * np.pi * np.array([0.0, (np.sqrt(5.0) - 1.0) / 2.0])
 _EPS = np.finfo(float).eps
 # relative cut of every rank decision: R's structurally zero rows and
-# columns, the shift certificate (at most RANK_TOL^-1/2) and the normal rank
+# columns, the shift certificate (at most RANK_TOL^-1/2) and the normal rank;
+# also of R's degree, as the cut of its trailing coefficients (`trim`)
 RANK_TOL = 1e-10
 
 
-def trim(R, tol=1e-10):
-    """R without its trailing coefficients whose Frobenius norm is at most
-    tol times the largest one; a zero R keeps its constant coefficient."""
+def trim(R):
+    """R without its trailing coefficients of Frobenius norm at most RANK_TOL
+    times the largest one; a zero R keeps its constant coefficient."""
     norms = np.linalg.norm(R.coeffs, axis=(1, 2))
     keep = len(norms)
-    while keep > 1 and norms[keep - 1] <= tol * norms.max():
+    while keep > 1 and norms[keep - 1] <= RANK_TOL * norms.max():
         keep -= 1
     return R if keep == len(norms) else MatrixPoly(R.coeffs[:keep], R.basis)
 
@@ -63,12 +65,9 @@ def _conditions(mats):
     entries, inf where M is exactly singular or the estimate is not finite."""
     n = mats.shape[-1]
     probe = np.exp(np.arange(n)[:, None] * _PROBE_PHASES)
-    try:
-        x = np.linalg.solve(mats, probe)
-    except np.linalg.LinAlgError:  # an exact zero pivot in one matrix or more
-        if len(mats) == 1:
-            return [np.inf]
-        return [cond for mat in mats for cond in _conditions(mat[None])]
+    # an exact zero pivot makes its matrix's row NaN, so its estimate inf
+    x = _stacked(lambda m: np.linalg.solve(m, probe).reshape(len(m), -1), [mats], 2 * n)
+    x = x.reshape(len(mats), n, 2)
     conds = np.abs(mats).sum(axis=1).max(axis=1) * np.abs(x).sum(axis=1).max(axis=1) / n
     return [cond if cond < np.inf else np.inf for cond in conds.tolist()]
 

@@ -29,17 +29,18 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    that leave it short: a ratio block with no kept entry pair, or a
    Kronecker read without all of block 0.  The points are put back in the
    caller's variable order,
-3. `_gate_reads`: gate every read point in one call (`extract.refine`):
-   each point takes one Newton step on the original system, on the point
-   and its null vectors v_i jointly, keeps it only if it lowers the
-   normalized residual max_i ||P_i(x) v_i|| / (||v_i|| scale_i) of the
-   triplet, steps again while it fails the tolerance and Newton converges
-   on it (up to 3 steps), and passes when that residual is within the
-   tolerance.  The first step's v_i are the Kronecker factors when there
-   are any, else from an SVD of P_i(x); a further step carries the v_i the
-   last one refined.  No residual needs an SVD, and each bounds from above
-   the sigma_min-based `extract.residual` that `verify` recomputes; a point
-   that was not read keeps an infinite one,
+3. `_gate_reads`: gate every eigenpair's point in one call
+   (`extract.refine`): each point takes one Newton step on the original
+   system, on the point and its null vectors v_i jointly, keeps it only if
+   it lowers the normalized residual max_i ||P_i(x) v_i|| / (||v_i||
+   scale_i) of the triplet, steps again while it fails the tolerance and
+   Newton converges on it (up to 3 steps), and passes when that residual
+   is within the tolerance.  The first step's v_i are the Kronecker
+   factors when there are any, else from an SVD of P_i(x); a further step
+   carries the v_i the last one refined.  No residual needs an SVD, and
+   each bounds from above the sigma_min-based `extract.residual` that
+   `verify` recomputes.  A point that was not read (NaN) comes back
+   unchanged with an infinite residual,
 4. `_fallback`: for each eigenpair that failed the gate, every front
    coordinate is re-solved with x_d = lambda substituted: each equation is
    left out in turn, the last one first, and the other d - 1 are solved, as
@@ -65,9 +66,10 @@ import numpy as np
 from .dixon import DixonShape, build_resultant
 from .errors import MultiPolyEigError, SingularPencilError
 from .extract import (
+    RESIDUAL_TOL,
     Solution,
+    _finite_rows,
     _first_copy,
-    _per_slice,
     block_indices,
     check_tolerances,
     filter_solutions,
@@ -101,7 +103,7 @@ class SolverConfig:
     """
 
     hide_variable: int | None = None
-    residual_tol: float = 1e-8
+    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         check_tolerances(residual_tol=self.residual_tol)
@@ -216,18 +218,14 @@ def _kronecker_read(work, factors, pts, coords):
         a.append(cu[:, 0])
         b.append(cu[:, 1:])
     a = np.concatenate(a, axis=1)
-    b = np.concatenate(b, axis=2)
-    ok = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=(1, 2))
-    out = np.full((len(pts), len(coords)), np.nan, dtype=complex)
-    if np.any(ok):
-        q, r = np.linalg.qr(np.swapaxes(b[ok], 1, 2))
-        qa = q.conj().swapaxes(1, 2) @ a[ok][..., None]
+    b = np.swapaxes(np.concatenate(b, axis=2), 1, 2)
+    return _finite_rows(_least_squares, a, b, width=len(coords))
 
-        def lsq(sl):
-            return -np.linalg.solve(r[sl], qa[sl])[..., 0]
 
-        out[ok] = _per_slice(lsq, 0, len(r), len(coords))
-    return out
+def _least_squares(a, b):
+    """-argmin_x ||a + b x|| per row of the stacks a (k, m) and b (k, m, c)."""
+    q, r = np.linalg.qr(b)
+    return -np.linalg.solve(r, q.conj().swapaxes(1, 2) @ a[..., None])[..., 0]
 
 
 def _substituted_candidates(work, lam, cfg):
@@ -331,11 +329,10 @@ def _eigenpairs(work, unpermute):
 
 
 def _gate_reads(p, pairs, tol):
-    """Refine and gate every read point of ``pairs`` in one `refine` call;
-    fills in their ``x`` and ``res``."""
-    read = np.all(np.isfinite(pairs.x), axis=1)
-    factors = None if pairs.factors is None else [u[read] for u in pairs.factors]
-    pairs.x[read], pairs.res[read] = refine(p, pairs.x[read], tol, factors)
+    """Refine and gate every point of ``pairs`` in one `refine` call; fills
+    in their ``x`` and ``res``.  A point that was not read (NaN) comes back
+    unchanged with an infinite residual."""
+    pairs.x[:], pairs.res[:] = refine(p, pairs.x, tol, pairs.factors)
 
 
 def _fallback(p, work, unpermute, pairs, cfg):

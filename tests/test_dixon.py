@@ -19,7 +19,7 @@ from multipolyeig.dixon import (
     unfold,
 )
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
-from multipolyeig.pep import trim
+from multipolyeig.pep import RANK_TOL, trim
 
 
 def eval_tensor(tens, shape, basis, s, t):
@@ -383,8 +383,8 @@ class TestStackedNodes:
     )
     def test_matches_one_node_at_a_time(self, sizes, tau, basis):
         p = systems.random_pmep(np.random.default_rng(70), sizes, tau, basis)
-        want = per_node_resultant(p)
-        got = build_resultant(p, trim_tol=0.0).coeffs
+        want = trim(MatrixPoly(per_node_resultant(p), basis)).coeffs
+        got = build_resultant(p).coeffs
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -472,12 +472,14 @@ class TestResultantPoly:
         assert trim(r).m == 0
 
     def test_trim_tolerance(self):
+        # trailing coefficients are cut at RANK_TOL times the largest norm
         c = np.zeros((3, 2, 2), dtype=complex)
         c[0] = np.eye(2)
         c[1] = np.eye(2)
         c[2] = 1e-14 * np.eye(2)
-        r = trim(MatrixPoly(c, Basis.MONOMIAL), 1e-10)
-        assert r.m == 1
+        assert trim(MatrixPoly(c, Basis.MONOMIAL)).m == 1
+        c[2] = 2 * RANK_TOL * np.eye(2)
+        assert trim(MatrixPoly(c, Basis.MONOMIAL)).m == 2
 
     def test_eval_matches_horner(self):
         rng = np.random.default_rng(39)

@@ -201,6 +201,25 @@ class TestResidual:
         assert list(residual(p, pts)) == [residual(p, x) for x in pts]
 
 
+class TestFiniteRows:
+    def test_drops_only_the_failing_rows(self):
+        # row 2 is finite in the first stack only; row 5 is finite but
+        # exactly singular, so LAPACK rejects every stack that holds it
+        rng = np.random.default_rng(64)
+        mats = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
+        rhs = rng.standard_normal((8, 3, 1)) + 1j * rng.standard_normal((8, 3, 1))
+        rhs[2, 1, 0] = np.nan
+        mats[5, :, 0] = 0.0
+
+        def fn(a, b):
+            return np.linalg.solve(a, b)[..., 0]
+
+        got = extract._finite_rows(fn, mats, rhs, width=3)
+        assert np.all(np.isnan(got[[2, 5]]))
+        for j in (0, 1, 3, 4, 6, 7):
+            assert np.array_equal(got[j], fn(mats[j : j + 1], rhs[j : j + 1])[0])
+
+
 class TestRefine:
     def test_perturbed_root_comes_back(self):
         p = systems.quadratic_pair_system()
@@ -220,11 +239,14 @@ class TestRefine:
         c[0] = np.diag([-2.0, -2.0, -5.0])
         c[1] = np.eye(3)
         p = Pmep([MatrixPoly(c)])
-        start = np.array([[2.0], [5.0 + 1e-6], [np.inf]])
+        # a point that was never read (NaN) comes back as it was, with an
+        # infinite residual
+        start = np.array([[2.0], [5.0 + 1e-6], [np.inf], [np.nan]])
         points, res = refine(p, start)
         assert points[0, 0] == 2.0 and res[0] == 0.0
         assert abs(points[1, 0] - 5.0) <= 1e-12
         assert points[2, 0] == np.inf and res[2] == np.inf
+        assert np.isnan(points[3, 0]) and res[3] == np.inf
 
     def test_never_worse_than_the_input(self):
         # points near roots, where the step helps, and random points, where

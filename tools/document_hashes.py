@@ -11,10 +11,11 @@ number of solutions the document holds (``-`` when none was written)::
 The package is imported from this tree's `src/`, and BLAS runs on one thread,
 as in the benchmark.  To check that a change leaves every document
 byte-identical, save the output of the tree before the change and compare
-the tree after it against that list::
+the tree after it against that list (the seeds default to 0 1 2, as in
+`tools/root_sets.py`)::
 
-    python3 tools/document_hashes.py --seeds 0 1 2 > before.txt
-    python3 tools/document_hashes.py --seeds 0 1 2 --against before.txt
+    python3 tools/document_hashes.py > before.txt
+    python3 tools/document_hashes.py --against before.txt
 
 With ``--against`` only the documents that differ from the saved list (or
 are missing from it) are printed, each with its saved fields and the kind of
@@ -72,7 +73,7 @@ def document_hashes(seeds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument(
         "--against", metavar="FILE", type=Path,
         help="saved output to compare with: print only the documents that differ",
