@@ -29,7 +29,7 @@ from .mpoly import Basis, MatrixPoly, Pmep
 from .opdet import delta, solve_linear_mep
 from .oracle import newton_oracle
 from .pep import normal_rank, project_singular, solve_pep
-from .solver import SolverConfig, choose_hidden_variable, solve
+from .solver import choose_hidden_variable, solve
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "residual",
     "refine",
     "filter_solutions",
-    "SolverConfig",
     "solve",
     "choose_hidden_variable",
     "newton_oracle",

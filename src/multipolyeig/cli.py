@@ -27,7 +27,7 @@ from .errors import MultiPolyEigError
 from .extract import RESIDUAL_TOL, check_tolerances, residual
 from .io import parse_pmep, parse_solutions, serialize_solutions
 from .oracle import newton_oracle
-from .solver import SolverConfig, solve
+from .solver import solve
 
 __all__ = ["run_cli", "main"]
 
@@ -45,7 +45,7 @@ def _emit(text, output):
 
 def _cmd_solve(args):
     p = parse_pmep(_read(args.problem))
-    out = solve(p, SolverConfig(hide_variable=args.hide, residual_tol=args.residual_tol))
+    out = solve(p, hide_variable=args.hide, residual_tol=args.residual_tol)
     _emit(serialize_solutions(out), args.output)
     d = out.diagnostics
     print(

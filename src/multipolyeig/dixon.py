@@ -46,7 +46,6 @@ __all__ = [
     "kron_det",
     "dixon_numerator_eval",
     "unfold",
-    "refold",
     "build_resultant",
 ]
 
@@ -201,22 +200,6 @@ def unfold(f_coeffs, shape):
     rows = shape.N * int(np.prod([b + 1 for b in shape.beta]))
     cols = shape.resultant_size
     return np.transpose(f_coeffs, order).reshape(f_coeffs.shape[:lead] + (rows, cols))
-
-
-def refold(mat, shape):
-    """Inverse of unfold."""
-    n_i = shape.d - 1
-    i_axes = list(range(n_i))
-    j_axes = list(range(n_i, 2 * n_i))
-    order = j_axes[::-1] + [2 * n_i] + i_axes[::-1] + [2 * n_i + 1]
-    unfolded_shape = (
-        tuple(shape.beta[k] + 1 for k in reversed(range(n_i)))
-        + (shape.N,)
-        + tuple(shape.alpha[k] + 1 for k in reversed(range(n_i)))
-        + (shape.N,)
-    )
-    tens = np.asarray(mat).reshape(unfolded_shape)
-    return np.transpose(tens, np.argsort(order))
 
 
 def _unit_roots(m):

@@ -10,11 +10,12 @@ solve with R(sigma), of side n, and the shift sigma is the one of three
 fixed points where R(sigma) is best conditioned; under a bound on its
 condition estimate the solve certifies R regular, so one factorization
 both certifies and solves.  Only an R that it does not certify needs
-`normal_rank`, probed at the same shifts, and, when singular, the random
-two-sided compression to its normal rank, `project_singular`, before it is
-solved again.  Eigenpairs come back unrefined: the solver polishes the
-roots they lead to with Newton steps on the original system
-(`extract.refine`).  Everything here runs on numpy alone.
+`normal_rank`, probed at the same shifts, and, when singular, the
+two-sided compression to its normal rank from a generator of fixed seed,
+`project_singular`, before it is solved again.  Eigenpairs come back
+unrefined: the solver polishes the roots they lead to with Newton steps on
+the original system (`extract.refine`).  Everything here runs on numpy
+alone.
 """
 
 import functools
@@ -207,25 +208,24 @@ def normal_rank(R):
     return rank
 
 
-def project_singular(R, r, rng):
+def project_singular(R, r):
     """Two-sided orthogonal compression of a singular matrix polynomial to
     its normal rank r.
 
     Draws U (r x dim, orthonormal rows) and V (dim x r, orthonormal columns)
-    from Gaussian matrices of the generator ``rng`` (a numpy Generator or a
-    seed) and forms R'(lambda) = U R(lambda) V, confirming with
-    `normal_rank` that R' has full normal rank r; redraws up to three times
-    before giving up.  Returns (R', U, V).  V maps eigenvectors back: at an
-    eigenvalue of R, R'(lambda) w = 0 gives, for generic U and V, the null
-    vector V w of R(lambda).
+    from Gaussian matrices of a generator of fixed seed 0 and forms
+    R'(lambda) = U R(lambda) V, confirming with `normal_rank` that R' has
+    full normal rank r; redraws up to three times before giving up.
+    Returns R', or R itself when r is its side.  Its eigenvalues are those
+    of R; its eigenvectors are not R's, so a projected pencil gives no
+    point to read.
     """
     dim = R.size
     if r > dim:
         raise ValueError("normal rank exceeds dimension")
     if r == dim:
-        eye = np.eye(dim, dtype=complex)
-        return R, eye, eye
-    rng = np.random.default_rng(rng)
+        return R
+    rng = np.random.default_rng(0)
     for _ in range(3):
         gu = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
         gv = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
@@ -233,7 +233,7 @@ def project_singular(R, r, rng):
         v = np.linalg.qr(gv)[0]
         projected = MatrixPoly(u @ R.coeffs @ v, R.basis)
         if normal_rank(projected) == r:
-            return projected, u, v
+            return projected
     raise ProjectionFailureError(
         f"projection to normal rank {r} not confirmed after 3 draws"
     )

@@ -1,7 +1,7 @@
 """End-to-end solver: hidden variable, resultant, eigensolve, extraction.
 
 One pipeline for every input, run once in the given coordinates, in four
-stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
+stages that keep one row per pencil eigenvalue (`_Eigenpairs`):
 
 1. `_hide`: validate, choose the hidden variable and permute it last; the
    solve works in the input's own basis,
@@ -29,18 +29,17 @@ stages over one record with a row per pencil eigenvalue (`_Eigenpairs`):
    that leave it short: a ratio block with no kept entry pair, or a
    Kronecker read without all of block 0.  The points are put back in the
    caller's variable order,
-3. `_gate_reads`: gate every eigenpair's point in one call
-   (`extract.refine`): each point takes one Newton step on the original
-   system, on the point and its null vectors v_i jointly, keeps it only if
-   it lowers the normalized residual max_i ||P_i(x) v_i|| / (||v_i||
-   scale_i) of the triplet, steps again while it fails the tolerance and
-   Newton converges on it (up to 3 steps), and passes when that residual
-   is within the tolerance.  The first step's v_i are the Kronecker
-   factors when there are any, else from an SVD of P_i(x); a further step
-   carries the v_i the last one refined.  No residual needs an SVD, and
-   each bounds from above the sigma_min-based `extract.residual` that
-   `verify` recomputes.  A point that was not read (NaN) comes back
-   unchanged with an infinite residual,
+3. gate every eigenpair's point in one `extract.refine` call: each point
+   takes one Newton step on the original system, on the point and its null
+   vectors v_i jointly, keeps it only if it lowers the normalized residual
+   max_i ||P_i(x) v_i|| / (||v_i|| scale_i) of the triplet, steps again
+   while it fails the tolerance and Newton converges on it (up to 3 steps),
+   and passes when that residual is within the tolerance.  The first step's
+   v_i are the Kronecker factors when there are any, else from an SVD of
+   P_i(x); a further step carries the v_i the last one refined.  No
+   residual needs an SVD, and each bounds from above the sigma_min-based
+   `extract.residual` that `verify` recomputes.  A point that was not read
+   (NaN) comes back unchanged with an infinite residual,
 4. `_fallback`: for each eigenpair that failed the gate, every front
    coordinate is re-solved with x_d = lambda substituted: each equation is
    left out in turn, the last one first, and the other d - 1 are solved, as
@@ -59,7 +58,6 @@ true when the top-level pencil or that of any nested solve was projected.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,35 +78,15 @@ from .mpoly import Basis, MatrixPoly, Pmep
 from .opdet import delta, kron_factor
 from .pep import RANK_TOL, normal_rank, project_singular, solve_pep, trim
 
-__all__ = ["SolverConfig", "choose_hidden_variable", "solve"]
+__all__ = ["choose_hidden_variable", "solve"]
 
 # eigenvector layout of a pencil whose eigenvector is v_1 kron ... kron v_d
 _OneBlock = namedtuple("_OneBlock", "d sizes N alpha")
 
 # one row per pencil eigenvalue: ``lam`` (k,); the point ``x`` (k, d) read
 # off its eigenvector, in the caller's variable order, NaN where the read
-# failed; its residual ``res`` (k,), infinite until gated and where not read;
-# ``factors``, equation i's null vectors from block 0 (k, n_i), or None
-_Eigenpairs = namedtuple("_Eigenpairs", "lam x res factors")
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for the full pipeline; defaults follow the library conventions.
-
-    ``hide_variable`` (1-based) overrides the automatic choice.
-    ``residual_tol`` is the residual gate a point must pass to become a
-    solution.  Every rank decision cuts at `pep.RANK_TOL`, and the solve
-    works in the input's basis: ``solve(p.convert_basis(B))`` works in B.
-    """
-
-    hide_variable: int | None = None
-    residual_tol: float = RESIDUAL_TOL
-
-    def __post_init__(self):
-        check_tolerances(residual_tol=self.residual_tol)
-        if self.hide_variable is not None and self.hide_variable < 1:
-            raise ValueError("hide_variable is a 1-based variable index")
+# failed; ``factors``, equation i's null vectors from block 0 (k, n_i), or None
+_Eigenpairs = namedtuple("_Eigenpairs", "lam x factors")
 
 
 def choose_hidden_variable(p):
@@ -228,18 +206,18 @@ def _least_squares(a, b):
     return -np.linalg.solve(r, q.conj().swapaxes(1, 2) @ a[..., None])[..., 0]
 
 
-def _substituted_candidates(work, lam, cfg):
+def _substituted_candidates(work, lam, tol):
     """Candidate points with x_d = lam substituted, and whether a nested
     solve projected its pencil: ``(points, projected)``.
 
     Each equation is left out in turn, the last one first, and the front
     coordinates are solved from the other d - 1 substituted equations: the
     eigenvalues of the one equation left when d = 2, a nested solve
-    otherwise.  The recursion ends, as d drops by one at each level.  A
+    otherwise, at the residual tolerance ``tol`` and its own choice of hidden
+    variable.  The recursion ends, as d drops by one at each level.  A
     degenerate subsystem gives up only itself.  A root of all d equations
     solves every subsystem; each point is kept once."""
     d = work.d
-    sub_cfg = replace(cfg, hide_variable=None)
     points, projected = [], False
     for out in reversed(range(d)):
         try:
@@ -248,7 +226,7 @@ def _substituted_candidates(work, lam, cfg):
                 r = trim(rest[0])
                 xs = [[x] for x, _ in solve_pep(r, vectors=False)] if r.m >= 1 else []
             else:
-                sub = solve(Pmep(rest), sub_cfg)
+                sub = solve(Pmep(rest), residual_tol=tol)
                 xs = [s.x for s in sub]
                 projected |= sub.diagnostics["projected"]
         except (ValueError, MultiPolyEigError):
@@ -258,20 +236,21 @@ def _substituted_candidates(work, lam, cfg):
     return [x for i, x in enumerate(points) if first[i] == i], projected
 
 
-def _hide(p, cfg):
-    """Validate p, choose the hidden variable and permute it last.  Returns
-    the permuted system and the column order that undoes the permutation."""
+def _hide(p, hide_variable):
+    """Validate p, choose the hidden variable (1-based ``hide_variable``, or
+    `choose_hidden_variable` when None) and permute it last.  Returns the
+    permuted system and the column order that undoes the permutation."""
     if not isinstance(p, Pmep):
         raise ValueError("expected a Pmep")
     d = p.d
-    if cfg.hide_variable is not None and cfg.hide_variable > d:
-        raise ValueError("hide_variable exceeds the number of variables")
+    if hide_variable is not None and not 1 <= hide_variable <= d:
+        raise ValueError(f"hide_variable is a 1-based variable index, from 1 to d = {d}")
     if d > 1 and any(t < 1 for t in p.tau):
         raise ValueError(
             "every variable must appear in the system (tau_k >= 1); a missing "
             "variable leaves the point underdetermined"
         )
-    hide = choose_hidden_variable(p) if cfg.hide_variable is None else cfg.hide_variable
+    hide = choose_hidden_variable(p) if hide_variable is None else hide_variable
     perm = [i for i in range(1, d + 1) if i != hide] + [hide]
     return p.permute_variables(perm), np.argsort(np.array(perm) - 1)
 
@@ -305,7 +284,7 @@ def _eigenpairs(work, unpermute):
         rank = normal_rank(core)
         projected = rank < core.size
         if projected:
-            core = project_singular(core, rank, rng=0)[0]
+            core = project_singular(core, rank)
         vectors = vectors and not projected
         eigpairs = solve_pep(core, vectors=vectors) if core.m >= 1 else []
     lam = np.array([val for val, _ in eigpairs], dtype=complex)
@@ -325,67 +304,71 @@ def _eigenpairs(work, unpermute):
             fronts[:, read] = _kronecker_read(work, factors, np.column_stack([fronts, lam]), read)
     x = np.column_stack([fronts, lam])[:, unpermute]
     info = {"resultant_size": R.size, "normal_rank": rank, "projected": projected}
-    return _Eigenpairs(lam, x, np.full(len(lam), np.inf), factors), info
+    return _Eigenpairs(lam, x, factors), info
 
 
-def _gate_reads(p, pairs, tol):
-    """Refine and gate every point of ``pairs`` in one `refine` call; fills
-    in their ``x`` and ``res``.  A point that was not read (NaN) comes back
-    unchanged with an infinite residual."""
-    pairs.x[:], pairs.res[:] = refine(p, pairs.x, tol, pairs.factors)
-
-
-def _fallback(p, work, unpermute, pairs, cfg):
+def _fallback(p, work, unpermute, lam, x, res, tol):
     """The candidate points of the solution set, in eigenpair order.
 
-    Each eigenpair that passed the gate gives its own point.  The first copy
-    of each eigenvalue that failed it re-solves the front coordinates
-    (`_substituted_candidates`) for all of its copies, and those candidates
-    are gated in one `refine` call; when none failed, nothing is re-solved
-    or gated.  With d = 1 nothing is left to re-solve: the point is the
-    eigenvalue, so an eigenpair that failed the gate finds nothing.
-    Returns ``(points, residuals, reduced, nested_projected, dropped)``,
-    with ``dropped`` the eigenpairs whose first copy found no candidate.
+    ``x`` and ``res`` are the gated points of the eigenvalues ``lam`` and
+    their residuals.  Each eigenpair that passed the gate gives its own
+    point.  The first copy of each eigenvalue that failed it re-solves the
+    front coordinates (`_substituted_candidates`) for all of its copies, and
+    those candidates are gated in one `refine` call; when none failed,
+    nothing is re-solved or gated.  With d = 1 nothing is left to re-solve:
+    the point is the eigenvalue, so an eigenpair that failed the gate finds
+    nothing.  Returns ``(points, residuals, reduced, nested_projected,
+    dropped)``, with ``dropped`` the eigenpairs whose first copy found no
+    candidate.
     """
-    d, tol = work.d, cfg.residual_tol
-    retry = np.flatnonzero(~(pairs.res <= tol))
+    d = work.d
+    retry = np.flatnonzero(~(res <= tol))
     if d == 1 or not retry.size:
-        return pairs.x, pairs.res, [False] * len(pairs.lam), False, 0
-    first = retry[_first_copy(pairs.lam[retry, None])]
+        return x, res, [False] * len(lam), False, 0
+    first = retry[_first_copy(lam[retry, None])]
     leaders = retry[first == retry]
     # a spurious eigenvalue can overflow the substituted equations
     with np.errstate(over="ignore", invalid="ignore"):
-        subs = [_substituted_candidates(work, pairs.lam[j], cfg) for j in leaders]
-    found = np.zeros(len(pairs.lam), dtype=int)
+        subs = [_substituted_candidates(work, lam[j], tol) for j in leaders]
+    found = np.zeros(len(lam), dtype=int)
     found[leaders] = [len(ys) for ys, _ in subs]
     ys = np.array([y for ys, _ in subs for y in ys], dtype=complex).reshape(-1, d)
-    xs, res = refine(p, ys[:, unpermute], tol)
+    xs, rs = refine(p, ys[:, unpermute], tol)
     # each candidate carries the eigenpair it came from; a stable sort on
     # that index puts the points in eigenpair order
-    keep = np.setdiff1d(np.arange(len(pairs.lam)), retry)
+    keep = np.setdiff1d(np.arange(len(lam)), retry)
     src = np.concatenate([keep, np.repeat(leaders, found[leaders])])
     order = np.argsort(src, kind="stable")
     return (
-        np.concatenate([pairs.x[keep], xs])[order],
-        np.concatenate([pairs.res[keep], res])[order],
+        np.concatenate([x[keep], xs])[order],
+        np.concatenate([res[keep], rs])[order],
         (order >= len(keep)).tolist(),
         any(pr for _, pr in subs),
         int(np.count_nonzero(found[first] == 0)),
     )
 
 
-def solve(p, cfg=None):
-    """Globally solve a polynomial multiparameter eigenvalue problem."""
-    cfg = cfg or SolverConfig()
-    work, unpermute = _hide(p, cfg)
+def solve(p, *, hide_variable=None, residual_tol=RESIDUAL_TOL):
+    """Globally solve a polynomial multiparameter eigenvalue problem.
+
+    ``hide_variable`` (1-based) overrides the automatic choice of the hidden
+    variable.  ``residual_tol`` is the residual gate a point must pass to
+    become a solution.  Every rank decision cuts at `pep.RANK_TOL`, and the
+    solve works in the input's basis: ``solve(p.convert_basis(B))`` works
+    in B.
+    """
+    check_tolerances(residual_tol=residual_tol)
+    work, unpermute = _hide(p, hide_variable)
     pairs, info = _eigenpairs(work, unpermute)
-    _gate_reads(p, pairs, cfg.residual_tol)
-    points, res, reduced, nested, dropped = _fallback(p, work, unpermute, pairs, cfg)
+    x, res = refine(p, pairs.x, residual_tol, pairs.factors)
+    points, res, reduced, nested, dropped = _fallback(
+        p, work, unpermute, pairs.lam, x, res, residual_tol
+    )
     cands = [
         Solution(x, r, {"projected": info["projected"], "reduced": red})
         for x, r, red in zip(points, res, reduced)
     ]
-    out = filter_solutions(cands, cfg.residual_tol)
+    out = filter_solutions(cands, residual_tol)
     info["projected"] = info["projected"] or nested  # the top-level pencil or any nested one
     out.diagnostics = {**info, "dropped_eigenpairs": dropped}
     return out

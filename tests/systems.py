@@ -332,6 +332,23 @@ def waveguide_system(n, even=False):
     return Pmep(polys)
 
 
+def refold(mat, shape):
+    """Inverse of `dixon.unfold` for one matrix: the Dixon coefficient
+    tensor of an unfolded resultant matrix."""
+    n_i = shape.d - 1
+    i_axes = list(range(n_i))
+    j_axes = list(range(n_i, 2 * n_i))
+    order = j_axes[::-1] + [2 * n_i] + i_axes[::-1] + [2 * n_i + 1]
+    unfolded_shape = (
+        tuple(shape.beta[k] + 1 for k in reversed(range(n_i)))
+        + (shape.N,)
+        + tuple(shape.alpha[k] + 1 for k in reversed(range(n_i)))
+        + (shape.N,)
+    )
+    tens = np.asarray(mat).reshape(unfolded_shape)
+    return np.transpose(tens, np.argsort(order))
+
+
 def vandermonde_vector(shape, x_front, v):
     """Exact eigenvector model: block (i_1..i_{d-1}) holds prod x_k^{i_k} * v."""
     blocks = []

@@ -9,7 +9,7 @@ import numpy as np
 
 import systems
 from multipolyeig import solver
-from multipolyeig.dixon import DixonShape, build_resultant, refold
+from multipolyeig.dixon import DixonShape, build_resultant
 from multipolyeig.io import parse_pmep, serialize_pmep
 from multipolyeig.opdet import delta, solve_linear_mep
 from multipolyeig.oracle import newton_oracle
@@ -150,7 +150,7 @@ def test_criterion_08_witness_system_closed_form():
             s = rng.standard_normal(len(sizes) - 1) + 1j * rng.standard_normal(len(sizes) - 1)
             t = rng.standard_normal(len(sizes) - 1) + 1j * rng.standard_normal(len(sizes) - 1)
             xd = complex(*rng.standard_normal(2)) * 0.8
-            got = eval_tensor(refold(r.eval(xd), sh), sh, p.basis, s, t)
+            got = eval_tensor(systems.refold(r.eval(xd), sh), sh, p.basis, s, t)
             want = systems.shifted_power_closed_form(mats, sizes, tau, s, t, xd)
             assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 

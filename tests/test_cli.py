@@ -14,7 +14,7 @@ import multipolyeig
 from multipolyeig import cli
 from multipolyeig.cli import run_cli
 from multipolyeig.io import parse_solutions, serialize_pmep, serialize_solutions
-from multipolyeig.solver import SolverConfig, solve
+from multipolyeig.solver import solve
 
 import systems
 from multipolyeig.mpoly import Basis
@@ -271,6 +271,17 @@ class TestExitCodes:
         assert run_cli(["solve", problem_file, "--hide", "abc"]) == 2
         assert run_cli(["oracle", problem_file, "--seed", "abc"]) == 2
         capsys.readouterr()
+
+    def test_hide_out_of_range_is_solver_error(self, problem_file, tmp_path, capsys):
+        # d = 2: the hidden variable is 1 or 2, and either end of the range is
+        # rejected before anything is written
+        out = tmp_path / "solutions.json"
+        for hide in ("0", "3"):
+            assert run_cli(["solve", problem_file, "--hide", hide, "-o", str(out)]) == 1
+            cap = capsys.readouterr()
+            assert cap.out == ""
+            assert "hide_variable" in cap.err
+            assert not out.exists()
 
     def test_non_finite_tolerance_or_negative_seed_is_solver_error(
         self, problem_file, tmp_path, capsys

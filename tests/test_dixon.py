@@ -15,7 +15,6 @@ from multipolyeig.dixon import (
     build_resultant,
     dixon_numerator_eval,
     kron_det,
-    refold,
     unfold,
 )
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
@@ -225,7 +224,7 @@ class TestUnfold:
         sh = DixonShape(3, (2, 2, 1), (2, 1, 2))
         shape = tuple(a + 1 for a in sh.alpha) + tuple(b + 1 for b in sh.beta) + (sh.N, sh.N)
         tens = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(refold(unfold(tens, sh), sh), tens)
+        assert np.array_equal(systems.refold(unfold(tens, sh), sh), tens)
 
     def test_zero_tensor(self):
         sh = DixonShape(2, (2, 2), (2, 2))
@@ -289,7 +288,7 @@ class TestBuildResultant:
             s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             xd = complex(*rng.standard_normal(2))
-            f = eval_tensor(refold(r.eval(xd), sh), sh, p.basis, s, t)
+            f = eval_tensor(systems.refold(r.eval(xd), sh), sh, p.basis, s, t)
             num = dixon_numerator_eval(p, s, t, xd)
             denom = np.prod(s - t)
             assert np.max(np.abs(f * denom - num)) <= 1e-8 * np.max(np.abs(num))
@@ -339,7 +338,7 @@ class TestBuildResultant:
                 s = rng.standard_normal(len(sizes) - 1) + 1j * rng.standard_normal(len(sizes) - 1)
                 t = rng.standard_normal(len(sizes) - 1) + 1j * rng.standard_normal(len(sizes) - 1)
                 xd = complex(*rng.standard_normal(2)) * 0.8
-                got = eval_tensor(refold(r.eval(xd), sh), sh, p.basis, s, t)
+                got = eval_tensor(systems.refold(r.eval(xd), sh), sh, p.basis, s, t)
                 want = systems.shifted_power_closed_form(mats, sizes, tau, s, t, xd)
                 assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
 

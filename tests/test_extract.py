@@ -1,7 +1,5 @@
 """Tests for eigenvector coordinate extraction, residuals, and filtering."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from multipolyeig.extract import (
     vandermonde_ratios,
 )
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
-from multipolyeig.solver import SolverConfig
 
 
 REFERENCE_EIGENVECTOR = np.array(
@@ -34,19 +31,6 @@ def pair_shape():
 def nullspace_mask(r, tol=1e-13, rng=None):
     """Usable-entry mask from the generic null space: rows of small norm."""
     return np.linalg.norm(generic_nullspace_basis(r, rng=rng), axis=1) <= tol
-
-
-class TestConfig:
-    def test_defaults(self):
-        # the residual gate is a solver setting like the hidden variable; the
-        # read takes no knobs, and the solve no seed, basis or rank tolerance
-        cfg = SolverConfig()
-        assert cfg.residual_tol == 1e-8
-        assert [f.name for f in dataclasses.fields(cfg)] == ["hide_variable", "residual_tol"]
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tol=-1e-8)
 
 
 class TestVandermondeRatios:

@@ -333,16 +333,14 @@ class TestNormalRank:
 class TestProjectSingular:
     def test_noop_when_full_rank(self):
         r = build_resultant(systems.quadratic_pair_system())
-        out, u, v = project_singular(r, normal_rank(r), 0)
-        assert out is r
-        assert np.array_equal(u, np.eye(8))
+        assert project_singular(r, normal_rank(r)) is r
 
     def test_rank_deficient_pencil_projects_to_5(self):
         r = build_resultant(systems.rank_deficient_pair_system())
-        out, u, v = project_singular(r, normal_rank(r), 0)
+        out = project_singular(r, normal_rank(r))
         assert out.size == 5 and out.m == 1
-        assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
-        assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+        # the generator is seeded inside: the same input projects the same way
+        assert np.array_equal(project_singular(r, 5).coeffs, out.coeffs)
         lams = [lam for lam, _ in solve_pep(out)]
         for want in (1j, -1j):
             assert min(abs(lam - want) for lam in lams) <= 1e-6
@@ -359,7 +357,7 @@ class TestProjectSingular:
             r = MatrixPoly(coeffs, Basis.MONOMIAL)
             rank = normal_rank(r)
             assert rank == 4
-            out, _, _ = project_singular(r, rank, rng)
+            out = project_singular(r, rank)
             true = [l for l, _ in solve_pep(MatrixPoly(core, Basis.MONOMIAL))
                     if np.isfinite(l)]
             got = [l for l, _ in solve_pep(out) if np.isfinite(l)]
@@ -370,10 +368,10 @@ class TestProjectSingular:
         r = build_resultant(systems.rank_deficient_pair_system())
         assert normal_rank(r) == 5  # a projection to rank 7 cannot be confirmed
         with pytest.raises(ProjectionFailureError):
-            project_singular(r, 7, 0)
+            project_singular(r, 7)
 
     def test_rank_above_dimension_rejected(self):
         r = MatrixPoly(np.eye(2)[None], Basis.MONOMIAL)
         assert normal_rank(r) == 2
         with pytest.raises(ValueError):
-            project_singular(r, 3, 0)
+            project_singular(r, 3)

@@ -1,10 +1,12 @@
 """End-to-end solver tests: pipeline paths, invariances, and frozen systems."""
 
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
+import multipolyeig
 import systems
 from multipolyeig import extract, pep, solver
 from multipolyeig.dixon import DixonShape, build_resultant
@@ -14,7 +16,6 @@ from multipolyeig.io import serialize_solutions
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.opdet import solve_linear_mep
 from multipolyeig.solver import (
-    SolverConfig,
     _substituted_candidates,
     choose_hidden_variable,
     solve,
@@ -73,25 +74,44 @@ class TestChooseHiddenVariable:
 
 
 class TestConfigValidation:
+    def test_defaults(self):
+        # a solve has two settings, both keyword-only: the hidden variable and
+        # the residual gate; the read takes no knobs
+        kinds = [(q.name, q.kind, q.default) for q in inspect.signature(solve).parameters.values()]
+        assert kinds == [
+            ("p", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("hide_variable", inspect.Parameter.KEYWORD_ONLY, None),
+            ("residual_tol", inspect.Parameter.KEYWORD_ONLY, 1e-8),
+        ]
+
     def test_bad_tolerances(self):
-        for bad in (0.0, -1.0, np.nan, np.inf):
+        p = systems.quadratic_pair_system()
+        for bad in (0.0, -1.0, -1e-8, np.nan, np.inf):
             with pytest.raises(ValueError, match="residual_tol"):
-                SolverConfig(residual_tol=bad)
+                solve(p, residual_tol=bad)
         # a solve takes no seed, and works in the input's basis at pep.RANK_TOL
         for name, value in (("seed", 0), ("rank_tol", 1e-10), ("basis", Basis.CHEBYSHEV1)):
             with pytest.raises(TypeError, match=name):
-                SolverConfig(**{name: value})
-        with pytest.raises(ValueError):
-            SolverConfig(hide_variable=0)
+                solve(p, **{name: value})
+
+    def test_no_config_object(self):
+        # the settings are keywords, so a call that still passes a config
+        # positionally fails loudly, and no config class is left to build one
+        with pytest.raises(TypeError):
+            solve(systems.quadratic_pair_system(), None)
+        assert not hasattr(multipolyeig, "SolverConfig")
+        assert not hasattr(solver, "SolverConfig")
 
     def test_solve_rejects_non_system(self):
         with pytest.raises(ValueError):
             solve("not a system")
 
     def test_hide_variable_out_of_range(self):
+        # 1-based: both ends of the range are checked in one place
         p = systems.quadratic_pair_system()
-        with pytest.raises(ValueError):
-            solve(p, SolverConfig(hide_variable=3))
+        for hide in (-1, 0, 3):
+            with pytest.raises(ValueError, match="hide_variable"):
+                solve(p, hide_variable=hide)
 
     def test_missing_variable_rejected(self):
         # second variable has degree zero: the point set is a curve, not finite
@@ -129,11 +149,11 @@ class TestQuadraticPair:
         # all eight roots
         p = systems.quadratic_pair_system()
         for hide in (1, 2):
-            out = solve(p, SolverConfig(hide_variable=hide))
+            out = solve(p, hide_variable=hide)
             assert_same_points(
                 out.points(), systems.quadratic_pair_solutions(), 1e-6
             )
-        out = solve(p, SolverConfig(hide_variable=1))
+        out = solve(p, hide_variable=1)
         assert out.diagnostics["normal_rank"] == 4
         assert all(s.flags["reduced"] for s in out)
 
@@ -142,7 +162,7 @@ class TestQuadraticPair:
         for hide in (1, 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                out = solve(p, SolverConfig(hide_variable=hide))
+                out = solve(p, hide_variable=hide)
             assert_same_points(
                 out.points(), systems.quadratic_pair_solutions(), 1e-6
             )
@@ -304,7 +324,7 @@ class TestWaveguide:
         # so it is read from the Kronecker factors of every eigenvector; at
         # the seeds where a projected solve's read once raised, the deflated
         # core keeps all of block 0 and reads every root
-        out = solve(systems.waveguide_system(8, even=True), SolverConfig(hide_variable=3))
+        out = solve(systems.waveguide_system(8, even=True), hide_variable=3)
         assert out.diagnostics["projected"] is False
         assert len(out) == 28
         assert all(not s.flags["reduced"] for s in out)
@@ -350,7 +370,7 @@ class TestWaveguide:
         # and the pair takes the fallback.  At the shared eigenvalue (P_1, P_2)
         # leave kappa_2 free, and P_3 rejects every point of their nested
         # solve; the subsystems that leave out P_2 or P_1 find both roots
-        out = solve(systems.waveguide_system(n, even=even), SolverConfig(hide_variable=hide))
+        out = solve(systems.waveguide_system(n, even=even), hide_variable=hide)
         assert len(out) == count
 
     def test_fallback_candidates_take_further_newton_steps(self):
@@ -380,7 +400,7 @@ class TestWaveguide:
 
         project_singular = solver.project_singular
         monkeypatch.setattr(solver, "project_singular", recorded)
-        out = solve(systems.waveguide_system(8), SolverConfig(hide_variable=1))
+        out = solve(systems.waveguide_system(8), hide_variable=1)
         assert calls == [2, 2]
         assert out.diagnostics["projected"] is True
         assert len(out) == 56
@@ -418,7 +438,7 @@ class TestDeflation:
         # dropped there are no factors, every eigenpair reads NaN, and each
         # root comes from the fallback
         p = systems.rank_one_front_system(np.random.default_rng(0))
-        work, unpermute = solver._hide(p, SolverConfig())
+        work, unpermute = solver._hide(p, None)
         pairs, info = solver._eigenpairs(work, unpermute)
         assert info == {"resultant_size": 4, "normal_rank": 3, "projected": False}
         assert pairs.factors is None
@@ -446,7 +466,7 @@ class TestDeflation:
             return solve_pep(R, vectors, max_cond)
 
         monkeypatch.setattr(solver, "solve_pep", recorded)
-        work, unpermute = solver._hide(p, SolverConfig())
+        work, unpermute = solver._hide(p, None)
         pairs, info = solver._eigenpairs(work, unpermute)
         assert asked == [False] and not info["projected"]
         assert len(pairs.lam) > 0 and np.all(np.isnan(pairs.x).any(axis=1))
@@ -516,7 +536,7 @@ class TestCertifiedResultant:
         # the resultant of side 8 has 3 structurally zero rows and columns;
         # its core of side 5 is regular, so one solve both certifies and
         # solves it, its rank is never probed, and both roots are read
-        work, unpermute = solver._hide(systems.rank_deficient_pair_system(), SolverConfig())
+        work, unpermute = solver._hide(systems.rank_deficient_pair_system(), None)
         pairs, info = solver._eigenpairs(work, unpermute)
         assert rank_machinery["solve_pep"] == 1
         assert rank_machinery["normal_rank"] == 0
@@ -611,7 +631,7 @@ class TestLinearPath:
         out = solve(p)
         assert all(not s.flags["reduced"] for s in out)
         assert max(s.residual for s in out) <= 1e-8
-        other = solve(p, SolverConfig(hide_variable=1))
+        other = solve(p, hide_variable=1)
         assert_same_points(out.points(), other.points(), 1e-5)
 
 
@@ -775,9 +795,9 @@ class TestDegreeOneRead:
         if not linear:
             return
         assert_same_points(out.points(), solve_linear_mep(p).points(), 1e-8)
-        for q, cfg in ((p, SolverConfig(hide_variable=1)), (p.convert_basis(Basis.CHEBYSHEV1), None)):
+        for q, hide in ((p, 1), (p.convert_basis(Basis.CHEBYSHEV1), None)):
             pep_calls[0] = 0
-            other = solve(q, cfg)
+            other = solve(q, hide_variable=hide)
             assert pep_calls[0] == 1
             assert all(not s.flags["reduced"] for s in other)
             assert_same_points(other.points(), out.points(), 1e-8)
@@ -957,7 +977,7 @@ class TestSolutionCount:
         # the same 32 roots
         rng = np.random.default_rng(300)
         p = systems.random_pmep(rng, (2, 2), (2, 2))
-        full = solve(p, SolverConfig(hide_variable=1))
+        full = solve(p, hide_variable=1)
         out = solve(p)
         assert len(out) == 32
         assert_contains_points(full.points(), out.points(), 1e-5)
@@ -987,7 +1007,7 @@ class TestTrivariate:
         out = solve(p)
         assert len(out) == 6
         assert max(s.residual for s in out) <= 1e-8
-        other = solve(p, SolverConfig(hide_variable=1))
+        other = solve(p, hide_variable=1)
         assert_same_points(other.points(), out.points(), 1e-5)
 
 
@@ -996,7 +1016,7 @@ class TestReduction:
         p = systems.quadratic_pair_system()
         x_true = 2.0**0.25
         y_true = (-1 + np.sqrt(5)) / 2 / x_true
-        cands, projected = _substituted_candidates(p, y_true, SolverConfig())
+        cands, projected = _substituted_candidates(p, y_true, extract.RESIDUAL_TOL)
         assert not projected
         xs = np.array([c[0] for c in cands])
         assert np.min(np.abs(xs - x_true)) <= 1e-8
@@ -1007,7 +1027,7 @@ class TestReduction:
         # each equation alone finds its x_1, and the root is gated once
         p = systems.quadratic_pair_system()
         lam = systems.quadratic_pair_solutions()[0][1]
-        cands, _ = _substituted_candidates(p, lam, SolverConfig())
+        cands, _ = _substituted_candidates(p, lam, extract.RESIDUAL_TOL)
         assert cands
         assert np.array_equal(_first_copy(np.array(cands)), np.arange(len(cands)))
 
@@ -1022,7 +1042,7 @@ class TestReduction:
         polys.append(systems.random_poly(rng, 2, (2, 2, 1)))
         work = Pmep(polys)
         lam = 0.7
-        cands, projected = _substituted_candidates(work, lam, SolverConfig())
+        cands, projected = _substituted_candidates(work, lam, extract.RESIDUAL_TOL)
         assert not projected
         # the 8 points of the first d - 1 equations come first, then those of
         # the subsystems that leave out P_2 and P_1

@@ -26,7 +26,7 @@ with the relative Jacobian sigma below and one of three labels:
   (det P_1, ..., det P_d) at the point is at most 1e-8, so the point lies on
   a curve of roots or is a multiple root;
 * ``near-copy``: one of several copies of one root.  A point of backward
-  error at most residual_tol (`SolverConfig`'s default, 1e-8) near an
+  error at most residual_tol (`extract.RESIDUAL_TOL`, 1e-8) near an
   m-fold root can lie residual_tol^(1/m) away from it (the Puiseux
   expansion of the perturbed root), so m copies lie pairwise within
   2 residual_tol^(1/m), and their mean, in which the leading terms of the
@@ -79,7 +79,7 @@ def problems(seeds):
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "src"))
-    from multipolyeig import SolverConfig, parse_pmep, parse_solutions, solve
+    from multipolyeig import parse_pmep, parse_solutions, solve
     from multipolyeig.cli import run_cli
 
     systems = _load(ROOT / "tests" / "systems.py", "systems")
@@ -89,9 +89,8 @@ def problems(seeds):
         yield f"sweep {draw}", p, lambda p=p: solve(p).points()
     for model, n, hide in WAVEGUIDE_ROWS:
         p = systems.waveguide_system(n, even=model == "u")
-        cfg = SolverConfig(hide_variable=hide)
         key = f"waveguide {model} {n} {'default' if hide is None else hide}"
-        yield key, p, lambda p=p, cfg=cfg: solve(p, cfg).points()
+        yield key, p, lambda p=p, hide=hide: solve(p, hide_variable=hide).points()
 
     bench = _load(ROOT / "perfbench" / "problems.py", "problems")
     with tempfile.TemporaryDirectory() as work:
@@ -155,9 +154,9 @@ def one_sided(p, mine, theirs):
     """Yield (point, label, relative Jacobian sigma) for every point of mine
     that has no point of theirs within MERGE_TOL."""
     import numpy as np
-    from multipolyeig import SolverConfig, residual
+    from multipolyeig.extract import RESIDUAL_TOL, residual
 
-    tol = SolverConfig.residual_tol
+    tol = RESIDUAL_TOL
     if len(mine) == 0:
         return
     if len(theirs):
