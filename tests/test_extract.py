@@ -17,6 +17,7 @@ from multipolyeig.extract import (
     vandermonde_ratios,
 )
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
+from multipolyeig.solver import solve
 
 
 REFERENCE_EIGENVECTOR = np.array(
@@ -31,6 +32,14 @@ def pair_shape():
 def nullspace_mask(r, tol=1e-13, rng=None):
     """Usable-entry mask from the generic null space: rows of small norm."""
     return np.linalg.norm(generic_nullspace_basis(r, rng=rng), axis=1) <= tol
+
+
+class TestConfig:
+    def test_rejects_bad_tolerance(self):
+        # the residual gate on the read points is a keyword of solve, checked
+        # on entry before any resultant is built
+        with pytest.raises(ValueError, match="residual_tol"):
+            solve(systems.quadratic_pair_system(), residual_tol=-1e-8)
 
 
 class TestVandermondeRatios:
