@@ -91,13 +91,6 @@ def _cmd_oracle(args):
         residual_tol=args.residual_tol,
     )
     info = out.diagnostics
-    out.diagnostics = {
-        "resultant_size": 0,
-        "normal_rank": 0,
-        "projected": False,
-        "dropped_eigenpairs": info["nonconverged"],
-        "starts": info["starts"],
-    }
     _emit(serialize_solutions(out), args.output)
     print(
         f"oracle: {len(out)} roots from {info['starts']} starts "

@@ -35,7 +35,9 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass
 class Solution:
-    """One validated solution: coordinates, normalized residual, provenance flags."""
+    """One root of a solution set: coordinates, normalized residual, and the
+    provenance flag ``reduced`` (the point was solved from the substituted
+    equations, not read off an eigenvector)."""
 
     x: np.ndarray
     residual: float
@@ -44,35 +46,24 @@ class Solution:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=complex).reshape(-1)
         self.residual = float(self.residual)
-        base = {"projected": False, "reduced": False}
-        base.update(self.flags)
-        self.flags = base
+        self.flags = {"reduced": False, **self.flags}
 
 
-class SolutionSet:
-    """List of solutions plus solver diagnostics."""
+class SolutionSet(list):
+    """A list of `Solution`s plus the solver's diagnostics."""
 
-    def __init__(self, solutions, diagnostics=None):
-        self.solutions = list(solutions)
+    def __init__(self, solutions=(), diagnostics=None):
+        super().__init__(solutions)
         self.diagnostics = dict(diagnostics or {})
 
-    def __len__(self):
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __getitem__(self, k):
-        return self.solutions[k]
-
     def __repr__(self):
-        return f"SolutionSet({len(self.solutions)} solutions, diagnostics={self.diagnostics})"
+        return f"SolutionSet({len(self)} solutions, diagnostics={self.diagnostics})"
 
     def points(self):
         """All solution coordinate vectors as a (count, d) array."""
-        if not self.solutions:
+        if not self:
             return np.zeros((0, 0), dtype=complex)
-        return np.array([s.x for s in self.solutions])
+        return np.array([s.x for s in self])
 
 
 def check_tolerances(**tolerances):
@@ -382,20 +373,28 @@ def _first_copy(points):
     return np.array(first, dtype=int)
 
 
-def filter_solutions(cands, residual_tol):
-    """Keep residual <= residual_tol, deduplicate, sort by residual.
+def filter_solutions(points, residuals, residual_tol, reduced=None):
+    """The solution set of k gated candidates: the rows of ``points`` (shape
+    (k, d)) whose ``residuals`` are at most residual_tol, deduplicated and
+    sorted by residual.
 
-    A candidate duplicates a kept point y when
-    max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf); candidates are visited in
-    residual order, so the best-residual copy of each point survives.  The
-    survivor reads ``reduced: False`` when any copy does, so the flag does
-    not hang on a last-bit residual tie between a read and a reduced copy.
+    The rows kept are ordered by residual in a stable sort and deduplicated
+    in that order (`_first_copy`): a row duplicates a kept point y when
+    max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf), so the best-residual copy
+    of each point survives, and only a survivor becomes a `Solution`.
+    ``reduced`` (k booleans; None for all False) marks the rows that were not
+    read off an eigenvector.  A survivor reads ``reduced`` only when every
+    copy of it does, so the flag does not hang on a last-bit residual tie
+    between a read and a reduced copy.
     """
-    kept = [s for s in cands if s.residual <= residual_tol]
-    kept.sort(key=lambda s: s.residual)
-    if not kept:
-        return SolutionSet([])
-    first = _first_copy(np.array([s.x for s in kept]))
-    for i in {first[i] for i, s in enumerate(kept) if not s.flags["reduced"]}:
-        kept[i].flags = {**kept[i].flags, "reduced": False}
-    return SolutionSet([s for i, s in enumerate(kept) if first[i] == i])
+    res = np.asarray(residuals, dtype=float)
+    red = np.zeros(res.shape, dtype=bool) if reduced is None else np.asarray(reduced, dtype=bool)
+    kept = np.flatnonzero(res <= residual_tol)
+    kept = kept[np.argsort(res[kept], kind="stable")]
+    pts, res, red = np.asarray(points, dtype=complex)[kept], res[kept], red[kept]
+    first = _first_copy(pts)
+    red[first[~red]] = False  # some copy of that survivor was read
+    return SolutionSet(
+        Solution(pts[i], res[i], {"reduced": bool(red[i])})
+        for i in np.flatnonzero(first == np.arange(kept.size))
+    )

@@ -2,9 +2,10 @@
 
 A linear MEP consists of d equations W_i(x) v_i = (V_i0 - sum_j x_j V_ij) v_i
 = 0 sharing the point x in C^d.  Here it is a `Pmep` of degree one in every
-variable, without cross terms, in the monomial basis: V_i0 = C_i0 and
-V_ij = -C_{i,e_j}, where C_{i,e} is the coefficient of equation i at the
-degree multi-index e.  The block Kronecker determinants Delta_0 and
+variable, without cross terms: V_i0 = C_i0 and V_ij = -C_{i,e_j}, where
+C_{i,e} is the coefficient of equation i at the degree multi-index e.  Such
+coefficients read the same in the monomial and the Chebyshev basis
+(T_0 = 1, T_1 = x), so a linear MEP is used in its own basis.  The block Kronecker determinants Delta_0 and
 Delta_k (Atkinson) turn it into d generalized eigenvalue problems
 (Delta_k - x_k Delta_0) z = 0 with the shared eigenvector
 z = v_1 kron ... kron v_d.  `solve` builds the pencil for k = d with `delta`;
@@ -22,7 +23,7 @@ __all__ = ["delta", "solve_linear_mep", "kron_factor"]
 
 
 def delta(p, k):
-    """Block Kronecker determinant of the linear MEP p (monomial basis, see
+    """Block Kronecker determinant of the linear MEP p (in either basis, see
     above): Delta_0 for k = 0, else column k replaced by V_i0.  Terms of
     degree two or more are not read."""
     d = p.d

@@ -9,7 +9,7 @@ pipeline without sharing any code path with it.
 
 import numpy as np
 
-from .extract import RESIDUAL_TOL, Solution, check_tolerances, filter_solutions, residual
+from .extract import RESIDUAL_TOL, check_tolerances, filter_solutions, residual
 from .mpoly import MatrixPoly
 
 __all__ = ["adjugate", "newton_oracle"]
@@ -42,8 +42,11 @@ def _derivatives(p):
 def newton_oracle(p, starts=200, seed=0, residual_tol=RESIDUAL_TOL):
     """Multistart Newton on the determinant system of a Pmep.
 
-    Returns the deduplicated, residual-validated solution set; non-convergent
-    starts are dropped and counted in the diagnostics.
+    The converged starts are the candidates: their `residual`s and their
+    points go to `filter_solutions` in one call, which gates and
+    deduplicates them.  Returns that solution set with the oracle's own
+    diagnostics: ``starts``, ``nonconverged`` (the starts dropped),
+    ``candidates`` and ``seed``.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -78,8 +81,8 @@ def newton_oracle(p, starts=200, seed=0, residual_tol=RESIDUAL_TOL):
             found.append(x)
         else:
             nonconverged += 1
-    res = residual(p, np.array(found).reshape(-1, d))
-    out = filter_solutions([Solution(x, r) for x, r in zip(found, res)], residual_tol)
+    found = np.array(found, dtype=complex).reshape(-1, d)
+    out = filter_solutions(found, residual(p, found), residual_tol)
     out.diagnostics = {
         "starts": starts,
         "nonconverged": nonconverged,

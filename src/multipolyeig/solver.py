@@ -52,8 +52,12 @@ stages that keep one row per pencil eigenvalue (`_Eigenpairs`):
    vectors from the SVD.  When every eigenpair passed, this stage returns
    the gated points as they are, with no second call.
 
-`solve` deduplicates the passing points.  The diagnostic ``projected`` is
-true when the top-level pencil or that of any nested solve was projected.
+`solve` hands the candidate points, their residuals and whether each one
+came from stage 4 to `extract.filter_solutions` as arrays, which keeps the
+passing points, deduplicates them and makes one `Solution` per root; a
+root is ``reduced`` only when every copy of it came from stage 4.
+``projected`` is a diagnostic of the set alone: true when the top-level
+pencil or that of any nested solve was projected.
 """
 
 import math
@@ -65,7 +69,6 @@ from .dixon import DixonShape, build_resultant
 from .errors import MultiPolyEigError, SingularPencilError
 from .extract import (
     RESIDUAL_TOL,
-    Solution,
     _finite_rows,
     _first_copy,
     block_indices,
@@ -74,7 +77,7 @@ from .extract import (
     refine,
     vandermonde_ratios,
 )
-from .mpoly import Basis, MatrixPoly, Pmep
+from .mpoly import MatrixPoly, Pmep
 from .opdet import delta, kron_factor
 from .pep import RANK_TOL, normal_rank, project_singular, solve_pep, trim
 
@@ -112,17 +115,17 @@ def choose_hidden_variable(p):
 
 
 def _as_linear_mep(p):
-    """p in the monomial basis when it is a linear MEP (degree one in every
-    variable, without cross terms; see `opdet`), else None."""
+    """p itself when it is a linear MEP (degree one in every variable,
+    without cross terms; see `opdet`), else None.  Its coefficients read the
+    same in either basis (T_0 = 1, T_1 = x), so it needs no conversion."""
     if any(t != 1 for t in p.tau):
         return None
-    q = p.convert_basis(Basis.MONOMIAL)
-    for poly in q.polys:
+    for poly in p.polys:
         scale = poly.max_coeff_norm()
-        for idx in np.ndindex(*(2,) * q.d):
+        for idx in np.ndindex(*(2,) * p.d):
             if sum(idx) >= 2 and np.max(np.abs(poly.coeffs[idx])) > 1e-14 * scale:
                 return None
-    return q
+    return p
 
 
 def _structural_core(R):
@@ -324,7 +327,7 @@ def _fallback(p, work, unpermute, lam, x, res, tol):
     d = work.d
     retry = np.flatnonzero(~(res <= tol))
     if d == 1 or not retry.size:
-        return x, res, [False] * len(lam), False, 0
+        return x, res, np.zeros(len(lam), dtype=bool), False, 0
     first = retry[_first_copy(lam[retry, None])]
     leaders = retry[first == retry]
     # a spurious eigenvalue can overflow the substituted equations
@@ -342,7 +345,7 @@ def _fallback(p, work, unpermute, lam, x, res, tol):
     return (
         np.concatenate([x[keep], xs])[order],
         np.concatenate([res[keep], rs])[order],
-        (order >= len(keep)).tolist(),
+        order >= len(keep),
         any(pr for _, pr in subs),
         int(np.count_nonzero(found[first] == 0)),
     )
@@ -364,11 +367,7 @@ def solve(p, *, hide_variable=None, residual_tol=RESIDUAL_TOL):
     points, res, reduced, nested, dropped = _fallback(
         p, work, unpermute, pairs.lam, x, res, residual_tol
     )
-    cands = [
-        Solution(x, r, {"projected": info["projected"], "reduced": red})
-        for x, r, red in zip(points, res, reduced)
-    ]
-    out = filter_solutions(cands, residual_tol)
+    out = filter_solutions(points, res, residual_tol, reduced)
     info["projected"] = info["projected"] or nested  # the top-level pencil or any nested one
     out.diagnostics = {**info, "dropped_eigenpairs": dropped}
     return out

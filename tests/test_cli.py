@@ -241,9 +241,11 @@ class TestOracleCommand:
         doc = json.loads(cap.out)
         assert "oracle:" in cap.err
         diag = doc["diagnostics"]
-        assert diag["resultant_size"] == 0 and diag["normal_rank"] == 0
-        assert diag["projected"] is False and "rotation_seed" not in diag
-        assert diag["starts"] == 150
+        # newton_oracle's own diagnostics, in sorted order, and none of solve's
+        assert list(diag) == ["candidates", "nonconverged", "seed", "starts"]
+        assert diag["starts"] == 150 and diag["seed"] == 0
+        assert diag["candidates"] + diag["nonconverged"] == 150
+        assert f"({diag['nonconverged']} nonconverged)" in cap.err
         roots = [np.array([complex(*pair) for pair in entry["x"]])
                  for entry in doc["solutions"]]
         assert roots

@@ -375,61 +375,76 @@ class TestRefine:
 class TestFilterSolutions:
     def test_quadratic_pair_all_kept(self):
         p = systems.quadratic_pair_system()
-        cands = [
-            Solution(x, residual(p, x)) for x in systems.quadratic_pair_solutions()
-        ]
-        out = filter_solutions(cands, 1e-8)
+        pts = np.array(systems.quadratic_pair_solutions())
+        out = filter_solutions(pts, residual(p, pts), 1e-8)
         assert len(out) == 8
 
     def test_empty(self):
-        out = filter_solutions([], 1e-8)
+        out = filter_solutions(np.zeros((0, 2)), np.zeros(0), 1e-8)
         assert len(out) == 0
         assert isinstance(out, SolutionSet)
 
     def test_spurious_removed(self):
-        good = Solution(np.array([1.0, 2.0]), 1e-12)
-        bad = Solution(np.array([9.0, 9.0]), 1.0)
-        out = filter_solutions([bad, good], 1e-8)
+        out = filter_solutions(np.array([[9.0, 9.0], [1.0, 2.0]]), [1.0, 1e-12], 1e-8)
         assert len(out) == 1
         assert np.allclose(out[0].x, [1.0, 2.0])
 
     def test_duplicates_keep_smaller_residual(self):
-        a = Solution(np.array([1.0, 2.0]), 1e-10)
-        b = Solution(np.array([1.0 + 1e-12, 2.0]), 1e-13)
-        out = filter_solutions([a, b], 1e-8)
+        pts = np.array([[1.0, 2.0], [1.0 + 1e-12, 2.0]])
+        out = filter_solutions(pts, [1e-10, 1e-13], 1e-8)
         assert len(out) == 1
         assert out[0].residual == 1e-13
 
     def test_sorted_by_residual(self):
-        sols = [
-            Solution(np.array([float(k), 0.0]), 10.0**-k) for k in range(9, 12)
-        ]
-        out = filter_solutions(sols[::-1], 1e-8)
-        assert [s.residual for s in out] == sorted(s.residual for s in sols)
+        res = [10.0**-k for k in range(9, 12)]
+        pts = np.array([[float(k), 0.0] for k in range(9, 12)])
+        out = filter_solutions(pts[::-1], res[::-1], 1e-8)
+        assert [s.residual for s in out] == sorted(res)
 
     def test_nearby_but_distinct_points_kept(self):
-        a = Solution(np.array([1.0, 2.0]), 1e-12)
-        b = Solution(np.array([1.0 + 1e-5, 2.0]), 1e-12)
-        out = filter_solutions([a, b], 1e-8)
+        pts = np.array([[1.0, 2.0], [1.0 + 1e-5, 2.0]])
+        out = filter_solutions(pts, [1e-12, 1e-12], 1e-8)
         assert len(out) == 2
 
     def test_a_read_copy_clears_reduced(self):
         # the reduced copy wins the residual tie by its last bits; the kept
         # point still reads as read, since a copy of it was
-        reduced = Solution(np.array([1.0, 2.0]), 2.08e-14, {"reduced": True})
-        read = Solution(np.array([1.0 + 1e-13, 2.0]), 2.18e-14, {"reduced": False})
-        out = filter_solutions([read, reduced], 1e-8)
+        pts = np.array([[1.0 + 1e-13, 2.0], [1.0, 2.0]])
+        out = filter_solutions(pts, [2.18e-14, 2.08e-14], 1e-8, reduced=[False, True])
         assert len(out) == 1
         assert out[0].residual == 2.08e-14
         assert out[0].flags["reduced"] is False
+
+    def test_all_rejected(self):
+        pts = np.array([[1.0, 2.0], [3.0, 4.0], [np.nan, 0.0]])
+        out = filter_solutions(pts, [1e-7, np.inf, np.nan], 1e-8, reduced=[True, False, True])
+        assert isinstance(out, SolutionSet) and len(out) == 0
+
+    def test_reduced_none_reads_every_row(self):
+        pts = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 6.0]])
+        out = filter_solutions(pts, [1e-12, 1e-13, 1e-9], 1e-8)
+        assert [s.residual for s in out] == [1e-13, 1e-9]
+        assert [s.flags for s in out] == [{"reduced": False}] * 2
+
+    def test_reduced_only_when_every_copy_is(self):
+        pts = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 6.0], [5.0, 6.0]])
+        out = filter_solutions(pts, [1e-12] * 4, 1e-8, reduced=[True, True, True, False])
+        assert [s.flags["reduced"] for s in out] == [True, False]
+        assert np.array_equal(out.points(), pts[[0, 2]])
 
 
 class TestSolutionTypes:
     def test_default_flags(self):
         s = Solution(np.array([1.0]), 0.0)
-        assert s.flags == {"projected": False, "reduced": False}
+        assert s.flags == {"reduced": False}
 
     def test_points_matrix(self):
         ss = SolutionSet([Solution(np.array([1.0, 2.0]), 0.0)], {"resultant_size": 8})
         assert ss.points().shape == (1, 2)
         assert ss.diagnostics["resultant_size"] == 8
+
+    def test_solution_set_is_a_list(self):
+        out = solve(systems.quadratic_pair_system())
+        assert isinstance(out, list) and len(out) == 8
+        assert not hasattr(out, "solutions")
+        assert {"solutions", "__len__", "__iter__", "__getitem__"}.isdisjoint(vars(SolutionSet))

@@ -203,9 +203,9 @@ class TestRankDeficientPair:
         )
         assert out.diagnostics["resultant_size"] == 8
         assert out.diagnostics["normal_rank"] == 5
-        assert out.diagnostics["projected"]
+        assert out.diagnostics["projected"] is True
         # a projected pencil's eigenvectors are not read
-        assert all(s.flags["projected"] and s.flags["reduced"] for s in out)
+        assert all(s.flags == {"reduced": True} for s in out)
 
     def test_default_pipeline(self):
         p = systems.rank_deficient_pair_system()
@@ -634,6 +634,23 @@ class TestLinearPath:
         other = solve(p, hide_variable=1)
         assert_same_points(out.points(), other.points(), 1e-5)
 
+    def test_no_basis_conversion(self, monkeypatch):
+        # a degree-one coefficient reads the same in either basis, so a linear
+        # MEP is solved in its own basis and its document is its monomial
+        # twin's, byte for byte
+        rng = np.random.default_rng(13)
+        sizes = [(3, 2), (2, 2, 2), (4, 3)]
+        twins = [(p, p.convert_basis(Basis.CHEBYSHEV1))
+                 for p in (random_linear_mep(rng, n) for n in sizes)]
+        calls = []
+        convert = Pmep.convert_basis
+        monkeypatch.setattr(Pmep, "convert_basis", lambda q, b: calls.append(b) or convert(q, b))
+        for n, (mono, cheb) in zip(sizes, twins):
+            out = solve(mono)
+            assert len(out) == int(np.prod(n))
+            assert serialize_solutions(out) == serialize_solutions(solve(cheb))
+        assert calls == []
+
 
 class TestRepeatedHiddenCoordinate:
     def test_decoupled_quadratic_takes_fallback(self):
@@ -981,6 +998,34 @@ class TestSolutionCount:
         out = solve(p)
         assert len(out) == 32
         assert_contains_points(full.points(), out.points(), 1e-5)
+
+
+class TestSolutionRecord:
+    # a Solution is made only for a root that some solve returns: none for
+    # a candidate that fails the gate or duplicates a kept root
+    @pytest.mark.parametrize(
+        "make, roots",
+        [(lambda: systems.waveguide_system(8), 56), (systems.rank_deficient_pair_system, 2)],
+    )
+    def test_one_solution_per_returned_root(self, monkeypatch, make, roots):
+        made, returned = [], []
+        post_init = extract.Solution.__post_init__
+        original = solver.solve
+
+        def counting_post_init(sol):
+            made.append(1)
+            post_init(sol)
+
+        def recording_solve(*args, **kwargs):
+            out = original(*args, **kwargs)
+            returned.append(len(out))
+            return out
+
+        monkeypatch.setattr(extract.Solution, "__post_init__", counting_post_init)
+        monkeypatch.setattr(solver, "solve", recording_solve)
+        out = solver.solve(make())
+        assert len(out) == returned[-1] == roots
+        assert len(made) == sum(returned)
 
 
 class TestAccuracy:

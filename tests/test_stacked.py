@@ -160,19 +160,21 @@ def test_kronecker_read_of_a_zero_row_is_nan():
     assert np.allclose(got[keep], want, rtol=1e-12, atol=0.0)
 
 
-def greedy_filter(cands, residual_tol):
-    """The one-candidate-at-a-time dedup loop that `filter_solutions` batches."""
-    kept = [s for s in cands if s.residual <= residual_tol]
-    kept.sort(key=lambda s: s.residual)
+def greedy_filter(points, residuals, residual_tol):
+    """The one-candidate-at-a-time dedup loop that `filter_solutions` batches:
+    the kept rows of ``points`` in order."""
+    kept = [i for i, r in enumerate(residuals) if r <= residual_tol]
+    kept.sort(key=lambda i: residuals[i])
     unique = []
-    for sol in kept:
-        norm = float(np.max(np.abs(sol.x)))
+    for i in kept:
+        x = points[i]
+        norm = float(np.max(np.abs(x)))
         if any(
-            np.max(np.abs(u.x - sol.x)) <= 1e-8 * max(1.0, norm, float(np.max(np.abs(u.x))))
+            np.max(np.abs(points[u] - x)) <= 1e-8 * max(1.0, norm, float(np.max(np.abs(points[u]))))
             for u in unique
         ):
             continue
-        unique.append(sol)
+        unique.append(i)
     return unique
 
 
@@ -192,18 +194,20 @@ def test_dedup_matches_greedy_loop(n_centers, seed, count, d):
     centers *= 10.0 ** rng.uniform(-3, 6, size=(n_centers, 1))
     if n_centers > 1:
         centers[1, 0] = centers[0, 0]  # two centers that share x_1
-    cands = []
-    for _ in range(count):
+    points = np.zeros((count, d), dtype=complex)
+    residuals = np.zeros(count)
+    for k in range(count):
         # copies at, just inside and just outside the tolerance of a center,
         # with residuals from a short list, so ties are common
         c = centers[rng.integers(len(centers))]
         scale = max(1.0, np.max(np.abs(c)))
         step = rng.choice([0.0, 3e-9, 9e-9, 1.1e-8, 2e-8]) * scale
-        x = c + step * np.exp(2j * np.pi * rng.uniform(size=d))
-        cands.append(Solution(x, rng.choice([1e-15, 1e-12, 1e-12, 1e-9, 1.0])))
-    want = greedy_filter(cands, 1e-8)
-    got = filter_solutions(cands, 1e-8)
-    assert [id(s) for s in got] == [id(s) for s in want]
+        points[k] = c + step * np.exp(2j * np.pi * rng.uniform(size=d))
+        residuals[k] = rng.choice([1e-15, 1e-12, 1e-12, 1e-9, 1.0])
+    want = greedy_filter(points, residuals, 1e-8)
+    got = filter_solutions(points, residuals, 1e-8)
+    assert np.array_equal(got.points().reshape(-1, d), points[want])
+    assert [s.residual for s in got] == residuals[want].tolist()
 
 
 def first_copy_reference(points):
