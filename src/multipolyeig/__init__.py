@@ -8,7 +8,7 @@ and polishing every root with Newton steps on the original system.
 `solve` runs the whole pipeline; the building blocks are exported.
 """
 
-from .dixon import DixonShape, build_resultant, dixon_numerator_eval
+from .dixon import DixonShape, build_resultant
 from .errors import (
     MultiPolyEigError,
     ParseError,
@@ -39,7 +39,6 @@ __all__ = [
     "Pmep",
     "DixonShape",
     "build_resultant",
-    "dixon_numerator_eval",
     "delta",
     "solve_linear_mep",
     "solve_pep",

@@ -44,7 +44,6 @@ from .pep import trim
 __all__ = [
     "DixonShape",
     "kron_det",
-    "dixon_numerator_eval",
     "unfold",
     "build_resultant",
 ]
@@ -83,29 +82,6 @@ class DixonShape:
             f"DixonShape(d={self.d}, tau={self.tau}, N={self.N}, "
             f"size={self.resultant_size}, xd_deg<={self.xd_degree_bound})"
         )
-
-
-def _hybrid_point(s, t, xd, col):
-    """Evaluation point of block column `col` (0-based): t before, s from col on."""
-    return np.concatenate([t[:col], s[col:], [xd]])
-
-
-def dixon_numerator_eval(p, s, t, xd):
-    """Numerator of the Dixon function at one point (s, t, x_d).
-
-    Leibniz expansion of the d-by-d block determinant whose (i, j) block is
-    P_i at the hybrid point (t_1..t_{j-1}, s_j..s_{d-1}, x_d), with ordinary
-    products replaced by Kronecker products taken in equation order.
-    """
-    s = np.asarray(s, dtype=complex).reshape(-1)
-    t = np.asarray(t, dtype=complex).reshape(-1)
-    d = p.d
-    if s.shape != (d - 1,) or t.shape != (d - 1,):
-        raise ValueError("s and t must have length d-1")
-    evals = [
-        [poly.eval(_hybrid_point(s, t, xd, col)) for col in range(d)] for poly in p.polys
-    ]
-    return kron_det(evals)
 
 
 def _kron_batched(a, b):

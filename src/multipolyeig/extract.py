@@ -31,6 +31,8 @@ __all__ = [
 # the default residual gate of a solution: of `solve`, the command line's
 # --residual-tol and `oracle.newton_oracle`
 RESIDUAL_TOL = 1e-8
+# the relative distance at which two points of a solution set are one root
+MERGE_TOL = 1e-8
 
 
 @dataclass
@@ -336,13 +338,13 @@ def _first_copy(points):
     duplicates, or the row itself when it is kept.
 
     Rows are visited in order; a row duplicates a kept row y when
-    max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf), and is kept when it
-    duplicates none.  A row with a non-finite entry is kept and is no row's
-    duplicate.  Any pair that passes the test has
-    |Re x_1 - Re y_1| <= 2e-8 * max(1, |x|_inf), whichever of the two is x,
-    so after one sort by Re x_1 each row is tested only against the rows
-    that follow it within that window, and only the pairs that pass are
-    walked in row order.  This takes O(k log k) when Re x_1 separates the
+    max|x - y| <= MERGE_TOL * max(1, |x|_inf, |y|_inf), and is kept when
+    it duplicates none.  A row with a non-finite entry is kept and is no
+    row's duplicate.  Any pair that passes the test has
+    |Re x_1 - Re y_1| <= 2 MERGE_TOL * max(1, |x|_inf), whichever of the
+    two is x, so after one sort by Re x_1 each row is tested only against
+    the rows that follow it within that window, and only the pairs that
+    pass are walked in row order.  This takes O(k log k) when Re x_1 separates the
     points, and never forms the k x k distances.  Fewer than two finite
     rows, or windows that hold no pair, return at once.
     """
@@ -354,7 +356,7 @@ def _first_copy(points):
     order = np.argsort(key, kind="stable")
     rows, key = rows[order], key[order]
     scale = np.maximum(1.0, np.max(np.abs(points[rows]), axis=1))
-    ends = np.searchsorted(key, key + 2e-8 * scale, side="right")
+    ends = np.searchsorted(key, key + 2 * MERGE_TOL * scale, side="right")
     # every pair of sorted positions lo < hi < ends[lo]
     counts = ends - np.arange(1, rows.size + 1)
     if not counts.any():
@@ -362,7 +364,7 @@ def _first_copy(points):
     lo = np.repeat(np.arange(rows.size), counts)
     hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(counts) - counts, counts)
     dist = np.max(np.abs(points[rows[lo]] - points[rows[hi]]), axis=1)
-    close = dist <= 1e-8 * np.maximum(scale[lo], scale[hi])
+    close = dist <= MERGE_TOL * np.maximum(scale[lo], scale[hi])
     a, b = rows[lo[close]], rows[hi[close]]
     later, earlier = np.maximum(a, b), np.minimum(a, b)
     walk = np.lexsort((earlier, later))
@@ -380,8 +382,9 @@ def filter_solutions(points, residuals, residual_tol, reduced=None):
 
     The rows kept are ordered by residual in a stable sort and deduplicated
     in that order (`_first_copy`): a row duplicates a kept point y when
-    max|x - y| <= 1e-8 * max(1, |x|_inf, |y|_inf), so the best-residual copy
-    of each point survives, and only a survivor becomes a `Solution`.
+    max|x - y| <= MERGE_TOL * max(1, |x|_inf, |y|_inf), so the
+    best-residual copy of each point survives, and only a survivor becomes
+    a `Solution`.
     ``reduced`` (k booleans; None for all False) marks the rows that were not
     read off an eigenvector.  A survivor reads ``reduced`` only when every
     copy of it does, so the flag does not hang on a last-bit residual tie

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from multipolyeig.dixon import kron_det
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 
 
@@ -347,6 +348,29 @@ def refold(mat, shape):
     )
     tens = np.asarray(mat).reshape(unfolded_shape)
     return np.transpose(tens, np.argsort(order))
+
+
+def _hybrid_point(s, t, xd, col):
+    """Evaluation point of block column `col` (0-based): t before, s from col on."""
+    return np.concatenate([t[:col], s[col:], [xd]])
+
+
+def dixon_numerator_eval(p, s, t, xd):
+    """Numerator of the Dixon function at one point (s, t, x_d).
+
+    Leibniz expansion of the d-by-d block determinant whose (i, j) block is
+    P_i at the hybrid point (t_1..t_{j-1}, s_j..s_{d-1}, x_d), with ordinary
+    products replaced by Kronecker products taken in equation order.
+    """
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    t = np.asarray(t, dtype=complex).reshape(-1)
+    d = p.d
+    if s.shape != (d - 1,) or t.shape != (d - 1,):
+        raise ValueError("s and t must have length d-1")
+    evals = [
+        [poly.eval(_hybrid_point(s, t, xd, col)) for col in range(d)] for poly in p.polys
+    ]
+    return kron_det(evals)
 
 
 def vandermonde_vector(shape, x_front, v):

@@ -13,12 +13,12 @@ from multipolyeig.dixon import (
     _numerator_on_grid,
     _tables,
     build_resultant,
-    dixon_numerator_eval,
     kron_det,
     unfold,
 )
 from multipolyeig.mpoly import Basis, MatrixPoly, Pmep
 from multipolyeig.pep import RANK_TOL, trim
+from systems import dixon_numerator_eval
 
 
 def eval_tensor(tens, shape, basis, s, t):

@@ -1,26 +1,38 @@
-"""Save the roots the solver returns on a fixed set of problems, and tell
-which roots two trees disagree on.
+"""Solve a fixed set of problems through the command line, and tell which
+solution documents and which roots two trees disagree on.
 
 The problems are the 400 draws of `tests/systems.py::sparse_random_pmep`
-(seed 20261018), waveguide rows of `tests/systems.py::waveguide_system`, and
-every problem of the `dense`, `structured` and `many_roots` workloads of
-`perfbench/problems.py` at the given seeds, solved with
-``run_cli(["solve", doc, "-o", out] + args)`` as in the benchmark.  Without
-``--against``, one JSON line per problem goes to standard output::
+(seed 20261018), waveguide rows of `tests/systems.py::waveguide_system` (a
+hide other than the default passed as ``--hide K``), and every problem of
+the `dense`, `structured` and `many_roots` workloads of
+`perfbench/problems.py` at the given seeds.  Each is written to a problem
+document and solved with ``run_cli(["solve", doc, "-o", out] + args)``, the
+call the benchmark makes.  Without ``--against``, one JSON line per problem
+goes to standard output::
 
-    {"problem": "sweep 17", "points": [[[re, im], ...], ...]}
+    {"problem": "sweep 17", "exit": 0, "count": 8, "sha256": "...",
+     "points": [[[re, im], ...], ...]}
 
-The package is imported from this tree's `src/`, and BLAS runs on one thread,
-as in the benchmark.  To check that a change loses no regular root, save the
-output of the tree before the change and compare the tree after it::
+with the exit code of the solve, the number of solutions the document holds
+(``"-"`` when none was written), the sha256 of the document's bytes and the
+points it holds, in its order.  The package is imported from this tree's
+`src/`, and BLAS runs on one thread, as in the benchmark.  To check that a
+change keeps every document, or loses no regular root, save the output of
+the tree before the change and compare the tree after it::
 
     python3 tools/root_sets.py > before.jsonl
     python3 tools/root_sets.py --against before.jsonl
 
-With ``--against`` every point that only one side has (no point of the other
-side within the relative distance at which `filter_solutions` merges two
-points) is printed as ``problem only-this|only-saved label sigma=... x``,
-with the relative Jacobian sigma below and one of three labels:
+With ``--against`` every problem whose document differs from the saved list
+is printed as ``problem exit count sha256 kind saved: exit count sha256``,
+with ``none`` for a side that lacks the problem.  The kind is ``count`` when
+the exit code or the solution count moved or one side lacks the problem, and
+``bytes`` when only the hash did.  Of a problem both sides solved whose
+points differ, every point that only one side has (no point of the other
+side within `extract.MERGE_TOL`, the relative distance at which
+`filter_solutions` merges two points) is printed as
+``problem only-this|only-saved label sigma=... x``, with the relative
+Jacobian sigma below and one of three labels:
 
 * ``singular``: the relative smallest singular value of the Jacobian of
   (det P_1, ..., det P_d) at the point is at most 1e-8, so the point lies on
@@ -37,11 +49,15 @@ with the relative Jacobian sigma below and one of three labels:
   or symmetric sets apart;
 * ``regular``: neither, so the other side lost a root.
 
-The exit code is 1 if any regular point is missing from either side, else 0.
+The exit code is 3 if a regular point is missing from either side, else 2
+if any exit code or count moved or a problem is on one side only, else 1 if
+any document's bytes moved, else 0.  A change that rewrites residuals on
+purpose must show ``bytes`` lines only.
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -62,7 +78,6 @@ WAVEGUIDE_ROWS = (
     ("u", 40, None), ("u", 48, None), ("u", 48, 2), ("u", 64, None), ("u", 96, None),
 )
 SINGULAR_TOL = 1e-8
-MERGE_TOL = 1e-8  # the relative distance at which `filter_solutions` merges points
 
 
 def _load(path, name):
@@ -74,45 +89,49 @@ def _load(path, name):
 
 
 def problems(seeds):
-    """Yield (key, Pmep, solve) per problem; solve() returns the points as a
-    (k, d) array."""
+    """Yield (key, problem document, solve arguments) per problem."""
     import numpy as np
-
-    sys.path.insert(0, str(ROOT / "src"))
-    from multipolyeig import parse_pmep, parse_solutions, solve
-    from multipolyeig.cli import run_cli
+    from multipolyeig import serialize_pmep
 
     systems = _load(ROOT / "tests" / "systems.py", "systems")
     rng = np.random.default_rng(SWEEP_SEED)
     for draw in range(SWEEP_DRAWS):
-        p = systems.sparse_random_pmep(rng)
-        yield f"sweep {draw}", p, lambda p=p: solve(p).points()
+        yield f"sweep {draw}", serialize_pmep(systems.sparse_random_pmep(rng)), []
     for model, n, hide in WAVEGUIDE_ROWS:
-        p = systems.waveguide_system(n, even=model == "u")
         key = f"waveguide {model} {n} {'default' if hide is None else hide}"
-        yield key, p, lambda p=p, hide=hide: solve(p, hide_variable=hide).points()
-
+        text = serialize_pmep(systems.waveguide_system(n, even=model == "u"))
+        yield key, text, [] if hide is None else ["--hide", str(hide)]
     bench = _load(ROOT / "perfbench" / "problems.py", "problems")
+    for seed in seeds:
+        for workload in WORKLOADS:
+            for prob in bench.workload(workload, seed):
+                key = f"{workload} {seed} {prob['name']}"
+                yield key, bench.problem_document(prob), prob["args"]
+
+
+def solved(seeds):
+    """Yield (row, problem document) per problem, where row is the problem's
+    line of output as a dict."""
+    from multipolyeig.cli import run_cli
+
     with tempfile.TemporaryDirectory() as work:
         doc, out = os.path.join(work, "problem.json"), os.path.join(work, "solutions.json")
-
-        def solve_cli(d, args):
+        for key, text, args in problems(seeds):
+            Path(doc).write_text(text, encoding="utf-8")
             if os.path.exists(out):
                 os.remove(out)
             with contextlib.redirect_stderr(io.StringIO()):
-                run_cli(["solve", doc, "-o", out] + args)
-            if not os.path.exists(out):
-                return np.zeros((0, d), dtype=complex)
-            return parse_solutions(Path(out).read_text(encoding="utf-8")).points()
-
-        for seed in seeds:
-            for workload in WORKLOADS:
-                for prob in bench.workload(workload, seed):
-                    text = bench.problem_document(prob)
-                    Path(doc).write_text(text, encoding="utf-8")
-                    p = parse_pmep(text)
-                    key = f"{workload} {seed} {prob['name']}"
-                    yield key, p, lambda d=p.d, args=prob["args"]: solve_cli(d, args)
+                code = run_cli(["solve", doc, "-o", out] + args)
+            data = Path(out).read_bytes() if os.path.exists(out) else b""
+            sols = json.loads(data)["solutions"] if data else []
+            row = {
+                "problem": key,
+                "exit": code,
+                "count": len(sols) if data else "-",
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "points": [s["x"] for s in sols],
+            }
+            yield row, text
 
 
 def _rel_dist(a, b):
@@ -154,7 +173,7 @@ def one_sided(p, mine, theirs):
     """Yield (point, label, relative Jacobian sigma) for every point of mine
     that has no point of theirs within MERGE_TOL."""
     import numpy as np
-    from multipolyeig.extract import RESIDUAL_TOL, residual
+    from multipolyeig.extract import MERGE_TOL, RESIDUAL_TOL, residual
 
     tol = RESIDUAL_TOL
     if len(mine) == 0:
@@ -186,38 +205,62 @@ def _points(entries, d):
     return np.array([[complex(*c) for c in x] for x in entries], dtype=complex).reshape(-1, d)
 
 
+def _fields(row):
+    """A row's exit code, solution count and hash, as printed; ``none`` for a
+    missing row."""
+    return ["none"] if row is None else [str(row["exit"]), str(row["count"]), row["sha256"]]
+
+
+def compare(key, row, was, text):
+    """Print how the row of this tree differs from the saved row ``was``
+    (either is None where its side lacks the problem), and return the rung
+    of the exit ladder the difference reaches."""
+    from multipolyeig import parse_pmep
+
+    mine, theirs = _fields(row), _fields(was)
+    if mine == theirs:
+        return 0
+    moved = mine[:2] != theirs[:2]
+    print(key, *mine, "count" if moved else "bytes", "saved:", *theirs, flush=True)
+    rung = 2 if moved else 1
+    if row is None or was is None or row["points"] == was["points"]:
+        return rung
+    p = parse_pmep(text)
+    ours, saved = _points(row["points"], p.d), _points(was["points"], p.d)
+    for side, a, b in (("this", ours, saved), ("saved", saved, ours)):
+        for x, label, sigma in one_sided(p, a, b):
+            rung = 3 if label == "regular" else rung
+            coords = " ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in x)
+            print(key, f"only-{side}", label, f"sigma={sigma:.2e}", coords, flush=True)
+    return rung
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument(
         "--against", metavar="FILE", type=Path,
-        help="saved output to compare with: print the points that only one side has",
+        help="saved output to compare with: print the documents and points that differ",
     )
     args = parser.parse_args(argv)
     saved = None
     if args.against is not None:
         lines = args.against.read_text(encoding="utf-8").splitlines()
-        saved = {row["problem"]: row["points"] for row in map(json.loads, lines) if row}
+        saved = {row["problem"]: row for row in map(json.loads, filter(None, lines))}
     # before numpy is imported (each function imports it), which reads them once
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    lost = 0
-    for key, p, solve in problems(args.seeds):
-        points = solve()
+    sys.path.insert(0, str(ROOT / "src"))
+    worst = 0
+    for row, text in solved(args.seeds):
         if saved is None:
-            pairs = [[[z.real, z.imag] for z in x] for x in points.tolist()]
-            print(json.dumps({"problem": key, "points": pairs}), flush=True)
-            continue
-        if key not in saved:
-            print(key, "not in saved", flush=True)
-            continue
-        theirs = _points(saved[key], p.d)
-        for side, mine, other in (("this", points, theirs), ("saved", theirs, points)):
-            for x, label, sigma in one_sided(p, mine, other):
-                lost += label == "regular"
-                coords = " ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in x)
-                print(key, f"only-{side}", label, f"sigma={sigma:.2e}", coords, flush=True)
-    return 1 if lost else 0
+            print(json.dumps(row), flush=True)
+        else:
+            key = row["problem"]
+            worst = max(worst, compare(key, row, saved.pop(key, None), text))
+    for key, was in (saved or {}).items():
+        worst = max(worst, compare(key, None, was, None))
+    return worst
 
 
 if __name__ == "__main__":
